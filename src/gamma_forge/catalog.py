@@ -13,19 +13,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from .core import GammaForgeError
-from .groups import (
-    AnyGroup,
-    Group,
-    construct,
-    from_file,
-    is_metabelian,
-    is_two_engel,
-    is_uniquely_2_divisible,
-    nilpotency_class,
-)
-from .loops import check_gamma_axioms, is_automorphic, is_moufang
-from .constructions import circ_loop
-from .checks import AUTOMORPHIC_EXHAUSTIVE_LIMIT
+from .groups import AnyGroup, Group, construct, from_file
+from .checks import CheckContext, _witness_str
 from .report import SurveyRow
 
 CATALOG_SPECS: tuple[str, ...] = (
@@ -45,70 +34,39 @@ CATALOG_SPECS: tuple[str, ...] = (
     "ut:4:3",
 )
 
-# orders 3..155 cover every materialized entry except the order-729 specimen
-CATALOG_DESK_LIMIT = 243
-
-
-def catalog_groups(lo: int = 1, hi: int = CATALOG_DESK_LIMIT) -> list[AnyGroup]:
-    """Builtin groups with lo <= order <= hi, in catalog order."""
-    out = []
-    for spec in CATALOG_SPECS:
-        g = construct(spec)
-        if lo <= g.order <= hi:
-            out.append(g)
-    return out
-
 
 def survey_row(g: AnyGroup, seed: int = 0, force_exhaustive: bool = False) -> SurveyRow:
     """One survey row; loop columns are filled only for odd-order table groups."""
-    row = SurveyRow(spec=g.source_spec or g.name, order=g.order)
-    if not isinstance(g, Group):
-        row.skipped = "functional group: loop construction needs a table"
+    ctx = CheckContext(g, seed=seed, force_exhaustive=force_exhaustive)
+    row = SurveyRow(spec=g.source_spec or g.name, order=g.order, skipped=ctx.skip_reason)
+    if isinstance(g, Group):
+        row.uniquely_2_divisible = ctx.uniquely_2_divisible
+    if row.skipped:
         return row
-    row.uniquely_2_divisible = is_uniquely_2_divisible(g)
-    if not row.uniquely_2_divisible:
-        row.skipped = "not uniquely 2-divisible"
-        return row
-    row.nilpotency_class = nilpotency_class(g)
-    row.metabelian = is_metabelian(g)
-    engel, ew = is_two_engel(g)
-    row.two_engel = engel
-    if ew is not None:
-        row.witnesses["two-engel"] = f"({g.label(ew[0])},{g.label(ew[1])})"
-
-    q = circ_loop(g)
+    row.nilpotency_class = ctx.nilpotency_class
+    row.metabelian = ctx.metabelian
+    row.two_engel, ew = ctx.two_engel
     row.circ_is_loop = True  # validated at construction
-    row.circ_gamma = check_gamma_axioms(q).all_hold
-    assoc, aw = q.is_associative()
-    row.circ_associative = assoc
-    if aw is not None:
-        row.witnesses["associativity"] = \
-            f"({q.label(aw[0])},{q.label(aw[1])},{q.label(aw[2])})"
-    moufang, mw = is_moufang(q)
-    row.circ_moufang = moufang
-    if mw is not None:
-        row.witnesses["moufang"] = f"({q.label(mw[0])},{q.label(mw[1])},{q.label(mw[2])})"
+    row.circ_gamma = ctx.circ_axioms.all_hold
+    row.circ_associative, aw = ctx.circ_associative
+    row.circ_moufang, mw = ctx.circ_moufang
+    for key, subject, w in (("two-engel", g, ew), ("associativity", ctx.circ, aw),
+                            ("moufang", ctx.circ, mw)):
+        if w is not None:
+            row.witnesses[key] = _witness_str(subject, w)
 
-    exhaustive = force_exhaustive or g.order < AUTOMORPHIC_EXHAUSTIVE_LIMIT
-    # in exhaustive mode skip the random prescreen so the verdict (and any
-    # flag raised from it) always comes from the deterministic full scan
-    verdict = is_automorphic(q, exhaustive=exhaustive, probes=0 if exhaustive else 64,
-                             seed=seed)
-    if verdict.status == "true":
-        row.circ_automorphic = "true"
-    elif verdict.status == "false":
-        row.circ_automorphic = "false"
-        k = verdict.witness[0]
-        args = ",".join(q.label(v) if v >= 0 else "-" for v in verdict.witness[1:])
-        row.witnesses["automorphic"] = f"{k}({args})"
-    else:
+    verdict = ctx.automorphic
+    if verdict.status == "inconclusive":
         row.circ_automorphic = "prescreen-pass (inconclusive)"
-
-    if verdict.exhaustive:
-        if row.metabelian and verdict.status == "false":
-            row.flag = "CONJECTURE-COUNTEREXAMPLE"
-        if not row.metabelian and verdict.status == "true":
-            row.flag = "CONJECTURE-COUNTEREXAMPLE"
+    else:
+        row.circ_automorphic = verdict.status
+    if verdict.status == "false":
+        k, *args = verdict.witness
+        labels = ",".join(ctx.circ.label(v) if v >= 0 else "-" for v in args)
+        row.witnesses["automorphic"] = f"{k}({labels})"
+    # flags come only from exhaustive verdicts, which are "true" or "false"
+    if verdict.exhaustive and row.metabelian != verdict.is_true:
+        row.flag = "CONJECTURE-COUNTEREXAMPLE"
     return row
 
 

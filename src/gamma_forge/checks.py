@@ -2,14 +2,15 @@
 
 Each check runs an exhaustive (or explicitly sampled) scan, compares the
 verdict against the predicted outcome for that class of group when a theorem
-predicts one, and reports the least witness on failure.  The survey wraps the
-same machinery row by row and encodes the metabelian <=> automorphic
-biconditional that the search is after.
+predicts one, and reports the least witness on failure.  A ``CheckContext``
+computes each fact about the subject once; survey rows read the same facts
+and encode the metabelian <=> automorphic biconditional the search is after.
 """
 
 from __future__ import annotations
 
 import time
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,10 @@ from .groups import (
     upper_central_series,
 )
 from .loops import (
+    AutomorphicVerdict,
+    GammaVerdict,
     Loop,
+    _l_generator,
     check_gamma_axioms,
     is_automorphic,
     is_left_bruck,
@@ -42,25 +46,8 @@ from .report import CheckResult, Report
 EXHAUSTIVE_TRIPLE_LIMIT = 81       # full triple scans up to this order, sampled above
 SAMPLED_TRIPLES = 20000
 AUTOMORPHIC_EXHAUSTIVE_LIMIT = 729  # strictly below runs the exhaustive scan by default
+AUTOMORPHIC_PROBES = 64             # seeded prescreen probes when the scan is not exhaustive
 HEAVY_CHECK_LIMIT = 250             # correspondence roundtrips above this are opt-in
-
-CHECK_IDS = [
-    "group-laws",
-    "uniquely-2-divisible",
-    "commutator-identities",
-    "metabelian-commutator-identities",
-    "circ-loop-gamma-axioms",
-    "power-coincidence",
-    "baer-class2-associativity",
-    "moufang-iff-2-engel",
-    "oplus-left-bruck",
-    "correspondence-roundtrip",
-    "center-containment",
-    "second-center-containment",
-    "class3-center-equality",
-    "automorphic-inner-mappings",
-    "closed-form-agreement",
-]
 
 
 def _triple_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -158,315 +145,336 @@ def _witness_str(subject, w) -> str | None:
 
 
 class CheckContext:
-    """Lazily constructed shared objects for one subject group."""
+    """The facts about one subject group, each computed on first use and kept.
+
+    Survey rows and verify checks both read their facts here, so the two
+    cannot disagree on a decision such as the automorphic scan policy.
+    """
 
     def __init__(self, g: AnyGroup, seed: int = 0, force_exhaustive: bool = False):
         self.g = g
         self.seed = seed
         self.force_exhaustive = force_exhaustive
-        self._circ = None
-        self._oplus = None
 
-    @property
+    @cached_property
+    def skip_reason(self) -> str | None:
+        """Why no circ loop can be built on the subject, or None if it can."""
+        if not isinstance(self.g, Group):
+            return "functional group: loop construction needs a table"
+        if not self.uniquely_2_divisible:
+            return "not uniquely 2-divisible"
+        return None
+
+    @cached_property
+    def uniquely_2_divisible(self) -> bool:
+        return is_uniquely_2_divisible(self.g)
+
+    @cached_property
+    def nilpotency_class(self) -> int | None:
+        return nilpotency_class(self.g)
+
+    @cached_property
+    def metabelian(self) -> bool:
+        return is_metabelian(self.g)
+
+    @cached_property
+    def two_engel(self) -> tuple[bool, tuple[int, int] | None]:
+        return is_two_engel(self.g)
+
+    @cached_property
+    def second_center(self) -> tuple[int, ...]:
+        series = upper_central_series(self.g)
+        return series[2].members if len(series) > 2 else series[-1].members
+
+    @cached_property
     def circ(self) -> Loop:
-        if self._circ is None:
-            self._circ = circ_loop(self.g)
-        return self._circ
+        return circ_loop(self.g)
 
-    @property
+    @cached_property
     def oplus(self) -> Loop:
-        if self._oplus is None:
-            self._oplus = oplus_loop(self.g)
-        return self._oplus
+        return oplus_loop(self.g)
+
+    @cached_property
+    def circ_axioms(self) -> GammaVerdict:
+        return check_gamma_axioms(self.circ)
+
+    @cached_property
+    def circ_associative(self) -> tuple[bool, tuple[int, int, int] | None]:
+        return self.circ.is_associative()
+
+    @cached_property
+    def circ_moufang(self) -> tuple[bool, tuple[int, int, int] | None]:
+        return is_moufang(self.circ)
+
+    @cached_property
+    def circ_center(self) -> tuple[int, ...]:
+        return loop_center(self.circ).center
+
+    @cached_property
+    def automorphic(self) -> AutomorphicVerdict:
+        """The inner-mapping verdict under the one scan policy.
+
+        An exhaustive scan runs without the random prescreen, so a failing
+        verdict carries the least witness.  At or above the exhaustive limit
+        only the seeded prescreen runs.
+        """
+        exhaustive = self.force_exhaustive or self.g.order < AUTOMORPHIC_EXHAUSTIVE_LIMIT
+        return is_automorphic(self.circ, exhaustive=exhaustive,
+                              probes=0 if exhaustive else AUTOMORPHIC_PROBES, seed=self.seed)
 
     @property
     def heavy_ok(self) -> bool:
         return self.force_exhaustive or self.g.order <= HEAVY_CHECK_LIMIT
 
-    @property
-    def automorphic_exhaustive(self) -> bool:
-        return self.force_exhaustive or self.g.order < AUTOMORPHIC_EXHAUSTIVE_LIMIT
+
+# A check returns (verdict, expected, witness); run_check adds its id and claim.
+Outcome = tuple[str, str | None, str | None]
+
+_NO_TABLE_SCANS = "functional group: table scans unavailable"
+_SAMPLED = f"sampled {SAMPLED_TRIPLES} triples (order above {EXHAUSTIVE_TRIPLE_LIMIT})"
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    out.timing_ms = (time.perf_counter() - start) * 1000.0
-    return out
+def _predicted(ok: bool, witness: str | None = None) -> Outcome:
+    """The verdict of a check whose theorem predicts a pass."""
+    return ("pass" if ok else "fail"), "pass", witness
+
+
+def _skipped(reason: str) -> Outcome:
+    return "skipped", None, reason
 
 
 def run_check(ctx: CheckContext, check_id: str) -> CheckResult:
-    return _timed(lambda: _CHECK_FUNCS[check_id](ctx))
+    start = time.perf_counter()
+    verdict, expected, witness = _CHECK_FUNCS[check_id](ctx)
+    return CheckResult(check_id, CLAIMS[check_id], verdict, expected=expected,
+                       witness=witness, timing_ms=(time.perf_counter() - start) * 1000.0)
 
 
-def _check_group_laws(ctx: CheckContext) -> CheckResult:
-    claim = "multiplication table satisfies associativity, identity, and inverse laws"
+def _check_group_laws(ctx: CheckContext) -> Outcome:
     # verified at construction for table groups; functional groups carry a rule
-    return CheckResult("group-laws", claim, "pass", expected="pass")
+    return _predicted(True)
 
 
-def _check_u2d(ctx: CheckContext) -> CheckResult:
-    claim = "squaring is a bijection (equivalently, the order is odd)"
-    ok = is_uniquely_2_divisible(ctx.g)
-    return CheckResult("uniquely-2-divisible", claim, "pass" if ok else "fail")
+def _check_u2d(ctx: CheckContext) -> Outcome:
+    return ("pass" if ctx.uniquely_2_divisible else "fail"), None, None
 
 
-def _check_commutator_identities(ctx: CheckContext) -> CheckResult:
-    claim = "commutator expansion identities and the telescoping triple product hold"
+def _check_commutator_identities(ctx: CheckContext) -> Outcome:
     if not isinstance(ctx.g, Group):
-        return CheckResult("commutator-identities", claim, "skipped",
-                           witness="functional group: table scans unavailable")
+        return _skipped(_NO_TABLE_SCANS)
     ok, w, exhaustive = commutator_identities_hold(ctx.g, ctx.seed)
-    verdict = "pass" if ok else "fail"
-    if ok and not exhaustive:
-        verdict = "pass"
-        w = f"sampled {SAMPLED_TRIPLES} triples (order above {EXHAUSTIVE_TRIPLE_LIMIT})"
-    return CheckResult("commutator-identities", claim, verdict, expected="pass", witness=w)
+    return _predicted(ok, _SAMPLED if ok and not exhaustive else w)
 
 
-def _check_metabelian_identities(ctx: CheckContext) -> CheckResult:
-    claim = "commutator roots slide out of brackets and rotated triples cancel"
+def _check_metabelian_identities(ctx: CheckContext) -> Outcome:
     if not isinstance(ctx.g, Group):
-        return CheckResult("metabelian-commutator-identities", claim, "skipped",
-                           witness="functional group: table scans unavailable")
-    if not is_uniquely_2_divisible(ctx.g) or not is_metabelian(ctx.g):
-        return CheckResult("metabelian-commutator-identities", claim, "skipped",
-                           witness="only applies to uniquely 2-divisible metabelian groups")
+        return _skipped(_NO_TABLE_SCANS)
+    if not ctx.uniquely_2_divisible or not ctx.metabelian:
+        return _skipped("only applies to uniquely 2-divisible metabelian groups")
     ok, w, exhaustive = metabelian_identities_hold(ctx.g, ctx.seed)
-    if ok and not exhaustive:
-        w = f"sampled {SAMPLED_TRIPLES} triples (order above {EXHAUSTIVE_TRIPLE_LIMIT})"
-    return CheckResult("metabelian-commutator-identities", claim,
-                       "pass" if ok else "fail", expected="pass", witness=w)
+    return _predicted(ok, _SAMPLED if ok and not exhaustive else w)
 
 
-def _check_gamma_axioms(ctx: CheckContext) -> CheckResult:
-    claim = ("circ table is a commutative loop with automorphic inverses, "
-             "commuting inverse translations, and the P-map identity")
-    v = check_gamma_axioms(ctx.circ)
-    if v.all_hold:
-        return CheckResult("circ-loop-gamma-axioms", claim, "pass", expected="pass")
-    parts = []
-    for name, av in (("commutativity", v.commutative),
-                     ("automorphic-inverse", v.automorphic_inverse),
-                     ("inverse-translations", v.inverse_translations_commute),
-                     ("p-map", v.p_map_identity)):
-        if av.holds is not True:
-            parts.append(f"{name}: {_witness_str(ctx.circ, av.witness)}")
-    return CheckResult("circ-loop-gamma-axioms", claim, "fail", expected="pass",
-                       witness="; ".join(parts))
+def _check_gamma_axioms(ctx: CheckContext) -> Outcome:
+    v = ctx.circ_axioms
+    parts = [f"{name}: {_witness_str(ctx.circ, av.witness)}"
+             for name, av in (("commutativity", v.commutative),
+                              ("automorphic-inverse", v.automorphic_inverse),
+                              ("inverse-translations", v.inverse_translations_commute),
+                              ("p-map", v.p_map_identity))
+             if av.holds is not True]
+    return _predicted(v.all_hold, "; ".join(parts) or None)
 
 
-def _check_power_coincidence(ctx: CheckContext) -> CheckResult:
-    claim = "powers in the group coincide with powers in both constructed loops"
+def _check_power_coincidence(ctx: CheckContext) -> Outcome:
     ok1, w1 = powers_coincide(ctx.g, ctx.circ)
     ok2, w2 = powers_coincide(ctx.g, ctx.oplus)
-    ok = ok1 and ok2
-    w = w1 if not ok1 else w2
-    return CheckResult("power-coincidence", claim, "pass" if ok else "fail",
-                       expected="pass", witness=_witness_str(ctx.g, w))
+    return _predicted(ok1 and ok2, _witness_str(ctx.g, w1 if not ok1 else w2))
 
 
-def _check_baer(ctx: CheckContext) -> CheckResult:
-    claim = "circ table is associative exactly when the nilpotency class is at most 2"
-    cls = nilpotency_class(ctx.g)
-    assoc, w = ctx.circ.is_associative()
-    predicted_assoc = cls is not None and cls <= 2
-    ok = assoc == predicted_assoc
-    witness = None
-    if not assoc:
-        witness = f"nonassociative at {_witness_str(ctx.circ, w)}"
+def _check_baer(ctx: CheckContext) -> Outcome:
+    cls = ctx.nilpotency_class
+    assoc, w = ctx.circ_associative
+    ok = assoc == (cls is not None and cls <= 2)
+    witness = None if assoc else f"nonassociative at {_witness_str(ctx.circ, w)}"
     if not ok:
         witness = (f"class={cls if cls is not None else 'not nilpotent'} but "
                    f"associative={assoc}; " + (witness or ""))
-    return CheckResult("baer-class2-associativity", claim, "pass" if ok else "fail",
-                       expected="pass", witness=witness)
+    return _predicted(ok, witness)
 
 
-def _check_moufang(ctx: CheckContext) -> CheckResult:
-    claim = ("circ table is Moufang exactly when the group is 2-Engel, "
-             "and equals the oplus table exactly then")
-    engel, ew = is_two_engel(ctx.g)
-    moufang, mw = is_moufang(ctx.circ)
+def _check_moufang(ctx: CheckContext) -> Outcome:
+    engel, ew = ctx.two_engel
+    moufang, mw = ctx.circ_moufang
     same_tables = bool((ctx.circ.tbl == ctx.oplus.tbl).all())
-    ok = (moufang == engel) and (same_tables == engel)
     parts = []
     if moufang != engel:
         parts.append(f"2-Engel={engel} (witness {_witness_str(ctx.g, ew)}) but "
                      f"Moufang={moufang} (witness {_witness_str(ctx.circ, mw)})")
     if same_tables != engel:
         parts.append(f"2-Engel={engel} but tables equal={same_tables}")
-    return CheckResult("moufang-iff-2-engel", claim, "pass" if ok else "fail",
-                       expected="pass", witness="; ".join(parts) or None)
+    return _predicted(not parts, "; ".join(parts) or None)
 
 
-def _check_oplus_bruck(ctx: CheckContext) -> CheckResult:
-    claim = "oplus table is a left Bruck loop"
+def _check_oplus_bruck(ctx: CheckContext) -> Outcome:
     ok, w = is_left_bruck(ctx.oplus)
-    return CheckResult("oplus-left-bruck", claim, "pass" if ok else "fail",
-                       expected="pass", witness=_witness_str(ctx.oplus, w))
+    return _predicted(ok, _witness_str(ctx.oplus, w))
 
 
-def _check_correspondence(ctx: CheckContext) -> CheckResult:
-    claim = ("variety translations are mutual inverses on the constructed loops "
-             "and carry circ onto oplus")
+def _check_correspondence(ctx: CheckContext) -> Outcome:
     if not ctx.heavy_ok:
-        return CheckResult("correspondence-roundtrip", claim, "skipped",
-                           witness=f"order {ctx.g.order} above roundtrip limit "
-                                   f"{HEAVY_CHECK_LIMIT}; rerun with --exhaustive")
+        return _skipped(f"order {ctx.g.order} above roundtrip limit "
+                        f"{HEAVY_CHECK_LIMIT}; rerun with --exhaustive")
     bruck = bruck_from_gamma(ctx.circ, verify=False)
     if not (bruck.tbl == ctx.oplus.tbl).all():
         w = first_false(bruck.tbl == ctx.oplus.tbl)
-        return CheckResult("correspondence-roundtrip", claim, "fail", expected="pass",
-                           witness=f"forward image differs from oplus at {w}")
+        return _predicted(False, f"forward image differs from oplus at {w}")
     back = gamma_from_bruck(bruck, verify=False)
     if not (back.tbl == ctx.circ.tbl).all():
         w = first_false(back.tbl == ctx.circ.tbl)
-        return CheckResult("correspondence-roundtrip", claim, "fail", expected="pass",
-                           witness=f"roundtrip differs from circ at {w}")
-    return CheckResult("correspondence-roundtrip", claim, "pass", expected="pass")
+        return _predicted(False, f"roundtrip differs from circ at {w}")
+    return _predicted(True)
 
 
-def _check_center_containment(ctx: CheckContext) -> CheckResult:
-    claim = "every central group element is central in the circ loop"
-    z = center(ctx.g).members
-    lc = set(loop_center(ctx.circ).center)
-    missing = [a for a in z if a not in lc]
-    ok = not missing
-    w = None if ok else f"group-central {ctx.g.label(missing[0])} not loop-central"
-    return CheckResult("center-containment", claim, "pass" if ok else "fail",
-                       expected="pass", witness=w)
+def _check_center_containment(ctx: CheckContext) -> Outcome:
+    lc = set(ctx.circ_center)
+    missing = [a for a in center(ctx.g).members if a not in lc]
+    return _predicted(not missing, f"group-central {ctx.g.label(missing[0])} not loop-central"
+                      if missing else None)
 
 
-def _check_second_center(ctx: CheckContext) -> CheckResult:
-    claim = "second upper-center elements are central in the circ loop"
-    if not is_metabelian(ctx.g):
-        return CheckResult("second-center-containment", claim, "skipped",
-                           witness="only predicted for metabelian groups")
-    series = upper_central_series(ctx.g)
-    zeta2 = series[2].members if len(series) > 2 else series[-1].members
-    lc = set(loop_center(ctx.circ).center)
-    missing = [a for a in zeta2 if a not in lc]
-    ok = not missing
-    w = None if ok else f"second-center {ctx.g.label(missing[0])} not loop-central"
-    return CheckResult("second-center-containment", claim, "pass" if ok else "fail",
-                       expected="pass", witness=w)
+def _check_second_center(ctx: CheckContext) -> Outcome:
+    if not ctx.metabelian:
+        return _skipped("only predicted for metabelian groups")
+    lc = set(ctx.circ_center)
+    missing = [a for a in ctx.second_center if a not in lc]
+    return _predicted(not missing, f"second-center {ctx.g.label(missing[0])} not loop-central"
+                      if missing else None)
 
 
-def _check_class3(ctx: CheckContext) -> CheckResult:
-    claim = ("for class-3 groups, the circ-loop center equals the second upper "
-             "center and the central quotient is an abelian group (loop class 2)")
-    cls = nilpotency_class(ctx.g)
+def _check_class3(ctx: CheckContext) -> Outcome:
+    cls = ctx.nilpotency_class
     if cls != 3:
-        return CheckResult("class3-center-equality", claim, "skipped",
-                           witness=f"nilpotency class is {cls if cls is not None else 'not nilpotent'}")
-    series = upper_central_series(ctx.g)
-    zeta2 = series[2].members if len(series) > 2 else series[-1].members
-    lc = loop_center(ctx.circ).center
+        return _skipped(f"nilpotency class is {cls if cls is not None else 'not nilpotent'}")
+    zeta2, lc = ctx.second_center, ctx.circ_center
     if set(zeta2) != set(lc):
-        return CheckResult("class3-center-equality", claim, "fail", expected="pass",
-                           witness=f"|second center|={len(zeta2)} but |loop center|={len(lc)}")
+        return _predicted(False, f"|second center|={len(zeta2)} but |loop center|={len(lc)}")
     quotient, _ = quotient_loop(ctx.circ, lc)
     assoc, w = quotient.is_associative()
     commutative = quotient.is_commutative()
     loop_cls = loop_nilpotency_class(ctx.circ)
     ok = assoc and commutative and loop_cls == 2
-    witness = None
-    if not ok:
-        witness = (f"quotient associative={assoc} commutative={commutative} "
-                   f"loop-class={loop_cls}")
-    return CheckResult("class3-center-equality", claim, "pass" if ok else "fail",
-                       expected="pass", witness=witness)
+    return _predicted(ok, None if ok else (f"quotient associative={assoc} "
+                                           f"commutative={commutative} loop-class={loop_cls}"))
 
 
-def _check_automorphic(ctx: CheckContext) -> CheckResult:
-    claim = "every inner mapping of the circ loop is an automorphism of it"
+def _check_automorphic(ctx: CheckContext) -> Outcome:
     g = ctx.g
+    verdict = ctx.automorphic
     # predicted by theorem for split extensions by construction, and for
     # class <= 2 where the loop is an abelian group; conjectural otherwise
-    cls = nilpotency_class(g) if isinstance(g, Group) else None
+    cls = ctx.nilpotency_class
     split = g.sd_spec is not None or (g.source_spec or "").startswith(("sd:", "wr:"))
     expected = "pass" if (split or (cls is not None and cls <= 2)) else None
-    verdict = is_automorphic(ctx.circ, exhaustive=ctx.automorphic_exhaustive,
-                             seed=ctx.seed)
     if verdict.status == "true":
-        return CheckResult("automorphic-inner-mappings", claim, "pass", expected=expected)
+        return "pass", expected, None
     if verdict.status == "false":
-        return CheckResult("automorphic-inner-mappings", claim, "fail", expected=expected,
-                           witness=_witness_str(ctx.circ, verdict.witness))
-    return CheckResult("automorphic-inner-mappings", claim, "inconclusive",
-                       expected=expected,
-                       witness=f"prescreen-pass (inconclusive): order {g.order} at or above "
-                               f"exhaustive limit {AUTOMORPHIC_EXHAUSTIVE_LIMIT}; "
-                               f"rerun with --exhaustive")
+        return "fail", expected, _witness_str(ctx.circ, verdict.witness)
+    return ("inconclusive", expected,
+            f"prescreen-pass (inconclusive): order {g.order} at or above exhaustive "
+            f"limit {AUTOMORPHIC_EXHAUSTIVE_LIMIT}; rerun with --exhaustive")
 
 
-def _check_closed_forms(ctx: CheckContext) -> CheckResult:
-    claim = ("split-extension closed forms for inverse, square root, commutator, "
-             "circ product, circ division, and inner L-maps agree with the table "
-             "engine pointwise")
+def _check_closed_forms(ctx: CheckContext) -> Outcome:
     g = ctx.g
     if g.sd_spec is None:
-        return CheckResult("closed-form-agreement", claim, "skipped",
-                           witness="subject was not built as a split extension")
+        return _skipped("subject was not built as a split extension")
     forms = SdForms(g.sd_spec)
     n = g.order
     circ = ctx.circ
     if not (forms.inverse_table() == g.inverse).all():
         i = int(np.argmin(forms.inverse_table() == g.inverse))
-        return CheckResult("closed-form-agreement", claim, "fail", expected="pass",
-                           witness=f"inverse differs at {g.label(i)}")
+        return _predicted(False, f"inverse differs at {g.label(i)}")
     if not (forms.sqrt_table() == g.sqrt_table).all():
         i = int(np.argmin(forms.sqrt_table() == g.sqrt_table))
-        return CheckResult("closed-form-agreement", claim, "fail", expected="pass",
-                           witness=f"square root differs at {g.label(i)}")
-    if not (forms.commutator_table() == g.comm_table).all():
-        w = first_false(forms.commutator_table() == g.comm_table)
-        return CheckResult("closed-form-agreement", claim, "fail", expected="pass",
-                           witness=f"commutator differs at {_witness_str(g, w)}")
-    if not (forms.circ_table() == circ.tbl).all():
-        w = first_false(forms.circ_table() == circ.tbl)
-        return CheckResult("closed-form-agreement", claim, "fail", expected="pass",
-                           witness=f"circ product differs at {_witness_str(g, w)}")
-    if not (forms.ldiv_table() == circ.ldiv).all():
-        w = first_false(forms.ldiv_table() == circ.ldiv)
-        return CheckResult("closed-form-agreement", claim, "fail", expected="pass",
-                           witness=f"circ division differs at {_witness_str(g, w)}")
+        return _predicted(False, f"square root differs at {g.label(i)}")
+    for what, closed, engine in (("commutator", forms.commutator_table(), g.comm_table),
+                                 ("circ product", forms.circ_table(), circ.tbl),
+                                 ("circ division", forms.ldiv_table(), circ.ldiv)):
+        if not (closed == engine).all():
+            w = first_false(closed == engine)
+            return _predicted(False, f"{what} differs at {_witness_str(g, w)}")
     lxy = forms.lxy_table()
-    t = circ.tbl
-    ld = circ.ldiv
     for x in range(n):
-        lx = t[x]
         for y in range(n):
-            generic = ld[t[y, x]][t[y][lx]]
+            generic = _l_generator(circ, x, y)
             if not (lxy[x, y] == generic).all():
                 u = first_false(lxy[x, y] == generic)[0]
-                return CheckResult(
-                    "closed-form-agreement", claim, "fail", expected="pass",
-                    witness=f"inner L-map differs at ({g.label(x)},{g.label(y)}) on "
-                            f"{g.label(int(u))}")
-    return CheckResult("closed-form-agreement", claim, "pass", expected="pass")
+                return _predicted(False, f"inner L-map differs at ({g.label(x)},{g.label(y)}) "
+                                         f"on {g.label(int(u))}")
+    return _predicted(True)
 
 
-_CHECK_FUNCS = {
-    "group-laws": _check_group_laws,
-    "uniquely-2-divisible": _check_u2d,
-    "commutator-identities": _check_commutator_identities,
-    "metabelian-commutator-identities": _check_metabelian_identities,
-    "circ-loop-gamma-axioms": _check_gamma_axioms,
-    "power-coincidence": _check_power_coincidence,
-    "baer-class2-associativity": _check_baer,
-    "moufang-iff-2-engel": _check_moufang,
-    "oplus-left-bruck": _check_oplus_bruck,
-    "correspondence-roundtrip": _check_correspondence,
-    "center-containment": _check_center_containment,
-    "second-center-containment": _check_second_center,
-    "class3-center-equality": _check_class3,
-    "automorphic-inner-mappings": _check_automorphic,
-    "closed-form-agreement": _check_closed_forms,
-}
+# The check registry, in report order: (id, claim, group-only, function).
+_CHECKS = (
+    ("group-laws",
+     "multiplication table satisfies associativity, identity, and inverse laws",
+     True, _check_group_laws),
+    ("uniquely-2-divisible",
+     "squaring is a bijection (equivalently, the order is odd)",
+     True, _check_u2d),
+    ("commutator-identities",
+     "commutator expansion identities and the telescoping triple product hold",
+     True, _check_commutator_identities),
+    ("metabelian-commutator-identities",
+     "commutator roots slide out of brackets and rotated triples cancel",
+     True, _check_metabelian_identities),
+    ("circ-loop-gamma-axioms",
+     "circ table is a commutative loop with automorphic inverses, "
+     "commuting inverse translations, and the P-map identity",
+     False, _check_gamma_axioms),
+    ("power-coincidence",
+     "powers in the group coincide with powers in both constructed loops",
+     False, _check_power_coincidence),
+    ("baer-class2-associativity",
+     "circ table is associative exactly when the nilpotency class is at most 2",
+     False, _check_baer),
+    ("moufang-iff-2-engel",
+     "circ table is Moufang exactly when the group is 2-Engel, "
+     "and equals the oplus table exactly then",
+     False, _check_moufang),
+    ("oplus-left-bruck",
+     "oplus table is a left Bruck loop",
+     False, _check_oplus_bruck),
+    ("correspondence-roundtrip",
+     "variety translations are mutual inverses on the constructed loops "
+     "and carry circ onto oplus",
+     False, _check_correspondence),
+    ("center-containment",
+     "every central group element is central in the circ loop",
+     False, _check_center_containment),
+    ("second-center-containment",
+     "second upper-center elements are central in the circ loop",
+     False, _check_second_center),
+    ("class3-center-equality",
+     "for class-3 groups, the circ-loop center equals the second upper "
+     "center and the central quotient is an abelian group (loop class 2)",
+     False, _check_class3),
+    ("automorphic-inner-mappings",
+     "every inner mapping of the circ loop is an automorphism of it",
+     False, _check_automorphic),
+    ("closed-form-agreement",
+     "split-extension closed forms for inverse, square root, commutator, "
+     "circ product, circ division, and inner L-maps agree with the table "
+     "engine pointwise",
+     False, _check_closed_forms),
+)
 
-GROUP_ONLY_CHECKS = ("group-laws", "uniquely-2-divisible", "commutator-identities",
-                     "metabelian-commutator-identities")
+CHECK_IDS = [cid for cid, _, _, _ in _CHECKS]
+CLAIMS = {cid: claim for cid, claim, _, _ in _CHECKS}
+GROUP_ONLY_CHECKS = tuple(cid for cid, _, group_only, _ in _CHECKS if group_only)
+# looked up by run_check at call time, so its entries can be wrapped from outside
+_CHECK_FUNCS = {cid: fn for cid, _, _, fn in _CHECKS}
 
 
 def run_checks(g: AnyGroup, selected: list[str] | None = None, seed: int = 0,
@@ -477,7 +485,6 @@ def run_checks(g: AnyGroup, selected: list[str] | None = None, seed: int = 0,
         if cid not in _CHECK_FUNCS:
             raise GammaForgeError(f"unknown check id {cid!r} (known: {', '.join(CHECK_IDS)})")
     ctx = CheckContext(g, seed=seed, force_exhaustive=force_exhaustive)
-    loop_capable = isinstance(g, Group) and is_uniquely_2_divisible(g)
     report = Report(
         subject=g.source_spec or g.name,
         order=g.order,
@@ -485,45 +492,9 @@ def run_checks(g: AnyGroup, selected: list[str] | None = None, seed: int = 0,
                      **(env or {})},
     )
     for cid in ids:
-        if cid not in GROUP_ONLY_CHECKS and not loop_capable:
-            reason = ("not uniquely 2-divisible" if isinstance(g, Group)
-                      else "functional group: loop construction needs a table")
-            report.checks.append(CheckResult(cid, CLAIMS[cid], "skipped", witness=reason))
-            continue
-        report.checks.append(run_check(ctx, cid))
+        if cid not in GROUP_ONLY_CHECKS and ctx.skip_reason:
+            report.checks.append(CheckResult(cid, CLAIMS[cid], "skipped",
+                                             witness=ctx.skip_reason))
+        else:
+            report.checks.append(run_check(ctx, cid))
     return report
-
-
-CLAIMS = {
-    "group-laws": "multiplication table satisfies associativity, identity, and inverse laws",
-    "uniquely-2-divisible": "squaring is a bijection (equivalently, the order is odd)",
-    "commutator-identities":
-        "commutator expansion identities and the telescoping triple product hold",
-    "metabelian-commutator-identities":
-        "commutator roots slide out of brackets and rotated triples cancel",
-    "circ-loop-gamma-axioms":
-        "circ table is a commutative loop with automorphic inverses, "
-        "commuting inverse translations, and the P-map identity",
-    "power-coincidence": "powers in the group coincide with powers in both constructed loops",
-    "baer-class2-associativity":
-        "circ table is associative exactly when the nilpotency class is at most 2",
-    "moufang-iff-2-engel":
-        "circ table is Moufang exactly when the group is 2-Engel, "
-        "and equals the oplus table exactly then",
-    "oplus-left-bruck": "oplus table is a left Bruck loop",
-    "correspondence-roundtrip":
-        "variety translations are mutual inverses on the constructed loops "
-        "and carry circ onto oplus",
-    "center-containment": "every central group element is central in the circ loop",
-    "second-center-containment":
-        "second upper-center elements are central in the circ loop",
-    "class3-center-equality":
-        "for class-3 groups, the circ-loop center equals the second upper "
-        "center and the central quotient is an abelian group (loop class 2)",
-    "automorphic-inner-mappings":
-        "every inner mapping of the circ loop is an automorphism of it",
-    "closed-form-agreement":
-        "split-extension closed forms for inverse, square root, commutator, "
-        "circ product, circ division, and inner L-maps agree with the table "
-        "engine pointwise",
-}

@@ -19,7 +19,14 @@ import numpy as np
 
 from .core import CayleyTable, ConstructionError, EvenOrderError, first_false
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
-from .loops import Loop, check_gamma_axioms, is_left_bruck, is_power_associative, powers_coincide
+from .loops import (
+    Loop,
+    _submagma_associative,
+    check_gamma_axioms,
+    is_left_bruck,
+    is_power_associative,
+    powers_coincide,
+)
 
 
 def _perm_order(a: np.ndarray) -> int:
@@ -206,14 +213,9 @@ def power(q: Loop, x: int, k: int) -> int:
     Requires the submagma generated by x to be associative (checked), which
     is what makes the bracketing irrelevant.
     """
-    members = _cyclic_members(q, x)
-    idx = {v: i for i, v in enumerate(members)}
-    m = len(members)
-    sub = np.array([[idx[q.mul(a, b)] for b in members] for a in members], dtype=np.int32)
-    for i in range(m):
-        if not (sub[sub[i], :] == sub[i][sub]).all():
-            raise ConstructionError(f"powers of {q.label(x)} are ambiguous "
-                                    f"(generated submagma is not associative)")
+    if not _submagma_associative(q, x):
+        raise ConstructionError(f"powers of {q.label(x)} are ambiguous "
+                                f"(generated submagma is not associative)")
     if k < 0:
         inv = q.inverse
         if inv is None:
@@ -221,17 +223,3 @@ def power(q: Loop, x: int, k: int) -> int:
         return power(q, int(inv[x]), -k)
     return q.left_power(x, k)
 
-
-def _cyclic_members(q: Loop, x: int) -> list[int]:
-    members = {x}
-    frontier = [x]
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(members):
-                for c in (q.mul(a, b), q.mul(b, a)):
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-        frontier = new
-    return sorted(members)

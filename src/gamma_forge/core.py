@@ -28,9 +28,12 @@ def table_cap() -> int:
     if raw is None:
         return DEFAULT_TABLE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ConstructionError(f"bad {TABLE_CAP_ENV} value: {raw!r}")
+    if cap < 1:
+        raise ConstructionError(f"bad {TABLE_CAP_ENV} value: {raw!r}, must be at least 1")
+    return cap
 
 
 class GammaForgeError(Exception):

@@ -252,14 +252,18 @@ def is_left_bruck(q: Loop) -> tuple[bool, object | None]:
 def is_power_associative(q: Loop) -> tuple[bool, int | None]:
     """Each single-generated submagma is associative; witness element if not."""
     for x in range(q.n):
-        members = _generated_submagma(q, x)
-        idx = {v: i for i, v in enumerate(members)}
-        m = len(members)
-        sub = np.array([[idx[q.mul(a, b)] for b in members] for a in members], dtype=np.int32)
-        for i in range(m):
-            if not (sub[sub[i], :] == sub[i][sub]).all():
-                return False, x
+        if not _submagma_associative(q, x):
+            return False, x
     return True, None
+
+
+def _submagma_associative(q: Loop, x: int) -> bool:
+    """Whether the submagma generated by x is associative, which makes the
+    powers of x independent of their bracketing."""
+    members = _generated_submagma(q, x)
+    idx = {v: i for i, v in enumerate(members)}
+    sub = np.array([[idx[q.mul(a, b)] for b in members] for a in members], dtype=np.int32)
+    return all((sub[sub[i], :] == sub[i][sub]).all() for i in range(len(members)))
 
 
 def _generated_submagma(q: Loop, x: int) -> list[int]:
@@ -316,20 +320,23 @@ class InnerGenerators:
     Ts: np.ndarray  # (n, n)
 
 
+def _l_generator(q: Loop, x: int, y: int) -> np.ndarray:
+    return q.ldiv[q.tbl[y, x]][q.tbl[y][q.tbl[x]]]
+
+
+def _r_generator(q: Loop, x: int, y: int) -> np.ndarray:
+    return q.rdiv[:, q.tbl[x, y]][q.tbl[:, y][q.tbl[:, x]]]
+
+
+def _t_generator(q: Loop, x: int) -> np.ndarray:
+    return q.ldiv[x][q.tbl[:, x]]
+
+
 def inner_generators(q: Loop) -> InnerGenerators:
-    t, ldiv, rdiv = q.tbl, q.ldiv, q.rdiv
     n = q.n
-    Ls = np.empty((n, n, n), dtype=np.int32)
-    Rs = np.empty((n, n, n), dtype=np.int32)
-    for x in range(n):
-        lx = t[x]
-        rx = t[:, x]
-        for y in range(n):
-            Ls[x, y] = ldiv[t[y, x]][t[y][lx]]
-            Rs[x, y] = rdiv[:, t[x, y]][t[:, y][rx]]
-    Ts = np.empty((n, n), dtype=np.int32)
-    for x in range(n):
-        Ts[x] = ldiv[x][t[:, x]]
+    Ls = np.array([[_l_generator(q, x, y) for y in range(n)] for x in range(n)], dtype=np.int32)
+    Rs = np.array([[_r_generator(q, x, y) for y in range(n)] for x in range(n)], dtype=np.int32)
+    Ts = np.array([_t_generator(q, x) for x in range(n)], dtype=np.int32)
     if (Ls[:, :, 0] != 0).any() or (Rs[:, :, 0] != 0).any() or (Ts[:, 0] != 0).any():
         raise GammaForgeError("internal inconsistency: an inner generator moves the identity")
     return InnerGenerators(Ls, Rs, Ts)
@@ -344,18 +351,6 @@ class AutomorphicVerdict:
     @property
     def is_true(self) -> bool:
         return self.status == "true"
-
-
-def _l_generator(q: Loop, x: int, y: int) -> np.ndarray:
-    return q.ldiv[q.tbl[y, x]][q.tbl[y][q.tbl[x]]]
-
-
-def _r_generator(q: Loop, x: int, y: int) -> np.ndarray:
-    return q.rdiv[:, q.tbl[x, y]][q.tbl[:, y][q.tbl[:, x]]]
-
-
-def _t_generator(q: Loop, x: int) -> np.ndarray:
-    return q.ldiv[x][q.tbl[:, x]]
 
 
 def is_automorphic(q: Loop, exhaustive: bool = True, probes: int = 64,

@@ -1,9 +1,10 @@
 """Read and write Cayley tables in the plain ".tbl" text format.
 
 Format: optional '#' comment lines, then a line holding n, then n lines of n
-whitespace-separated integers in 0..n-1 (row x, column y holds x*y).  Import
-normalizes the identity to index 0 and reports the relabeling applied; export
-always writes normalized tables with a '# name:' header.
+whitespace-separated integers in 0..n-1 (row x, column y holds x*y); only
+blank and '#' lines may follow the last row.  Import normalizes the identity
+to index 0 and reports the relabeling applied; export always writes
+normalized tables with a '# name:' header.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ def parse_tbl(text: str) -> tuple[np.ndarray, str | None, list[str]]:
     comments = []
     rows: list[list[int]] = []
     n = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, line in lines:
         stripped = line.strip()
         if not stripped:
             continue
@@ -61,6 +63,10 @@ def parse_tbl(text: str) -> tuple[np.ndarray, str | None, list[str]]:
         rows.append(row)
         if len(rows) == n:
             break
+    for lineno, line in lines:  # what follows the last row
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            raise ConstructionError(f"line {lineno}: unexpected content after the {n} table rows")
     if n is None:
         raise ConstructionError("no element count found")
     if len(rows) != n:

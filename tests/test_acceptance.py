@@ -4,6 +4,7 @@ Everything asserts exact element equality (zero tolerance); the only numeric
 bounds are the per-criterion wall-clock budgets, checked generously.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -217,6 +218,10 @@ def test_criterion_09_oracle_equivalences(catalog):
           f"({elapsed:.1f}s)")
 
 
+# the survey JSON of orders 3..81 as first recorded; any byte change is a regression
+SURVEY_3_81_SHA256 = "0bc7522a3e4aa567e1f91dfdc8fd01108ec73d090022d0f09616d889e66d889a"
+
+
 def test_criterion_10_survey_integrity():
     t0 = time.time()
     rows1, summary1 = run_survey(3, 81, seed=0)
@@ -225,6 +230,7 @@ def test_criterion_10_survey_integrity():
     out1 = survey_to_json(rows1, summary1)
     out2 = survey_to_json(rows2, summary2)
     assert out1 == out2  # byte-deterministic
+    assert hashlib.sha256(out1.encode()).hexdigest() == SURVEY_3_81_SHA256
     assert summary1["rows"] == 20
     assert all(r.flag is None for r in rows1)
     elapsed = _elapsed_under(t0, 300, "criterion 10")

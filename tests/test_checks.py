@@ -1,0 +1,48 @@
+"""The check registry, and the names the traced benchmark relies on."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from gamma_forge.checks import CHECK_IDS, CLAIMS, GROUP_ONLY_CHECKS, run_checks
+from gamma_forge.groups import construct
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_each_check_reports_its_one_claim():
+    assert len(CHECK_IDS) == len(set(CHECK_IDS)) == 15
+    assert list(CLAIMS) == CHECK_IDS
+    assert all(isinstance(c, str) and c for c in CLAIMS.values())
+    assert set(GROUP_ONLY_CHECKS) < set(CHECK_IDS)
+    # sd:7:3:2 runs every check; heis:3 skips some inside their checks;
+    # cyclic:4 skips every loop check before it runs
+    reports = {spec: run_checks(construct(spec)) for spec in ("sd:7:3:2", "heis:3", "cyclic:4")}
+    for report in reports.values():
+        assert [c.check_id for c in report.checks] == CHECK_IDS
+        for c in report.checks:
+            assert c.claim == CLAIMS[c.check_id]
+    assert "skipped" in {c.verdict for c in reports["heis:3"].checks}
+    unbuilt = [c.check_id for c in reports["cyclic:4"].checks
+               if (c.verdict, c.witness) == ("skipped", "not uniquely 2-divisible")]
+    assert unbuilt == [cid for cid in CHECK_IDS if cid not in GROUP_ONLY_CHECKS]
+
+
+def _traced_layers(tmp_path, *cli_args) -> set[str]:
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), *cli_args],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)
+    return {layer for _sid, _parent, layer, _start, _end in json.loads(spans.read_text())["spans"]}
+
+
+def test_traced_benchmark_sees_rows_and_every_check(tmp_path):
+    layers = _traced_layers(tmp_path, "survey", "--orders", "3..9", "--format", "json")
+    assert "catalog.row" in layers
+    layers = _traced_layers(tmp_path, "verify", "sd:7:3:2", "--format", "json")
+    assert {f"checks.{cid}" for cid in CHECK_IDS} <= layers

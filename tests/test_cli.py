@@ -86,6 +86,13 @@ def test_survey_json(capsys):
         assert r["circ"]["moufang"] is False
 
 
+def test_survey_reversed_orders_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "survey", "--orders", "81..3")
+    assert code == 2
+    assert out == ""
+    assert "81..3" in err
+
+
 def test_survey_source_dir(tmp_path, capsys):
     g = construct("sd:7:3:2")
     tableio.export_table(g.table, tmp_path / "g21.tbl")
@@ -162,3 +169,9 @@ def test_table_cap_env(tmp_path, capsys, monkeypatch):
     from gamma_forge.groups import FunctionalGroup
     assert isinstance(u, FunctionalGroup)
     monkeypatch.delenv("GAMMA_FORGE_TABLE_CAP")
+    for bad in ("-1", "0"):
+        monkeypatch.setenv("GAMMA_FORGE_TABLE_CAP", bad)
+        code, out, err = run_cli(capsys, "verify", "cyclic:3")
+        assert code == 2
+        assert "consistent" not in out
+        assert "GAMMA_FORGE_TABLE_CAP" in err

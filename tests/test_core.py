@@ -261,3 +261,8 @@ def test_tbl_parse_errors(tmp_path):
     path.write_text("x\n")
     with pytest.raises(ConstructionError, match="element count"):
         tableio.import_table(path)
+    path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n9 9 9 garbage\n")
+    with pytest.raises(ConstructionError, match="line 5"):
+        tableio.import_table(path)
+    path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n\n# trailing comment\n")
+    assert (tableio.import_table(path).table.table == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]).all()
