@@ -34,7 +34,6 @@ from .loops import (
     is_automorphic,
     is_left_bruck,
     is_moufang,
-    loop_center,
     loop_nilpotency_class,
     powers_coincide,
     quotient_loop,
@@ -208,7 +207,7 @@ class CheckContext:
 
     @cached_property
     def circ_center(self) -> tuple[int, ...]:
-        return loop_center(self.circ).center
+        return self.circ.center_data.center
 
     @cached_property
     def automorphic(self) -> AutomorphicVerdict:

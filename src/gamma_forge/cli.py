@@ -5,7 +5,8 @@ over the builtin catalog or a table directory), convert (between the group
 and the two loop forms), export and import (.tbl files).
 
 Exit codes: 0 all verdicts consistent with predicted outcomes, 1 a verdict
-contradicts a prediction or a survey row is flagged, 2 usage or cap errors.
+contradicts a prediction, every selected check was skipped, or a survey row
+is flagged, 2 usage or cap errors.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from .core import (
     table_cap,
 )
 from . import tableio
+from .loops import associativity_witness
 
 
 class TableRequiredError(GammaForgeError):
@@ -59,8 +60,6 @@ class Group:
         self.inverse.setflags(write=False)
 
     def _verify(self):
-        arr = self.tbl
-        n = self.order
         cls = classify(self.table)
         if not cls.is_latin:
             raise ConstructionError(f"not a group table: {cls.witness}")
@@ -68,20 +67,11 @@ class Group:
             raise ConstructionError(
                 f"identity must be at index 0, found {cls.identity_index} "
                 f"(normalize on import)")
-        ref = np.arange(n, dtype=arr.dtype)
-        for x in range(n):
-            left = arr[arr[x], :]   # (x*y)*z over (y, z)
-            right = arr[x][arr]     # x*(y*z) over (y, z)
-            if not (left == right).all():
-                y, z = first_false(left == right)
-                raise ConstructionError(
-                    f"not associative: ({self.label(x)}*{self.label(y)})*{self.label(z)}"
-                    f" != {self.label(x)}*({self.label(y)}*{self.label(z)})")
-        # inverses: every row must contain 0 (guaranteed Latin) at a matching column
-        rinv = np.argmin(arr != 0, axis=1)
-        if not (arr[rinv, np.arange(n)] == 0).all():
-            x = int(np.argmin(arr[rinv, np.arange(n)] == 0))
-            raise ConstructionError(f"element {self.label(x)} has no two-sided inverse")
+        # an associative Latin table with an identity is a group: inverses are two-sided
+        w = associativity_witness(self.tbl)
+        if w is not None:
+            x, y, z = (self.label(v) for v in w)
+            raise ConstructionError(f"not associative: ({x}*{y})*{z} != {x}*({y}*{z})")
 
     def label(self, x: int) -> str:
         return self.table.label(x)

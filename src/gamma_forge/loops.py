@@ -56,12 +56,6 @@ class Loop:
     def rdiv(self) -> np.ndarray:
         return self.table.right_division
 
-    def left_divide(self, x: int, y: int) -> int:
-        return int(self.ldiv[x, y])
-
-    def right_divide(self, y: int, x: int) -> int:
-        return int(self.rdiv[y, x])
-
     @cached_property
     def right_inverses(self) -> np.ndarray:
         return self.ldiv[:, 0]
@@ -81,15 +75,9 @@ class Loop:
         return bool((self.tbl == self.tbl.T).all())
 
     def is_associative(self) -> tuple[bool, tuple[int, int, int] | None]:
-        """Exhaustive associativity scan with least witness triple."""
-        t = self.tbl
-        for x in range(self.n):
-            left = t[t[x], :]
-            right = t[x][t]
-            if not (left == right).all():
-                y, z = first_false(left == right)
-                return False, (x, int(y), int(z))
-        return True, None
+        """Exhaustive associativity test with least witness triple."""
+        w = associativity_witness(self.tbl)
+        return w is None, w
 
     def left_power(self, x: int, k: int) -> int:
         """k-fold left-bracketed power (((x*x)*x)...)*x; k >= 0."""
@@ -113,11 +101,58 @@ class Loop:
         return k
 
     @cached_property
-    def element_orders(self) -> np.ndarray:
-        return np.array([self.order_of(x) for x in range(self.n)], dtype=np.int32)
+    def center_data(self) -> LoopCenterData:
+        return loop_center(self)
 
     def __repr__(self):
         return f"<Loop {self.name!r} n={self.n}>"
+
+
+_ROW_BLOCK = 128  # rows per numpy step of the n^2 scans, so memory stays flat in n
+
+
+def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
+    """Least (x, y, z) with (xy)z != x(yz) in the table t, or None.
+
+    Light's test: the middle nucleus {a : (xa)z = x(az) for all x, z} of any
+    magma is closed under products.  If a and b are in it, then
+    (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z).  So it suffices
+    to pick greedily a set S whose left-normed products ((s1 s2) s3)...
+    reach every element, and to test the n^2 pairs (x, z) only for a in S.
+    On any failure the per-x scan runs instead, so the witness is the least.
+    """
+    n = len(t)
+    gens: list[int] = []
+    reached = np.zeros(n, dtype=bool)
+    while not reached.all():
+        a = int(np.argmin(reached))
+        if not (t[t[:, a], :] == t[:, t[a]]).all():
+            break
+        gens.append(a)
+        reached[a] = True
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            prods = np.unique(t[np.ix_(frontier, gens)])
+            frontier = prods[~reached[prods]]
+            reached[frontier] = True
+    else:
+        return None
+    for x in range(n):
+        w = first_false(t[t[x], :] == t[x][t])
+        if w is not None:
+            return x, w[0], w[1]
+    return None
+
+
+def _least_block_witness(n: int, sides) -> tuple[int, int, int] | None:
+    """Least (x, y, u) where the arrays sides(x, rows y) differ, a block of rows y per step."""
+    for x in range(n):
+        for lo in range(0, n, _ROW_BLOCK):
+            lhs, rhs = sides(x, slice(lo, lo + _ROW_BLOCK))
+            w = first_false(lhs == rhs)
+            if w is not None:
+                return x, lo + w[0], w[1]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -181,38 +216,20 @@ def check_gamma_axioms(q: Loop | CayleyTable) -> GammaVerdict:
     w = first_false(inv[t] == t[inv[:, None], inv[None, :]])
     gamma2 = AxiomVerdict(w is None, w)
 
-    # L_x L_{x^-1} == L_{x^-1} L_x, rowwise
-    gamma3 = AxiomVerdict(True, None)
-    for x in range(n):
-        a = t[inv[x]][t[x]]   # apply L_x then L_{x^-1}
-        b = t[x][t[inv[x]]]
-        if not (a == b).all():
-            u = first_false(a == b)[0]
-            gamma3 = AxiomVerdict(False, (x, int(u)))
-            break
+    # [x, u] -> x^-1 (x u) against x (x^-1 u)
+    w = first_false(t[inv[:, None], t] == t[np.arange(n)[:, None], t[inv]])
+    gamma3 = AxiomVerdict(w is None, w)
 
-    # P_x = R_x L_{x^-1}^{-1}: u -> x^-1 \ (u x)
-    P = np.empty((n, n), dtype=np.int32)
-    for x in range(n):
-        P[x] = q.ldiv[inv[x]][t[:, x]]
+    # P_x = R_x L_{x^-1}^{-1}: P[x, u] = x^-1 \ (u x)
+    P = q.ldiv[inv[:, None], t.T]
     if gamma1.holds:
-        for x in range(n):
-            alt = q.ldiv[inv[x]][t[x]]
-            if not (P[x] == alt).all():
-                raise GammaForgeError(
-                    f"internal inconsistency: P-map forms disagree at {q.label(x)}")
-    gamma4 = AxiomVerdict(True, None)
-    for x in range(n):
-        px = P[x]
-        for y in range(n):
-            lhs = P[x][P[y][px]]
-            rhs = P[px[y]]
-            if not (lhs == rhs).all():
-                u = first_false(lhs == rhs)[0]
-                gamma4 = AxiomVerdict(False, (x, y, int(u)))
-                break
-        if gamma4.holds is False:
-            break
+        w = first_false(P == q.ldiv[inv[:, None], t])
+        if w is not None:
+            raise GammaForgeError(
+                f"internal inconsistency: P-map forms disagree at {q.label(w[0])}")
+    # [y, u] -> P_x P_y P_x (u) against P_{y P_x} (u)
+    w = _least_block_witness(n, lambda x, ys: (P[x][P[ys][:, P[x]]], P[P[x, ys]]))
+    gamma4 = AxiomVerdict(w is None, w)
     return GammaVerdict(gamma1, gamma2, gamma3, gamma4)
 
 
@@ -238,15 +255,9 @@ def is_left_bruck(q: Loop) -> tuple[bool, object | None]:
     w = first_false(inv[t] == t[inv[:, None], inv[None, :]])
     if w is not None:
         return False, ("aip", w[0], w[1])
-    for x in range(q.n):
-        for y in range(q.n):
-            lhs = t[x][t[y][t[x]]]            # z -> x(y(xz))
-            c = int(t[x, t[y, x]])
-            rhs = t[c]                        # z -> ((x(yx))z
-            if not (lhs == rhs).all():
-                z = first_false(lhs == rhs)[0]
-                return False, (x, y, int(z))
-    return True, None
+    # [y, z] -> x(y(xz)) against (x(yx))z
+    w = _least_block_witness(q.n, lambda x, ys: (t[x][t[ys][:, t[x]]], t[t[x, t[ys, x]]]))
+    return w is None, w
 
 
 def is_power_associative(q: Loop) -> tuple[bool, int | None]:
@@ -263,7 +274,7 @@ def _submagma_associative(q: Loop, x: int) -> bool:
     members = _generated_submagma(q, x)
     idx = {v: i for i, v in enumerate(members)}
     sub = np.array([[idx[q.mul(a, b)] for b in members] for a in members], dtype=np.int32)
-    return all((sub[sub[i], :] == sub[i][sub]).all() for i in range(len(members)))
+    return associativity_witness(sub) is None
 
 
 def _generated_submagma(q: Loop, x: int) -> list[int]:
@@ -369,17 +380,16 @@ def is_automorphic(q: Loop, exhaustive: bool = True, probes: int = 64,
     commutative = q.is_commutative()
     kinds = ("L",) if commutative else ("L", "R", "T")
 
+    def generator(kind: str, x: int, y: int) -> np.ndarray:
+        return (_l_generator(q, x, y) if kind == "L" else
+                _r_generator(q, x, y) if kind == "R" else _t_generator(q, x))
+
     rng = random.Random(seed)
     for _ in range(probes):
         kind = rng.choice(kinds)
         x, y, u, v = (rng.randrange(n) for _ in range(4))
-        if kind == "L":
-            phi = _l_generator(q, x, y)
-        elif kind == "R":
-            phi = _r_generator(q, x, y)
-        else:
-            phi = _t_generator(q, x)
-            y = -1
+        y = -1 if kind == "T" else y
+        phi = generator(kind, x, y)
         if phi[t[u, v]] != t[phi[u], phi[v]]:
             return AutomorphicVerdict("false", (kind, x, y, int(u), int(v)), exhaustive=False)
 
@@ -398,29 +408,15 @@ def is_automorphic(q: Loop, exhaustive: bool = True, probes: int = 64,
                 raise GammaForgeError("internal inconsistency: nontrivial T generator "
                                       "in a commutative loop")
 
-    for x in range(n):
-        for y in range(n):
-            phi = _l_generator(q, x, y)
-            ok = t[phi[:, None], phi[None, :]] == phi[t]
-            if not ok.all():
-                u, v = first_false(ok)
-                return AutomorphicVerdict("false", ("L", x, y, int(u), int(v)), exhaustive=True)
-    if not commutative:
+    for kind in kinds:
         for x in range(n):
-            for y in range(n):
-                phi = _r_generator(q, x, y)
+            for y in ((-1,) if kind == "T" else range(n)):
+                phi = generator(kind, x, y)
                 ok = t[phi[:, None], phi[None, :]] == phi[t]
                 if not ok.all():
                     u, v = first_false(ok)
-                    return AutomorphicVerdict("false", ("R", x, y, int(u), int(v)),
+                    return AutomorphicVerdict("false", (kind, x, y, int(u), int(v)),
                                               exhaustive=True)
-        for x in range(n):
-            phi = _t_generator(q, x)
-            ok = t[phi[:, None], phi[None, :]] == phi[t]
-            if not ok.all():
-                u, v = first_false(ok)
-                return AutomorphicVerdict("false", ("T", x, -1, int(u), int(v)),
-                                          exhaustive=True)
     return AutomorphicVerdict("true", None, exhaustive=True)
 
 
@@ -438,19 +434,27 @@ class LoopCenterData:
 def loop_center(q: Loop) -> LoopCenterData:
     """Commutant, nucleus (all three associator placements), and their meet.
 
-    For commutative loops the left and right placements coincide; the scan
-    keeps all three anyway, with that coincidence as a cross-check.
+    A sieve: for each x, the candidates a still alive in a placement are
+    tested against every z, a block of them per step, and each is dropped
+    only on a failing pair, so the survivors are exactly that nucleus.  In a
+    commutative loop the left and right placements must agree (cross-check).
     """
     t = q.tbl
     n = q.n
     comm_mask = (t == t.T).all(axis=1)
-    left = np.empty(n, dtype=bool)
-    mid = np.empty(n, dtype=bool)
-    right = np.empty(n, dtype=bool)
-    for a in range(n):
-        left[a] = bool((t[t[a], :] == t[a][t]).all())
-        mid[a] = bool((t[t[:, a], :] == t[:, t[a]]).all())
-        right[a] = bool((t[t, a] == t[:, t[:, a]]).all())
+    placements = (  # (x, a) -> rows a of z: the two sides of the associator law
+        lambda x, a: (t[t[a, x], :], t[a][:, t[x]]),        # (a x) z = a (x z)
+        lambda x, a: (t[t[x, a], :], t[x][t[a]]),           # (x a) z = x (a z)
+        lambda x, a: (t[t[x][None, :], a[:, None]], t[x][t[:, a].T]),  # (x z) a = x (z a)
+    )
+    left, mid, right = (np.ones(n, dtype=bool) for _ in placements)
+    for x in range(n):
+        for alive, sides in zip((left, mid, right), placements):
+            cand = np.flatnonzero(alive)
+            for lo in range(0, cand.size, _ROW_BLOCK):
+                a = cand[lo:lo + _ROW_BLOCK]
+                lhs, rhs = sides(x, a)
+                alive[a] = (lhs == rhs).all(axis=1)
     nucleus_mask = left & mid & right
     if q.is_commutative() and not (left == right).all():
         raise GammaForgeError("internal inconsistency: left and right nucleus "
@@ -470,7 +474,7 @@ def quotient_loop(q: Loop, members: Sequence[int]) -> tuple[Loop, np.ndarray]:
     s = sorted(set(int(m) for m in members))
     if 0 not in s:
         raise ConstructionError("central subloop must contain the identity")
-    cdata = loop_center(q)
+    cdata = q.center_data
     for a in s:
         if a not in cdata.center:
             raise ConstructionError(f"element {q.label(a)} is not central")
@@ -517,7 +521,7 @@ def loop_nilpotency_class(q: Loop) -> int | None:
     depth = 0
     current = q
     while current.n > 1:
-        z = loop_center(current).center
+        z = current.center_data.center
         if len(z) == 1:
             return None
         current, _ = quotient_loop(current, z)
@@ -560,7 +564,7 @@ def is_isomorphic(q1: Loop, q2: Loop, budget: int = 2_000_000) -> IsoResult:
     sig1, sig2 = _signatures(q1), _signatures(q2)
     if sorted(sig1) != sorted(sig2):
         return IsoResult("no", certificate="element signature profiles differ")
-    c1, c2 = loop_center(q1), loop_center(q2)
+    c1, c2 = q1.center_data, q2.center_data
     if len(c1.center) != len(c2.center):
         return IsoResult("no", certificate="center sizes differ")
 

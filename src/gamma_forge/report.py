@@ -40,8 +40,12 @@ class Report:
     format_version: str = FORMAT_VERSION
 
     @property
+    def verified(self) -> bool:  # some selected check ran rather than being skipped
+        return any(c.verdict != "skipped" for c in self.checks)
+
+    @property
     def consistent(self) -> bool:
-        return not any(c.inconsistent for c in self.checks)
+        return self.verified and not any(c.inconsistent for c in self.checks)
 
     def to_json(self) -> str:
         payload = {
@@ -73,7 +77,9 @@ class Report:
             exp = f" expected={c.expected}" if c.expected is not None and c.verdict != c.expected else ""
             wit = f" witness={c.witness}" if c.witness else ""
             lines.append(f"[{mark:4}] {c.check_id}: {c.claim}{exp}{wit} ({c.timing_ms:.0f} ms)")
-        lines.append("consistent" if self.consistent else "INCONSISTENT with predicted outcomes")
+        lines.append("nothing verified: every selected check was skipped" if not self.verified
+                     else "consistent" if self.consistent
+                     else "INCONSISTENT with predicted outcomes")
         return "\n".join(lines) + "\n"
 
 

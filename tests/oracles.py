@@ -7,6 +7,8 @@ so the two sides of every comparison stay independent.
 
 from itertools import product
 
+import numpy as np
+
 # --- the order-21 split extension: pairs (h, k), h mod 7, k mod 3,
 #     generator of the cyclic part acting by h -> 2h
 
@@ -102,3 +104,92 @@ def second_center81():
         if all(comm81(a, x) in z1 for x in P81):
             out.append(a)
     return out
+
+
+# --- slow reference scans on raw loop tables (numpy arrays with the identity
+#     at index 0).  These are the per-x, per-(x, y) and per-a scans the library
+#     ran before its fast paths; each returns the lexicographically least
+#     witness, so a fast path must match it exactly.
+
+
+def assoc_scan(t):
+    """Least (x, y, z) with (xy)z != x(yz), or None."""
+    for x in range(len(t)):
+        ok = t[t[x], :] == t[x][t]
+        if not ok.all():
+            y, z = np.argwhere(~ok)[0]
+            return (x, int(y), int(z))
+    return None
+
+
+def _ldiv(t):
+    n = len(t)
+    d = np.empty_like(t)
+    d[np.arange(n)[:, None], t] = np.arange(n)[None, :]
+    return d
+
+
+def _two_sided_inverse(t):
+    right = _ldiv(t)[:, 0]
+    left = _ldiv(t.T.copy())[:, 0]
+    return right if (right == left).all() else None
+
+
+def left_bruck_scan(t):
+    """(ok, witness) of x(y(xz)) = (x(yx))z plus the automorphic inverse
+    property: ("aip", x, y) or (x, y, z) on failure, None when an element
+    has no two-sided inverse."""
+    inv = _two_sided_inverse(t)
+    if inv is None:
+        return False, None
+    for x in range(len(t)):
+        for y in range(len(t)):
+            if inv[t[x, y]] != t[inv[x], inv[y]]:
+                return False, ("aip", x, y)
+    for x in range(len(t)):
+        for y in range(len(t)):
+            lhs = t[x][t[y][t[x]]]
+            rhs = t[t[x, t[y, x]]]
+            if not (lhs == rhs).all():
+                return False, (x, y, int(np.argmin(lhs == rhs)))
+    return True, None
+
+
+def gamma_axioms_scan(t):
+    """(holds, witness) for the inverse-translation and P-map axioms, or
+    None when an element has no two-sided inverse."""
+    inv = _two_sided_inverse(t)
+    if inv is None:
+        return None
+    n = len(t)
+    ldiv = _ldiv(t)
+    gamma3 = (True, None)
+    for x in range(n):
+        a = t[inv[x]][t[x]]
+        b = t[x][t[inv[x]]]
+        if not (a == b).all():
+            gamma3 = (False, (x, int(np.argmin(a == b))))
+            break
+    P = np.array([ldiv[inv[x]][t[:, x]] for x in range(n)])
+    for x in range(n):
+        for y in range(n):
+            lhs = P[x][P[y][P[x]]]
+            rhs = P[P[x][y]]
+            if not (lhs == rhs).all():
+                return gamma3, (False, (x, y, int(np.argmin(lhs == rhs))))
+    return gamma3, (True, None)
+
+
+def center_scan(t):
+    """(commutant, nucleus, center) as tuples, each a tested per element a."""
+    n = len(t)
+    comm, nuc = [], []
+    for a in range(n):
+        if (t[a] == t[:, a]).all():
+            comm.append(a)
+        left = (t[t[a], :] == t[a][t]).all()
+        mid = (t[t[:, a], :] == t[:, t[a]]).all()
+        right = (t[t, a] == t[:, t[:, a]]).all()
+        if left and mid and right:
+            nuc.append(a)
+    return tuple(comm), tuple(nuc), tuple(a for a in comm if a in nuc)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gamma_forge import loops
 from gamma_forge.checks import CHECK_IDS, CLAIMS, GROUP_ONLY_CHECKS, run_checks
 from gamma_forge.groups import construct
 
@@ -46,3 +47,17 @@ def test_traced_benchmark_sees_rows_and_every_check(tmp_path):
     assert "catalog.row" in layers
     layers = _traced_layers(tmp_path, "verify", "sd:7:3:2", "--format", "json")
     assert {f"checks.{cid}" for cid in CHECK_IDS} <= layers
+
+
+def test_class3_check_computes_each_loop_center_once(monkeypatch):
+    calls = []
+    real = loops.loop_center
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(loops, "loop_center", counting)
+    report = run_checks(construct("wr:3"), ["class3-center-equality"])
+    assert report.checks[0].verdict == "pass"
+    assert calls and len({id(q) for q in calls}) == len(calls)

@@ -66,6 +66,18 @@ def test_verify_functional_group_skips_loop_checks(capsys):
     assert "functional" in out
 
 
+def test_verify_nothing_verified_is_not_consistent(capsys):
+    # a functional group skips every loop check, so this run has no verdict
+    code, out, err = run_cli(capsys, "verify", "ut:5:3", "--checks", "circ-loop-gamma-axioms")
+    assert code == 1
+    assert out.endswith("\nnothing verified: every selected check was skipped\n")
+    assert "consistent" not in out
+    code, out, err = run_cli(capsys, "verify", "ut:5:3", "--checks", "circ-loop-gamma-axioms",
+                             "--format", "json")
+    assert code == 1
+    assert json.loads(out)["consistent"] is False
+
+
 def test_survey_deterministic_and_clean(capsys):
     code, out1, _ = run_cli(capsys, "survey", "--orders", "3..27", "--seed", "0")
     assert code == 0
