@@ -29,7 +29,7 @@ from .loops import (
     AutomorphicVerdict,
     GammaVerdict,
     Loop,
-    _l_generator,
+    _inner_maps,
     check_gamma_axioms,
     is_automorphic,
     is_left_bruck,
@@ -361,7 +361,8 @@ def _check_class3(ctx: CheckContext) -> Outcome:
     quotient, _ = quotient_loop(ctx.circ, lc)
     assoc, w = quotient.is_associative()
     commutative = quotient.is_commutative()
-    loop_cls = loop_nilpotency_class(ctx.circ)
+    quotient_cls = loop_nilpotency_class(quotient)  # the circ loop's class is one more
+    loop_cls = None if quotient_cls is None else quotient_cls + 1
     ok = assoc and commutative and loop_cls == 2
     return _predicted(ok, None if ok else (f"quotient associative={assoc} "
                                            f"commutative={commutative} loop-class={loop_cls}"))
@@ -405,12 +406,11 @@ def _check_closed_forms(ctx: CheckContext) -> Outcome:
             return _predicted(False, f"{what} differs at {_witness_str(g, w)}")
     lxy = forms.lxy_table()
     for x in range(n):
-        for y in range(n):
-            generic = _l_generator(circ, x, y)
-            if not (lxy[x, y] == generic).all():
-                u = first_false(lxy[x, y] == generic)[0]
-                return _predicted(False, f"inner L-map differs at ({g.label(x)},{g.label(y)}) "
-                                         f"on {g.label(int(u))}")
+        w = first_false(lxy[x] == _inner_maps(circ, "L", x, np.arange(n)))
+        if w is not None:
+            y, u = w
+            return _predicted(False, f"inner L-map differs at ({g.label(x)},{g.label(y)}) "
+                                     f"on {g.label(u)}")
     return _predicted(True)
 
 

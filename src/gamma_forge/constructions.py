@@ -29,47 +29,6 @@ from .loops import (
 )
 
 
-def _perm_order(a: np.ndarray) -> int:
-    """Order of a permutation image array.
-
-    Iterated composition wins for the small orders typical of translation
-    commutators; pathological inputs fall back to exact cycle lengths.
-    """
-    n = len(a)
-    ident = np.arange(n)
-    c = a
-    k = 1
-    while not (c == ident).all():
-        c = a[c]
-        k += 1
-        if k > 4 * n:
-            lengths = set()
-            seen = [False] * n
-            for start in range(n):
-                if seen[start]:
-                    continue
-                ln, j = 1, int(a[start])
-                seen[start] = True
-                while j != start:
-                    seen[j] = True
-                    j = int(a[j])
-                    ln += 1
-                lengths.add(ln)
-            return math.lcm(*lengths)
-    return k
-
-
-def _perm_power(a: np.ndarray, k: int) -> np.ndarray:
-    out = np.arange(len(a))
-    base = a
-    while k:
-        if k & 1:
-            out = base[out]
-        base = base[base]
-        k >>= 1
-    return out
-
-
 def _provenance(g: AnyGroup, construction: str) -> dict:
     return {"source": g.source_spec or g.name, "construction": construction}
 
@@ -182,6 +141,12 @@ def gamma_from_bruck(q: Loop, verify: bool = True) -> Loop:
 
     The commutator permutation [L_y, L_x] must have odd order for every pair;
     a violating pair is reported by name.
+
+    Each step takes one x and all n commutators A_y as the rows of an array.
+    Pointer doubling gives A^(2^j) for 2^j < n, hence the least label on
+    each orbit and so each cycle length c.  The root of A^m = 1 (m odd) is
+    A^((m+1)/2); at the point p = yx it equals A^((c+1)/2)(p), where c is
+    the length of the cycle of p, as both exponents invert 2 modulo c.
     """
     if q.n % 2 == 0:
         raise ConstructionError("translation requires odd order")
@@ -192,17 +157,29 @@ def gamma_from_bruck(q: Loop, verify: bool = True) -> Loop:
     t = q.tbl
     ld = q.ldiv
     n = q.n
+    base = n * np.arange(n, dtype=np.int32)  # flat index of (y, 0)
     out = np.empty((n, n), dtype=np.int32)
-    for x in range(n):
-        for y in range(n):
-            a = ld[x][ld[y]]      # apply L_y^-1 then L_x^-1
-            a = t[x][t[y][a]]     # then L_y, then L_x
-            m = _perm_order(a)
-            if m % 2 == 0:
-                raise EvenOrderError(
-                    f"translation commutator at ({q.label(x)},{q.label(y)}) has even order {m}")
-            s = _perm_power(a, (m + 1) // 2)
-            out[x, y] = s[t[y, x]]
+    for x in range(n):   # flat gathers: .take is about twice as fast as [] here
+        # flat index of (y, A_y(u)) for the commutator A_y = L_x L_y L_x^-1 L_y^-1
+        a = t[x].take(t.take(ld[x].take(ld) + base[:, None])) + base[:, None]
+        powers = [a]                          # A^(2^j), as flat indices
+        while 2 ** len(powers) < n:
+            powers.append(powers[-1].take(powers[-1]))
+        least = np.arange(n * n, dtype=np.int32).reshape(n, n)  # least point of each cycle
+        for aj in powers:
+            least = np.minimum(least, least.take(aj))
+        sizes = np.bincount(least.ravel(), minlength=n * n).reshape(n, n)  # [y, least] -> length
+        even = (sizes % 2 == 0) & (sizes > 0)
+        if even.any():
+            y = int(np.argmax(even.any(axis=1)))
+            m = math.lcm(*sizes[y][sizes[y] > 0].tolist())
+            raise EvenOrderError(
+                f"translation commutator at ({q.label(x)},{q.label(y)}) has even order {m}")
+        point = t[:, x] + base                # p = yx
+        k = (sizes.take(least.take(point)) + 1) // 2
+        for j, aj in enumerate(powers):
+            point = np.where(k >> j & 1, aj.take(point), point)
+        out[x] = point - base
     table = CayleyTable(out, name=f"gamma({q.name})", element_names=q.table.element_names)
     return Loop(table, source={**q.source, "construction": "bruck->gamma"})
 

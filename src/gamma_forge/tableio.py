@@ -85,14 +85,11 @@ def normalize_identity(arr: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
     e = cls.identity_index
     if e is None or e == 0:
         return arr, None
-    n = arr.shape[0]
-    sigma = list(range(n))
+    sigma = np.arange(arr.shape[0], dtype=np.int32)
     sigma[0], sigma[e] = e, 0  # transposition moving e to slot 0
     out = np.empty_like(arr)
-    for x in range(n):
-        for y in range(n):
-            out[sigma[x], sigma[y]] = sigma[arr[x, y]]
-    return out, sigma
+    out[np.ix_(sigma, sigma)] = sigma[arr]
+    return out, sigma.tolist()
 
 
 def import_table(path: str | Path) -> ImportResult:

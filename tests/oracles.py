@@ -5,6 +5,7 @@ and brute-force searches, never through the library's group or loop engines,
 so the two sides of every comparison stay independent.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -193,3 +194,93 @@ def center_scan(t):
         if left and mid and right:
             nuc.append(a)
     return tuple(comm), tuple(nuc), tuple(a for a in comm if a in nuc)
+
+
+def _rdiv(t):
+    n = len(t)
+    d = np.empty_like(t)
+    d[t, np.arange(n)[None, :]] = np.arange(n)[:, None]
+    return d
+
+
+def automorphic_scan(t):
+    """Least (kind, x, y, u, v) at which a standard inner generator fails to
+    be an automorphism, one map per (x, y), or None.  Commutative tables
+    scan only the L maps; T witnesses carry y = -1."""
+    t = t.astype(np.intp)
+    n = len(t)
+    ld, rd = _ldiv(t), _rdiv(t)
+    generators = {
+        "L": lambda x, y: ld[t[y, x]][t[y][t[x]]],       # u -> (yx) \ (y(xu))
+        "R": lambda x, y: rd[:, t[x, y]][t[:, y][t[:, x]]],  # u -> ((ux)y) / (xy)
+        "T": lambda x, y: ld[x][t[:, x]],                # u -> x \ (ux)
+    }
+    kinds = ("L",) if (t == t.T).all() else ("L", "R", "T")
+    for kind in kinds:
+        for x in range(n):
+            for y in ((-1,) if kind == "T" else range(n)):
+                phi = generators[kind](x, y)
+                ok = t[phi][:, phi] == phi[t]  # [u, v] -> phi(u) phi(v) against phi(uv)
+                if not ok.all():
+                    u, v = np.argwhere(~ok)[0]
+                    return (kind, x, y, int(u), int(v))
+    return None
+
+
+def _perm_order(a):
+    """Least common multiple of the cycle lengths, walking each cycle."""
+    a = a.tolist()
+    lengths, seen = set(), [False] * len(a)
+    for start in range(len(a)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = a[j]
+            length += 1
+        if length:
+            lengths.add(length)
+    return math.lcm(*lengths)
+
+
+def _perm_power(a, k):
+    out, base = np.arange(len(a)), a
+    while k:
+        if k & 1:
+            out = base[out]
+        base = base[base]
+        k >>= 1
+    return out
+
+
+def gamma_from_bruck_scan(t):
+    """The Bruck -> Gamma translation of a raw odd-order table, one pair at a
+    time: (table, None), or (None, message) at the first (x, y) whose
+    commutator L_x L_y L_x^-1 L_y^-1 has even order."""
+    n = len(t)
+    ld = _ldiv(t)
+    out = np.empty_like(t)
+    for x in range(n):
+        for y in range(n):
+            a = t[x][t[y][ld[x][ld[y]]]]
+            m = _perm_order(a)
+            if m % 2 == 0:
+                return None, f"translation commutator at ({x},{y}) has even order {m}"
+            out[x, y] = _perm_power(a, (m + 1) // 2)[t[y, x]]
+    return out, None
+
+
+def normalize_identity_scan(arr):
+    """(table, relabeling) with a two-sided identity e moved to 0 by the
+    transposition (0 e), relabeled cell by cell; (arr, None) if e is 0 or
+    there is none."""
+    n = len(arr)
+    ids = [e for e in range(n) if (arr[e] == np.arange(n)).all() and (arr[:, e] == np.arange(n)).all()]
+    if not ids or ids[0] == 0:
+        return arr, None
+    sigma = list(range(n))
+    sigma[0], sigma[ids[0]] = ids[0], 0
+    out = np.empty_like(arr)
+    for x in range(n):
+        for y in range(n):
+            out[sigma[x], sigma[y]] = sigma[arr[x, y]]
+    return out, sigma

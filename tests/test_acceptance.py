@@ -218,8 +218,10 @@ def test_criterion_09_oracle_equivalences(catalog):
           f"({elapsed:.1f}s)")
 
 
-# the survey JSON of orders 3..81 as first recorded; any byte change is a regression
+# the survey JSON of orders 3..81 and 3..243 as first recorded; any byte
+# change is a regression
 SURVEY_3_81_SHA256 = "0bc7522a3e4aa567e1f91dfdc8fd01108ec73d090022d0f09616d889e66d889a"
+SURVEY_3_243_SHA256 = "03d141e7972212c1576439e9b8ff8eb27d0a89e16879f6f601eb6be52a0721c4"
 
 
 def test_criterion_10_survey_integrity():
@@ -233,7 +235,11 @@ def test_criterion_10_survey_integrity():
     assert hashlib.sha256(out1.encode()).hexdigest() == SURVEY_3_81_SHA256
     assert summary1["rows"] == 20
     assert all(r.flag is None for r in rows1)
+    rows3, summary3 = run_survey(3, 243, seed=0)
+    out3 = survey_to_json(rows3, summary3)
+    assert hashlib.sha256(out3.encode()).hexdigest() == SURVEY_3_243_SHA256
+    assert summary3["rows"] == 22 and summary3["counterexample-flags"] == 0
     elapsed = _elapsed_under(t0, 300, "criterion 10")
     print(f"\n[criterion 10] PASS: survey of orders 3..81 produced "
-          f"{summary1['rows']} rows, zero flags, byte-identical across runs "
-          f"({elapsed:.1f}s)")
+          f"{summary1['rows']} rows, zero flags, byte-identical across runs; "
+          f"3..243 matches its recorded bytes ({elapsed:.1f}s)")

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gamma_forge import loops
+from gamma_forge import checks, loops
 from gamma_forge.checks import CHECK_IDS, CLAIMS, GROUP_ONLY_CHECKS, run_checks
 from gamma_forge.groups import construct
 
@@ -61,3 +61,18 @@ def test_class3_check_computes_each_loop_center_once(monkeypatch):
     report = run_checks(construct("wr:3"), ["class3-center-equality"])
     assert report.checks[0].verdict == "pass"
     assert calls and len({id(q) for q in calls}) == len(calls)
+
+
+def test_class3_check_builds_each_central_quotient_once(monkeypatch):
+    calls = []
+    real = loops.quotient_loop
+
+    def counting(q, members):
+        calls.append(q.n)
+        return real(q, members)
+
+    monkeypatch.setattr(loops, "quotient_loop", counting)
+    monkeypatch.setattr(checks, "quotient_loop", counting)
+    report = run_checks(construct("wr:3"), ["class3-center-equality"])
+    assert report.checks[0].verdict == "pass"
+    assert calls == [81, 9]  # circ(wr:3) by its center, then the quotient by its own
