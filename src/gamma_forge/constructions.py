@@ -21,7 +21,7 @@ from .core import CayleyTable, ConstructionError, EvenOrderError, first_false
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
 from .loops import (
     Loop,
-    _submagma_associative,
+    _associative_submagma,
     check_gamma_axioms,
     is_left_bruck,
     is_power_associative,
@@ -143,9 +143,14 @@ def gamma_from_bruck(q: Loop, verify: bool = True) -> Loop:
     a violating pair is reported by name.
 
     Each step takes one x and all n commutators A_y as the rows of an array.
-    Pointer doubling gives A^(2^j) for 2^j < n, hence the least label on
-    each orbit and so each cycle length c.  The root of A^m = 1 (m odd) is
-    A^((m+1)/2); at the point p = yx it equals A^((c+1)/2)(p), where c is
+    Pointer doubling gives A^(2^j) and least_(j+1)(p) = min(least_j(p),
+    least_j(A^(2^j) p)), the least label of the first 2^(j+1) points from p,
+    until 2^j >= n or least_(j+1) = least_j.  In the latter case, on a cycle
+    of length c, least_j(p) <= least_j(A^(2^j) p) <= ... <= least_j(A^(c 2^j)
+    p) = least_j(p): these windows cover the cycle, so each window of 2^j
+    points holds its least label, c <= 2^j, and no higher power is needed.
+    The least labels give each cycle length c.  The root of A^m = 1 (m odd)
+    is A^((m+1)/2); at the point p = yx it equals A^((c+1)/2)(p), where c is
     the length of the cycle of p, as both exponents invert 2 modulo c.
     """
     if q.n % 2 == 0:
@@ -163,11 +168,14 @@ def gamma_from_bruck(q: Loop, verify: bool = True) -> Loop:
         # flat index of (y, A_y(u)) for the commutator A_y = L_x L_y L_x^-1 L_y^-1
         a = t[x].take(t.take(ld[x].take(ld) + base[:, None])) + base[:, None]
         powers = [a]                          # A^(2^j), as flat indices
-        while 2 ** len(powers) < n:
-            powers.append(powers[-1].take(powers[-1]))
         least = np.arange(n * n, dtype=np.int32).reshape(n, n)  # least point of each cycle
-        for aj in powers:
-            least = np.minimum(least, least.take(aj))
+        while True:
+            step = np.minimum(least, least.take(powers[-1]))
+            done = 2 ** len(powers) >= n or (step == least).all()
+            least = step
+            if done:
+                break
+            powers.append(powers[-1].take(powers[-1]))
         sizes = np.bincount(least.ravel(), minlength=n * n).reshape(n, n)  # [y, least] -> length
         even = (sizes % 2 == 0) & (sizes > 0)
         if even.any():
@@ -190,7 +198,7 @@ def power(q: Loop, x: int, k: int) -> int:
     Requires the submagma generated by x to be associative (checked), which
     is what makes the bracketing irrelevant.
     """
-    if not _submagma_associative(q, x):
+    if _associative_submagma(q, x) is None:
         raise ConstructionError(f"powers of {q.label(x)} are ambiguous "
                                 f"(generated submagma is not associative)")
     if k < 0:

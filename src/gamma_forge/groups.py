@@ -37,11 +37,33 @@ class SpecParseError(GammaForgeError):
     """A group-spec string could not be parsed."""
 
 
+class _Powers:
+    """Element orders and powers from mul, shared by both kinds of group."""
+
+    def order_of(self, x: int) -> int:
+        k, acc = 1, x
+        while acc != 0:
+            acc = self.mul(acc, x)
+            k += 1
+        return k
+
+    def power(self, x: int, k: int) -> int:
+        if k < 0:
+            return self.power(self.inv(x), -k)
+        acc, base = 0, x
+        while k:
+            if k & 1:
+                acc = self.mul(acc, base)
+            base = self.mul(base, base)
+            k >>= 1
+        return acc
+
+
 # ---------------------------------------------------------------------------
 # Table-backed groups
 
 
-class Group:
+class Group(_Powers):
     """A finite group given by a verified Cayley table with identity 0."""
 
     def __init__(self, table: CayleyTable, check: bool = True,
@@ -91,24 +113,6 @@ class Group:
         t = self.tbl
         return int(t[t[self.inverse[y], x], y])
 
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(x), -k)
-        acc, base = 0, x
-        while k:
-            if k & 1:
-                acc = int(self.tbl[acc, base])
-            base = int(self.tbl[base, base])
-            k >>= 1
-        return acc
-
-    def order_of(self, x: int) -> int:
-        k, acc = 1, x
-        while acc != 0:
-            acc = int(self.tbl[acc, x])
-            k += 1
-        return k
-
     @cached_property
     def element_orders(self) -> np.ndarray:
         return np.array([self.order_of(x) for x in range(self.order)], dtype=np.int32)
@@ -153,7 +157,7 @@ class Group:
         return f"<Group {self.name!r} order={self.order}>"
 
 
-class FunctionalGroup:
+class FunctionalGroup(_Powers):
     """A finite group held as a product rule instead of a table.
 
     Permits streamed scans (element enumeration, rule products) but refuses
@@ -179,24 +183,6 @@ class FunctionalGroup:
 
     def mul(self, x: int, y: int) -> int:
         return self._mul(x, y)
-
-    def order_of(self, x: int) -> int:
-        k, acc = 1, x
-        while acc != 0:
-            acc = self._mul(acc, x)
-            k += 1
-        return k
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(x), -k)
-        acc, base = 0, x
-        while k:
-            if k & 1:
-                acc = self._mul(acc, base)
-            base = self._mul(base, base)
-            k >>= 1
-        return acc
 
     def inv(self, x: int) -> int:
         cached = self._inv_cache.get(x)

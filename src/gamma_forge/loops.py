@@ -5,6 +5,8 @@ commuting inverse translations, the P-map identity), Moufang and left Bruck
 identities, inner mapping generators and automorphicity, loop center and
 nucleus, central quotients, loop nilpotency, and desk-scale isomorphism
 search.  All scans are exhaustive with lexicographically least witnesses.
+Associativity and the P-map and left Bol identities are tested only on a
+generating set: the elements that pass each are closed under an operation.
 """
 
 from __future__ import annotations
@@ -117,42 +119,54 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
 
     Light's test: the middle nucleus {a : (xa)z = x(az) for all x, z} of any
     magma is closed under products.  If a and b are in it, then
-    (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z).  So it suffices
-    to pick greedily a set S whose left-normed products ((s1 s2) s3)...
-    reach every element, and to test the n^2 pairs (x, z) only for a in S.
-    On any failure the per-x scan runs instead, so the witness is the least.
+    (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z).  So the n^2 pairs
+    (x, z) are tested only for the a of a generating set (_closure_witness).
     """
-    n = len(t)
-    gens: list[int] = []
-    reached = np.zeros(n, dtype=bool)
-    while not reached.all():
-        a = int(np.argmin(reached))
-        if not (t[t[:, a], :] == t[:, t[a]]).all():
-            break
-        gens.append(a)
-        reached[a] = True
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            prods = np.unique(t[np.ix_(frontier, gens)])
-            frontier = prods[~reached[prods]]
-            reached[frontier] = True
-    else:
-        return None
-    for x in range(n):
-        w = first_false(t[t[x], :] == t[x][t])
-        if w is not None:
-            return x, w[0], w[1]
-    return None
+    return _closure_witness(t, lambda a, xs: (t[t[xs, a]], t[xs][:, t[a]]),  # (xa)z, x(az)
+                            lambda x, ys: (t[t[x, ys]], t[x][t[ys]]))         # (xy)z, x(yz)
 
 
-def _least_block_witness(n: int, sides) -> tuple[int, int, int] | None:
-    """Least (x, y, u) where the arrays sides(x, rows y) differ, a block of rows y per step."""
-    for x in range(n):
+def _least_block_witness(n: int, sides, xs=None) -> tuple[int, int, int] | None:
+    """Least (x, y, u), x in xs (default: all), where the arrays sides(x, rows y)
+    differ, a block of rows y per step."""
+    for x in range(n) if xs is None else xs:
         for lo in range(0, n, _ROW_BLOCK):
             lhs, rhs = sides(x, slice(lo, lo + _ROW_BLOCK))
             w = first_false(lhs == rhs)
             if w is not None:
                 return x, lo + w[0], w[1]
+    return None
+
+
+def _close(op: np.ndarray, reached: np.ndarray, members: np.ndarray, k: int, a: int) -> int:
+    """Add a to R = members[:k] (flagged in reached), a set closed under op, and
+    close R again, combining each newly reached c as op[c, R] and op[R, c]; returns |R|."""
+    reached[a], members[k], todo = True, a, [a]
+    k += 1
+    while todo:  # up to a row block of elements c per step
+        cs, todo = todo[-_ROW_BLOCK:], todo[:-_ROW_BLOCK]
+        prods = np.concatenate((op[np.ix_(cs, members[:k])].ravel(), op[np.ix_(members[:k], cs)].ravel()))
+        fresh = np.unique(prods[~reached[prods]])
+        reached[fresh] = True
+        members[k:k + fresh.size] = fresh
+        k += fresh.size
+        todo += fresh.tolist()
+    return k
+
+
+def _closure_witness(op: np.ndarray, sides, witness_sides=None) -> tuple[int, int, int] | None:
+    """Least witness of an identity whose passing x, those where the arrays
+    sides(x, rows y) agree, are closed under op (the caller proves this).  So
+    greedy generators decide: test the least element not yet reached, close
+    the reached set under op, repeat; no element is taken for an identity.  On
+    a failure the per-x scan of witness_sides (default: sides) gives the least."""
+    n, k = len(op), 0
+    reached, members = np.zeros(n, dtype=bool), np.empty(n, dtype=np.intp)
+    while k < n:
+        a = int(np.argmin(reached))
+        if _least_block_witness(n, sides, [a]) is not None:
+            return _least_block_witness(n, witness_sides or sides)
+        k = _close(op, reached, members, k, a)
     return None
 
 
@@ -228,22 +242,18 @@ def check_gamma_axioms(q: Loop | CayleyTable) -> GammaVerdict:
         if w is not None:
             raise GammaForgeError(
                 f"internal inconsistency: P-map forms disagree at {q.label(w[0])}")
-    # [y, u] -> P_x P_y P_x (u) against P_{y P_x} (u)
-    w = _least_block_witness(n, lambda x, ys: (P[x][P[ys][:, P[x]]], P[P[x, ys]]))
+    # P_x P_y P_x against P_{y P_x}.  The passing x are closed under (a, b) -> P_a(b): maps s
+    # with s P_y s = P_{s(y)} for all y are closed under s, r -> s r s; P_a P_b P_a = P_{P_a(b)}
+    w = _closure_witness(P, lambda x, ys: (P[x][P[ys][:, P[x]]], P[P[x, ys]]))
     gamma4 = AxiomVerdict(w is None, w)
     return GammaVerdict(gamma1, gamma2, gamma3, gamma4)
 
 
 def is_moufang(q: Loop) -> tuple[bool, tuple[int, int, int] | None]:
     """xy . zx == x(yz . x) for all triples; least witness on failure."""
-    t = q.tbl
-    for x in range(q.n):
-        lhs = t[np.ix_(t[x], t[:, x])]        # [y, z] -> (xy)(zx)
-        rhs = t[x][t[t, x]]                   # [y, z] -> x((yz)x)
-        if not (lhs == rhs).all():
-            y, z = first_false(lhs == rhs)
-            return False, (x, int(y), int(z))
-    return True, None
+    t = q.tbl  # [y, z] -> (xy)(zx) against x((yz)x)
+    w = _least_block_witness(q.n, lambda x, ys: (t[t[x, ys]][:, t[:, x]], t[x][t[t[ys], x]]))
+    return w is None, w
 
 
 def is_left_bruck(q: Loop) -> tuple[bool, object | None]:
@@ -256,41 +266,38 @@ def is_left_bruck(q: Loop) -> tuple[bool, object | None]:
     w = first_false(inv[t] == t[inv[:, None], inv[None, :]])
     if w is not None:
         return False, ("aip", w[0], w[1])
-    # [y, z] -> x(y(xz)) against (x(yx))z
-    w = _least_block_witness(q.n, lambda x, ys: (t[x][t[ys][:, t[x]]], t[t[x, t[ys, x]]]))
+    w = _left_bol_witness(t)
     return w is None, w
 
 
+def _left_bol_witness(t: np.ndarray) -> tuple[int, int, int] | None:
+    """Least (x, y, z) with x(y(xz)) != (x(yx))z in a loop table, or None.  The
+    x with L_x L_y L_x = L_{x(yx)} for all y are closed under (a, b) -> c = a(ba):
+    L_c = L_a L_b L_a, so L_c L_y L_c = L_a L_{b((a(ya))b)} L_a is L_{c(yc)}."""
+    return _closure_witness(t[np.arange(len(t))[:, None], t.T],
+                            lambda x, ys: (t[x][t[ys][:, t[x]]], t[t[x, t[ys, x]]]))
+
+
 def is_power_associative(q: Loop) -> tuple[bool, int | None]:
-    """Each single-generated submagma is associative; witness element if not."""
+    """Each single-generated submagma is associative; witness element if not.
+    The members of an associative one generate associative ones: not retested."""
+    covered = np.zeros(q.n, dtype=bool)
     for x in range(q.n):
-        if not _submagma_associative(q, x):
-            return False, x
+        if not covered[x]:
+            members = _associative_submagma(q, x)
+            if members is None:
+                return False, x
+            covered[members] = True
     return True, None
 
 
-def _submagma_associative(q: Loop, x: int) -> bool:
-    """Whether the submagma generated by x is associative, which makes the
-    powers of x independent of their bracketing."""
-    members = _generated_submagma(q, x)
-    idx = {v: i for i, v in enumerate(members)}
-    sub = np.array([[idx[q.mul(a, b)] for b in members] for a in members], dtype=np.int32)
-    return associativity_witness(sub) is None
-
-
-def _generated_submagma(q: Loop, x: int) -> list[int]:
-    members = {x}
-    frontier = [x]
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(members):
-                for c in (q.mul(a, b), q.mul(b, a)):
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-        frontier = new
-    return sorted(members)
+def _associative_submagma(q: Loop, x: int) -> np.ndarray | None:
+    """The sorted members of the submagma generated by x if it is associative,
+    which makes the powers of x independent of their bracketing; else None."""
+    members = np.empty(q.n, dtype=np.intp)
+    members = np.sort(members[:_close(q.tbl, np.zeros(q.n, dtype=bool), members, 0, x)])
+    sub = np.searchsorted(members, q.tbl[np.ix_(members, members)])
+    return members if associativity_witness(sub) is None else None
 
 
 def powers_coincide(g, q: Loop) -> tuple[bool, tuple[int, int] | None]:

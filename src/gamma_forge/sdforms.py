@@ -240,7 +240,7 @@ class SdForms:
         grouped by (f, f1, f2) and broadcast along that coordinate.
         """
         n = self.nH * self.nF
-        out = np.empty((n, n, n), dtype=np.int64)
+        out = np.empty((n, n, n), dtype=np.int32)  # half of int64 on n^3 cells; labels < 3000
         for f in range(self.nF):
             for f1 in range(self.nF):
                 for f2 in range(self.nF):

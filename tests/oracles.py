@@ -147,13 +147,19 @@ def left_bruck_scan(t):
         for y in range(len(t)):
             if inv[t[x, y]] != t[inv[x], inv[y]]:
                 return False, ("aip", x, y)
+    w = left_bol_scan(t)
+    return w is None, w
+
+
+def left_bol_scan(t):
+    """Least (x, y, z) with x(y(xz)) != (x(yx))z, or None."""
     for x in range(len(t)):
         for y in range(len(t)):
             lhs = t[x][t[y][t[x]]]
             rhs = t[t[x, t[y, x]]]
             if not (lhs == rhs).all():
-                return False, (x, y, int(np.argmin(lhs == rhs)))
-    return True, None
+                return (x, y, int(np.argmin(lhs == rhs)))
+    return None
 
 
 def gamma_axioms_scan(t):
@@ -179,6 +185,22 @@ def gamma_axioms_scan(t):
             if not (lhs == rhs).all():
                 return gamma3, (False, (x, y, int(np.argmin(lhs == rhs))))
     return gamma3, (True, None)
+
+
+def power_associative_scan(t):
+    """(True, None), or (False, x) for the least x whose generated submagma,
+    closed one product at a time, is not associative."""
+    for x in range(len(t)):
+        members, grew = {x}, True
+        while grew:
+            new = {int(t[a, b]) for a in members for b in members} - members
+            members |= new
+            grew = bool(new)
+        s = sorted(members)
+        sub = np.array([[s.index(int(t[a, b])) for b in s] for a in s])
+        if assoc_scan(sub) is not None:
+            return False, x
+    return True, None
 
 
 def center_scan(t):

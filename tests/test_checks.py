@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gamma_forge import checks, loops
+from gamma_forge import checks, constructions, loops
 from gamma_forge.checks import CHECK_IDS, CLAIMS, GROUP_ONLY_CHECKS, run_checks
 from gamma_forge.groups import construct
 
@@ -61,6 +61,23 @@ def test_class3_check_computes_each_loop_center_once(monkeypatch):
     report = run_checks(construct("wr:3"), ["class3-center-equality"])
     assert report.checks[0].verdict == "pass"
     assert calls and len({id(q) for q in calls}) == len(calls)
+
+
+def test_verify_scans_powers_once_per_loop(monkeypatch):
+    # circ_loop and oplus_loop verify power coincidence as they are built, and
+    # power-coincidence reports that result instead of scanning again
+    calls = []
+    real = loops.powers_coincide
+
+    def counting(g, q):
+        calls.append(q.name)
+        return real(g, q)
+
+    for module in (loops, constructions, checks):  # every binding, as a tracer wraps them
+        monkeypatch.setattr(module, "powers_coincide", counting, raising=False)
+    report = run_checks(construct("sd:7:3:2"))
+    assert {c.check_id: c.verdict for c in report.checks}["power-coincidence"] == "pass"
+    assert sorted(calls) == ["circ(Z7:|Z3(a=2))", "oplus(Z7:|Z3(a=2))"]
 
 
 def test_class3_check_builds_each_central_quotient_once(monkeypatch):

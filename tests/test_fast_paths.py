@@ -2,9 +2,11 @@
 
 The references in ``oracles`` are the per-x associativity scan, the per-(x, y)
 left Bruck, P-map and inner-mapping scans, the per-a nucleus scan, the
-per-(x, y) Bruck -> Gamma translation and the per-cell identity relabeling,
-run on raw arrays.  Verdicts and witnesses, tables and error messages must
-agree exactly, so the fast paths keep the least witness.
+per-(x, y) Bruck -> Gamma translation, the per-x power-associativity scan and
+the per-cell identity relabeling, run on raw arrays.  Verdicts and witnesses,
+tables and error messages must agree exactly, so the fast paths keep the
+least witness.  Random Latin-square loops check the closure lemmas behind the
+generator tests and include loops in which the operation matters.
 """
 
 from functools import lru_cache
@@ -25,6 +27,7 @@ from gamma_forge.loops import (
     check_gamma_axioms,
     is_automorphic,
     is_left_bruck,
+    is_power_associative,
 )
 from gamma_forge.tableio import normalize_identity
 
@@ -93,11 +96,17 @@ def assert_inner_scans_match_references(t):
 
 def assert_matches_references(t):
     q = Loop(CayleyTable(t))
+    data = q.center_data
+    assert (data.commutant, data.nucleus, data.center) == oracles.center_scan(t)
+    assert_identity_scans_match_references(t)
+
+
+def assert_identity_scans_match_references(t):
+    """Associativity, the P-map and inverse-translation axioms, left Bruck."""
+    q = Loop(CayleyTable(t))
     w = oracles.assoc_scan(t)
     assert associativity_witness(t) == w
     assert q.is_associative() == (w is None, w)
-    data = q.center_data
-    assert (data.commutant, data.nucleus, data.center) == oracles.center_scan(t)
     gamma = oracles.gamma_axioms_scan(t)
     bruck = oracles.left_bruck_scan(t)
     if gamma is None:  # no two-sided inverses: both scans are inapplicable
@@ -254,3 +263,129 @@ def test_normalize_identity_matches_reference(spec, seed):
     for t in (group(spec).tbl, (np.arange(4)[:, None] - np.arange(4)[None, :]) % 4):
         for out, sigma in (normalize_identity(t), oracles.normalize_identity_scan(t)):
             assert out is t and sigma is None
+
+
+def product_loop(t1, t2):
+    """The direct product of two loop tables, element (a, b) at index a + len(t1) b."""
+    n1, n2 = len(t1), len(t2)
+    a, b = np.arange(n1 * n2) % n1, np.arange(n1 * n2) // n1
+    return t1[a[:, None], a[None, :]] + n1 * t2[b[:, None], b[None, :]]
+
+
+def latin_loop(seed):
+    """A seeded random loop of order 5 to 11: a random Latin square whose row
+    and column 0 are the identity, filled cell by cell by backtracking over
+    a random order of symbols per cell."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 12))
+    t = np.full((n, n), -1)
+    t[0], t[:, 0] = np.arange(n), np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    choices = [rng.permutation(n) for _ in cells]
+
+    def fill(c):
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        for v in choices[c]:
+            if v not in t[i, :j] and v not in t[:i, j]:
+                t[i, j] = v
+                if fill(c + 1):
+                    return True
+        t[i, j] = -1
+        return False
+
+    assert fill(0)
+    return t
+
+
+def passing_sets(t):
+    """The x passing the middle nucleus law, the left Bol identity and (with
+    two-sided inverses, else None) the P-map identity, with the operation
+    each set is closed under, all by brute force over every triple."""
+    n = len(t)
+    x, y, z = np.indices((n, n, n))
+    sets = [((t[t[y, x], z] == t[y, t[x, z]]).all(axis=(1, 2)), t),
+            ((t[x, t[y, t[x, z]]] == t[t[x, t[y, x]], z]).all(axis=(1, 2)), t[np.arange(n)[:, None], t.T])]
+    inv = oracles._two_sided_inverse(t)
+    if inv is None:
+        return sets + [None]
+    P = oracles._ldiv(t)[inv[:, None], t.T]  # P[x, u] = x^-1 \ (u x)
+    return sets + [((P[x, P[y, P[x, z]]] == P[P[x, y], z]).all(axis=(1, 2)), P)]
+
+
+LATIN_SEEDS = list(range(200))
+# in these random loops the set passing the left Bol (P-map) identity is no
+# subloop: its least members generate the whole loop under the product, but
+# not under (a, b) -> a(ba) (under (a, b) -> P_a(b))
+BOL_MISLEADS = [2170, 5291, 6088]
+P_MAP_MISLEADS = [1536, 2653, 2922]
+
+
+def test_passing_sets_are_closed_under_their_operations():
+    # the lemmas behind the generator tests, checked on random loops; in some
+    # of them a passing set is not a subloop, so the operation matters
+    not_subloops = [0, 0, 0]
+    for seed in LATIN_SEEDS + BOL_MISLEADS + P_MAP_MISLEADS:
+        t = latin_loop(seed)
+        for i, entry in enumerate(passing_sets(t)):
+            if entry is None:
+                continue
+            passing, op = entry
+            xs = np.flatnonzero(passing)
+            assert passing[op[np.ix_(xs, xs)]].all()
+            not_subloops[i] += not passing[t[np.ix_(xs, xs)]].all()
+    assert min(not_subloops[1:]) > 0
+
+
+@pytest.mark.parametrize("seed", LATIN_SEEDS[:60] + BOL_MISLEADS + P_MAP_MISLEADS)
+def test_random_latin_loops_match_references(seed):
+    t = latin_loop(seed)
+    assert_matches_references(t)
+    # is_left_bruck stops at the inverse property in these loops; the Bol scan itself
+    assert loops._left_bol_witness(t) == oracles.left_bol_scan(t)
+    assert is_power_associative(Loop(CayleyTable(t))) == oracles.power_associative_scan(t)
+
+
+def test_random_latin_loops_tell_the_operations_apart():
+    # closing the passing generators under the product instead would find no
+    # failure in these loops, though the references find one
+    for seed in BOL_MISLEADS:
+        t = latin_loop(seed)
+        assert oracles.left_bol_scan(t) is not None
+        assert loops._closure_witness(t, lambda x, ys: (t[x][t[ys][:, t[x]]], t[t[x, t[ys, x]]])) is None
+    for seed in P_MAP_MISLEADS:
+        t = latin_loop(seed)
+        P = passing_sets(t)[2][1]
+        assert oracles.gamma_axioms_scan(t)[1][0] is False
+        assert loops._closure_witness(t, lambda x, ys: (P[x][P[ys][:, P[x]]], P[P[x, ys]])) is None
+
+
+PRODUCT_CASES = [(kind, seed, first) for kind in ("circ", "oplus")
+                 for seed in (2, 6) for first in (True, False)]
+
+
+def product_case(kind, seed, first):
+    """circ or oplus of sd:7:3:2 times a random odd cocycle loop of order 15,
+    in either order: the generators from the catalog factor pass (but for
+    the left Bol identity in circ), so witnesses lie past passing subloops."""
+    q = (circ_loop if kind == "circ" else oplus_loop)(group("sd:7:3:2")).tbl
+    r = cocycle_loop(seed, 3, 5, odd=True)
+    return product_loop(q, r) if first else product_loop(r, q)
+
+
+@pytest.mark.parametrize("kind,seed,first", PRODUCT_CASES)
+def test_product_loops_match_references(kind, seed, first):
+    t = product_case(kind, seed, first)
+    for table in (t, relabel(t, seed)):
+        assert_identity_scans_match_references(table)
+        assert is_power_associative(Loop(CayleyTable(table))) == oracles.power_associative_scan(table)
+
+
+def test_product_loops_reach_late_witnesses():
+    witnesses = []
+    for case in PRODUCT_CASES:
+        q = Loop(CayleyTable(product_case(*case)))
+        witnesses += [check_gamma_axioms(q).p_map_identity.witness, is_left_bruck(q)[1]]
+    assert all(w is not None for w in witnesses)
+    assert sum(w[0] > 1 for w in witnesses) >= 12
