@@ -37,7 +37,6 @@ from .groups import (
     nested_commutator,
     nilpotency_class,
     sd,
-    semidirect,
     sqrt_element,
     unitriangular,
     upper_central_series,

@@ -17,22 +17,23 @@ from .groups import AnyGroup, Group, construct, from_file
 from .checks import CheckContext, _witness_str
 from .report import SurveyRow
 
-CATALOG_SPECS: tuple[str, ...] = (
-    "cyclic:3", "cyclic:5", "cyclic:7", "cyclic:9", "cyclic:27",
-    "dp:cyclic:3,cyclic:3",
-    "dp:cyclic:3,cyclic:5",
-    "dp:cyclic:3,cyclic:7",
-    "dp:cyclic:5,cyclic:5",
-    "dp:cyclic:3,cyclic:9",
-    "dp:cyclic:3,cyclic:3,cyclic:3",
-    "dp:cyclic:3,cyclic:27",
-    "dp:cyclic:9,cyclic:9",
-    "dp:cyclic:3,cyclic:3,cyclic:9",
-    "sd:7:3:2", "sd:7:3:4", "sd:13:3:3", "sd:11:5:3", "sd:31:5:2",
-    "heis:3", "heis:5",
-    "wr:3",
-    "ut:4:3",
-)
+# each spec with its group order, so a survey slice builds only the groups it keeps
+CATALOG_SPECS: dict[str, int] = {
+    "cyclic:3": 3, "cyclic:5": 5, "cyclic:7": 7, "cyclic:9": 9, "cyclic:27": 27,
+    "dp:cyclic:3,cyclic:3": 9,
+    "dp:cyclic:3,cyclic:5": 15,
+    "dp:cyclic:3,cyclic:7": 21,
+    "dp:cyclic:5,cyclic:5": 25,
+    "dp:cyclic:3,cyclic:9": 27,
+    "dp:cyclic:3,cyclic:3,cyclic:3": 27,
+    "dp:cyclic:3,cyclic:27": 81,
+    "dp:cyclic:9,cyclic:9": 81,
+    "dp:cyclic:3,cyclic:3,cyclic:9": 81,
+    "sd:7:3:2": 21, "sd:7:3:4": 21, "sd:13:3:3": 39, "sd:11:5:3": 55, "sd:31:5:2": 155,
+    "heis:3": 27, "heis:5": 125,
+    "wr:3": 81,
+    "ut:4:3": 729,
+}
 
 
 def survey_row(g: AnyGroup, seed: int = 0, force_exhaustive: bool = False) -> SurveyRow:
@@ -75,11 +76,9 @@ def run_survey(lo: int = 3, hi: int = 81, source_dir: str | Path | None = None,
     """Survey rows over the builtin slice or a directory of .tbl files."""
     rows: list[SurveyRow] = []
     if source_dir is None:
-        subjects: list[tuple[str, AnyGroup | None, str | None]] = []
-        for spec in CATALOG_SPECS:
-            g = construct(spec)
-            if lo <= g.order <= hi:
-                subjects.append((spec, g, None))
+        subjects: list[tuple[str, AnyGroup | None, str | None]] = [
+            (spec, construct(spec), None) for spec, order in CATALOG_SPECS.items()
+            if lo <= order <= hi]
     else:
         subjects = []
         for path in sorted(Path(source_dir).glob("*.tbl")):

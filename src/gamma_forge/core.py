@@ -21,6 +21,8 @@ DEFAULT_CLOSURE_CAP = 2_000_000
 
 TABLE_CAP_ENV = "GAMMA_FORGE_TABLE_CAP"
 
+_ROW_BLOCK = 128  # rows per numpy step of table builds and n^2 scans, so memory stays flat in n
+
 
 def table_cap() -> int:
     """Largest order for which multiplication tables are materialized."""
@@ -141,20 +143,25 @@ class CayleyTable:
 
 def build_table(
     n: int,
-    product: Callable[[int, int], int],
+    rule: Callable,
     name: str = "",
     element_names: Sequence[str] | None = None,
 ) -> CayleyTable:
-    """Materialize a table from a product rule, validating every entry."""
+    """Materialize the table of a product rule that accepts broadcast index
+    arrays: rule(X, Y) for a column X of row indices and the row Y of all
+    indices, a block of _ROW_BLOCK rows per step so memory stays flat in n.
+
+    Entries are saturated to the int32 range on storage, so CayleyTable's
+    range check still reports the least out-of-range cell.
+    """
     if n < 1:
         raise ConstructionError(f"element count must be >= 1, got {n}")
     arr = np.empty((n, n), dtype=np.int32)
-    for x in range(n):
-        for y in range(n):
-            v = product(x, y)
-            if not 0 <= v < n:
-                raise ConstructionError(f"product rule gave {v} at ({x},{y}), outside 0..{n - 1}")
-            arr[x, y] = v
+    y = np.arange(n)[None, :]
+    info = np.iinfo(np.int32)
+    for lo in range(0, n, _ROW_BLOCK):
+        x = np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None]
+        arr[lo:lo + _ROW_BLOCK] = np.clip(rule(x, y), info.min, info.max)
     return CayleyTable(arr, name=name, element_names=element_names)
 
 

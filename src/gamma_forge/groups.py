@@ -1,9 +1,11 @@
 """Finite group construction and structural analysis.
 
-Groups live on dense indices 0..n-1 with identity 0.  Orders within the table
-cap get a fully materialized, associativity-verified Cayley table; larger
-constructions are held functionally (product computed from a rule) and refuse
-table-only operations with a clear error.
+Groups live on dense indices 0..n-1 with identity 0.  Each family has one
+product rule that runs on ints and on broadcast index arrays alike.  Orders
+within the table cap get a Cayley table evaluated from that rule over blocks
+of rows, then associativity-verified; larger constructions are functional
+groups that call the rule on two ints per product and refuse table-only
+operations with a clear error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import (
     ConstructionError,
     EvenOrderError,
     GammaForgeError,
+    build_table,
     classify,
     first_false,
     table_cap,
@@ -41,11 +44,14 @@ class _Powers:
     """Element orders and powers from mul, shared by both kinds of group."""
 
     def order_of(self, x: int) -> int:
-        k, acc = 1, x
-        while acc != 0:
+        acc = x
+        for k in range(1, self.order + 1):
+            if acc == 0:
+                return k
             acc = self.mul(acc, x)
-            k += 1
-        return k
+        raise ConstructionError(
+            f"element {self.label(x)} has no power equal to the identity "
+            f"within {self.order} steps: {self.name} is not a group")
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -67,11 +73,13 @@ class Group(_Powers):
     """A finite group given by a verified Cayley table with identity 0."""
 
     def __init__(self, table: CayleyTable, check: bool = True,
-                 source_spec: str | None = None, notes: Sequence[str] = ()):
+                 source_spec: str | None = None, notes: Sequence[str] = (),
+                 gens: Sequence[int] = ()):
         self.table = table
         self.tbl = table.table
         self.order = table.n
         self.name = table.name
+        self.gens = tuple(gens)
         self.source_spec = source_spec
         self.notes = tuple(notes)
         self.sd_spec: "SemidirectSpec | None" = None
@@ -104,6 +112,10 @@ class Group(_Powers):
 
     def mul(self, x: int, y: int) -> int:
         return int(self.tbl[x, y])
+
+    def rule(self, x, y):
+        """The product as an array-capable rule, so rules can be composed."""
+        return self.tbl[x, y]
 
     def inv(self, x: int) -> int:
         return int(self.inverse[x])
@@ -164,25 +176,25 @@ class FunctionalGroup(_Powers):
     operations that need the full table.
     """
 
-    def __init__(self, order: int, mul: Callable[[int, int], int], name: str,
+    def __init__(self, order: int, rule: Callable, name: str,
                  gens: Sequence[int] = (), source_spec: str | None = None,
                  notes: Sequence[str] = ()):
         self.order = order
-        self._mul = mul
+        self.rule = rule
         self.name = name
         self.gens = tuple(gens)
         self.source_spec = source_spec
         self.notes = tuple(notes)
         self.sd_spec = None
         self._inv_cache: dict[int, int] = {}
-        if mul(0, 0) != 0:
+        if self.mul(0, 0) != 0:
             raise ConstructionError("identity must be index 0")
 
     def label(self, x: int) -> str:
         return str(x)
 
     def mul(self, x: int, y: int) -> int:
-        return self._mul(x, y)
+        return int(self.rule(x, y))
 
     def inv(self, x: int) -> int:
         cached = self._inv_cache.get(x)
@@ -192,7 +204,7 @@ class FunctionalGroup(_Powers):
         return cached
 
     def conj(self, x: int, y: int) -> int:
-        return self._mul(self._mul(self.inv(y), x), y)
+        return self.mul(self.mul(self.inv(y), x), y)
 
     def __repr__(self):
         return f"<FunctionalGroup {self.name!r} order={self.order}>"
@@ -280,7 +292,7 @@ def normal_closure(g: AnyGroup, seed: Sequence[int],
     keeps later scans over the subgroup cheap.
     """
     if conj_by is None:
-        conj_by = list(getattr(g, "gens", ()) or [])
+        conj_by = list(g.gens)
         if isinstance(g, Group) and not conj_by:
             conj_by = list(range(g.order))
     gens_sub = sorted(set(int(s) for s in seed) | {0})
@@ -561,253 +573,158 @@ class SemidirectSpec:
         return h, f
 
 
-def semidirect(spec: SemidirectSpec, source_spec: str | None = None) -> Group:
-    """Materialize H x| F; element (h, f) sits at index f*|H|+h, so the H-cosets
-    of each F-element form contiguous index blocks."""
-    nH, nF = spec.nH, spec.nF
-    TH, TF, act = spec.H.tbl, spec.F.tbl, spec.action
-    n = nH * nF
-    h = np.arange(n) % nH
-    f = np.arange(n) // nH
-    acted = act[f[:, None], h[None, :]]
-    T = TF[f[:, None], f[None, :]] * nH + TH[h[:, None], acted]
-    names = [f"({spec.H.label(i)},{spec.F.label(j)})" for j in range(nF) for i in range(nH)]
-    ct = CayleyTable(T, name=spec.name or f"{spec.H.name}:|{spec.F.name}", element_names=names)
-    g = Group(ct, source_spec=source_spec)
+# ---------------------------------------------------------------------------
+# Constructors: one product rule per family.  A rule uses only integer
+# arithmetic and indexing into small arrays, so it runs on ints (the
+# FunctionalGroup product) and on broadcast index arrays (build_table) alike.
+
+
+def _positive(spec: str, *params: int) -> None:
+    if min(params) < 1:
+        raise ConstructionError(f"parameters of {spec} must be positive")
+
+
+def _from_rule(n: int, rule: Callable, name: str, gens: Sequence[int] = (),
+               label: Callable[[int], str] | None = None, split: Callable | None = None,
+               source_spec: str | None = None) -> AnyGroup:
+    """The group of a product rule: a verified table up to the table cap, a
+    FunctionalGroup calling the rule on ints above it.
+
+    ``split()`` gives (H, F) of a split extension whose element (h, f) is
+    index f*|H|+h; its action is read off the rule, as (0, f)(h, 0) = (h^f, f).
+    """
+    if n >= 2 ** 31:  # rules compute in int32 and int64 numpy arithmetic
+        raise ConstructionError(f"order {n} of {name} is too large: indices must stay below 2^31")
+    notes = ("even order",) if n % 2 == 0 else ()
+    if n > table_cap():
+        return FunctionalGroup(n, rule, name, gens=gens, source_spec=source_spec, notes=notes)
+    spec = None
+    if split is not None:
+        H, F = split()
+        f, h = np.ogrid[:F.order, :H.order]
+        spec = SemidirectSpec(H, F, rule(f * H.order, h) % H.order, name=name)
+    names = None if label is None else [label(x) for x in range(n)]
+    g = Group(build_table(n, rule, name=name, element_names=names), gens=gens,
+              source_spec=source_spec, notes=notes)
     g.sd_spec = spec
     return g
-
-
-# ---------------------------------------------------------------------------
-# Constructors
 
 
 def cyclic(m: int, source_spec: str | None = None) -> AnyGroup:
     if m < 1:
         raise ConstructionError(f"cyclic order must be >= 1, got {m}")
-    notes = ("even order",) if m % 2 == 0 else ()
-    if m > table_cap():
-        return FunctionalGroup(m, lambda x, y: (x + y) % m, name=f"Z{m}",
-                               gens=(1,), source_spec=source_spec, notes=notes)
-    r = np.arange(m)
-    T = (r[:, None] + r[None, :]) % m
-    return Group(CayleyTable(T, name=f"Z{m}"), source_spec=source_spec, notes=notes)
+    return _from_rule(m, lambda x, y: (x + y) % m, f"Z{m}", gens=(1,), source_spec=source_spec)
 
 
 def direct(factors: Sequence[AnyGroup], source_spec: str | None = None) -> AnyGroup:
     """Direct product, folding pairwise; index of (a, b) is a*|B|+b."""
     if not factors:
         raise ConstructionError("direct product needs at least one factor")
-    total = math.prod(f.order for f in factors)
-    if total > table_cap() or any(not isinstance(f, Group) for f in factors):
-        fs = list(factors)
-        sizes = [f.order for f in fs]
+    strides = [math.prod(f.order for f in factors[i + 1:]) for i in range(len(factors))]
 
-        def mul(x: int, y: int) -> int:
-            xs, ys = [], []
-            for size in reversed(sizes):
-                x, a = divmod(x, size)
-                y, b = divmod(y, size)
-                xs.append(a)
-                ys.append(b)
-            out = 0
-            for f, size, a, b in zip(fs, sizes, reversed(xs), reversed(ys)):
-                out = out * size + f.mul(a, b)
-            return out
+    def rule(x, y):
+        return sum(f.rule(x // s % f.order, y // s % f.order) * s for f, s in zip(factors, strides))
 
-        name = "x".join(f.name for f in fs)
-        notes = ("even order",) if total % 2 == 0 else ()
-        return FunctionalGroup(total, mul, name=name,
-                               source_spec=source_spec, notes=notes)
-    acc = factors[0]
-    for nxt in factors[1:]:
-        n1, n2 = acc.order, nxt.order
-        T = (acc.tbl[:, None, :, None] * n2 + nxt.tbl[None, :, None, :]).reshape(n1 * n2, n1 * n2)
-        names = [f"({acc.label(a)},{nxt.label(b)})" for a in range(n1) for b in range(n2)]
-        name = f"{acc.name}x{nxt.name}"
-        acc = Group(CayleyTable(T, name=name, element_names=names), check=False)
-    notes = ("even order",) if acc.order % 2 == 0 else ()
-    return Group(acc.table, source_spec=source_spec, notes=notes)
+    def label(x):
+        out = factors[0].label(x // strides[0])
+        for f, s in zip(factors[1:], strides[1:]):
+            out = f"({out},{f.label(x // s % f.order)})"
+        return out
+
+    return _from_rule(strides[0] * factors[0].order, rule, "x".join(f.name for f in factors),
+                      label=label, source_spec=source_spec)
 
 
 def sd(q: int, p: int, a: int, source_spec: str | None = None) -> AnyGroup:
-    """Z_q x| Z_p where the generator of Z_p acts by h -> a*h mod q."""
+    """Z_q x| Z_p where the generator of Z_p acts by h -> a*h mod q; the element
+    (h, f) is index f*q+h."""
+    _positive(source_spec or f"sd:{q}:{p}:{a}", q, p)
     if pow(a, p, q) != 1:
         raise ConstructionError(f"invalid action: {a}^{p} = {pow(a, p, q)} != 1 (mod {q})")
-    name = f"Z{q}:|Z{p}(a={a})"
-    if q * p > table_cap():
-        if q % 2 == 0 or p % 2 == 0:
-            raise ConstructionError("both factors must have odd order")
-        apow = [pow(a, k, q) for k in range(p)]
+    if q % 2 == 0 or p % 2 == 0:
+        raise ConstructionError("both factors must have odd order")
+    apow = np.array([pow(a, k, q) for k in range(p)], dtype=np.int64)
 
-        def mul(x: int, y: int) -> int:
-            f1, h1 = divmod(x, q)
-            f2, h2 = divmod(y, q)
-            return ((f1 + f2) % p) * q + (h1 + apow[f1] * h2) % q
+    def rule(x, y):  # (h1, f1)(h2, f2) = (h1 + a^f1 h2, f1 + f2)
+        return (x // q + y // q) % p * q + (x % q + apow[x // q] * (y % q)) % q
 
-        return FunctionalGroup(q * p, mul, name=name, gens=(1, q),
-                               source_spec=source_spec)
-    H = cyclic(q)
-    F = cyclic(p)
-    r = np.arange(q)
-    action = np.stack([(pow(a, k, q) * r) % q for k in range(p)]).astype(np.int32)
-    spec = SemidirectSpec(H, F, action, name=name)
-    return semidirect(spec, source_spec=source_spec)
+    return _from_rule(q * p, rule, f"Z{q}:|Z{p}(a={a})", gens=(1, q),
+                      label=lambda x: f"({x % q},{x // q})",
+                      split=lambda: (cyclic(q), cyclic(p)), source_spec=source_spec)
 
 
 def heisenberg(p: int, source_spec: str | None = None) -> AnyGroup:
-    """Order p^3 with triples (a,b,c): product adds coordinates plus a1*b2 into c."""
-    n = p * p * p
+    """Order p^3 with triples (a,b,c) at index (a*p+b)*p+c: the product adds
+    coordinates plus a1*b2 into c."""
+    _positive(source_spec or f"heis:{p}", p)
 
-    def enc(a, b, c):
-        return (a * p + b) * p + c
+    def rule(x, y):
+        a1, b1, c1 = x // (p * p), x // p % p, x % p
+        a2, b2, c2 = y // (p * p), y // p % p, y % p
+        return ((a1 + a2) % p * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
 
-    if n > table_cap():
-        def mul(x: int, y: int) -> int:
-            a1, r1 = divmod(x, p * p)
-            b1, c1 = divmod(r1, p)
-            a2, r2 = divmod(y, p * p)
-            b2, c2 = divmod(r2, p)
-            return enc((a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p)
-
-        return FunctionalGroup(n, mul, name=f"Heis{p}", gens=(enc(1, 0, 0), enc(0, 1, 0)),
-                               source_spec=source_spec,
-                               notes=("even order",) if p % 2 == 0 else ())
-
-    T = np.empty((n, n), dtype=np.int32)
-    names = []
-    for a1 in range(p):
-        for b1 in range(p):
-            for c1 in range(p):
-                names.append(f"({a1},{b1},{c1})")
-    for x in range(n):
-        a1, r = divmod(x, p * p)
-        b1, c1 = divmod(r, p)
-        for y in range(n):
-            a2, r = divmod(y, p * p)
-            b2, c2 = divmod(r, p)
-            T[x, y] = enc((a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p)
-    notes = ("even order",) if p % 2 == 0 else ()
-    return Group(CayleyTable(T, name=f"Heis{p}", element_names=names),
-                 source_spec=source_spec, notes=notes)
-
-
-def _ut_positions(k: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return _from_rule(p ** 3, rule, f"Heis{p}", gens=(p * p, p),
+                      label=lambda x: f"({x // (p * p)},{x // p % p},{x % p})",
+                      source_spec=source_spec)
 
 
 def unitriangular(k: int, p: int, source_spec: str | None = None) -> AnyGroup:
     """k x k upper unitriangular matrices over the p-element field.
 
-    Materialized when the order fits the table cap, functional otherwise.
     Indices pack the strictly-upper entries base p in row-major position
     order, so the identity matrix is index 0.
     """
-    pos = _ut_positions(k)
-    npos = len(pos)
-    n = p ** npos
-    weights = [p ** t for t in range(npos)]
-    pos_index = {ij: t for t, ij in enumerate(pos)}
+    _positive(source_spec or f"ut:{k}:{p}", k, p)
+    pos = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    at = {ij: t for t, ij in enumerate(pos)}
+    weights = [p ** t for t in range(len(pos))]
     # (AB)_{ij} = A_ij + B_ij + sum over i<m<j of A_im * B_mj
-    middle = [
-        [(pos_index[(i, m)], pos_index[(m, j)]) for m in range(i + 1, j)]
-        for (i, j) in pos
-    ]
+    middle = [[(at[i, m], at[m, j]) for m in range(i + 1, j)] for (i, j) in pos]
 
-    def entries(idx: int) -> list[int]:
-        return [(idx // w) % p for w in weights]
-
-    def mul(x: int, y: int) -> int:
-        a, b = entries(x), entries(y)
+    def rule(x, y):
+        a = [x // w % p for w in weights]
+        b = [y // w % p for w in weights]
         out = 0
-        for t in range(npos):
+        for t, w in enumerate(weights):
             v = a[t] + b[t]
-            for (u, w) in middle[t]:
-                v += a[u] * b[w]
-            out += (v % p) * weights[t]
+            for u, m in middle[t]:
+                v += a[u] * b[m]
+            out += v % p * w
         return out
 
-    name = f"UT({k},{p})"
-    gens = [weights[pos_index[(i, i + 1)]] for i in range(k - 1)]
-    notes = ("even order",) if p % 2 == 0 else ()
-    if n <= table_cap():
-        mats = np.stack([_ut_matrix(entries(i), pos, k) for i in range(n)])
-        T = np.empty((n, n), dtype=np.int32)
-        wcol = np.array(weights, dtype=np.int64)
-        for x in range(n):
-            prods = (mats[x] @ mats) % p
-            enc = np.zeros(n, dtype=np.int64)
-            for t, (i, j) in enumerate(pos):
-                enc += prods[:, i, j] * wcol[t]
-            T[x] = enc
-        g = Group(CayleyTable(T, name=name), source_spec=source_spec, notes=notes)
-        g.gens = tuple(gens)
-        return g
-    return FunctionalGroup(n, mul, name=name, gens=gens, source_spec=source_spec,
-                           notes=notes)
-
-
-def _ut_matrix(entry_list: list[int], pos: list[tuple[int, int]], k: int) -> np.ndarray:
-    m = np.eye(k, dtype=np.int64)
-    for t, (i, j) in enumerate(pos):
-        m[i, j] = entry_list[t]
-    return m
+    return _from_rule(p ** len(pos), rule, f"UT({k},{p})",
+                      gens=[weights[at[i, i + 1]] for i in range(k - 1)], source_spec=source_spec)
 
 
 def wreath_cyclic(p: int, source_spec: str | None = None) -> AnyGroup:
-    """Z_p wr Z_p: the p-fold direct power of Z_p acted on by coordinate shift."""
-    n = p ** (p + 1)
-    if n > table_cap():
-        nH = p ** p
+    """Z_p wr Z_p: the p-fold direct power of Z_p acted on by coordinate shift.
 
-        def unpack(v: int) -> list[int]:
-            out = []
-            for _ in range(p):
-                v, d = divmod(v, p)
-                out.append(d)
-            return out[::-1]
+    The element (v, k) is index k*p^p+v, with the coordinates of v packed
+    big-endian base p; k shifts them k places to the right, which moves the
+    last k digits of v to the front (the only power in a rule, as the shift
+    amount varies per element).
+    """
+    _positive(source_spec or f"wr:{p}", p)
+    nH = p ** p
+    digits = [p ** (p - 1 - i) for i in range(p)]
 
-        def pack(vec: list[int]) -> int:
-            v = 0
-            for d in vec:
-                v = v * p + d
-            return v
+    def add(u, v):  # coordinatewise sum in Z_p^p
+        return sum((u // w + v // w) % p * w for w in digits)
 
-        def mul(x: int, y: int) -> int:
-            k1, v1 = divmod(x, nH)
-            k2, v2 = divmod(y, nH)
-            a, b = unpack(v1), unpack(v2)
-            shifted = [b[(i - k1) % p] for i in range(p)]
-            return ((k1 + k2) % p) * nH + pack([(a[i] + shifted[i]) % p for i in range(p)])
+    def rule(x, y):
+        k, v, r = x // nH, y % nH, p ** (x // nH)
+        return (k + y // nH) % p * nH + add(x % nH, v % r * (nH // r) + v // r)
 
-        return FunctionalGroup(n, mul, name=f"Z{p}wrZ{p}",
-                               gens=(p ** (p - 1), nH), source_spec=source_spec,
-                               notes=("even order",) if p % 2 == 0 else ())
-    base = direct([cyclic(p)] * p)
-    nH = base.order
+    def coords(v):
+        return "(" + ",".join(str(v // w % p) for w in digits) + ")"
 
-    def vec(idx):
-        out = []
-        for _ in range(p):
-            idx, v = divmod(idx, p)
-            out.append(v)
-        return out[::-1]  # big-endian to match direct() packing
+    def split():
+        names = [coords(v) for v in range(nH)]
+        return Group(build_table(nH, add, name=f"Z{p}^{p}", element_names=names)), cyclic(p)
 
-    def enc(v):
-        idx = 0
-        for x in v:
-            idx = idx * p + x
-        return idx
-
-    base_names = ["(" + ",".join(str(d) for d in vec(i)) + ")" for i in range(nH)]
-    base = Group(CayleyTable(base.tbl, name=f"Z{p}^{p}", element_names=base_names), check=False)
-    action = np.empty((p, nH), dtype=np.int32)
-    for k in range(p):
-        for i in range(nH):
-            v = vec(i)
-            action[k, i] = enc([v[(t - k) % p] for t in range(p)])
-    spec = SemidirectSpec(base, cyclic(p), action, name=f"Z{p}wrZ{p}")
-    return semidirect(spec, source_spec=source_spec)
+    return _from_rule(p ** (p + 1), rule, f"Z{p}wrZ{p}", gens=(p ** (p - 1), nH),
+                      label=lambda x: f"({coords(x % nH)},{x // nH})", split=split,
+                      source_spec=source_spec)
 
 
 def from_file(path: str | Path, source_spec: str | None = None) -> Group:

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _ROW_BLOCK,
     DEFAULT_TABLE_CAP,
     CayleyTable,
     ConstructionError,
@@ -109,9 +110,6 @@ class Loop:
 
     def __repr__(self):
         return f"<Loop {self.name!r} n={self.n}>"
-
-
-_ROW_BLOCK = 128  # rows per numpy step of the n^2 scans, so memory stays flat in n
 
 
 def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:

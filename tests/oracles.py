@@ -107,6 +107,18 @@ def second_center81():
     return out
 
 
+def semidirect_table(spec):
+    """Table and labels of H x| F from a SemidirectSpec by the closed formula
+    (h1, f1)(h2, f2) = (h1 * h2^f1, f1 * f2), the element (h, f) at index f*|H|+h."""
+    nH, nF = spec.nH, spec.nF
+    h = np.arange(nH * nF) % nH
+    f = np.arange(nH * nF) // nH
+    acted = spec.action[f[:, None], h[None, :]]
+    table = spec.F.tbl[f[:, None], f[None, :]] * nH + spec.H.tbl[h[:, None], acted]
+    labels = [f"({spec.H.label(i)},{spec.F.label(j)})" for j in range(nF) for i in range(nH)]
+    return table, labels
+
+
 # --- slow reference scans on raw loop tables (numpy arrays with the identity
 #     at index 0).  These are the per-x, per-(x, y) and per-a scans the library
 #     ran before its fast paths; each returns the lexicographically least

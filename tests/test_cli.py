@@ -1,8 +1,16 @@
 """Front-end behavior: exit codes, formats, determinism, file commands."""
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import gamma_forge
 from gamma_forge import tableio
 from gamma_forge.cli import main
 from gamma_forge.groups import construct
@@ -57,6 +65,49 @@ def test_verify_json_format_and_seed_stability(capsys):
     code, out2, _ = run_cli(capsys, "verify", "sd:7:3:2", "--format", "json", "--seed", "5")
     strip = lambda s: re.sub(r'"timing_ms": [0-9.]+', '"timing_ms": 0', s)
     assert strip(out1) == strip(out2)
+
+
+@pytest.mark.parametrize("spec", ["heis:-3", "ut:4:0", "sd:0:3:1", "ut:4:-3"])
+def test_verify_nonpositive_parameters_are_usage_errors(spec):
+    # run as a separate process, so an uncaught exception shows as a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(gamma_forge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gamma_forge.cli", "verify", spec],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and spec in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# exit code and SHA-256 of `verify SPEC --format json` with timings zeroed
+# (ut:5:3 is functional): a changed verdict, witness or label changes an entry
+PINNED_VERIFY = [
+    ("cyclic:3", 0, "1a191905b5ef09a120ec01ade3f8f1be0a89d44b5ed2aeaefbecf6df742cfffe"),
+    ("cyclic:27", 0, "dcf92ea9581ab2d57c3bb070639ba41dde8bf1ab1febfef040085da28bb85d45"),
+    ("dp:cyclic:3,cyclic:3", 0, "1367740a667a85f343da7d6fa9ff108ceec121835811ce81431246c659179d50"),
+    ("dp:cyclic:3,cyclic:5", 0, "73d67a1b5681ad2f91ee1c1b34e4e39ed8323a1a8172e7dd0997de8992f88674"),
+    ("dp:cyclic:3,cyclic:3,cyclic:3", 0,
+     "9ce1bd9cc3a6b98f463c67663491fc2c5309e116a716a31f859e6755bc4caa33"),
+    ("sd:7:3:2", 0, "93f77aa523c11f99bcbb65451aa8ae4ba0633fa39a021c380b03ab79eba94315"),
+    ("sd:13:3:3", 0, "03bc2da5ba3bdea93423eb3c9186134bc00f8c6dd3a8a922b1c556ae6d84c176"),
+    ("sd:11:5:3", 0, "88d6554c8d5faef5fd49aba2a77d1fecbec9d5fab6cb5e81e0d3cb053e168ccb"),
+    ("heis:3", 0, "030843ad07287b48607227fe49fdcbf4c931996654cc1954056cf433a3c419d9"),
+    ("heis:5", 0, "9d22046b7317cecd9b7a7fab8036f29bf41a1e9426d770fcde11fce8560b9ed2"),
+    ("wr:3", 0, "1b7d6982d8a91009929f80086f8c45aa52aa8fcce903e1198327509aff5ebbd3"),
+    ("ut:4:3", 0, "4df7d308270ca942ab03a87f264566fef893c14cf9c54dd5a2dfba62955962ee"),
+    ("sd:31:5:2", 0, "2a438846ce5da2747606399bbf51e8144ec258656eb92b96ead1fac29619f839"),
+    ("cyclic:4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("ut:5:3", 0, "79f9bc98d300cc078e501de53c98ede3879d42c53bd14c3483eb7a8878ee92a8"),
+]
+
+
+def test_verify_json_outputs_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("GAMMA_FORGE_TABLE_CAP", raising=False)
+    got = []
+    for spec, _, _ in PINNED_VERIFY:
+        code, out, _ = run_cli(capsys, "verify", spec, "--format", "json")
+        out = re.sub(r'"timing_ms": [0-9.]+', '"timing_ms": 0', out)
+        got.append((spec, code, hashlib.sha256(out.encode()).hexdigest()))
+    assert got == PINNED_VERIFY
 
 
 def test_verify_functional_group_skips_loop_checks(capsys):

@@ -25,6 +25,7 @@ from gamma_forge import tableio
 
 
 def test_build_table_trivial_and_cyclic():
+    # rules are evaluated on broadcast index arrays; a constant broadcasts too
     t1 = build_table(1, lambda x, y: 0)
     assert t1.n == 1 and t1.product(0, 0) == 0
     z7 = build_table(7, lambda x, y: (x + y) % 7)
@@ -34,23 +35,39 @@ def test_build_table_trivial_and_cyclic():
 
 def test_build_table_group21_rule():
     # pairs (h, k) indexed k-major; product (h1 + 2^k1 h2 mod 7, k1 + k2 mod 3)
+    pow2 = np.array([1, 2, 4])
+
     def enc(h, k):
         return k * 7 + h
 
     def rule(x, y):
         h1, k1 = x % 7, x // 7
         h2, k2 = y % 7, y // 7
-        return enc((h1 + pow(2, k1, 7) * h2) % 7, (k1 + k2) % 3)
+        return enc((h1 + pow2[k1] * h2) % 7, (k1 + k2) % 3)
 
     t = build_table(21, rule)
     assert classify(t).is_loop
     # spot: (1,0)*(0,1) = (1,1)
     assert t.product(1, 7) == 7 + 1
+    # the table is the rule evaluated cell by cell
+    assert all(t.product(x, y) == rule(x, y) for x in range(21) for y in range(21))
 
 
 def test_build_table_rejects_out_of_range():
-    with pytest.raises(ConstructionError, match=r"\(1,2\)"):
-        build_table(3, lambda x, y: 5 if (x, y) == (1, 2) else 0)
+    with pytest.raises(ConstructionError, match=r"entry at \(1,2\) is 5, outside 0\.\.2"):
+        build_table(3, lambda x, y: 5 * ((x == 1) & (y == 2)))
+    # the least bad cell is reported, also for a value that would wrap into
+    # 0..n-1 as an int32
+    with pytest.raises(ConstructionError, match=r"entry at \(1,0\)"):
+        build_table(3, lambda x, y: (x + y) % 3 + 2 ** 32 * ((x == 1) & (y == 0) | (x == 2)))
+
+
+def test_build_table_row_blocks():
+    # orders across several row blocks give the same table as a direct evaluation
+    n = 300
+    t = build_table(n, lambda x, y: (x * 7 + y) % n)
+    r = np.arange(n)
+    assert (t.table == (r[:, None] * 7 + r[None, :]) % n).all()
 
 
 def test_classify_witnesses():

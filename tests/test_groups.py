@@ -297,6 +297,54 @@ def test_from_file_roundtrip(tmp_path, g21):
     assert (g2.tbl == g21.tbl).all()
 
 
+@pytest.mark.parametrize("spec", ["cyclic:27", "dp:cyclic:3,cyclic:9", "sd:31:5:2",
+                                  "heis:5", "ut:4:3", "wr:3"])
+def test_table_and_functional_modes_agree(spec, monkeypatch):
+    monkeypatch.delenv("GAMMA_FORGE_TABLE_CAP", raising=False)
+    table = construct(spec)
+    assert isinstance(table, Group)
+    n = table.order
+    monkeypatch.setenv("GAMMA_FORGE_TABLE_CAP", str(n - 1))
+    fun = construct(spec)
+    assert isinstance(fun, FunctionalGroup)
+    assert np.array_equal([[fun.mul(x, y) for y in range(n)] for x in range(n)], table.tbl)
+    assert (fun.name, fun.gens, fun.notes) == (table.name, table.gens, table.notes)
+
+
+@pytest.mark.parametrize("spec", ["sd:7:3:2", "sd:7:3:4", "sd:13:3:3", "sd:11:5:3",
+                                  "sd:31:5:2", "wr:3"])
+def test_split_tables_match_semidirect_formula(spec):
+    g = construct(spec)
+    table, labels = oracles.semidirect_table(g.sd_spec)
+    assert np.array_equal(g.tbl, table)
+    assert g.labels == labels
+    # the action read off the rule is the intended one
+    action = g.sd_spec.action
+    if spec.startswith("sd:"):
+        q, p, a = (int(t) for t in spec.split(":")[1:])
+        f, h = np.ogrid[:p, :q]
+        assert np.array_equal(action, np.array([pow(a, k, q) for k in range(p)])[f] * h % q)
+    else:
+        for k in range(3):
+            assert [action[k, i] for i in range(27)] == \
+                [oracles.V3.index(oracles.shift(v, k)) for v in oracles.V3]
+
+
+def test_orders_beyond_int32_are_refused():
+    # a table factor's int32 entries times a stride would overflow past 2^31
+    for spec in ("dp:cyclic:3,cyclic:1000000000", "sd:3000000017:1:1", "wr:16"):
+        with pytest.raises(ConstructionError, match="too large"):
+            construct(spec)
+    assert construct("dp:cyclic:3,cyclic:700000000").order < 2 ** 31
+
+
+def test_order_of_stops_on_a_rule_that_is_not_a_group():
+    g = FunctionalGroup(5, lambda x, y: max(x, y), name="max5")
+    assert g.order_of(0) == 1
+    with pytest.raises(ConstructionError, match="element 3 .*max5 is not a group"):
+        g.order_of(3)
+
+
 def test_even_order_flagged():
     g = cyclic(4)
     assert "even order" in g.notes
