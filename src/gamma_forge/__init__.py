@@ -2,19 +2,16 @@
 
 from .core import (
     CayleyTable,
-    CapExceededError,
     ConstructionError,
     EvenOrderError,
     GammaForgeError,
-    PermGroup,
     Permutation,
+    StabilizerChain,
     build_table,
     classify,
-    close,
     left_divide,
     perm_sqrt_odd,
     right_divide,
-    stabilizer_of,
     translation,
 )
 from .groups import (
@@ -46,7 +43,6 @@ from .constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_
 from .loops import (
     Loop,
     check_gamma_axioms,
-    inner_generators,
     is_automorphic,
     is_isomorphic,
     is_left_bruck,

@@ -1,11 +1,11 @@
 """The pinned builtin group catalog and the conjecture survey.
 
 The catalog covers abelian groups, class-2 and class-3 p-groups, nonnilpotent
-metabelian split extensions, and one order-729 metabelian specimen whose
-automorphicity scan is opt-in.  The survey walks a catalog slice (or a
-directory of .tbl files), computes one row per group, and raises a flag on
-any row violating the metabelian <=> automorphic biconditional in either
-direction; flags come only from exhaustive scans.
+metabelian split extensions, and one order-729 metabelian specimen of class 3.
+The survey walks a catalog slice (or a directory of .tbl files), computes one
+row per group, and raises a flag on any row violating the metabelian <=>
+automorphic biconditional in either direction; every verdict behind a flag
+is exhaustive.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ CATALOG_SPECS: dict[str, int] = {
 }
 
 
-def survey_row(g: AnyGroup, seed: int = 0, force_exhaustive: bool = False) -> SurveyRow:
+def survey_row(g: AnyGroup, seed: int = 0) -> SurveyRow:
     """One survey row; loop columns are filled only for odd-order table groups."""
-    ctx = CheckContext(g, seed=seed, force_exhaustive=force_exhaustive)
+    ctx = CheckContext(g, seed=seed)
     row = SurveyRow(spec=g.source_spec or g.name, order=g.order, skipped=ctx.skip_reason)
     if isinstance(g, Group):
         row.uniquely_2_divisible = ctx.uniquely_2_divisible
@@ -57,22 +57,18 @@ def survey_row(g: AnyGroup, seed: int = 0, force_exhaustive: bool = False) -> Su
             row.witnesses[key] = _witness_str(subject, w)
 
     verdict = ctx.automorphic
-    if verdict.status == "inconclusive":
-        row.circ_automorphic = "prescreen-pass (inconclusive)"
-    else:
-        row.circ_automorphic = verdict.status
-    if verdict.status == "false":
+    row.circ_automorphic = verdict.status
+    if not verdict.is_true:
         k, *args = verdict.witness
         labels = ",".join(ctx.circ.label(v) if v >= 0 else "-" for v in args)
         row.witnesses["automorphic"] = f"{k}({labels})"
-    # flags come only from exhaustive verdicts, which are "true" or "false"
-    if verdict.exhaustive and row.metabelian != verdict.is_true:
+    if row.metabelian != verdict.is_true:
         row.flag = "CONJECTURE-COUNTEREXAMPLE"
     return row
 
 
 def run_survey(lo: int = 3, hi: int = 81, source_dir: str | Path | None = None,
-               seed: int = 0, force_exhaustive: bool = False) -> tuple[list[SurveyRow], dict]:
+               seed: int = 0) -> tuple[list[SurveyRow], dict]:
     """Survey rows over the builtin slice or a directory of .tbl files."""
     rows: list[SurveyRow] = []
     if source_dir is None:
@@ -92,7 +88,7 @@ def run_survey(lo: int = 3, hi: int = 81, source_dir: str | Path | None = None,
         if g is None:
             rows.append(SurveyRow(spec=spec, order=0, skipped=f"unreadable: {err}"))
             continue
-        row = survey_row(g, seed=seed, force_exhaustive=force_exhaustive)
+        row = survey_row(g, seed=seed)
         row.spec = spec
         rows.append(row)
     rows.sort(key=lambda r: (r.order, r.spec))

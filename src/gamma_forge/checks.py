@@ -43,8 +43,6 @@ from .report import CheckResult, Report
 
 EXHAUSTIVE_TRIPLE_LIMIT = 81       # full triple scans up to this order, sampled above
 SAMPLED_TRIPLES = 20000
-AUTOMORPHIC_EXHAUSTIVE_LIMIT = 729  # strictly below runs the exhaustive scan by default
-AUTOMORPHIC_PROBES = 64             # seeded prescreen probes when the scan is not exhaustive
 HEAVY_CHECK_LIMIT = 250             # correspondence roundtrips above this are opt-in
 
 
@@ -146,7 +144,7 @@ class CheckContext:
     """The facts about one subject group, each computed on first use and kept.
 
     Survey rows and verify checks both read their facts here, so the two
-    cannot disagree on a decision such as the automorphic scan policy.
+    cannot disagree on a verdict such as the inner-mapping one.
     """
 
     def __init__(self, g: AnyGroup, seed: int = 0, force_exhaustive: bool = False):
@@ -210,15 +208,7 @@ class CheckContext:
 
     @cached_property
     def automorphic(self) -> AutomorphicVerdict:
-        """The inner-mapping verdict under the one scan policy.
-
-        An exhaustive scan runs without the random prescreen, so a failing
-        verdict carries the least witness.  At or above the exhaustive limit
-        only the seeded prescreen runs.
-        """
-        exhaustive = self.force_exhaustive or self.g.order < AUTOMORPHIC_EXHAUSTIVE_LIMIT
-        return is_automorphic(self.circ, exhaustive=exhaustive,
-                              probes=0 if exhaustive else AUTOMORPHIC_PROBES, seed=self.seed)
+        return is_automorphic(self.circ)
 
     @property
     def heavy_ok(self) -> bool:
@@ -375,13 +365,9 @@ def _check_automorphic(ctx: CheckContext) -> Outcome:
     cls = ctx.nilpotency_class
     split = g.sd_spec is not None or (g.source_spec or "").startswith(("sd:", "wr:"))
     expected = "pass" if (split or (cls is not None and cls <= 2)) else None
-    if verdict.status == "true":
+    if verdict.is_true:
         return "pass", expected, None
-    if verdict.status == "false":
-        return "fail", expected, _witness_str(ctx.circ, verdict.witness)
-    return ("inconclusive", expected,
-            f"prescreen-pass (inconclusive): order {g.order} at or above exhaustive "
-            f"limit {AUTOMORPHIC_EXHAUSTIVE_LIMIT}; rerun with --exhaustive")
+    return "fail", expected, _witness_str(ctx.circ, verdict.witness)
 
 
 def _check_closed_forms(ctx: CheckContext) -> Outcome:
@@ -405,7 +391,7 @@ def _check_closed_forms(ctx: CheckContext) -> Outcome:
             return _predicted(False, f"{what} differs at {_witness_str(g, w)}")
     lxy = forms.lxy_table()
     for x in range(n):
-        w = first_false(lxy[x] == _inner_maps(circ, "L", x, np.arange(n)))
+        w = first_false(lxy[x // forms.nH] == _inner_maps(circ, "L", x, np.arange(n)))
         if w is not None:
             y, u = w
             return _predicted(False, f"inner L-map differs at ({g.label(x)},{g.label(y)}) "

@@ -75,8 +75,7 @@ def _parse_orders(text: str) -> tuple[int, int]:
 
 def cmd_survey(args) -> int:
     lo, hi = _parse_orders(args.orders)
-    rows, summary = run_survey(lo, hi, source_dir=args.source, seed=args.seed,
-                               force_exhaustive=args.exhaustive)
+    rows, summary = run_survey(lo, hi, source_dir=args.source, seed=args.seed)
     out = survey_to_json(rows, summary) if args.format == "json" \
         else survey_to_text(rows, summary)
     print(out, end="")
@@ -138,9 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="group spec, e.g. sd:7:3:2 or file:PATH")
     p.add_argument("--checks", default="all", help="comma-separated check ids or 'all'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0, help="prescreen probe order only")
+    p.add_argument("--seed", type=int, default=0, help="sampled triples above order 81")
     p.add_argument("--exhaustive", action="store_true",
-                   help="lift the exhaustive-scan caps")
+                   help="run the correspondence roundtrip above order 250 too")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("survey", help="scan the catalog for conjecture counterexamples")
@@ -148,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", default=None, help="directory of .tbl files instead of builtins")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("convert", help="convert between group and loop forms")

@@ -1,9 +1,9 @@
-"""Finite magmas as Cayley tables, permutations, and extensional permutation groups.
+"""Finite magmas as Cayley tables, permutations, and permutation groups.
 
 Elements are dense indices 0..n-1 throughout.  Tables are materialized numpy
-arrays up to a configurable cap; permutation groups are stored extensionally
-(every element), which keeps all downstream checks exhaustively testable at
-desk scale.
+arrays up to a configurable cap; permutation groups are stabilizer chains
+(a base and strong generating set), which decide membership exactly without
+listing the elements.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 DEFAULT_TABLE_CAP = 3000
-DEFAULT_CLOSURE_CAP = 2_000_000
 
 TABLE_CAP_ENV = "GAMMA_FORGE_TABLE_CAP"
 
@@ -44,14 +43,6 @@ class GammaForgeError(Exception):
 
 class ConstructionError(GammaForgeError):
     """A table, group, or loop could not be built from the given data."""
-
-
-class CapExceededError(GammaForgeError):
-    """A closure or table exceeded its configured size cap."""
-
-    def __init__(self, message: str, partial_size: int | None = None):
-        super().__init__(message)
-        self.partial_size = partial_size
 
 
 class EvenOrderError(GammaForgeError):
@@ -321,71 +312,107 @@ def perm_sqrt_odd(p: Permutation) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# Extensional permutation groups
+# Permutation groups as stabilizer chains
 
 
-class PermGroup:
-    """A permutation group stored extensionally (all elements present)."""
-
-    def __init__(self, degree: int, elements: Iterable[Permutation],
-                 generators: Sequence[Permutation] = ()):
-        self.degree = degree
-        self.elements = frozenset(elements)
-        self.generators = tuple(generators)
-        if Permutation.identity(degree) not in self.elements:
-            raise ConstructionError("element set does not contain the identity")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.elements
-
-    def __eq__(self, other):
-        return (isinstance(other, PermGroup) and self.degree == other.degree
-                and self.elements == other.elements)
-
-    def __hash__(self):
-        return hash((self.degree, self.elements))
-
-    def __repr__(self):
-        return f"<PermGroup degree={self.degree} order={len(self.elements)}>"
+@dataclass
+class _Level:
+    point: int                # the base point
+    gens: list                # strong generators: they fix every earlier base point
+    invs: list                # their inverses
+    orbit: list               # orbit of point under gens, in the order reached
+    where: np.ndarray         # point -> index in orbit, or -1
+    reps: list                # reps[k] maps orbit[k] to point (an inverse coset representative)
+    done: list                # done[k]: how many gens have their Schreier generator at orbit[k] sifted
 
 
-def close(generators: Sequence[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
-    """Extensional closure of permutations under composition.
+class StabilizerChain:
+    """A permutation group on 0..n-1 as a base and strong generating set,
+    completed by deterministic Schreier-Sims (Sims 1970; Seress 2003, ch. 4).
 
-    Frontier-based fixpoint; raises CapExceededError with the partial size if
-    the closure grows past ``cap``.
+    Level i holds base point b_i, strong generators of G_i, the pointwise
+    stabilizer of b_0..b_(i-1), and the orbit of b_i under them.  ``add``
+    sifts every Schreier generator of every level before it returns, so each
+    level's generators generate the stabilizer in the level above, and a
+    permutation is a member exactly when it sifts to the identity.
+    Permutations are image arrays (p[i] is the image of i) of the smallest
+    unsigned dtype that holds n - 1; "p then q" is q[p].
     """
-    gens = list(generators)
-    if not gens:
-        raise ConstructionError("need at least one generator")
-    degree = gens[0].degree
-    for g in gens:
-        if g.degree != degree:
-            raise ConstructionError("generators have mixed degrees")
-    ident = Permutation.identity(degree)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for b in frontier:
-            for a in gens:
-                c = b * a
-                if c not in elements:
-                    elements.add(c)
-                    new.append(c)
-                    if len(elements) > cap:
-                        raise CapExceededError(
-                            f"closure exceeded cap {cap} (partial size {len(elements)})",
-                            partial_size=len(elements),
-                        )
-        frontier = new
-    return PermGroup(degree, elements, gens)
 
+    def __init__(self, n: int, base: Sequence[int] = ()):
+        self.n = n
+        self.identity = np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0)))
+        self.levels: list[_Level] = []
+        for b in base:
+            self._new_level(b)
 
-def stabilizer_of(g: PermGroup, point: int) -> PermGroup:
-    """Subgroup of elements fixing the given point."""
-    fixed = [p for p in g.elements if p.images[point] == point]
-    return PermGroup(g.degree, fixed, tuple(fixed))
+    def _new_level(self, b: int) -> None:
+        where = np.full(self.n, -1, dtype=np.int32)
+        where[b] = 0
+        self.levels.append(_Level(b, [], [], [b], where, [self.identity], [0]))
+
+    def generators(self, i: int) -> list[np.ndarray]:
+        """Strong generators of level i; they generate the pointwise stabilizer of b_0..b_(i-1)."""
+        return self.levels[i].gens if i < len(self.levels) else []
+
+    def sift(self, g: np.ndarray, start: int = 0) -> tuple[np.ndarray, int]:
+        """(residue, level): g followed by the inverse coset representatives of
+        levels start, start + 1, ..., up to the first level whose orbit lacks
+        the residue's image of the base point (len(levels) if none does)."""
+        for i in range(start, len(self.levels)):
+            lvl = self.levels[i]
+            k = lvl.where[g[lvl.point]]
+            if k < 0:
+                return g, i
+            if k:
+                g = lvl.reps[k][g]
+        return g, len(self.levels)
+
+    def add(self, g) -> None:
+        """Extend the group by the permutation g, unless g sifts to the identity."""
+        h, j = self.sift(np.asarray(g, dtype=self.identity.dtype))
+        if (h == self.identity).all():
+            return
+        self._insert(h, 0, j)
+        while j >= 0:  # complete the levels from j up; a new residue restarts below
+            j = self._check(j)
+
+    def _insert(self, h: np.ndarray, lo: int, hi: int) -> None:
+        """Make h, which fixes b_0..b_(hi-1), a strong generator of levels lo..hi."""
+        if hi == len(self.levels):
+            self._new_level(int(np.argmax(h != self.identity)))
+        inv = np.empty_like(h)
+        inv[h] = self.identity
+        for lvl in self.levels[lo:hi + 1]:
+            lvl.gens.append(h)
+            lvl.invs.append(inv)
+            old, k = len(lvl.orbit), 0
+            while k < len(lvl.orbit):  # the new generator on old points, every one on new points
+                for s in range(len(lvl.gens) - 1 if k < old else 0, len(lvl.gens)):
+                    q = int(lvl.gens[s][lvl.orbit[k]])
+                    if lvl.where[q] < 0:
+                        lvl.where[q] = len(lvl.orbit)
+                        lvl.orbit.append(q)
+                        lvl.reps.append(lvl.reps[k][lvl.invs[s]])
+                        lvl.done.append(0)
+                k += 1
+
+    def _check(self, i: int) -> int:
+        """Sift the Schreier generators u_q^-1 s u_p (s(p) = q) of level i not
+        sifted yet through the levels below.  A nontrivial residue becomes a
+        strong generator of the levels it reached, and the deepest of them is
+        returned to be completed first; i - 1 once every one sifts."""
+        lvl = self.levels[i]
+        for k, p in enumerate(lvl.orbit):
+            if lvl.done[k] == len(lvl.gens):
+                continue
+            u = np.empty_like(self.identity)
+            u[lvl.reps[k]] = self.identity  # u maps b_i to p
+            while lvl.done[k] < len(lvl.gens):
+                s = lvl.gens[lvl.done[k]]
+                lvl.done[k] += 1
+                h, j = self.sift(lvl.reps[lvl.where[s[p]]][s[u]], i + 1)
+                if not (h == self.identity).all():
+                    self._insert(h, i + 1, j)
+                    return j
+        return i - 1

@@ -2,9 +2,10 @@
 
 Covers the commutative-loop axiom block (commutativity, automorphic inverses,
 commuting inverse translations, the P-map identity), Moufang and left Bruck
-identities, inner mapping generators and automorphicity, loop center and
-nucleus, central quotients, loop nilpotency, and desk-scale isomorphism
-search.  All scans are exhaustive with lexicographically least witnesses.
+identities, the multiplication group as a stabilizer chain, automorphicity
+of the inner mappings, loop center and nucleus, central quotients, loop
+nilpotency, and desk-scale isomorphism search.  All scans are exhaustive
+with lexicographically least witnesses.
 Associativity and the P-map and left Bol identities are tested only on a
 generating set: the elements that pass each are closed under an operation.
 """
@@ -25,6 +26,7 @@ from .core import (
     ConstructionError,
     GammaForgeError,
     Permutation,
+    StabilizerChain,
     first_false,
 )
 
@@ -103,6 +105,18 @@ class Loop:
             if k > self.n + 1:
                 return 0
         return k
+
+    @cached_property
+    def mlt_chain(self) -> StabilizerChain:
+        """Mlt(Q), generated by the L_x (and the R_x unless Q is commutative),
+        as a stabilizer chain with base point 0 first.  The least translation
+        that does not sift joins the generators, until all of them sift; the
+        level-1 strong generators then generate Stab(0) = Inn(Q)."""
+        chain = StabilizerChain(self.n, base=(0,))
+        for side in (self.tbl,) if self.is_commutative() else (self.tbl, self.tbl.T):
+            for perm in side:
+                chain.add(perm)
+        return chain
 
     @cached_property
     def center_data(self) -> LoopCenterData:
@@ -324,19 +338,6 @@ def powers_coincide(g, q: Loop) -> tuple[bool, tuple[int, int] | None]:
 # Inner mappings and automorphicity
 
 
-@dataclass
-class InnerGenerators:
-    """Standard inner-mapping generators, all verified to fix the identity.
-
-    Ls[x, y] is the permutation u -> (yx) \\ (y(xu)); Rs[x, y] is
-    u -> ((ux)y) / (xy); Ts[x] is u -> x \\ (ux).
-    """
-
-    Ls: np.ndarray  # (n, n, n)
-    Rs: np.ndarray  # (n, n, n)
-    Ts: np.ndarray  # (n, n)
-
-
 def _inner_maps(q: Loop, kind: str, x: int, rows: np.ndarray) -> np.ndarray:
     """Inner maps as the rows of an array: L_{x,y} or R_{x,y} for each y in
     rows, or T_y for each y in rows (then x is unused)."""
@@ -346,15 +347,6 @@ def _inner_maps(q: Loop, kind: str, x: int, rows: np.ndarray) -> np.ndarray:
     if kind == "R":  # u -> ((ux)y) / (xy)
         return q.rdiv.take(n * t.take(n * t[:, x][None, :] + rows[:, None]) + t[x, rows][:, None])
     return q.ldiv[rows[:, None], t[:, rows].T]  # T: u -> y \ (uy)
-
-
-def inner_generators(q: Loop) -> InnerGenerators:
-    rows = np.arange(q.n)
-    Ls, Rs = (np.stack([_inner_maps(q, kind, x, rows) for x in rows]) for kind in "LR")
-    Ts = _inner_maps(q, "T", 0, rows)
-    if (Ls[:, :, 0] != 0).any() or (Rs[:, :, 0] != 0).any() or (Ts[:, 0] != 0).any():
-        raise GammaForgeError("internal inconsistency: an inner generator moves the identity")
-    return InnerGenerators(Ls, Rs, Ts)
 
 
 # Fixed random weights of the row hash that finds repeated inner maps, drawn with
@@ -379,65 +371,61 @@ def _unseen_rows(maps: np.ndarray, seen: dict[int, np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AutomorphicVerdict:
-    status: str  # "true" | "false" | "inconclusive"
+    status: str  # "true" | "false"
     witness: tuple | None = None  # (kind, x, y, u, v); T witnesses use y = -1
-    exhaustive: bool = False
 
     @property
     def is_true(self) -> bool:
         return self.status == "true"
 
 
-def is_automorphic(q: Loop, exhaustive: bool = True, probes: int = 64,
-                   seed: int = 0) -> AutomorphicVerdict:
-    """Whether every standard inner generator is a loop homomorphism.
+def is_automorphic(q: Loop) -> AutomorphicVerdict:
+    """Whether every inner mapping of q is an automorphism of q; exhaustive.
 
-    That suffices for the full inner mapping group, since inner mappings are
-    generated by the standard family and automorphisms compose.  For
-    commutative loops only the L family is scanned (the R maps coincide and
-    the T maps are trivial; both facts are cross-asserted on a sample).  A
-    seeded random prescreen fails fast; the exhaustive scan is authoritative
-    and reports the least witness (kind, x, y, u, v).
-
-    The exhaustive scan builds the n maps of one x (of all x for T) at once
-    and runs the n^2 automorphism test only on maps not met before, in
-    (kind, x, y) order.  Whether a map is an automorphism, and its least
-    failing (u, v), depend only on the map.  So the least failing (kind, x, y)
-    is the first occurrence of its map: an earlier one would fail too.  Every
-    first occurrence is tested, so the witness is that of the full scan.
+    Inn(Q) is the stabilizer of the identity in Mlt(Q) (Bruck, A Survey of
+    Binary Systems, 1958), so the level-1 strong generators of q.mlt_chain
+    generate it.  Aut(Q) is a group, so when each of them passes the n^2
+    automorphism test, every inner mapping does: every L_{x,y}, R_{x,y} and
+    T_x.  On a failure the distinct-map scan gives the least witness.
     """
-    t = q.tbl
-    n = q.n
+    t, gens = q.tbl, q.mlt_chain.generators(1)
+    if _least_block_witness(q.n, lambda k, us: (t[gens[k][us]][:, gens[k]], gens[k][t[us]]),
+                            range(len(gens))) is None:
+        return AutomorphicVerdict("true")
+    w = _least_inner_witness(q)
+    if w is None:
+        raise GammaForgeError("internal inconsistency: an inner mapping is no automorphism "
+                              "but every standard inner generator is one")
+    return AutomorphicVerdict("false", w)
+
+
+def _least_inner_witness(q: Loop) -> tuple | None:
+    """Least (kind, x, y, u, v) at which a standard inner generator is no
+    automorphism, or None.  For commutative loops only the L family is
+    scanned (the R maps coincide and the T maps are trivial; both facts are
+    cross-asserted on the first 16 x and y).
+
+    The scan builds the n maps of one x (of all x for T) at once and runs
+    the n^2 automorphism test only on maps not met before, in (kind, x, y)
+    order.  Whether a map is an automorphism, and its least failing (u, v),
+    depend only on the map.  So the least failing (kind, x, y) is the first
+    occurrence of its map: an earlier one would fail too.  Every first
+    occurrence is tested, so the witness is that of the full scan.
+    """
+    t, n = q.tbl, q.n
     commutative = q.is_commutative()
-    kinds = ("L",) if commutative else ("L", "R", "T")
-
-    rng = random.Random(seed)
-    for _ in range(probes):
-        kind = rng.choice(kinds)
-        x, y, u, v = (rng.randrange(n) for _ in range(4))
-        y = -1 if kind == "T" else y
-        phi = _inner_maps(q, kind, x, np.array([x if kind == "T" else y]))[0]
-        if phi[t[u, v]] != t[phi[u], phi[v]]:
-            return AutomorphicVerdict("false", (kind, x, y, int(u), int(v)), exhaustive=False)
-
-    if not exhaustive:
-        return AutomorphicVerdict("inconclusive", None, exhaustive=False)
-
     if commutative:
-        # spot-check the commutative reductions before relying on them
-        rng = random.Random(seed + 1)
-        for _ in range(min(16, n * n)):
-            x, y = rng.randrange(n), np.array([rng.randrange(n)])
-            if not (_inner_maps(q, "L", x, y) == _inner_maps(q, "R", x, y)).all():
+        few = np.arange(min(16, n))
+        for x in few.tolist():
+            if not (_inner_maps(q, "L", x, few) == _inner_maps(q, "R", x, few)).all():
                 raise GammaForgeError("internal inconsistency: L and R generators differ "
                                       "in a commutative loop")
-            if not (_inner_maps(q, "T", x, np.array([x])) == np.arange(n)).all():
-                raise GammaForgeError("internal inconsistency: nontrivial T generator "
-                                      "in a commutative loop")
-
+        if not (_inner_maps(q, "T", 0, few) == np.arange(n)).all():
+            raise GammaForgeError("internal inconsistency: nontrivial T generator "
+                                  "in a commutative loop")
     seen: dict[int, np.ndarray] = {}
     rows = np.arange(n)
-    for kind in kinds:
+    for kind in ("L",) if commutative else ("L", "R", "T"):
         for x in ((-1,) if kind == "T" else range(n)):
             maps = _inner_maps(q, kind, x, rows)
             for y in _unseen_rows(maps, seen).tolist():
@@ -445,9 +433,8 @@ def is_automorphic(q: Loop, exhaustive: bool = True, probes: int = 64,
                 ok = t[phi[:, None], phi[None, :]] == phi[t]
                 if not ok.all():
                     u, v = first_false(ok)
-                    x_y = (y, -1) if kind == "T" else (x, y)
-                    return AutomorphicVerdict("false", (kind, *x_y, u, v), exhaustive=True)
-    return AutomorphicVerdict("true", None, exhaustive=True)
+                    return (kind, *((y, -1) if kind == "T" else (x, y)), u, v)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +451,23 @@ class LoopCenterData:
 def loop_center(q: Loop) -> LoopCenterData:
     """Commutant, nucleus (all three associator placements), and their meet.
 
-    A sieve: for each x, the candidates a still alive in a placement are
-    tested against every z, a block of them per step, and each is dropped
-    only on a failing pair, so the survivors are exactly that nucleus.  In a
-    commutative loop the left and right placements must agree (cross-check).
+    In a commutative loop the center is the set of points that every
+    level-1 strong generator of q.mlt_chain fixes: those generate Inn(Q),
+    whose common fixed points are the center.  Otherwise a sieve: for each
+    x, the candidates a still alive in a placement are tested against every
+    z, a block of them per step, and each is dropped only on a failing pair,
+    so the survivors are exactly that nucleus.
     """
     t = q.tbl
     n = q.n
+    as_tuple = lambda m: tuple(int(i) for i in np.nonzero(m)[0])
+    if q.is_commutative():
+        # Z(Q) = N_lambda here, as N_lambda = N_rho lies in N_mu; and a is in N_lambda
+        # exactly when every R_{x,y} fixes a, since R_{x,y}(a) = a means (ax)y = a(xy)
+        fixed = np.ones(n, dtype=bool)
+        for g in q.mlt_chain.generators(1):
+            fixed &= g == q.mlt_chain.identity
+        return LoopCenterData(tuple(range(n)), as_tuple(fixed), as_tuple(fixed))
     comm_mask = (t == t.T).all(axis=1)
     placements = (  # (x, a) -> rows a of z: the two sides of the associator law
         lambda x, a: (t[t[a, x], :], t[a][:, t[x]]),        # (a x) z = a (x z)
@@ -486,11 +483,7 @@ def loop_center(q: Loop) -> LoopCenterData:
                 lhs, rhs = sides(x, a)
                 alive[a] = (lhs == rhs).all(axis=1)
     nucleus_mask = left & mid & right
-    if q.is_commutative() and not (left == right).all():
-        raise GammaForgeError("internal inconsistency: left and right nucleus "
-                              "placements differ in a commutative loop")
     center_mask = comm_mask & nucleus_mask
-    as_tuple = lambda m: tuple(int(i) for i in np.nonzero(m)[0])
     return LoopCenterData(as_tuple(comm_mask), as_tuple(nucleus_mask), as_tuple(center_mask))
 
 

@@ -18,7 +18,7 @@ FORMAT_VERSION = "1"
 class CheckResult:
     check_id: str
     claim: str
-    verdict: str  # "pass" | "fail" | "inconclusive" | "skipped"
+    verdict: str  # "pass" | "fail" | "skipped"
     expected: str | None = None  # paper-predicted verdict, None when no prediction
     witness: str | None = None
     timing_ms: float = 0.0
@@ -26,7 +26,7 @@ class CheckResult:
     @property
     def inconsistent(self) -> bool:
         """A hard mismatch against a predicted outcome."""
-        if self.expected is None or self.verdict in ("skipped", "inconclusive"):
+        if self.expected is None or self.verdict == "skipped":
             return False
         return self.verdict != self.expected
 
@@ -73,7 +73,7 @@ class Report:
         for k in sorted(self.environment):
             lines.append(f"  env {k}: {self.environment[k]}")
         for c in self.checks:
-            mark = {"pass": "ok", "fail": "FAIL", "inconclusive": "??", "skipped": "--"}[c.verdict]
+            mark = {"pass": "ok", "fail": "FAIL", "skipped": "--"}[c.verdict]
             exp = f" expected={c.expected}" if c.expected is not None and c.verdict != c.expected else ""
             wit = f" witness={c.witness}" if c.witness else ""
             lines.append(f"[{mark:4}] {c.check_id}: {c.claim}{exp}{wit} ({c.timing_ms:.0f} ms)")
@@ -96,7 +96,7 @@ class SurveyRow:
     circ_gamma: bool | None = None
     circ_associative: bool | None = None
     circ_moufang: bool | None = None
-    circ_automorphic: str | None = None  # "true" | "false" | "prescreen-pass (inconclusive)"
+    circ_automorphic: str | None = None  # "true" | "false"
     witnesses: dict = field(default_factory=dict)
     flag: str | None = None
 

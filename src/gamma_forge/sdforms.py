@@ -234,13 +234,12 @@ class SdForms:
         return out
 
     def lxy_table(self) -> np.ndarray:
-        """Array [x, y, u] of closed-form inner-map images.
-
-        The closed form does not involve the H part of x, so evaluation is
-        grouped by (f, f1, f2) and broadcast along that coordinate.
+        """Array [f, y, u] of closed-form inner-map images u L_{x,y}, one
+        table for each F-part f of x: the closed form does not involve the H
+        part of x, so every x in one F-block has the same table.
         """
         n = self.nH * self.nF
-        out = np.empty((n, n, n), dtype=np.int32)  # half of int64 on n^3 cells; labels < 3000
+        out = np.empty((self.nF, n, n), dtype=np.int32)
         for f in range(self.nF):
             for f1 in range(self.nF):
                 for f2 in range(self.nF):
@@ -249,6 +248,5 @@ class SdForms:
                                       neg(act(f1))))
                     c = self.eval(frac(inv(add(ONE, act(self.F.mul(f1, f2)))), 1, 2))
                     hh = c[self.H.tbl[a[:, None], b[None, :]]]  # [h, h2]
-                    vals = f * self.nH + hh.T                   # [h2, h]
-                    out[self._block(f1), self._block(f2), self._block(f)] = vals[None, :, :]
+                    out[f1, self._block(f2), self._block(f)] = f * self.nH + hh.T  # [h2, h]
         return out

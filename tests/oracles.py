@@ -6,9 +6,13 @@ so the two sides of every comparison stay independent.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import product
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from gamma_forge.core import Permutation
 
 # --- the order-21 split extension: pairs (h, k), h mod 7, k mod 3,
 #     generator of the cyclic part acting by h -> 2h
@@ -237,18 +241,47 @@ def _rdiv(t):
     return d
 
 
+def _inner_generator_maps(t):
+    """The standard inner generators of a raw loop table as functions of (x, y)."""
+    ld, rd = _ldiv(t), _rdiv(t)
+    return {
+        "L": lambda x, y: ld[t[y, x]][t[y][t[x]]],       # u -> (yx) \ (y(xu))
+        "R": lambda x, y: rd[:, t[x, y]][t[:, y][t[:, x]]],  # u -> ((ux)y) / (xy)
+        "T": lambda x, y: ld[x][t[:, x]],                # u -> x \ (ux)
+    }
+
+
+@dataclass
+class InnerGenerators:
+    """Standard inner-mapping generators, all checked to fix the identity.
+
+    Ls[x, y] is the permutation u -> (yx) \\ (y(xu)); Rs[x, y] is
+    u -> ((ux)y) / (xy); Ts[x] is u -> x \\ (ux).
+    """
+
+    Ls: np.ndarray  # (n, n, n)
+    Rs: np.ndarray  # (n, n, n)
+    Ts: np.ndarray  # (n, n)
+
+
+def inner_generators(t):
+    """Every L_{x,y}, R_{x,y} and T_x of a raw loop table, as arrays."""
+    t = t.astype(np.intp)
+    n = len(t)
+    maps = _inner_generator_maps(t)
+    Ls, Rs = (np.array([[maps[k](x, y) for y in range(n)] for x in range(n)]) for k in "LR")
+    Ts = np.array([maps["T"](x, -1) for x in range(n)])
+    assert (Ls[:, :, 0] == 0).all() and (Rs[:, :, 0] == 0).all() and (Ts[:, 0] == 0).all()
+    return InnerGenerators(Ls, Rs, Ts)
+
+
 def automorphic_scan(t):
     """Least (kind, x, y, u, v) at which a standard inner generator fails to
     be an automorphism, one map per (x, y), or None.  Commutative tables
     scan only the L maps; T witnesses carry y = -1."""
     t = t.astype(np.intp)
     n = len(t)
-    ld, rd = _ldiv(t), _rdiv(t)
-    generators = {
-        "L": lambda x, y: ld[t[y, x]][t[y][t[x]]],       # u -> (yx) \ (y(xu))
-        "R": lambda x, y: rd[:, t[x, y]][t[:, y][t[:, x]]],  # u -> ((ux)y) / (xy)
-        "T": lambda x, y: ld[x][t[:, x]],                # u -> x \ (ux)
-    }
+    generators = _inner_generator_maps(t)
     kinds = ("L",) if (t == t.T).all() else ("L", "R", "T")
     for kind in kinds:
         for x in range(n):
@@ -318,3 +351,88 @@ def normalize_identity_scan(arr):
         for y in range(n):
             out[sigma[x], sigma[y]] = sigma[arr[x, y]]
     return out, sigma
+
+
+def uniquely_2_divisible_scan(g):
+    """Whether squaring is injective on a group, one product at a time."""
+    return len({g.mul(x, x) for x in range(g.order)}) == g.order
+
+
+# --- extensional permutation groups: every element listed, so group orders
+#     and stabilizers come from brute-force closure
+
+
+class CapExceededError(Exception):
+    """A closure grew past its size cap."""
+
+    def __init__(self, message, partial_size=None):
+        super().__init__(message)
+        self.partial_size = partial_size
+
+
+class PermGroup:
+    """A permutation group stored extensionally (all elements present)."""
+
+    def __init__(self, degree: int, elements: Iterable[Permutation],
+                 generators: Sequence[Permutation] = ()):
+        self.degree = degree
+        self.elements = frozenset(elements)
+        self.generators = tuple(generators)
+        assert Permutation.identity(degree) in self.elements
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __contains__(self, p):
+        return p in self.elements
+
+    def __eq__(self, other):
+        return (isinstance(other, PermGroup) and self.degree == other.degree
+                and self.elements == other.elements)
+
+    def __hash__(self):
+        return hash((self.degree, self.elements))
+
+
+def close(generators, cap=2_000_000):
+    """Extensional closure of permutations under composition, frontier by
+    frontier; CapExceededError with the partial size past cap elements."""
+    gens = list(generators)
+    assert gens and all(g.degree == gens[0].degree for g in gens)
+    degree = gens[0].degree
+    ident = tuple(range(degree))
+    elements = {ident}
+    frontier = [ident]
+    while frontier:  # on image tuples; c is b followed by a, as Permutation's b * a
+        new = []
+        for b in frontier:
+            for a in (g.images for g in gens):
+                c = tuple([a[i] for i in b])
+                if c not in elements:
+                    elements.add(c)
+                    new.append(c)
+                    if len(elements) > cap:
+                        raise CapExceededError(
+                            f"closure exceeded cap {cap} (partial size {len(elements)})",
+                            partial_size=len(elements))
+        frontier = new
+    return PermGroup(degree, map(Permutation, elements), gens)
+
+
+def stabilizer_of(g, point):
+    """Subgroup of elements fixing the given point."""
+    fixed = [p for p in g.elements if p.images[point] == point]
+    return PermGroup(g.degree, fixed, tuple(fixed))
+
+
+def multiplication_group(t):
+    """Mlt of a raw loop table, extensionally: close the least translation
+    (rows, then columns) not yet in the closure, until every one is in it."""
+    n = len(t)
+    translations = [Permutation(t[x]) for x in range(n)] + [Permutation(t[:, x]) for x in range(n)]
+    gens, group = [Permutation.identity(n)], close([Permutation.identity(n)])
+    for p in translations:
+        if p not in group:
+            gens.append(p)
+            group = close(gens)
+    return group

@@ -21,3 +21,10 @@ def test_survey_builds_only_groups_in_its_slice(monkeypatch):
     assert built == [s for s, order in CATALOG_SPECS.items() if order <= 81]
     assert "ut:4:3" not in built
     assert sorted(r.spec for r in rows) == sorted(built)
+
+
+def test_survey_decides_order_729():
+    rows, summary = run_survey(700, 729)
+    assert [(r.spec, r.metabelian, r.circ_automorphic, r.flag) for r in rows] == \
+        [("ut:4:3", True, "true", None)]
+    assert summary["automorphic-true"] == 1

@@ -93,7 +93,7 @@ PINNED_VERIFY = [
     ("heis:3", 0, "030843ad07287b48607227fe49fdcbf4c931996654cc1954056cf433a3c419d9"),
     ("heis:5", 0, "9d22046b7317cecd9b7a7fab8036f29bf41a1e9426d770fcde11fce8560b9ed2"),
     ("wr:3", 0, "1b7d6982d8a91009929f80086f8c45aa52aa8fcce903e1198327509aff5ebbd3"),
-    ("ut:4:3", 0, "4df7d308270ca942ab03a87f264566fef893c14cf9c54dd5a2dfba62955962ee"),
+    ("ut:4:3", 0, "148d91dda8167bd141a20f854f2e2407c693d7c9e4403f6812128b4e216ebec6"),
     ("sd:31:5:2", 0, "2a438846ce5da2747606399bbf51e8144ec258656eb92b96ead1fac29619f839"),
     ("cyclic:4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("ut:5:3", 0, "79f9bc98d300cc078e501de53c98ede3879d42c53bd14c3483eb7a8878ee92a8"),
@@ -108,6 +108,17 @@ def test_verify_json_outputs_pinned(capsys, monkeypatch):
         out = re.sub(r'"timing_ms": [0-9.]+', '"timing_ms": 0', out)
         got.append((spec, code, hashlib.sha256(out.encode()).hexdigest()))
     assert got == PINNED_VERIFY
+
+
+def test_verify_large_functional_group_ends():
+    # squaring 20 million elements one product at a time took minutes
+    env = dict(os.environ, PYTHONPATH=str(Path(gamma_forge.__file__).parents[1]))
+    env.pop("GAMMA_FORGE_TABLE_CAP", None)
+    proc = subprocess.run([sys.executable, "-m", "gamma_forge.cli", "verify", "cyclic:20000001",
+                           "--checks", "uniquely-2-divisible"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "[ok  ] uniquely-2-divisible" in proc.stdout
 
 
 def test_verify_functional_group_skips_loop_checks(capsys):

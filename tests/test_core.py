@@ -1,5 +1,7 @@
 """Tables, permutations, closure, and the .tbl format."""
 
+import itertools
+import math
 import random
 from itertools import product
 
@@ -7,21 +9,20 @@ import numpy as np
 import pytest
 
 from gamma_forge.core import (
-    CapExceededError,
     CayleyTable,
     ConstructionError,
     EvenOrderError,
     Permutation,
+    StabilizerChain,
     build_table,
     classify,
-    close,
     left_divide,
     perm_sqrt_odd,
     right_divide,
-    stabilizer_of,
     translation,
 )
 from gamma_forge import tableio
+from oracles import CapExceededError, close, stabilizer_of
 
 
 def test_build_table_trivial_and_cyclic():
@@ -235,6 +236,29 @@ def test_stabilizer_abelian_group_mlt():
     mlt = close(gens)
     assert len(mlt) == 9
     assert len(stabilizer_of(mlt, 0)) == 1
+
+
+def test_stabilizer_chain_matches_closure():
+    # random groups of degree up to 6, so that chains of several levels and
+    # base points added on the way occur; every permutation is tested
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        gens = [Permutation(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+        group = close(gens)
+        chain = StabilizerChain(n)
+        for g in gens:
+            chain.add(g.images)
+        assert math.prod(len(level.orbit) for level in chain.levels) == len(group)
+        for i, level in enumerate(chain.levels):
+            stab = group
+            for level_above in chain.levels[:i]:
+                stab = stabilizer_of(stab, level_above.point)
+            assert close([Permutation(g) for g in level.gens] or [Permutation.identity(n)]) == stab
+        for images in itertools.permutations(range(n)):
+            h, stop = chain.sift(np.array(images, dtype=chain.identity.dtype))
+            member = stop == len(chain.levels) and (h == chain.identity).all()
+            assert member == (Permutation(images) in group)
 
 
 # --- .tbl format

@@ -5,10 +5,14 @@ left Bruck, P-map and inner-mapping scans, the per-a nucleus scan, the
 per-(x, y) Bruck -> Gamma translation, the per-x power-associativity scan and
 the per-cell identity relabeling, run on raw arrays.  Verdicts and witnesses,
 tables and error messages must agree exactly, so the fast paths keep the
-least witness.  Random Latin-square loops check the closure lemmas behind the
-generator tests and include loops in which the operation matters.
+least witness.  The stabilizer chain of Mlt is checked against the
+multiplication group closed element by element.  Random Latin-square loops
+check the closure lemmas behind the generator tests and include loops in
+which the operation matters.
 """
 
+import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -17,7 +21,7 @@ import pytest
 import oracles
 from gamma_forge.catalog import CATALOG_SPECS
 from gamma_forge.constructions import circ_loop, gamma_from_bruck, oplus_loop
-from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError
+from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, Permutation
 from gamma_forge import loops
 from gamma_forge.groups import Group, construct
 from gamma_forge.loops import (
@@ -81,8 +85,7 @@ def assert_inner_scans_match_references(t):
     """The inner-mapping scan and, at odd order, the Bruck -> Gamma translation."""
     q = Loop(CayleyTable(t))
     w = oracles.automorphic_scan(t)
-    assert is_automorphic(q, probes=0) == AutomorphicVerdict(
-        "true" if w is None else "false", w, exhaustive=True)
+    assert is_automorphic(q) == AutomorphicVerdict("true" if w is None else "false", w)
     if len(t) % 2 == 0:
         return
     table, message = oracles.gamma_from_bruck_scan(t)
@@ -232,13 +235,53 @@ def test_hash_collisions_never_skip_a_map(monkeypatch):
                oplus_loop(group("wr:3")).tbl]
     for t in tables:
         w = oracles.automorphic_scan(t)
-        assert is_automorphic(Loop(CayleyTable(t)), probes=0).witness == w
+        assert is_automorphic(Loop(CayleyTable(t))).witness == w
 
 
 @pytest.mark.parametrize("spec,witness", [("sd:7:3:2", ("R", 1, 7, 7, 7)), ("wr:3", ("T", 1, -1, 27, 27))])
 def test_oplus_inner_map_witnesses(spec, witness):
-    v = is_automorphic(oplus_loop(group(spec)), probes=0)
-    assert (v.status, v.witness, v.exhaustive) == ("false", witness, True)
+    v = is_automorphic(oplus_loop(group(spec)))
+    assert (v.status, v.witness) == ("false", witness)
+
+
+def mlt_case(case):
+    """A loop table: circ or oplus of a catalog group, or a seeded random loop."""
+    kind, *args = case
+    if kind in ("circ", "oplus"):
+        return (circ_loop if kind == "circ" else oplus_loop)(group(args[0])).tbl
+    return (twisted_loop if kind == "twisted" else cocycle_loop)(*args)
+
+
+MLT_CASES = [(kind, spec) for spec in SMALL_SPECS if group(spec).order <= 27
+             for kind in ("circ", "oplus")]
+MLT_CASES += [("twisted", 0, 3, 3), ("twisted", 10, 3, 3), ("twisted", 5, 3, 3),
+              ("cocycle", 0, 3, 5), ("cocycle", 1, 3, 5, True), ("cocycle", 2, 3, 3)]
+# loops whose left translations generate a proper subgroup of Mlt, so the chain needs the R_x
+NEEDS_RIGHT = [("oplus", "sd:7:3:2"), ("oplus", "sd:7:3:4"), ("twisted", 10, 3, 3)]
+
+
+@pytest.mark.parametrize("case", MLT_CASES, ids=str)
+def test_mlt_chain_matches_extensional_closure(case):
+    t = mlt_case(case)
+    q = Loop(CayleyTable(t))
+    mlt = oracles.multiplication_group(t)
+    inn = oracles.stabilizer_of(mlt, 0)
+    chain = q.mlt_chain
+    assert chain.levels[0].point == 0
+    assert math.prod(len(level.orbit) for level in chain.levels) == len(mlt)
+    if case in NEEDS_RIGHT:
+        assert len(oracles.close([Permutation(row) for row in t])) < len(mlt)
+    inn_gens = [Permutation(p) for p in chain.generators(1)]
+    assert all(p.images[0] == 0 for p in inn_gens)
+    assert oracles.close(inn_gens or [Permutation.identity(q.n)]) == inn
+    # every translation sifts to the identity; a permutation outside Mlt does not
+    for p in list(t) + list(t.T):
+        h, level = chain.sift(p.astype(chain.identity.dtype))
+        assert level == len(chain.levels) and (h == chain.identity).all()
+    if len(mlt) < math.factorial(q.n):
+        outside = next(p for p in itertools.permutations(range(q.n)) if Permutation(p) not in mlt)
+        h, level = chain.sift(np.array(outside, dtype=chain.identity.dtype))
+        assert level < len(chain.levels) or (h != chain.identity).any()
 
 
 def identity_moved(t, seed):

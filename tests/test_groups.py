@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gamma_forge import groups
 from gamma_forge.core import ConstructionError, EvenOrderError
 from gamma_forge.groups import (
     FunctionalGroup,
@@ -154,6 +155,21 @@ def test_u2d_examples(g21):
     assert is_uniquely_2_divisible(cyclic(7))
     assert not is_uniquely_2_divisible(cyclic(2))
     assert is_uniquely_2_divisible(g21)
+
+
+@pytest.mark.parametrize("spec,cap", [("ut:5:3", None), ("cyclic:27", "26"), ("cyclic:28", "27"),
+                                      ("dp:cyclic:3,cyclic:4", "11")])
+def test_functional_u2d_matches_product_scan(spec, cap, monkeypatch):
+    # squares are taken a block of elements at a time; blocks of 5 leave a partial last block
+    if cap is not None:
+        monkeypatch.setenv("GAMMA_FORGE_TABLE_CAP", cap)
+    g = construct(spec)
+    assert isinstance(g, FunctionalGroup)
+    expected = oracles.uniquely_2_divisible_scan(g)
+    assert expected == (g.order % 2 == 1)
+    assert is_uniquely_2_divisible(g) == expected
+    monkeypatch.setattr(groups, "_SQUARE_BLOCK", 5)
+    assert is_uniquely_2_divisible(g) == expected
 
 
 def test_sqrt_examples(g21):
