@@ -36,9 +36,9 @@ CATALOG_SPECS: dict[str, int] = {
 }
 
 
-def survey_row(g: AnyGroup, seed: int = 0) -> SurveyRow:
+def survey_row(g: AnyGroup) -> SurveyRow:
     """One survey row; loop columns are filled only for odd-order table groups."""
-    ctx = CheckContext(g, seed=seed)
+    ctx = CheckContext(g)
     row = SurveyRow(spec=g.source_spec or g.name, order=g.order, skipped=ctx.skip_reason)
     if isinstance(g, Group):
         row.uniquely_2_divisible = ctx.uniquely_2_divisible
@@ -67,8 +67,8 @@ def survey_row(g: AnyGroup, seed: int = 0) -> SurveyRow:
     return row
 
 
-def run_survey(lo: int = 3, hi: int = 81, source_dir: str | Path | None = None,
-               seed: int = 0) -> tuple[list[SurveyRow], dict]:
+def run_survey(lo: int = 3, hi: int = 81,
+               source_dir: str | Path | None = None) -> tuple[list[SurveyRow], dict]:
     """Survey rows over the builtin slice or a directory of .tbl files."""
     rows: list[SurveyRow] = []
     if source_dir is None:
@@ -88,7 +88,7 @@ def run_survey(lo: int = 3, hi: int = 81, source_dir: str | Path | None = None,
         if g is None:
             rows.append(SurveyRow(spec=spec, order=0, skipped=f"unreadable: {err}"))
             continue
-        row = survey_row(g, seed=seed)
+        row = survey_row(g)
         row.spec = spec
         rows.append(row)
     rows.sort(key=lambda r: (r.order, r.spec))

@@ -75,7 +75,7 @@ def _parse_orders(text: str) -> tuple[int, int]:
 
 def cmd_survey(args) -> int:
     lo, hi = _parse_orders(args.orders)
-    rows, summary = run_survey(lo, hi, source_dir=args.source, seed=args.seed)
+    rows, summary = run_survey(lo, hi, source_dir=args.source)
     out = survey_to_json(rows, summary) if args.format == "json" \
         else survey_to_text(rows, summary)
     print(out, end="")
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="scan the catalog for conjecture counterexamples")
     p.add_argument("--orders", default="3..81", help="order range A..B")
     p.add_argument("--source", default=None, help="directory of .tbl files instead of builtins")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="ignored: every survey column is exhaustive")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_survey)
 

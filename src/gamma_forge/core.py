@@ -339,12 +339,10 @@ class StabilizerChain:
     unsigned dtype that holds n - 1; "p then q" is q[p].
     """
 
-    def __init__(self, n: int, base: Sequence[int] = ()):
+    def __init__(self, n: int):
         self.n = n
         self.identity = np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0)))
         self.levels: list[_Level] = []
-        for b in base:
-            self._new_level(b)
 
     def _new_level(self, b: int) -> None:
         where = np.full(self.n, -1, dtype=np.int32)

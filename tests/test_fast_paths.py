@@ -32,6 +32,7 @@ from gamma_forge.loops import (
     is_automorphic,
     is_left_bruck,
     is_power_associative,
+    loop_center,
 )
 from gamma_forge.tableio import normalize_identity
 
@@ -315,10 +316,11 @@ def product_loop(t1, t2):
     return t1[a[:, None], a[None, :]] + n1 * t2[b[:, None], b[None, :]]
 
 
-def latin_loop(seed):
+def latin_loop(seed, commutative=False):
     """A seeded random loop of order 5 to 11: a random Latin square whose row
     and column 0 are the identity, filled cell by cell by backtracking over
-    a random order of symbols per cell."""
+    a random order of symbols per cell.  With commutative, each cell below
+    the diagonal takes the value of its mirror image."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 12))
     t = np.full((n, n), -1)
@@ -330,7 +332,7 @@ def latin_loop(seed):
         if c == len(cells):
             return True
         i, j = cells[c]
-        for v in choices[c]:
+        for v in [t[j, i]] if commutative and j < i else choices[c]:
             if v not in t[i, :j] and v not in t[:i, j]:
                 t[i, j] = v
                 if fill(c + 1):
@@ -388,6 +390,30 @@ def test_random_latin_loops_match_references(seed):
     # is_left_bruck stops at the inverse property in these loops; the Bol scan itself
     assert loops._left_bol_witness(t) == oracles.left_bol_scan(t)
     assert is_power_associative(Loop(CayleyTable(t))) == oracles.power_associative_scan(t)
+
+
+# seeds whose backtracking ends quickly (seed 7 takes about 9 s); the loops of
+# seeds 6, 9 and 11 need the chain for their centers, the others do not
+COMMUTATIVE_LATIN_SEEDS = [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13]
+
+
+@pytest.mark.parametrize("seed", COMMUTATIVE_LATIN_SEEDS)
+def test_random_commutative_loops_match_references(seed):
+    t = latin_loop(seed, commutative=True)
+    assert (t == t.T).all()
+    assert_matches_references(t)
+    assert_inner_scans_match_references(t)
+
+
+def test_random_loops_are_decided_without_their_chain():
+    # the first inner maps refute these loops and leave only 0 as a candidate
+    # for the center, so the chain of Mlt(Q), all of S_n for most random loops,
+    # is never built (for a random loop of order 64 it takes about 5 s)
+    for t in (twisted_loop(3, 11, 11), latin_loop(0, commutative=True), latin_loop(13, commutative=True)):
+        q = Loop(CayleyTable(t))
+        assert is_automorphic(q).witness == oracles.automorphic_scan(t)
+        assert loop_center(q).center == oracles.center_scan(t)[2]
+        assert "mlt_chain" not in q.__dict__
 
 
 def test_random_latin_loops_tell_the_operations_apart():
