@@ -5,14 +5,9 @@ from .core import (
     ConstructionError,
     EvenOrderError,
     GammaForgeError,
-    Permutation,
     StabilizerChain,
     build_table,
     classify,
-    left_divide,
-    perm_sqrt_odd,
-    right_divide,
-    translation,
 )
 from .groups import (
     FunctionalGroup,
@@ -44,7 +39,6 @@ from .loops import (
     Loop,
     check_gamma_axioms,
     is_automorphic,
-    is_isomorphic,
     is_left_bruck,
     is_moufang,
     is_power_associative,

@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .core import CayleyTable, ConstructionError, EvenOrderError, first_false
+from .core import (_ROW_BLOCK, CayleyTable, ConstructionError, EvenOrderError, GammaForgeError,
+                   StabilizerChain, first_false)
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
 from .loops import (
     Loop,
@@ -139,8 +140,69 @@ def gamma_from_bruck(q: Loop, verify: bool = True) -> Loop:
     """Translate a left Bruck loop of odd order back: the product of x and y is
     the image of the identity under L_x L_y [L_y, L_x]^(1/2).
 
-    The commutator permutation [L_y, L_x] must have odd order for every pair;
-    a violating pair is reported by name.
+    The commutator A = L_x L_y L_x^-1 L_y^-1, u -> x(y(x\\(y\\u))), must have
+    odd order m for every pair.  The entry at (x, y) is its root A^((m+1)/2)
+    at p = yx, which is A^((c+1)/2)(p) for the length c of the cycle of p,
+    as both exponents invert 2 modulo c.  Every A lies in LMlt(Q) = <L_x>,
+    so if |LMlt| is odd, every A has odd order and one walk over the orbits
+    gives the table; otherwise pointer doubling names the first even order.
+    """
+    if q.n % 2 == 0:
+        raise ConstructionError("translation requires odd order")
+    if verify:
+        ok, w = is_left_bruck(q)
+        if not ok:
+            raise ConstructionError(f"input is not a left Bruck loop, witness {w}")
+    out = _gamma_by_orbit_walk(q) if _lmlt_order_is_odd(q) else _gamma_by_doubling(q)
+    table = CayleyTable(out, name=f"gamma({q.name})", element_names=q.table.element_names)
+    return Loop(table, source={**q.source, "construction": "bruck->gamma"})
+
+
+def _lmlt_order_is_odd(q: Loop) -> bool:
+    """Whether |LMlt(Q)|, the product of the orbit lengths of the chain, is odd."""
+    chain = StabilizerChain(q.n)
+    for row in q.tbl:
+        chain.add(row)
+    return all(len(level.orbit) % 2 for level in chain.levels)
+
+
+def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:
+    """The translated table when every A_(x,y) has odd order.
+
+    A block of rows x walks every p = yx at once, 4 flat gathers per step; a
+    second pointer takes a step on every odd step, so when the walk first
+    returns to p after c (odd) steps it holds A^((c+1)/2)(p).  Closed orbits
+    leave the arrays after each step.
+    """
+    n = q.n
+    t, ld = q.tbl.ravel(), q.ldiv.ravel()   # flat index of (x, u) is x n + u
+    out = np.empty(n * n, dtype=np.int32)
+    ys = np.arange(n, dtype=np.int32)
+    for lo in range(0, n, _ROW_BLOCK):
+        xs = np.arange(lo, min(lo + _ROW_BLOCK, n), dtype=np.int32)
+        fx, fy = np.repeat(xs * n, n), np.tile(ys * n, len(xs))
+        cell = fx + np.tile(ys, len(xs))          # flat index of (x, y)
+        p = t.take(fy + np.repeat(xs, n))         # yx
+        cur = half = p
+        steps = 0
+        while cell.size:
+            steps += 1
+            cur = t.take(fx + t.take(fy + ld.take(fx + ld.take(fy + cur))))
+            if steps % 2:
+                half = t.take(fx + t.take(fy + ld.take(fx + ld.take(fy + half))))
+            closed = cur == p
+            if closed.any():
+                if steps % 2 == 0:
+                    raise GammaForgeError(f"internal inconsistency: |LMlt| odd but a cycle of length {steps}")
+                out[cell[closed]] = half[closed]
+                open_ = ~closed
+                fx, fy, cell, p, cur, half = (a[open_] for a in (fx, fy, cell, p, cur, half))
+    return out.reshape(n, n)
+
+
+def _gamma_by_doubling(q: Loop) -> np.ndarray:
+    """The translated table by cycle lengths per x, raising EvenOrderError at
+    the first pair whose commutator has even order.
 
     Each step takes one x and all n commutators A_y as the rows of an array.
     Pointer doubling gives A^(2^j) and least_(j+1)(p) = min(least_j(p),
@@ -149,16 +211,8 @@ def gamma_from_bruck(q: Loop, verify: bool = True) -> Loop:
     of length c, least_j(p) <= least_j(A^(2^j) p) <= ... <= least_j(A^(c 2^j)
     p) = least_j(p): these windows cover the cycle, so each window of 2^j
     points holds its least label, c <= 2^j, and no higher power is needed.
-    The least labels give each cycle length c.  The root of A^m = 1 (m odd)
-    is A^((m+1)/2); at the point p = yx it equals A^((c+1)/2)(p), where c is
-    the length of the cycle of p, as both exponents invert 2 modulo c.
+    The least labels give each cycle length c.
     """
-    if q.n % 2 == 0:
-        raise ConstructionError("translation requires odd order")
-    if verify:
-        ok, w = is_left_bruck(q)
-        if not ok:
-            raise ConstructionError(f"input is not a left Bruck loop, witness {w}")
     t = q.tbl
     ld = q.ldiv
     n = q.n
@@ -188,8 +242,7 @@ def gamma_from_bruck(q: Loop, verify: bool = True) -> Loop:
         for j, aj in enumerate(powers):
             point = np.where(k >> j & 1, aj.take(point), point)
         out[x] = point - base
-    table = CayleyTable(out, name=f"gamma({q.name})", element_names=q.table.element_names)
-    return Loop(table, source={**q.source, "construction": "bruck->gamma"})
+    return out
 
 
 def power(q: Loop, x: int, k: int) -> int:

@@ -1,4 +1,4 @@
-"""Finite magmas as Cayley tables, permutations, and permutation groups.
+"""Finite magmas as Cayley tables, and permutation groups as stabilizer chains.
 
 Elements are dense indices 0..n-1 throughout.  Tables are materialized numpy
 arrays up to a configurable cap; permutation groups are stabilizer chains
@@ -8,11 +8,10 @@ listing the elements.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,7 +45,7 @@ class ConstructionError(GammaForgeError):
 
 
 class EvenOrderError(GammaForgeError):
-    """A square root was requested of an element/permutation of even order."""
+    """A square root was requested of an element or permutation of even order."""
 
 
 def first_false(mask: np.ndarray) -> tuple[int, ...] | None:
@@ -57,6 +56,12 @@ def first_false(mask: np.ndarray) -> tuple[int, ...] | None:
     # argmin of a bool array returns the first False in C order
     idx = int(np.argmin(flat))
     return tuple(int(i) for i in np.unravel_index(idx, np.shape(mask)))
+
+
+def distinct_values(values) -> np.ndarray:
+    """The distinct values of a non-negative int array, ascending, as np.unique
+    gives them; np.unique would import numpy.ma (12-38 ms) in every process."""
+    return np.flatnonzero(np.bincount(np.ravel(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,140 +180,6 @@ def classify(t: CayleyTable) -> ClassifyResult:
         if (arr[:, e] == ref).all():
             return ClassifyResult(True, True, True, int(e), None)
     return ClassifyResult(True, False, False, None, "no two-sided identity")
-
-
-def translation(t: CayleyTable, x: int, side: str) -> "Permutation":
-    """Left translation y -> x*y (row x) or right translation y -> y*x (column x)."""
-    if side == "left":
-        images, where = t.table[x, :], f"row {x}"
-    elif side == "right":
-        images, where = t.table[:, x], f"column {x}"
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if len(set(images.tolist())) != t.n:
-        raise ConstructionError(f"{side} translation by {x} is not a bijection ({where} has repeats)")
-    return Permutation(images)
-
-
-def left_divide(t: CayleyTable, x: int, y: int) -> int:
-    """The unique z with x*z = y (requires a loop)."""
-    if not t.classification.is_loop:
-        raise ConstructionError(f"division requires a loop: {t.classification.witness}")
-    return int(t.left_division[x, y])
-
-
-def right_divide(t: CayleyTable, y: int, x: int) -> int:
-    """The unique z with z*x = y (requires a loop)."""
-    if not t.classification.is_loop:
-        raise ConstructionError(f"division requires a loop: {t.classification.witness}")
-    return int(t.right_division[y, x])
-
-
-# ---------------------------------------------------------------------------
-# Permutations
-
-
-class Permutation:
-    """A bijection of 0..n-1, stored as the image tuple.
-
-    Composition follows right-action order: ``p * q`` applies p first, then q,
-    so translation chains read in the same order they act.
-    """
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Iterable[int]):
-        imgs = tuple(int(i) for i in images)
-        n = len(imgs)
-        seen = [False] * n
-        for i in imgs:
-            if not 0 <= i < n or seen[i]:
-                raise ConstructionError(f"not a permutation of 0..{n - 1}: {imgs}")
-            seen[i] = True
-        object.__setattr__(self, "images", imgs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Permutation is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        o = other.images
-        return Permutation(tuple(o[i] for i in self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def cycles(self) -> list[list[int]]:
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            out.append(cyc)
-        return out
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
-
-    def power(self, k: int) -> "Permutation":
-        n = self.degree
-        out = [0] * n
-        for cyc in self.cycles():
-            m = len(cyc)
-            for i, v in enumerate(cyc):
-                out[v] = cyc[(i + k) % m]
-        return Permutation(out)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        cyc = [c for c in self.cycles() if len(c) > 1]
-        if not cyc:
-            return f"Permutation(id, n={self.degree})"
-        body = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
-        return f"Permutation({body}, n={self.degree})"
-
-
-def perm_sqrt_odd(p: Permutation) -> Permutation:
-    """The square root p^((m+1)/2) of an odd-order permutation.
-
-    Squaring the result gives back p, and the result is a power of p, hence
-    lies in any group containing p.  Even order is an error: the root would
-    not be unique in the intended setting.
-    """
-    m = p.order()
-    if m % 2 == 0:
-        raise EvenOrderError(f"permutation has even order {m}")
-    return p.power((m + 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .core import (
     GammaForgeError,
     build_table,
     classify,
+    distinct_values,
     first_false,
     table_cap,
 )
@@ -338,13 +339,20 @@ def is_uniquely_2_divisible(g: AnyGroup) -> bool:
     """True iff squaring is a bijection; cross-asserted against odd order."""
     odd = g.order % 2 == 1
     if isinstance(g, Group):
-        injective = len(np.unique(g.squares)) == g.order
-    else:  # the rule squares a block of elements per step; a square hit twice leaves a gap
-        hit = np.zeros(g.order, dtype=bool)
-        for lo in range(0, g.order, _SQUARE_BLOCK):
-            xs = np.arange(lo, min(lo + _SQUARE_BLOCK, g.order))
-            hit[g.rule(xs, xs)] = True
-        injective = bool(hit.all())
+        injective = len(distinct_values(g.squares)) == g.order
+    else:  # each square s adds bit s % 8 to byte s // 8 of n/8 bytes, a block per step
+        n = g.order
+        sums = np.zeros((n + 7) // 8, dtype=np.uint8)
+        for lo in range(0, n, _SQUARE_BLOCK):
+            xs = np.arange(lo, min(lo + _SQUARE_BLOCK, n))
+            s = g.rule(xs, xs)
+            np.add.at(sums, s >> 3, np.left_shift(np.uint8(1), (s & 7).astype(np.uint8)))
+        # k powers of two sum to at most k set bits, so a byte reading r set
+        # bits (mod 256 too) took at least r squares; as the n squares fill
+        # every byte, each took exactly its r bits once, and a square hit
+        # twice leaves some byte short
+        last = (1 << (n - 8 * len(sums) + 8)) - 1
+        injective = bool(sums[:-1].min(initial=255) == 255 and sums[-1] == last)
     if injective != odd:
         raise GammaForgeError(
             f"internal inconsistency: squaring injective={injective} but order parity says {odd}")
@@ -390,7 +398,7 @@ def _commutator_seed(g: AnyGroup, members_a: Sequence[int], members_b: Sequence[
         C = g.comm_table
         a = np.asarray(members_a)
         block = C[np.ix_(a, np.asarray(members_b) if members_b is not None else np.arange(g.order))]
-        return [int(v) for v in np.unique(block)]
+        return distinct_values(block).tolist()
     bs = members_b if members_b is not None else list(g.gens)
     return sorted({commutator(g, a, b) for a in members_a for b in bs})
 
@@ -476,7 +484,7 @@ def is_metabelian(g: AnyGroup) -> bool:
         sub = g.tbl[np.ix_(idx, idx)]
         abelian = bool((sub == sub.T).all())
         # cross-check on the raw commutator set, which generates G'
-        comms = np.unique(g.comm_table)
+        comms = distinct_values(g.comm_table)
         sub2 = g.tbl[np.ix_(comms, comms)]
         if abelian != bool((sub2 == sub2.T).all()):
             raise GammaForgeError("internal inconsistency in metabelian check")

@@ -3,9 +3,8 @@
 Covers the commutative-loop axiom block (commutativity, automorphic inverses,
 commuting inverse translations, the P-map identity), Moufang and left Bruck
 identities, the multiplication group as a stabilizer chain, automorphicity
-of the inner mappings, loop center and nucleus, central quotients, loop
-nilpotency, and desk-scale isomorphism search.  All scans are exhaustive
-with lexicographically least witnesses.
+of the inner mappings, loop center and nucleus, central quotients and loop
+nilpotency.  All scans are exhaustive with lexicographically least witnesses.
 Associativity and the P-map and left Bol identities are tested only on a
 generating set: the elements that pass each are closed under an operation.
 """
@@ -25,8 +24,8 @@ from .core import (
     CayleyTable,
     ConstructionError,
     GammaForgeError,
-    Permutation,
     StabilizerChain,
+    distinct_values,
     first_false,
 )
 
@@ -158,7 +157,7 @@ def _close(op: np.ndarray, reached: np.ndarray, members: np.ndarray, k: int, a: 
     while todo:  # up to a row block of elements c per step
         cs, todo = todo[-_ROW_BLOCK:], todo[:-_ROW_BLOCK]
         prods = np.concatenate((op[np.ix_(cs, members[:k])].ravel(), op[np.ix_(members[:k], cs)].ravel()))
-        fresh = np.unique(prods[~reached[prods]])
+        fresh = distinct_values(prods[~reached[prods]])
         reached[fresh] = True
         members[k:k + fresh.size] = fresh
         k += fresh.size
@@ -554,108 +553,3 @@ def loop_nilpotency_class(q: Loop) -> int | None:
         current, _ = quotient_loop(current, z)
         depth += 1
     return depth
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism search
-
-
-@dataclass(frozen=True)
-class IsoResult:
-    verdict: str  # "yes" | "no" | "indeterminate"
-    mapping: tuple[int, ...] | None = None
-    certificate: str | None = None
-
-
-def _signatures(q: Loop) -> list[tuple]:
-    sigs = []
-    for x in range(q.n):
-        row = q.tbl[x]
-        fixed = int((row == np.arange(q.n)).sum())
-        cyc = tuple(sorted(len(c) for c in Permutation(row).cycles()))
-        sigs.append((q.order_of(x), fixed, cyc))
-    return sigs
-
-
-def is_isomorphic(q1: Loop, q2: Loop, budget: int = 2_000_000) -> IsoResult:
-    """Search for a loop isomorphism by signature-pruned backtracking.
-
-    Candidate images are restricted by per-element invariants (left-power
-    order, translation fixed points, translation cycle type).  The search is
-    budgeted: exceeding it yields an explicit "indeterminate" verdict, which
-    is distinct from a refutation.
-    """
-    if q1.n != q2.n:
-        return IsoResult("no", certificate=f"orders differ: {q1.n} vs {q2.n}")
-    n = q1.n
-    sig1, sig2 = _signatures(q1), _signatures(q2)
-    if sorted(sig1) != sorted(sig2):
-        return IsoResult("no", certificate="element signature profiles differ")
-    c1, c2 = q1.center_data, q2.center_data
-    if len(c1.center) != len(c2.center):
-        return IsoResult("no", certificate="center sizes differ")
-
-    candidates = [[b for b in range(n) if sig2[b] == sig1[a]] for a in range(n)]
-    order = sorted(range(1, n), key=lambda a: (len(candidates[a]), a))
-    order = [0] + order
-    t1, t2 = q1.tbl, q2.tbl
-    ld1, rd1 = q1.ldiv, q1.rdiv
-    phi = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-    assigned: list[int] = []
-    steps = 0
-
-    def consistent(a: int, b: int) -> bool:
-        # called with phi[a] = b already placed; every constraint touching a
-        # is checked: a as left/right factor, and a as a product value (the
-        # factor pairs multiplying to a are recovered through the divisions)
-        for u in assigned:
-            pu = phi[u]
-            for (s, v) in ((t1[u, a], t2[pu, b]), (t1[a, u], t2[b, pu])):
-                img = phi[s]
-                if img >= 0:
-                    if img != v:
-                        return False
-                elif used[v]:
-                    return False
-            w = int(ld1[u, a])
-            if phi[w] >= 0 and t2[pu, phi[w]] != b:
-                return False
-            w = int(rd1[a, u])
-            if phi[w] >= 0 and t2[phi[w], pu] != b:
-                return False
-        return True
-
-    def dfs(depth: int) -> str:
-        nonlocal steps
-        if depth == n:
-            return "yes"
-        a = order[depth]
-        for b in candidates[a]:
-            if used[b]:
-                continue
-            steps += 1
-            if steps > budget:
-                return "indeterminate"
-            phi[a] = b
-            used[b] = True
-            assigned.append(a)
-            if consistent(a, b):
-                res = dfs(depth + 1)
-                if res != "no":
-                    return res
-            assigned.pop()
-            used[b] = False
-            phi[a] = -1
-        return "no"
-
-    verdict = dfs(0)
-    if verdict == "yes":
-        mapping = tuple(int(v) for v in phi)
-        tm = np.array(mapping)
-        if not (tm[t1] == t2[tm[:, None], tm[None, :]]).all():
-            raise GammaForgeError("internal inconsistency: search returned a non-isomorphism")
-        return IsoResult("yes", mapping=mapping)
-    if verdict == "indeterminate":
-        return IsoResult("indeterminate", certificate=f"search budget {budget} exhausted")
-    return IsoResult("no", certificate="pruned search space exhausted")

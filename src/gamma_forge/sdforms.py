@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GammaForgeError
+from .core import GammaForgeError, distinct_values
 from .groups import SemidirectSpec, sqrt_element
 
 
@@ -96,7 +96,7 @@ class SdForms:
             return self._frac_table(m, n)[self.eval(sub)]
         if kind == "inv":
             arr = self.eval(expr[1])
-            if len(np.unique(arr)) != self.nH:
+            if len(distinct_values(arr)) != self.nH:
                 raise GammaForgeError(
                     "internal inconsistency: exponent map is not a bijection, "
                     "cannot invert")

@@ -2,8 +2,12 @@
 
 Everything here works on labeled pairs/tuples with direct modular arithmetic
 and brute-force searches, never through the library's group or loop engines,
-so the two sides of every comparison stay independent.
+so the two sides of every comparison stay independent.  The exception is a
+section of former library API that only tests used (permutations,
+translations, divisions and the isomorphism search), kept to test against.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
@@ -12,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from gamma_forge.core import Permutation
+from gamma_forge.core import ConstructionError, EvenOrderError, GammaForgeError
 
 # --- the order-21 split extension: pairs (h, k), h mod 7, k mod 3,
 #     generator of the cyclic part acting by h -> 2h
@@ -356,6 +360,241 @@ def normalize_identity_scan(arr):
 def uniquely_2_divisible_scan(g):
     """Whether squaring is injective on a group, one product at a time."""
     return len({g.mul(x, x) for x in range(g.order)}) == g.order
+
+
+# --- permutations, translations, divisions and the isomorphism search:
+#     API of the library that only tests used, kept here to test against
+
+
+class Permutation:
+    """A bijection of 0..n-1, stored as the image tuple.
+
+    Composition follows right-action order: ``p * q`` applies p first, then q,
+    so translation chains read in the same order they act.
+    """
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: Iterable[int]):
+        imgs = tuple(int(i) for i in images)
+        n = len(imgs)
+        seen = [False] * n
+        for i in imgs:
+            if not 0 <= i < n or seen[i]:
+                raise ConstructionError(f"not a permutation of 0..{n - 1}: {imgs}")
+            seen[i] = True
+        object.__setattr__(self, "images", imgs)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Permutation is immutable")
+
+    @classmethod
+    def identity(cls, n: int) -> "Permutation":
+        return cls(range(n))
+
+    @property
+    def degree(self) -> int:
+        return len(self.images)
+
+    def __call__(self, i: int) -> int:
+        return self.images[i]
+
+    def __mul__(self, other: "Permutation") -> "Permutation":
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch")
+        o = other.images
+        return Permutation(tuple(o[i] for i in self.images))
+
+    def inverse(self) -> "Permutation":
+        inv = [0] * self.degree
+        for i, j in enumerate(self.images):
+            inv[j] = i
+        return Permutation(inv)
+
+    def is_identity(self) -> bool:
+        return all(i == j for i, j in enumerate(self.images))
+
+    def cycles(self) -> list[list[int]]:
+        seen = [False] * self.degree
+        out = []
+        for start in range(self.degree):
+            if seen[start]:
+                continue
+            cyc = [start]
+            seen[start] = True
+            j = self.images[start]
+            while j != start:
+                cyc.append(j)
+                seen[j] = True
+                j = self.images[j]
+            out.append(cyc)
+        return out
+
+    def order(self) -> int:
+        return math.lcm(*(len(c) for c in self.cycles()))
+
+    def power(self, k: int) -> "Permutation":
+        n = self.degree
+        out = [0] * n
+        for cyc in self.cycles():
+            m = len(cyc)
+            for i, v in enumerate(cyc):
+                out[v] = cyc[(i + k) % m]
+        return Permutation(out)
+
+    def __eq__(self, other):
+        return isinstance(other, Permutation) and self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
+
+    def __repr__(self):
+        cyc = [c for c in self.cycles() if len(c) > 1]
+        if not cyc:
+            return f"Permutation(id, n={self.degree})"
+        body = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
+        return f"Permutation({body}, n={self.degree})"
+
+
+def translation(t: CayleyTable, x: int, side: str) -> "Permutation":
+    """Left translation y -> x*y (row x) or right translation y -> y*x (column x)."""
+    if side == "left":
+        images, where = t.table[x, :], f"row {x}"
+    elif side == "right":
+        images, where = t.table[:, x], f"column {x}"
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if len(set(images.tolist())) != t.n:
+        raise ConstructionError(f"{side} translation by {x} is not a bijection ({where} has repeats)")
+    return Permutation(images)
+
+
+def left_divide(t: CayleyTable, x: int, y: int) -> int:
+    """The unique z with x*z = y (requires a loop)."""
+    if not t.classification.is_loop:
+        raise ConstructionError(f"division requires a loop: {t.classification.witness}")
+    return int(t.left_division[x, y])
+
+
+def right_divide(t: CayleyTable, y: int, x: int) -> int:
+    """The unique z with z*x = y (requires a loop)."""
+    if not t.classification.is_loop:
+        raise ConstructionError(f"division requires a loop: {t.classification.witness}")
+    return int(t.right_division[y, x])
+
+
+def perm_sqrt_odd(p: Permutation) -> Permutation:
+    """The square root p^((m+1)/2) of an odd-order permutation.
+
+    Squaring the result gives back p, and the result is a power of p, hence
+    lies in any group containing p.  Even order is an error: the root would
+    not be unique in the intended setting.
+    """
+    m = p.order()
+    if m % 2 == 0:
+        raise EvenOrderError(f"permutation has even order {m}")
+    return p.power((m + 1) // 2)
+
+
+@dataclass(frozen=True)
+class IsoResult:
+    verdict: str  # "yes" | "no" | "indeterminate"
+    mapping: tuple[int, ...] | None = None
+    certificate: str | None = None
+
+
+def _signatures(q: Loop) -> list[tuple]:
+    sigs = []
+    for x in range(q.n):
+        row = q.tbl[x]
+        fixed = int((row == np.arange(q.n)).sum())
+        cyc = tuple(sorted(len(c) for c in Permutation(row).cycles()))
+        sigs.append((q.order_of(x), fixed, cyc))
+    return sigs
+
+
+def is_isomorphic(q1: Loop, q2: Loop, budget: int = 2_000_000) -> IsoResult:
+    """Search for a loop isomorphism by signature-pruned backtracking.
+
+    Candidate images are restricted by per-element invariants (left-power
+    order, translation fixed points, translation cycle type).  The search is
+    budgeted: exceeding it yields an explicit "indeterminate" verdict, which
+    is distinct from a refutation.
+    """
+    if q1.n != q2.n:
+        return IsoResult("no", certificate=f"orders differ: {q1.n} vs {q2.n}")
+    n = q1.n
+    sig1, sig2 = _signatures(q1), _signatures(q2)
+    if sorted(sig1) != sorted(sig2):
+        return IsoResult("no", certificate="element signature profiles differ")
+    c1, c2 = q1.center_data, q2.center_data
+    if len(c1.center) != len(c2.center):
+        return IsoResult("no", certificate="center sizes differ")
+
+    candidates = [[b for b in range(n) if sig2[b] == sig1[a]] for a in range(n)]
+    order = sorted(range(1, n), key=lambda a: (len(candidates[a]), a))
+    order = [0] + order
+    t1, t2 = q1.tbl, q2.tbl
+    ld1, rd1 = q1.ldiv, q1.rdiv
+    phi = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+    assigned: list[int] = []
+    steps = 0
+
+    def consistent(a: int, b: int) -> bool:
+        # called with phi[a] = b already placed; every constraint touching a
+        # is checked: a as left/right factor, and a as a product value (the
+        # factor pairs multiplying to a are recovered through the divisions)
+        for u in assigned:
+            pu = phi[u]
+            for (s, v) in ((t1[u, a], t2[pu, b]), (t1[a, u], t2[b, pu])):
+                img = phi[s]
+                if img >= 0:
+                    if img != v:
+                        return False
+                elif used[v]:
+                    return False
+            w = int(ld1[u, a])
+            if phi[w] >= 0 and t2[pu, phi[w]] != b:
+                return False
+            w = int(rd1[a, u])
+            if phi[w] >= 0 and t2[phi[w], pu] != b:
+                return False
+        return True
+
+    def dfs(depth: int) -> str:
+        nonlocal steps
+        if depth == n:
+            return "yes"
+        a = order[depth]
+        for b in candidates[a]:
+            if used[b]:
+                continue
+            steps += 1
+            if steps > budget:
+                return "indeterminate"
+            phi[a] = b
+            used[b] = True
+            assigned.append(a)
+            if consistent(a, b):
+                res = dfs(depth + 1)
+                if res != "no":
+                    return res
+            assigned.pop()
+            used[b] = False
+            phi[a] = -1
+        return "no"
+
+    verdict = dfs(0)
+    if verdict == "yes":
+        mapping = tuple(int(v) for v in phi)
+        tm = np.array(mapping)
+        if not (tm[t1] == t2[tm[:, None], tm[None, :]]).all():
+            raise GammaForgeError("internal inconsistency: search returned a non-isomorphism")
+        return IsoResult("yes", mapping=mapping)
+    if verdict == "indeterminate":
+        return IsoResult("indeterminate", certificate=f"search budget {budget} exhausted")
+    return IsoResult("no", certificate="pruned search space exhausted")
 
 
 # --- extensional permutation groups: every element listed, so group orders

@@ -121,6 +121,18 @@ def test_verify_large_functional_group_ends():
     assert "[ok  ] uniquely-2-divisible" in proc.stdout
 
 
+def test_runs_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma, 12-38 ms per process; core.distinct_values does its work
+    env = dict(os.environ, PYTHONPATH=str(Path(gamma_forge.__file__).parents[1]))
+    env.pop("GAMMA_FORGE_TABLE_CAP", None)
+    code = "import sys\nfrom gamma_forge.cli import main\ncode = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)"
+    for argv in (["verify", "sd:7:3:2"], ["survey", "--orders", "3..27"]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_verify_functional_group_skips_loop_checks(capsys):
     code, out, err = run_cli(capsys, "verify", "ut:5:3",
                              "--checks", "uniquely-2-divisible,circ-loop-gamma-axioms")

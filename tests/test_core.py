@@ -8,21 +8,18 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gamma_forge.core import (
-    CayleyTable,
-    ConstructionError,
-    EvenOrderError,
+from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, StabilizerChain, build_table, classify
+from gamma_forge import tableio
+from oracles import (
+    CapExceededError,
     Permutation,
-    StabilizerChain,
-    build_table,
-    classify,
+    close,
     left_divide,
     perm_sqrt_odd,
     right_divide,
+    stabilizer_of,
     translation,
 )
-from gamma_forge import tableio
-from oracles import CapExceededError, close, stabilizer_of
 
 
 def test_build_table_trivial_and_cyclic():

@@ -5,9 +5,11 @@ left Bruck, P-map and inner-mapping scans, the per-a nucleus scan, the
 per-(x, y) Bruck -> Gamma translation, the per-x power-associativity scan and
 the per-cell identity relabeling, run on raw arrays.  Verdicts and witnesses,
 tables and error messages must agree exactly, so the fast paths keep the
-least witness.  The stabilizer chain of Mlt is checked against the
-multiplication group closed element by element.  Random Latin-square loops
-check the closure lemmas behind the generator tests and include loops in
+least witness.  The orbit walk of the translation is checked against the
+pointer doubling it replaced when |LMlt| is odd, and the loops with even
+|LMlt| are pinned to the doubling.  The stabilizer chain of Mlt is checked
+against the multiplication group closed element by element.  Random
+Latin-square loops check the closure lemmas behind the generator tests and include loops in
 which the operation matters.
 """
 
@@ -19,9 +21,11 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import Permutation
 from gamma_forge.catalog import CATALOG_SPECS
-from gamma_forge.constructions import circ_loop, gamma_from_bruck, oplus_loop
-from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, Permutation
+from gamma_forge import constructions
+from gamma_forge.constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop
+from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError
 from gamma_forge import loops
 from gamma_forge.groups import Group, construct
 from gamma_forge.loops import (
@@ -224,6 +228,79 @@ def test_twisted_loops_reach_even_orders_and_late_witnesses():
     assert outcomes[2] == "translation commutator at (3,6) has even order 6"
     assert "has even order 30" in outcomes[5]
     assert all(oracles.automorphic_scan(twisted_loop(*p))[1] > 1 for p in TWISTED_LOOPS)
+
+
+# left Bruck loops with |LMlt| odd: oplus (the Bruck partner of circ) of the
+# catalog groups up to order 155, and the random cocycle loops of odd order
+BRUCK_CASES = [("oplus", spec) for spec in SMALL_SPECS if group(spec).order <= 155]
+BRUCK_CASES += [("cocycle", seed, m, k, odd) for seed, m, k, odd in RANDOM_LOOPS if m * k % 2]
+
+
+def bruck_case(case):
+    if case[0] == "oplus":
+        return oplus_loop(group(case[1])).tbl
+    return relabel(cocycle_loop(*case[1:]), case[1])
+
+
+@pytest.mark.parametrize("case", BRUCK_CASES, ids=str)
+def test_orbit_walk_matches_doubling_and_references(case, monkeypatch):
+    t = bruck_case(case)
+    q = Loop(CayleyTable(t))
+    assert constructions._lmlt_order_is_odd(q)
+    walked = gamma_from_bruck(q, verify=False).tbl
+    with monkeypatch.context() as m:  # the guard forced to the doubling
+        m.setattr(constructions, "_lmlt_order_is_odd", lambda q: False)
+        assert (gamma_from_bruck(q, verify=False).tbl == walked).all()
+    if len(t) <= 81:
+        table, message = oracles.gamma_from_bruck_scan(t)
+        assert message is None and (walked == table).all()
+    if case[0] == "oplus":  # the roundtrip of circ
+        assert (walked == circ_loop(group(case[1])).tbl).all()
+    # blocks of 3 rows x: orbits closing in several blocks, some blocks of fewer rows
+    monkeypatch.setattr(constructions, "_ROW_BLOCK", 3)
+    assert (gamma_from_bruck(q, verify=False).tbl == walked).all()
+
+
+def test_translation_paths_follow_the_parity_of_lmlt(monkeypatch):
+    odd = [oplus_loop(group("sd:7:3:2")).tbl, oplus_loop(group("wr:3")).tbl,
+           cocycle_loop(0, 3, 5), cocycle_loop(1, 5, 3)]
+    even = [twisted_loop(*p) for p in TWISTED_LOOPS]
+    for t in odd + even[:3]:  # the chain's parity against the group closed element by element
+        lmlt = oracles.close([Permutation(row) for row in t])
+        assert constructions._lmlt_order_is_odd(Loop(CayleyTable(t))) == (len(lmlt) % 2 == 1)
+    calls = []
+    for name in ("_gamma_by_orbit_walk", "_gamma_by_doubling"):
+        def spy(q, run=getattr(constructions, name), name=name):
+            calls.append(name)
+            return run(q)
+        monkeypatch.setattr(constructions, name, spy)
+    for t in odd:
+        gamma_from_bruck(Loop(CayleyTable(t)), verify=False)
+    assert calls == ["_gamma_by_orbit_walk"] * len(odd)
+    calls.clear()
+    # every twisted loop has |LMlt| even and takes the doubling: (0, 3, 3)
+    # translates, the others raise the exact messages of the reference scan
+    messages = []
+    for t in even:
+        q = Loop(CayleyTable(t))
+        assert not constructions._lmlt_order_is_odd(q)
+        table, message = oracles.gamma_from_bruck_scan(t)
+        messages.append(message)
+        if message is None:
+            assert (gamma_from_bruck(q, verify=False).tbl == table).all()
+        else:
+            with pytest.raises(EvenOrderError) as err:
+                gamma_from_bruck(q, verify=False)
+            assert str(err.value) == message
+    assert calls == ["_gamma_by_doubling"] * len(even)
+    assert [m is None for m in messages] == [True] + [False] * 5
+
+
+def test_roundtrip_at_order_729():
+    circ = circ_loop(group("ut:4:3"))
+    bruck = bruck_from_gamma(circ, verify=False)
+    assert constructions._lmlt_order_is_odd(bruck)
+    assert (gamma_from_bruck(bruck, verify=False).tbl == circ.tbl).all()
 
 
 def test_hash_collisions_never_skip_a_map(monkeypatch):

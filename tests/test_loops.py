@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from gamma_forge.core import CayleyTable, ConstructionError, Permutation, translation
+from oracles import Permutation, is_isomorphic, translation
+from gamma_forge.core import CayleyTable, ConstructionError
 from gamma_forge.groups import construct, cyclic, direct, upper_central_series
 from gamma_forge.constructions import circ_loop, oplus_loop
 from gamma_forge.loops import (
     Loop,
     check_gamma_axioms,
     is_automorphic,
-    is_isomorphic,
     is_left_bruck,
     is_moufang,
     is_power_associative,
