@@ -26,7 +26,6 @@ from .groups import (
     is_two_engel,
     is_uniquely_2_divisible,
     lower_central_series,
-    nested_commutator,
     nilpotency_class,
     sd,
     sqrt_element,

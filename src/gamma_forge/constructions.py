@@ -18,12 +18,12 @@ import math
 import numpy as np
 
 from .core import (_ROW_BLOCK, CayleyTable, ConstructionError, EvenOrderError, GammaForgeError,
-                   StabilizerChain, first_false)
+                   StabilizerChain, first_false, left_power_walk)
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
 from .loops import (
     Loop,
-    _associative_submagma,
     check_gamma_axioms,
+    cyclic_powers,
     is_left_bruck,
     is_power_associative,
     powers_coincide,
@@ -101,13 +101,11 @@ def loop_sqrt_table(q: Loop) -> np.ndarray:
     ok, bad = is_power_associative(q)
     if not ok:
         raise ConstructionError(f"loop is not power-associative at element {q.label(bad)}")
-    out = np.empty(q.n, dtype=np.int32)
-    for x in range(q.n):
-        m = q.order_of(x)
-        if m == 0 or m % 2 == 0:
-            raise EvenOrderError(f"element {q.label(x)} has no odd order (got {m})")
-        out[x] = q.left_power(x, (m + 1) // 2)
-    return out
+    orders, roots, _ = left_power_walk(q.tbl)
+    if (orders % 2 == 0).any():
+        x = int(np.argmax(orders % 2 == 0))
+        raise EvenOrderError(f"element {q.label(x)} has no odd order (got {int(orders[x])})")
+    return roots
 
 
 def bruck_from_gamma(q: Loop, verify: bool = True) -> Loop:
@@ -128,8 +126,7 @@ def bruck_from_gamma(q: Loop, verify: bool = True) -> Loop:
     lsqrt = loop_sqrt_table(q)
     t = q.tbl
     n = q.n
-    sq = np.array([q.left_power(y, 2) for y in range(n)], dtype=np.int32)
-    d = t[sq[None, :], np.arange(n)[:, None]]   # [x, y] -> y^2 * x
+    d = t[t.diagonal()[None, :], np.arange(n)[:, None]]   # [x, y] -> y^2 * x
     e = q.ldiv[inv[:, None], d]                 # [x, y] -> x^-1 \ (y^2 x)
     table = CayleyTable(lsqrt[e], name=f"bruck({q.name})",
                         element_names=q.table.element_names)
@@ -249,15 +246,14 @@ def power(q: Loop, x: int, k: int) -> int:
     """The unambiguous k-th power of x; negative k through the two-sided inverse.
 
     Requires the submagma generated by x to be associative (checked), which
-    is what makes the bracketing irrelevant.
+    is what makes the bracketing irrelevant: it is then cyclic on the left
+    powers x^0, ..., x^(m-1), and x^k is the one at k mod m.
     """
-    if _associative_submagma(q, x) is None:
+    powers = cyclic_powers(q.tbl, x)
+    if powers is None:
         raise ConstructionError(f"powers of {q.label(x)} are ambiguous "
                                 f"(generated submagma is not associative)")
-    if k < 0:
-        inv = q.inverse
-        if inv is None:
-            raise ConstructionError("negative powers need two-sided inverses")
-        return power(q, int(inv[x]), -k)
-    return q.left_power(x, k)
+    if k < 0 and q.inverse is None:
+        raise ConstructionError("negative powers need two-sided inverses")
+    return int(powers[k % len(powers)])
 

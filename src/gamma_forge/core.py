@@ -120,19 +120,21 @@ class CayleyTable:
 
     @cached_property
     def left_division(self) -> np.ndarray:
-        """Array D with D[x, y] = x\\y, i.e. the z solving x*z = y."""
+        """Array D with D[x, y] = x\\y, i.e. the z solving x*z = y: D[x, x*z] = z."""
         if not self.classification.is_latin:
             raise ConstructionError(f"not a Latin square: {self.classification.witness}")
-        div = np.argsort(self.table, axis=1).astype(np.int32)
+        div = np.empty_like(self.table)
+        np.put_along_axis(div, self.table, np.arange(self.n, dtype=np.int32)[None, :], axis=1)
         div.setflags(write=False)
         return div
 
     @cached_property
     def right_division(self) -> np.ndarray:
-        """Array D with D[y, x] = y/x, i.e. the z solving z*x = y."""
+        """Array D with D[y, x] = y/x, i.e. the z solving z*x = y: D[z*x, x] = z."""
         if not self.classification.is_latin:
             raise ConstructionError(f"not a Latin square: {self.classification.witness}")
-        div = np.argsort(self.table, axis=0).astype(np.int32)
+        div = np.empty_like(self.table)
+        np.put_along_axis(div, self.table, np.arange(self.n, dtype=np.int32)[:, None], axis=0)
         div.setflags(write=False)
         return div
 
@@ -180,6 +182,38 @@ def classify(t: CayleyTable) -> ClassifyResult:
         if (arr[:, e] == ref).all():
             return ClassifyResult(True, True, True, int(e), None)
     return ClassifyResult(True, False, False, None, "no two-sided identity")
+
+
+def left_power_walk(t: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left powers x^k = x^(k-1) x of every x at once in a Latin table t with
+    identity 0, and side by side in the table u if given.  R_x permutes the
+    elements, so the powers of x first return to 0 at its order m_x <= n.  A
+    second pointer steps on odd steps only, so it holds x^ceil(k/2).  Returns
+    (orders, halves, differ): m_x, x^ceil(m_x/2), and the least k at which
+    the powers in u and t differ (0 if none).  Closed x leave the arrays, and
+    so does x at its first difference, keeping 0 in orders and halves.
+    """
+    n = len(t)
+    orders, halves, differ = (np.zeros(n, dtype=np.int32) for _ in range(3))
+    tf, uf = t.ravel(), (t if u is None else u).ravel()
+    xs = np.arange(n)
+    cur = half = other = xs  # x^1 = 0 x
+    for k in range(1, n + 1):
+        gone = other != cur
+        differ[xs[gone]] = k
+        closed = (cur == 0) & ~gone
+        orders[xs[closed]], halves[xs[closed]] = k, half[closed]
+        gone |= closed
+        if gone.any():
+            keep = ~gone
+            xs, cur, half, other = xs[keep], cur[keep], half[keep], other[keep]
+            if not xs.size:
+                return orders, halves, differ
+        cur = tf.take(cur * n + xs)
+        other = cur if u is None else uf.take(other * n + xs)
+        if k % 2 == 0:
+            half = tf.take(half * n + xs)
+    raise ConstructionError(f"element {int(xs[0])} has no power equal to the identity within {n} steps")
 
 
 # ---------------------------------------------------------------------------

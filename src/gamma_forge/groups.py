@@ -27,6 +27,7 @@ from .core import (
     classify,
     distinct_values,
     first_false,
+    left_power_walk,
     table_cap,
 )
 from . import tableio
@@ -130,14 +131,6 @@ class Group(_Powers):
         return int(t[t[self.inverse[y], x], y])
 
     @cached_property
-    def element_orders(self) -> np.ndarray:
-        return np.array([self.order_of(x) for x in range(self.order)], dtype=np.int32)
-
-    @cached_property
-    def exponent(self) -> int:
-        return math.lcm(*self.element_orders.tolist())
-
-    @cached_property
     def comm_table(self) -> np.ndarray:
         """C[x, y] = [x, y] = x^-1 y^-1 x y."""
         t, inv = self.tbl, self.inverse
@@ -156,13 +149,11 @@ class Group(_Powers):
 
     @cached_property
     def sqrt_table(self) -> np.ndarray:
-        """s[x] with s[x]^2 = x; requires every element order odd."""
-        orders = self.element_orders
+        """s[x] = x^((m+1)/2) with s[x]^2 = x; requires every element order m odd."""
+        orders, s, _ = left_power_walk(self.tbl)
         if (orders % 2 == 0).any():
             x = int(np.argmax(orders % 2 == 0))
             raise EvenOrderError(f"element {self.label(x)} has even order {int(orders[x])}")
-        s = np.array([self.power(x, (int(orders[x]) + 1) // 2) for x in range(self.order)],
-                     dtype=np.int32)
         s.setflags(write=False)
         return s
 
@@ -266,9 +257,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
-
 
 def subgroup_closure(g: AnyGroup, seed: Sequence[int]) -> tuple[int, ...]:
     """Members of the subgroup generated by ``seed`` (frontier fixpoint)."""
@@ -323,16 +311,6 @@ def commutator(g: AnyGroup, x: int, y: int) -> int:
     if isinstance(g, Group):
         return int(g.comm_table[x, y])
     return g.mul(g.mul(g.mul(g.inv(x), g.inv(y)), x), y)
-
-
-def nested_commutator(g: AnyGroup, xs: Sequence[int]) -> int:
-    """[x0, x1, ..., xk] folded left: [[x0,x1],...,xk]."""
-    if not xs:
-        raise ValueError("need at least one element")
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = commutator(g, acc, x)
-    return acc
 
 
 def is_uniquely_2_divisible(g: AnyGroup) -> bool:
@@ -490,27 +468,10 @@ def is_metabelian(g: AnyGroup) -> bool:
             raise GammaForgeError("internal inconsistency in metabelian check")
         return abelian
     # a generated subgroup is abelian exactly when its generators commute
-    gens = list(dprime_gens)
-    abelian = True
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if g.mul(a, b) != g.mul(b, a):
-                abelian = False
-                break
-        if not abelian:
-            break
-    if len(dprime_members) <= 1024:
-        full = True
-        mem = list(dprime_members)
-        for i, a in enumerate(mem):
-            for b in mem[i + 1:]:
-                if g.mul(a, b) != g.mul(b, a):
-                    full = False
-                    break
-            if not full:
-                break
-        if full != abelian:
-            raise GammaForgeError("internal inconsistency in metabelian check")
+    commute = lambda xs: all(g.mul(a, b) == g.mul(b, a) for i, a in enumerate(xs) for b in xs[i + 1:])
+    abelian = commute(dprime_gens)
+    if len(dprime_members) <= 1024 and commute(dprime_members) != abelian:
+        raise GammaForgeError("internal inconsistency in metabelian check")
     return abelian
 
 

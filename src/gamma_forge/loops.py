@@ -27,6 +27,7 @@ from .core import (
     StabilizerChain,
     distinct_values,
     first_false,
+    left_power_walk,
 )
 
 
@@ -83,27 +84,6 @@ class Loop:
         """Exhaustive associativity test with least witness triple."""
         w = associativity_witness(self.tbl)
         return w is None, w
-
-    def left_power(self, x: int, k: int) -> int:
-        """k-fold left-bracketed power (((x*x)*x)...)*x; k >= 0."""
-        acc = 0
-        for _ in range(k):
-            acc = int(self.tbl[acc, x])
-        return acc
-
-    def order_of(self, x: int) -> int:
-        """Least k >= 1 with the k-th left power equal to the identity.
-
-        Returns 0 when the left powers never reach the identity (possible in
-        loops that are not power-associative).
-        """
-        k, acc = 1, x
-        while acc != 0:
-            acc = int(self.tbl[acc, x])
-            k += 1
-            if k > self.n + 1:
-                return 0
-        return k
 
     @cached_property
     def mlt_chain(self) -> StabilizerChain:
@@ -295,42 +275,48 @@ def is_power_associative(q: Loop) -> tuple[bool, int | None]:
     covered = np.zeros(q.n, dtype=bool)
     for x in range(q.n):
         if not covered[x]:
-            members = _associative_submagma(q, x)
+            members = cyclic_powers(q.tbl, x)
             if members is None:
                 return False, x
             covered[members] = True
     return True, None
 
 
-def _associative_submagma(q: Loop, x: int) -> np.ndarray | None:
-    """The sorted members of the submagma generated by x if it is associative,
-    which makes the powers of x independent of their bracketing; else None."""
-    members = np.empty(q.n, dtype=np.intp)
-    members = np.sort(members[:_close(q.tbl, np.zeros(q.n, dtype=bool), members, 0, x)])
-    sub = np.searchsorted(members, q.tbl[np.ix_(members, members)])
-    return members if associativity_witness(sub) is None else None
+def cyclic_powers(t: np.ndarray, x: int) -> np.ndarray | None:
+    """The left powers x^0, ..., x^(m-1) of x in a loop table t, returning to
+    0 first at x^m, if the submagma <x> is associative; else None.  If
+    x^i x^j = x^((i+j) mod m) for all i, j < m (a block of rows i per step),
+    the powers are closed, hold x and form Z_m, so they are <x>.  Conversely
+    an associative <x> is a finite cancellative semigroup, so a group, whose
+    idempotent is the loop's 0: it is cyclic on these powers and passes.
+    """
+    powers, p = [0], t.item(0, x)
+    while p:  # x^k = x^(k-1) x, a step of the cycle of 0 under R_x
+        powers.append(p)
+        p = t.item(p, x)
+    pw, m = np.array(powers), len(powers)
+    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate((pw, pw[:-1])), m)  # row i: x^(i+j)
+    for lo in range(0, m, _ROW_BLOCK):
+        if not (t[pw[lo:lo + _ROW_BLOCK, None], pw] == shifted[lo:lo + _ROW_BLOCK]).all():
+            return None
+    return pw
 
 
 def powers_coincide(g, q: Loop) -> tuple[bool, tuple[int, int] | None]:
     """Group powers equal loop powers for every element and exponent.
 
-    Witness is (element, k) at the first disagreement.  Also insists the loop
-    side is power-associative so its powers are unambiguous.
+    Witness is (element, k) at the first disagreement: the least x, then its
+    least k up to the order of x in g, from one walk of both tables.  Also
+    insists the loop side is power-associative so its powers are unambiguous.
     """
     if g.order != q.n:
         raise ValueError("group and loop must share one element set")
     ok, bad = is_power_associative(q)
     if not ok:
         return False, (bad, -1)
-    for x in range(g.order):
-        m = g.order_of(x)
-        pg, pl = 0, 0
-        for k in range(1, m + 1):
-            pg = g.mul(pg, x)
-            pl = q.mul(pl, x)
-            if pg != pl:
-                return False, (x, k)
-    return True, None
+    differ = left_power_walk(g.tbl, q.tbl)[2]
+    x = int(np.argmax(differ > 0))  # the least x whose powers differ, if any
+    return (False, (x, int(differ[x]))) if differ[x] else (True, None)
 
 
 # ---------------------------------------------------------------------------

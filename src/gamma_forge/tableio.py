@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CayleyTable, ConstructionError, classify
+from .core import _ROW_BLOCK, CayleyTable, ConstructionError, classify
 
 
 @dataclass
@@ -26,12 +26,14 @@ class ImportResult:
 
 
 def parse_tbl(text: str) -> tuple[np.ndarray, str | None, list[str]]:
-    """Parse .tbl text into (raw array, declared name, comment lines)."""
+    """Parse .tbl text into (raw array, declared name, comment lines); numpy
+    reads the rows whole if they are clean (_clean_rows), else line by line."""
     name = None
     comments = []
-    rows: list[list[int]] = []
+    rows: list[list[int]] | np.ndarray = []
     n = None
-    lines = enumerate(text.splitlines(), start=1)
+    all_lines = text.splitlines()
+    lines = enumerate(all_lines, start=1)
     for lineno, line in lines:
         stripped = line.strip()
         if not stripped:
@@ -49,6 +51,10 @@ def parse_tbl(text: str) -> tuple[np.ndarray, str | None, list[str]]:
                 raise ConstructionError(f"line {lineno}: expected element count, got {stripped!r}")
             if n < 1:
                 raise ConstructionError(f"line {lineno}: element count must be >= 1")
+            block = _clean_rows(all_lines[lineno:lineno + n], n)
+            if block is not None:  # the rows are read: go on after them
+                rows, lines = block, enumerate(all_lines[lineno + n:], start=lineno + n + 1)
+                break
             continue
         parts = stripped.split()
         if len(parts) != n:
@@ -71,7 +77,24 @@ def parse_tbl(text: str) -> tuple[np.ndarray, str | None, list[str]]:
         raise ConstructionError("no element count found")
     if len(rows) != n:
         raise ConstructionError(f"expected {n} rows, found {len(rows)}")
-    return np.array(rows, dtype=np.int32), name, comments
+    return np.asarray(rows, dtype=np.int32), name, comments
+
+
+def _clean_rows(lines: list[str], n: int) -> np.ndarray | None:
+    """The (n, n) table of n row lines if each holds only ASCII digits, spaces
+    and tabs, with a digit, and reads as n values in 0..n-1 (as int() reads
+    them); else None.  numpy's separator matches zero blanks, so '1-2' or '1+2'
+    would read as two values, and a line of only blanks reads as one 0.  A value
+    of 2^63 or more reads as the int64 maximum and fails the range check."""
+    text = "\n".join(lines)
+    if (len(lines) < n or any(map(str.isspace, lines)) or not text.isascii()
+            or text.encode().translate(None, b"0123456789 \t\n")):
+        return None
+    rows = [np.fromstring(line, dtype=np.int64, sep=" ") for line in lines]
+    if any(row.size != n for row in rows):
+        return None
+    arr = np.stack(rows)
+    return arr.astype(np.int32) if ((arr >= 0) & (arr < n)).all() else None
 
 
 def normalize_identity(arr: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
@@ -109,8 +132,9 @@ def format_tbl(table: CayleyTable, extra_comments: list[str] | None = None) -> s
     for c in extra_comments or []:
         lines.append(f"# {c}")
     lines.append(str(table.n))
-    for row in table.table:
-        lines.append(" ".join(str(int(v)) for v in row))
+    labels = np.array([str(v) for v in range(table.n)], dtype=object)
+    for lo in range(0, table.n, _ROW_BLOCK):  # a block of rows per step, so memory stays flat
+        lines.extend(map(" ".join, labels[table.table[lo:lo + _ROW_BLOCK]].tolist()))
     return "\n".join(lines) + "\n"
 
 

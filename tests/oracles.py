@@ -4,7 +4,8 @@ Everything here works on labeled pairs/tuples with direct modular arithmetic
 and brute-force searches, never through the library's group or loop engines,
 so the two sides of every comparison stay independent.  The exception is a
 section of former library API that only tests used (permutations,
-translations, divisions and the isomorphism search), kept to test against.
+translations, divisions, loop powers, nested commutators and the isomorphism
+search), kept to test against.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from gamma_forge.core import ConstructionError, EvenOrderError, GammaForgeError
+from gamma_forge.groups import commutator
 
 # --- the order-21 split extension: pairs (h, k), h mod 7, k mod 3,
 #     generator of the cyclic part acting by h -> 2h
@@ -207,18 +209,22 @@ def gamma_axioms_scan(t):
     return gamma3, (True, None)
 
 
+def submagma_is_associative(t, x):
+    """Whether the submagma generated by x, closed one product at a time, is associative."""
+    members, grew = {x}, True
+    while grew:
+        new = {int(t[a, b]) for a in members for b in members} - members
+        members |= new
+        grew = bool(new)
+    s = sorted(members)
+    sub = np.array([[s.index(int(t[a, b])) for b in s] for a in s])
+    return assoc_scan(sub) is None
+
+
 def power_associative_scan(t):
-    """(True, None), or (False, x) for the least x whose generated submagma,
-    closed one product at a time, is not associative."""
+    """(True, None), or (False, x) for the least x whose generated submagma is not associative."""
     for x in range(len(t)):
-        members, grew = {x}, True
-        while grew:
-            new = {int(t[a, b]) for a in members for b in members} - members
-            members |= new
-            grew = bool(new)
-        s = sorted(members)
-        sub = np.array([[s.index(int(t[a, b])) for b in s] for a in s])
-        if assoc_scan(sub) is not None:
+        if not submagma_is_associative(t, x):
             return False, x
     return True, None
 
@@ -362,8 +368,65 @@ def uniquely_2_divisible_scan(g):
     return len({g.mul(x, x) for x in range(g.order)}) == g.order
 
 
-# --- permutations, translations, divisions and the isomorphism search:
-#     API of the library that only tests used, kept here to test against
+def powers_coincide_scan(gt, qt):
+    """(True, None), or (False, (x, k)) for the least x and then the least
+    k <= m at which the k-th left powers of x in the group table gt and the
+    loop table qt differ, m the order of x in gt; one product at a time."""
+    for x in range(len(gt)):
+        pg, pl, k = 0, 0, 0
+        while k == 0 or pg != 0:
+            pg, pl, k = int(gt[pg, x]), int(qt[pl, x]), k + 1
+            if pg != pl:
+                return False, (x, k)
+    return True, None
+
+
+def format_tbl_per_cell(table, extra_comments=None):
+    """.tbl text of a CayleyTable, formatted one cell at a time."""
+    lines = [f"# name: {table.name}"] if table.name else []
+    lines += [f"# {c}" for c in extra_comments or []]
+    lines.append(str(table.n))
+    for row in table.table:
+        lines.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# --- permutations, translations, divisions, powers, nested commutators and
+#     the isomorphism search: API of the library that only tests used, kept
+#     here to test against
+
+
+def nested_commutator(g, xs: Sequence[int]) -> int:
+    """[x0, x1, ..., xk] folded left: [[x0,x1],...,xk]."""
+    if not xs:
+        raise ValueError("need at least one element")
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = commutator(g, acc, x)
+    return acc
+
+
+def left_power(q: Loop, x: int, k: int) -> int:
+    """k-fold left-bracketed power (((x*x)*x)...)*x in a loop; k >= 0."""
+    acc = 0
+    for _ in range(k):
+        acc = int(q.tbl[acc, x])
+    return acc
+
+
+def loop_order_of(q: Loop, x: int) -> int:
+    """Least k >= 1 with the k-th left power equal to the identity.
+
+    Returns 0 when the left powers never reach the identity (possible in
+    loops that are not power-associative).
+    """
+    k, acc = 1, x
+    while acc != 0:
+        acc = int(q.tbl[acc, x])
+        k += 1
+        if k > q.n + 1:
+            return 0
+    return k
 
 
 class Permutation:
@@ -509,7 +572,7 @@ def _signatures(q: Loop) -> list[tuple]:
         row = q.tbl[x]
         fixed = int((row == np.arange(q.n)).sum())
         cyc = tuple(sorted(len(c) for c in Permutation(row).cycles()))
-        sigs.append((q.order_of(x), fixed, cyc))
+        sigs.append((loop_order_of(q, x), fixed, cyc))
     return sigs
 
 

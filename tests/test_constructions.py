@@ -43,7 +43,7 @@ def test_circ_heisenberg_is_abelian_group_of_exponent_3():
     q = circ_loop(h)
     assert q.is_associative()[0]
     assert q.is_commutative()
-    assert all(q.left_power(x, 3) == 0 for x in range(q.n))
+    assert all(oracles.left_power(q, x, 3) == 0 for x in range(q.n))
 
 
 def test_circ_group21_value(q21):

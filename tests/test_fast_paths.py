@@ -2,15 +2,16 @@
 
 The references in ``oracles`` are the per-x associativity scan, the per-(x, y)
 left Bruck, P-map and inner-mapping scans, the per-a nucleus scan, the
-per-(x, y) Bruck -> Gamma translation, the per-x power-associativity scan and
-the per-cell identity relabeling, run on raw arrays.  Verdicts and witnesses,
-tables and error messages must agree exactly, so the fast paths keep the
-least witness.  The orbit walk of the translation is checked against the
-pointer doubling it replaced when |LMlt| is odd, and the loops with even
+per-(x, y) Bruck -> Gamma translation, the per-x power-associativity scan,
+the per-cell identity relabeling, run on raw arrays, and the scalar power
+loops; numpy's argsort is the reference for the divisions.  Verdicts and
+witnesses, tables and error messages must agree exactly, so the fast paths
+keep the least witness.  The orbit walk of the translation is checked against
+the pointer doubling it replaced when |LMlt| is odd, and the loops with even
 |LMlt| are pinned to the doubling.  The stabilizer chain of Mlt is checked
 against the multiplication group closed element by element.  Random
-Latin-square loops check the closure lemmas behind the generator tests and include loops in
-which the operation matters.
+Latin-square loops check the closure lemmas behind the generator tests and
+include loops in which the operation matters.
 """
 
 import itertools
@@ -24,8 +25,9 @@ import oracles
 from oracles import Permutation
 from gamma_forge.catalog import CATALOG_SPECS
 from gamma_forge import constructions
-from gamma_forge.constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop
-from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError
+from gamma_forge.constructions import (bruck_from_gamma, circ_loop, gamma_from_bruck, loop_sqrt_table,
+                                       oplus_loop, power)
+from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, left_power_walk
 from gamma_forge import loops
 from gamma_forge.groups import Group, construct
 from gamma_forge.loops import (
@@ -35,8 +37,10 @@ from gamma_forge.loops import (
     check_gamma_axioms,
     is_automorphic,
     is_left_bruck,
+    cyclic_powers,
     is_power_associative,
     loop_center,
+    powers_coincide,
 )
 from gamma_forge.tableio import normalize_identity
 
@@ -535,3 +539,116 @@ def test_product_loops_reach_late_witnesses():
         witnesses += [check_gamma_axioms(q).p_map_identity.witness, is_left_bruck(q)[1]]
     assert all(w is not None for w in witnesses)
     assert sum(w[0] > 1 for w in witnesses) >= 12
+
+
+# --- element powers: the walk over all elements against scalar powers
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS + ["ut:4:3", "cyclic:2187", "cyclic:12", "dp:sd:7:3:2,cyclic:4"])
+def test_walked_group_powers_match_scalar_powers(spec):
+    g = group(spec)
+    orders, halves, differ = left_power_walk(g.tbl)
+    assert orders.tolist() == [g.order_of(x) for x in range(g.order)]
+    assert halves.tolist() == [g.power(x, (m + 1) // 2) for x, m in enumerate(orders.tolist())]
+    assert not differ.any()
+    if g.order % 2:
+        assert (g.sqrt_table == halves).all()
+
+
+@pytest.mark.parametrize("spec", [s for s in SMALL_SPECS if group(s).order <= 81])
+def test_walked_loop_powers_match_scalar_powers(spec):
+    for q in (circ_loop(group(spec)), oplus_loop(group(spec))):
+        orders = [oracles.loop_order_of(q, x) for x in range(q.n)]
+        assert left_power_walk(q.tbl)[0].tolist() == orders
+        assert loop_sqrt_table(q).tolist() == [oracles.left_power(q, x, (m + 1) // 2) for x, m in enumerate(orders)]
+
+
+def test_even_orders_keep_their_messages():
+    g = group("cyclic:12")
+    with pytest.raises(EvenOrderError, match=r"^element 1 has even order 12$"):
+        g.sqrt_table
+    with pytest.raises(EvenOrderError, match=r"^element 1 has no odd order \(got 12\)$"):
+        loop_sqrt_table(Loop(g.table))
+    g = group("sd:7:3:2")
+    t = product_loop(g.tbl, group("cyclic:2").tbl)  # element (a, b) at a + 21 b: (0, 1) has order 2
+    with pytest.raises(EvenOrderError, match=r"^element 21 has no odd order \(got 2\)$"):
+        loop_sqrt_table(Loop(CayleyTable(t)))
+
+
+def seeded_loops():
+    """Seeded loops, most not power-associative: cocycle and twisted loops of
+    order 15, circ(sd:7:3:2) times a cocycle loop, and relabelings of these."""
+    circ21 = circ_loop(group("sd:7:3:2")).tbl
+    out = []
+    for seed in range(4):
+        for t in (cocycle_loop(seed, 3, 5), cocycle_loop(seed, 5, 3), twisted_loop(seed, 3, 5),
+                  product_loop(circ21, cocycle_loop(seed, 3, 5))):
+            out += [t, relabel(t, seed)]
+    return out
+
+
+@pytest.mark.parametrize("block", [128, 1])
+def test_power_associativity_matches_references_on_seeded_loops(block, monkeypatch):
+    monkeypatch.setattr(loops, "_ROW_BLOCK", block)  # 1: each row x^i of a gather is its own block
+    witnesses = []
+    for t in seeded_loops():
+        q = Loop(CayleyTable(t))
+        verdict = is_power_associative(q)
+        assert verdict == oracles.power_associative_scan(t)
+        if not verdict[0]:
+            assert powers_coincide(group(f"cyclic:{q.n}"), q) == (False, (verdict[1], -1))
+            witnesses.append(verdict[1])
+    # most witnesses lie past the first x tested, some past a whole subloop of 21 covered elements
+    assert len(witnesses) >= 28 and sum(w > 1 for w in witnesses) >= 16 and max(witnesses) >= 63
+
+
+def test_cyclic_powers_decide_each_generated_submagma():
+    # the old power(): a closure test of <x>, then left powers, of the inverse for k < 0
+    small = [t for t in seeded_loops() if len(t) == 15]
+    for t in small + [circ_loop(group("sd:7:3:2")).tbl, cocycle_loop(3, 5, 3, odd=True)]:
+        q = Loop(CayleyTable(t))
+        for x in range(len(t)):
+            pw = cyclic_powers(t, x)
+            assert (pw is not None) == oracles.submagma_is_associative(t, x)
+            if pw is None:
+                with pytest.raises(ConstructionError, match="ambiguous"):
+                    power(q, x, 2)
+                continue
+            assert pw.tolist() == [oracles.left_power(q, x, k) for k in range(len(pw))]
+            for k in range(-len(pw) - 2, 2 * len(pw) + 2):
+                if k >= 0:
+                    assert power(q, x, k) == oracles.left_power(q, x, k)
+                elif q.inverse is None:
+                    with pytest.raises(ConstructionError, match="two-sided inverses"):
+                        power(q, x, k)
+                else:
+                    assert power(q, x, k) == oracles.left_power(q, int(q.inverse[x]), -k)
+
+
+@pytest.mark.parametrize("spec", [s for s in SMALL_SPECS if group(s).order <= 125] + ["ut:4:3"])
+def test_powers_coincide_matches_the_scalar_loop(spec):
+    g = group(spec)
+    for t in (circ_loop(g).tbl, oplus_loop(g).tbl, relabel(g.tbl, 1), relabel(g.tbl, 2)):
+        assert powers_coincide(g, Loop(CayleyTable(t))) == oracles.powers_coincide_scan(g.tbl, t)
+
+
+def test_powers_coincide_witnesses_reach_late_exponents():
+    ks = set()
+    for spec in ("sd:7:3:2", "cyclic:27", "sd:31:5:2", "heis:5"):
+        g = group(spec)
+        for seed in range(6):
+            t = relabel(g.tbl, seed)
+            got = powers_coincide(g, Loop(CayleyTable(t)))
+            assert got == oracles.powers_coincide_scan(g.tbl, t)
+            ks.add(got[1][1])
+    assert max(ks) > 2
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS + ["ut:4:3"])
+def test_divisions_match_the_argsort_they_replace(spec):
+    g = group(spec)
+    for t in (g.tbl, relabel(oplus_loop(g).tbl, 5), twisted_loop(len(spec), 3, 5)):
+        c = CayleyTable(t)
+        for div, axis in ((c.left_division, 1), (c.right_division, 0)):
+            assert div.dtype == np.int32 and not div.flags.writeable
+            assert (div == np.argsort(t, axis=axis)).all()
