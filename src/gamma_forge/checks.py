@@ -9,12 +9,13 @@ and encode the metabelian <=> automorphic biconditional the search is after.
 
 from __future__ import annotations
 
+import random
 import time
 from functools import cached_property
 
 import numpy as np
 
-from .core import GammaForgeError, first_false
+from .core import GammaForgeError, first_false, first_false_rows
 from .groups import (
     AnyGroup,
     Group,
@@ -47,13 +48,14 @@ HEAVY_CHECK_LIMIT = 250             # correspondence roundtrips above this are o
 
 
 def _triple_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """All triples up to the exhaustive limit, a seeded sample beyond."""
+    """All triples up to the exhaustive limit, a sample beyond: 64-bit words of
+    random.Random(seed) mod n (numpy.random would load about 20 modules)."""
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
         x, y, z = np.indices((n, n, n))
         return x.ravel(), y.ravel(), z.ravel(), True
-    rng = np.random.default_rng(seed)
-    m = SAMPLED_TRIPLES
-    return (rng.integers(0, n, m), rng.integers(0, n, m), rng.integers(0, n, m), False)
+    words = np.frombuffer(random.Random(seed).randbytes(24 * SAMPLED_TRIPLES), "<u8")
+    x, y, z = (words % n).astype(np.intp).reshape(3, SAMPLED_TRIPLES)
+    return x, y, z, False
 
 
 def commutator_identities_hold(g: Group, seed: int = 0) -> tuple[bool, str | None, bool]:
@@ -63,66 +65,41 @@ def commutator_identities_hold(g: Group, seed: int = 0) -> tuple[bool, str | Non
     Returns (ok, witness, exhaustive).
     """
     t, inv, C = g.tbl, g.inverse, g.comm_table
-    n = g.order
-    A = np.arange(n)[:, None]
-    Y = np.arange(n)[None, :]
-    conj = t[t[inv[Y], A], Y]  # conj[a, y] = y^-1 a y
+    conj = lambda a, y: t[t[inv[y], a], y]  # y^-1 a y, on the triples only
+    X, Y, Z, exhaustive = _triple_indices(g.order, seed)
 
-    X, Yy, Z, exhaustive = _triple_indices(n, seed)
-    # [xy, z] == [x,z]^y [y,z]
-    lhs = C[t[X, Yy], Z]
-    rhs = t[conj[C[X, Z], Yy], C[Yy, Z]]
-    if not (lhs == rhs).all():
-        i = int(np.argmin(lhs == rhs))
-        return False, f"product-in-first-slot expansion fails at {_triple_label(g, X, Yy, Z, i)}", exhaustive
-    # [x, yz] == [x,z] [x,y]^z
-    lhs = C[X, t[Yy, Z]]
-    rhs = t[C[X, Z], conj[C[X, Yy], Z]]
-    if not (lhs == rhs).all():
-        i = int(np.argmin(lhs == rhs))
-        return False, f"product-in-second-slot expansion fails at {_triple_label(g, X, Yy, Z, i)}", exhaustive
-    # [x, y^-1] == [y,x]^(y^-1)  and  [x^-1, y] == [y,x]^(x^-1)
-    lhs = C[X, inv[Yy]]
-    rhs = conj[C[Yy, X], inv[Yy]]
-    if not (lhs == rhs).all():
-        i = int(np.argmin(lhs == rhs))
-        return False, f"inverse-commutator identity fails at {_triple_label(g, X, Yy, Z, i)}", exhaustive
-    lhs = C[inv[X], Yy]
-    rhs = conj[C[Yy, X], inv[X]]
-    if not (lhs == rhs).all():
-        i = int(np.argmin(lhs == rhs))
-        return False, f"inverse-commutator identity fails at {_triple_label(g, X, Yy, Z, i)}", exhaustive
-    # [x,y^-1,z]^y [y,z^-1,x]^z [z,x^-1,y]^x == 1
-    t1 = conj[C[C[X, inv[Yy]], Z], Yy]
-    t2 = conj[C[C[Yy, inv[Z]], X], Z]
-    t3 = conj[C[C[Z, inv[X]], Yy], X]
-    prod = t[t[t1, t2], t3]
-    if not (prod == 0).all():
-        i = int(np.argmin(prod == 0))
-        return False, f"three-term conjugated product fails at {_triple_label(g, X, Yy, Z, i)}", exhaustive
-    return True, None, exhaustive
+    def sides():  # each identity built only once the ones before it hold
+        # [xy, z] == [x,z]^y [y,z]  and  [x, yz] == [x,z] [x,y]^z
+        yield "product-in-first-slot expansion", C[t[X, Y], Z], t[conj(C[X, Z], Y), C[Y, Z]]
+        yield "product-in-second-slot expansion", C[X, t[Y, Z]], t[C[X, Z], conj(C[X, Y], Z)]
+        # [x, y^-1] == [y,x]^(y^-1)  and  [x^-1, y] == [y,x]^(x^-1)
+        yield "inverse-commutator identity", C[X, inv[Y]], conj(C[Y, X], inv[Y])
+        yield "inverse-commutator identity", C[inv[X], Y], conj(C[Y, X], inv[X])
+        # [x,y^-1,z]^y [y,z^-1,x]^z [z,x^-1,y]^x == 1
+        t1 = conj(C[C[X, inv[Y]], Z], Y)
+        t2 = conj(C[C[Y, inv[Z]], X], Z)
+        yield "three-term conjugated product", t[t[t1, t2], conj(C[C[Z, inv[X]], Y], X)], 0
+    return _first_failure(g, X, Y, Z, exhaustive, sides())
 
 
 def metabelian_identities_hold(g: Group, seed: int = 0) -> tuple[bool, str | None, bool]:
     """For metabelian groups: [sqrt([x,y]), z] == sqrt([[x,y], z]) and the
     rotation product [x,y,z][z,x,y][y,z,x] == 1."""
     t, C, S = g.tbl, g.comm_table, g.sqrt_table
-    n = g.order
-    X, Y, Z, exhaustive = _triple_indices(n, seed)
-    lhs = C[S[C[X, Y]], Z]
-    rhs = S[C[C[X, Y], Z]]
-    if not (lhs == rhs).all():
-        i = int(np.argmin(lhs == rhs))
-        return False, f"root-of-commutator identity fails at {_triple_label(g, X, Y, Z, i)}", exhaustive
-    prod = t[t[C[C[X, Y], Z], C[C[Z, X], Y]], C[C[Y, Z], X]]
-    if not (prod == 0).all():
-        i = int(np.argmin(prod == 0))
-        return False, f"rotation product fails at {_triple_label(g, X, Y, Z, i)}", exhaustive
+    X, Y, Z, exhaustive = _triple_indices(g.order, seed)
+    return _first_failure(g, X, Y, Z, exhaustive, (
+        ("root-of-commutator identity", C[S[C[X, Y]], Z], S[C[C[X, Y], Z]]),
+        ("rotation product", t[t[C[C[X, Y], Z], C[C[Z, X], Y]], C[C[Y, Z], X]], 0)))
+
+
+def _first_failure(g: AnyGroup, X, Y, Z, exhaustive: bool, identities) -> tuple[bool, str | None, bool]:
+    """(ok, witness, exhaustive) of (name, lhs, rhs) identities on the triples,
+    taken in order: the first that fails names its first failing triple."""
+    for what, lhs, rhs in identities:
+        if not (lhs == rhs).all():
+            i = int(np.argmin(lhs == rhs))
+            return False, f"{what} fails at ({g.label(int(X[i]))},{g.label(int(Y[i]))},{g.label(int(Z[i]))})", exhaustive
     return True, None, exhaustive
-
-
-def _triple_label(g: AnyGroup, X, Y, Z, i: int) -> str:
-    return f"({g.label(int(X[i]))},{g.label(int(Y[i]))},{g.label(int(Z[i]))})"
 
 
 def _witness_str(subject, w) -> str | None:
@@ -294,7 +271,7 @@ def _check_baer(ctx: CheckContext) -> Outcome:
 def _check_moufang(ctx: CheckContext) -> Outcome:
     engel, ew = ctx.two_engel
     moufang, mw = ctx.circ_moufang
-    same_tables = bool((ctx.circ.tbl == ctx.oplus.tbl).all())
+    same_tables = first_false_rows(ctx.g.order, lambda r: ctx.circ.tbl[r] == ctx.oplus.tbl[r]) is None
     parts = []
     if moufang != engel:
         parts.append(f"2-Engel={engel} (witness {_witness_str(ctx.g, ew)}) but "

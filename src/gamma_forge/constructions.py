@@ -18,11 +18,13 @@ import math
 import numpy as np
 
 from .core import (_ROW_BLOCK, CayleyTable, ConstructionError, EvenOrderError, GammaForgeError,
-                   StabilizerChain, first_false, left_power_walk)
+                   StabilizerChain, build_table, left_power_walk)
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
 from .loops import (
     Loop,
+    aip_witness,
     check_gamma_axioms,
+    commutativity_witness,
     cyclic_powers,
     is_left_bruck,
     is_power_associative,
@@ -45,11 +47,9 @@ def circ_loop(g: AnyGroup, check: bool = True) -> Loop:
     g = _require_table(g, "circ construction")
     if not is_uniquely_2_divisible(g):
         raise ConstructionError(f"{g.name} is not uniquely 2-divisible")
-    t = g.tbl
-    s = g.sqrt_table
-    k = g.comm_table.T  # [y, x] at position (x, y)
-    c = t[t, s[k]]
-    table = CayleyTable(c, name=f"circ({g.name})", element_names=g.table.element_names)
+    t, s, C = g.tbl, g.sqrt_table, g.comm_table
+    table = build_table(g.order, lambda x, y: t[t[x, y], s[C[y, x]]],
+                        name=f"circ({g.name})", element_names=g.table.element_names)
     q = Loop(table, source=_provenance(g, "circ"))
     if check:
         _validate_constructed(g, q, require_commutative=True)
@@ -65,12 +65,9 @@ def oplus_loop(g: AnyGroup, check: bool = True) -> Loop:
     g = _require_table(g, "oplus construction")
     if not is_uniquely_2_divisible(g):
         raise ConstructionError(f"{g.name} is not uniquely 2-divisible")
-    t = g.tbl
-    s = g.sqrt_table
-    n = g.order
-    a = t[:, g.squares]                       # [x, y] -> x * y^2
-    b = t[a, np.arange(n)[:, None]]           # [x, y] -> (x * y^2) * x
-    table = CayleyTable(s[b], name=f"oplus({g.name})", element_names=g.table.element_names)
+    t, s, sq = g.tbl, g.sqrt_table, g.squares
+    table = build_table(g.order, lambda x, y: s[t[t[x, sq[y]], x]],  # sqrt((x y^2) x)
+                        name=f"oplus({g.name})", element_names=g.table.element_names)
     q = Loop(table, source=_provenance(g, "oplus"))
     if check:
         _validate_constructed(g, q, require_commutative=False)
@@ -81,14 +78,12 @@ def _validate_constructed(g: Group, q: Loop, require_commutative: bool):
     if q.mul(0, 0) != 0:
         raise ConstructionError("constructed loop lost the source identity")
     if require_commutative:
-        w = first_false(q.tbl == q.tbl.T)
+        w = commutativity_witness(q.tbl)
         if w is not None:
             raise ConstructionError(f"constructed table not commutative at {w}")
-        inv = q.inverse
-        if inv is None:
+        if q.inverse is None:
             raise ConstructionError("constructed loop lacks two-sided inverses")
-        aip = inv[q.tbl] == q.tbl[inv[:, None], inv[None, :]]
-        w = first_false(aip)
+        w = aip_witness(q)
         if w is not None:
             raise ConstructionError(f"automorphic inverse property fails at {w}")
     ok, w = powers_coincide(g, q)

@@ -64,6 +64,23 @@ def distinct_values(values) -> np.ndarray:
     return np.flatnonzero(np.bincount(np.ravel(values)))
 
 
+def row_zeros(t: np.ndarray) -> np.ndarray:
+    """The column of the first 0 in each row of t (0 for a row without one),
+    a block of rows per step."""
+    return np.concatenate([np.argmin(t[lo:lo + _ROW_BLOCK] != 0, axis=1)
+                           for lo in range(0, len(t), _ROW_BLOCK)]).astype(np.int32)
+
+
+def first_false_rows(n: int, block: Callable[[slice], np.ndarray]) -> tuple[int, ...] | None:
+    """first_false of an n-row mask whose rows r are block(r), for a slice r of
+    _ROW_BLOCK rows per step; so the mask is never held whole."""
+    for lo in range(0, n, _ROW_BLOCK):
+        w = first_false(block(slice(lo, lo + _ROW_BLOCK)))
+        if w is not None:
+            return (lo + w[0], *w[1:])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Cayley tables
 
@@ -84,15 +101,16 @@ class CayleyTable:
     """
 
     def __init__(self, table, name: str = "", element_names: Sequence[str] | None = None):
-        arr = np.array(table, dtype=np.int32)
+        # a read-only int32 array that owns its data is taken as is, anything else copied
+        owned = isinstance(table, np.ndarray) and table.base is None and not table.flags.writeable
+        arr = table if owned and table.dtype == np.int32 else np.array(table, dtype=np.int32)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConstructionError(f"table must be square, got shape {arr.shape}")
         n = arr.shape[0]
         if n < 1:
             raise ConstructionError("table must have at least one element")
-        bad = first_false((arr >= 0) & (arr < n))
-        if bad is not None:
-            x, y = bad
+        if arr.min() < 0 or arr.max() >= n:
+            x, y = first_false((arr >= 0) & (arr < n))
             raise ConstructionError(
                 f"entry at ({x},{y}) is {int(arr[x, y])}, outside 0..{n - 1}"
             )
@@ -121,20 +139,22 @@ class CayleyTable:
     @cached_property
     def left_division(self) -> np.ndarray:
         """Array D with D[x, y] = x\\y, i.e. the z solving x*z = y: D[x, x*z] = z."""
-        if not self.classification.is_latin:
-            raise ConstructionError(f"not a Latin square: {self.classification.witness}")
-        div = np.empty_like(self.table)
-        np.put_along_axis(div, self.table, np.arange(self.n, dtype=np.int32)[None, :], axis=1)
-        div.setflags(write=False)
-        return div
+        return self._division(left=True)
 
     @cached_property
     def right_division(self) -> np.ndarray:
         """Array D with D[y, x] = y/x, i.e. the z solving z*x = y: D[z*x, x] = z."""
+        return self._division(left=False)
+
+    def _division(self, left: bool) -> np.ndarray:
+        """Scatter z into row x at x*z (left), or into column x at z*x, a block of rows per step."""
         if not self.classification.is_latin:
             raise ConstructionError(f"not a Latin square: {self.classification.witness}")
         div = np.empty_like(self.table)
-        np.put_along_axis(div, self.table, np.arange(self.n, dtype=np.int32)[:, None], axis=0)
+        into, t = (div, self.table) if left else (div.T, self.table.T)
+        for lo in range(0, self.n, _ROW_BLOCK):
+            np.put_along_axis(into[lo:lo + _ROW_BLOCK], t[lo:lo + _ROW_BLOCK],
+                              np.arange(self.n, dtype=np.int32)[None, :], axis=1)
         div.setflags(write=False)
         return div
 
@@ -160,27 +180,30 @@ def build_table(
     for lo in range(0, n, _ROW_BLOCK):
         x = np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None]
         arr[lo:lo + _ROW_BLOCK] = np.clip(rule(x, y), info.min, info.max)
+    arr.setflags(write=False)  # so CayleyTable takes it without a copy
     return CayleyTable(arr, name=name, element_names=element_names)
 
 
 def classify(t: CayleyTable) -> ClassifyResult:
-    """Decide Latin-ness and loop-ness, with a witness for any failure."""
+    """Decide Latin-ness and loop-ness, with a witness for any failure.  A row
+    is a permutation when its entries mark every cell of a bool row; a block
+    of rows (then of columns, through the transpose) per step."""
     arr = t.table
     n = t.n
     ref = np.arange(n, dtype=arr.dtype)
-    rows_ok = (np.sort(arr, axis=1) == ref).all(axis=1)
-    cols_ok = (np.sort(arr, axis=0) == ref[:, None]).all(axis=0)
-    if not rows_ok.all():
-        r = int(np.argmin(rows_ok))
-        return ClassifyResult(False, False, False, None, f"row {r} is not a permutation")
-    if not cols_ok.all():
-        c = int(np.argmin(cols_ok))
-        return ClassifyResult(False, False, False, None, f"column {c} is not a permutation")
-    # two-sided identity: a row equal to 0..n-1 whose matching column also is
-    left_ids = np.nonzero((arr == ref).all(axis=1))[0]
-    for e in left_ids:
-        if (arr[:, e] == ref).all():
-            return ClassifyResult(True, True, True, int(e), None)
+    for what, side in (("row", arr), ("column", arr.T)):
+        for lo in range(0, n, _ROW_BLOCK):
+            block = side[lo:lo + _ROW_BLOCK]
+            marks = np.zeros(block.shape, dtype=bool)
+            marks.ravel()[block + np.arange(0, block.size, n)[:, None]] = True
+            if not marks.all():
+                r = lo + int(np.argmin(marks.all(axis=1)))
+                return ClassifyResult(False, False, False, None, f"{what} {r} is not a permutation")
+    # two-sided identity: a row equal to 0..n-1 whose matching column also is;
+    # it maps 0 to 0, and in a Latin table only one row e has e * 0 = 0
+    e = int(np.argmin(arr[:, 0] != 0))
+    if (arr[e] == ref).all() and (arr[:, e] == ref).all():
+        return ClassifyResult(True, True, True, e, None)
     return ClassifyResult(True, False, False, None, "no two-sided identity")
 
 

@@ -23,15 +23,17 @@ from .core import (
     ConstructionError,
     EvenOrderError,
     GammaForgeError,
+    _ROW_BLOCK,
     build_table,
     classify,
     distinct_values,
-    first_false,
+    first_false_rows,
     left_power_walk,
+    row_zeros,
     table_cap,
 )
 from . import tableio
-from .loops import associativity_witness
+from .loops import associativity_witness, commutativity_witness
 
 
 _SQUARE_BLOCK = 1 << 16  # elements squared per numpy step in functional groups
@@ -91,7 +93,7 @@ class Group(_Powers):
         if check:
             self._verify()
         # inverse of x is the unique y with x*y = 0; rows are permutations
-        self.inverse = np.argmin(self.tbl != 0, axis=1).astype(np.int32)
+        self.inverse = row_zeros(self.tbl)
         self.inverse.setflags(write=False)
 
     def _verify(self):
@@ -110,10 +112,6 @@ class Group(_Powers):
 
     def label(self, x: int) -> str:
         return self.table.label(x)
-
-    @property
-    def labels(self) -> list[str]:
-        return [self.label(x) for x in range(self.order)]
 
     def mul(self, x: int, y: int) -> int:
         return int(self.tbl[x, y])
@@ -134,14 +132,7 @@ class Group(_Powers):
     def comm_table(self) -> np.ndarray:
         """C[x, y] = [x, y] = x^-1 y^-1 x y."""
         t, inv = self.tbl, self.inverse
-        n = self.order
-        X = np.arange(n)[:, None]
-        Y = np.arange(n)[None, :]
-        t1 = t[inv[:, None], inv[None, :]]
-        t2 = t[t1, X]
-        c = t[t2, Y]
-        c.setflags(write=False)
-        return c
+        return build_table(self.order, lambda x, y: t[t[t[inv[x], inv[y]], x], y]).table
 
     @cached_property
     def squares(self) -> np.ndarray:
@@ -158,7 +149,7 @@ class Group(_Powers):
         return s
 
     def is_abelian(self) -> bool:
-        return bool((self.tbl == self.tbl.T).all())
+        return commutativity_witness(self.tbl) is None
 
     def __repr__(self):
         return f"<Group {self.name!r} order={self.order}>"
@@ -236,9 +227,9 @@ class Subgroup:
             if not mask[g.inverse[idx]].all():
                 a = int(idx[np.argmin(mask[g.inverse[idx]])])
                 raise ConstructionError(f"subgroup not closed under inverse at {g.label(a)}")
-            closed = mask[g.tbl[np.ix_(idx, idx)]]
-            if not closed.all():
-                i, j = first_false(closed)
+            w = first_false_rows(len(idx), lambda r: mask[g.tbl[idx[r, None], idx]])
+            if w is not None:
+                i, j = w
                 raise ConstructionError(
                     f"subgroup not closed under product at "
                     f"({g.label(int(idx[i]))},{g.label(int(idx[j]))})")
@@ -347,7 +338,9 @@ def sqrt_element(g: AnyGroup, a: int) -> int:
 
 def center(g: AnyGroup) -> Subgroup:
     g = _require_table(g, "center")
-    mask = (g.tbl == g.tbl.T).all(axis=1)
+    t = g.tbl
+    mask = np.concatenate([(t[lo:lo + _ROW_BLOCK] == t[:, lo:lo + _ROW_BLOCK].T).all(axis=1)
+                           for lo in range(0, g.order, _ROW_BLOCK)])
     return Subgroup(g, tuple(int(i) for i in np.nonzero(mask)[0]))
 
 
@@ -364,7 +357,7 @@ def upper_central_series(g: AnyGroup) -> list[Subgroup]:
     current = np.zeros(n, dtype=bool)
     current[0] = True
     while True:
-        nxt = current[C].all(axis=1)
+        nxt = np.concatenate([current[C[lo:lo + _ROW_BLOCK]].all(axis=1) for lo in range(0, n, _ROW_BLOCK)])
         if (nxt == current).all():
             return series
         series.append(Subgroup(g, tuple(int(i) for i in np.nonzero(nxt)[0])))
@@ -373,39 +366,38 @@ def upper_central_series(g: AnyGroup) -> list[Subgroup]:
 
 def _commutator_seed(g: AnyGroup, members_a: Sequence[int], members_b: Sequence[int] | None) -> list[int]:
     if isinstance(g, Group):
-        C = g.comm_table
-        a = np.asarray(members_a)
-        block = C[np.ix_(a, np.asarray(members_b) if members_b is not None else np.arange(g.order))]
-        return distinct_values(block).tolist()
+        a, cols = np.asarray(members_a), slice(None) if members_b is None else np.asarray(members_b)
+        seen = np.zeros(g.order, dtype=bool)
+        for lo in range(0, len(a), _ROW_BLOCK):
+            seen[g.comm_table[a[lo:lo + _ROW_BLOCK]][:, cols]] = True
+        return np.flatnonzero(seen).tolist()
     bs = members_b if members_b is not None else list(g.gens)
     return sorted({commutator(g, a, b) for a in members_a for b in bs})
 
 
-def lower_central_series(g: AnyGroup) -> list[Subgroup]:
-    """[gamma_1, gamma_2, ...] descending until stable."""
-    if isinstance(g, Group):
-        series = [Subgroup(g, tuple(range(g.order)))]
-        current = tuple(range(g.order))
-        while True:
-            seed = _commutator_seed(g, current, None)
-            nxt = subgroup_closure(g, seed)
-            if nxt == current:
-                return series
-            series.append(Subgroup(g, nxt))
-            current = nxt
-    # functional: [H, G] is the normal closure of commutators of H-generators
-    # with group generators; the declared generators are assumed to generate
-    if not g.gens:
-        raise TableRequiredError(f"lower central series of functional {g.name} needs generators")
-    series = [Subgroup(g, tuple(range(g.order)))]
-    gens_sub = tuple(g.gens)
+def _descending_series(g: AnyGroup, what: str, table_seed: Callable, closure: Callable) -> list[Subgroup]:
+    """[G, ...] until stable.  In a table group the next term is generated by
+    table_seed(members of the last); in a functional one closure(generators
+    of the last) gives its (members, generators)."""
+    if not isinstance(g, Group) and not g.gens:
+        raise TableRequiredError(f"{what} of functional {g.name} needs generators")
+    series, gens = [Subgroup(g, tuple(range(g.order)))], tuple(g.gens)
     while True:
-        seed = sorted({commutator(g, a, t) for a in gens_sub for t in g.gens})
-        nxt, nxt_gens = normal_closure(g, seed)
+        if isinstance(g, Group):
+            nxt = subgroup_closure(g, table_seed(series[-1].members))
+        else:
+            nxt, gens = closure(gens)
         if nxt == series[-1].members:
             return series
         series.append(Subgroup(g, nxt))
-        gens_sub = nxt_gens
+
+
+def lower_central_series(g: AnyGroup) -> list[Subgroup]:
+    """[gamma_1, gamma_2, ...] descending until stable.  In a functional group
+    [H, G] is the normal closure of commutators of H-generators with group
+    generators; the declared generators are assumed to generate."""
+    return _descending_series(g, "lower central series", lambda h: _commutator_seed(g, h, None),
+                              lambda hs: normal_closure(g, sorted({commutator(g, a, t) for a in hs for t in g.gens})))
 
 
 def nilpotency_class(g: AnyGroup) -> int | None:
@@ -417,30 +409,11 @@ def nilpotency_class(g: AnyGroup) -> int | None:
 
 
 def derived_series(g: AnyGroup) -> list[Subgroup]:
-    """[G, G', G'', ...] until stable."""
-    if isinstance(g, Group):
-        series = [Subgroup(g, tuple(range(g.order)))]
-        current = series[0].members
-        while True:
-            seed = _commutator_seed(g, current, current)
-            nxt = subgroup_closure(g, seed)
-            if nxt == current:
-                return series
-            series.append(Subgroup(g, nxt))
-            current = nxt
-    if not g.gens:
-        raise TableRequiredError(f"derived series of functional {g.name} needs generators")
-    series = [Subgroup(g, tuple(range(g.order)))]
-    gens_sub = tuple(g.gens)
-    while True:
-        # the derived subgroup of <S> is the closure of pairwise S-commutators
-        # under conjugation by S
-        seed = sorted({commutator(g, a, b) for a in gens_sub for b in gens_sub})
-        nxt, nxt_gens = normal_closure(g, seed, conj_by=gens_sub)
-        if nxt == series[-1].members:
-            return series
-        series.append(Subgroup(g, nxt))
-        gens_sub = nxt_gens
+    """[G, G', G'', ...] until stable.  The derived subgroup of <S> is the
+    closure of pairwise S-commutators under conjugation by S."""
+    return _descending_series(g, "derived series", lambda h: _commutator_seed(g, h, h),
+                              lambda hs: normal_closure(g, sorted({commutator(g, a, b) for a in hs for b in hs}),
+                                                        conj_by=hs))
 
 
 def derived_subgroup(g: AnyGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -462,7 +435,7 @@ def is_metabelian(g: AnyGroup) -> bool:
         sub = g.tbl[np.ix_(idx, idx)]
         abelian = bool((sub == sub.T).all())
         # cross-check on the raw commutator set, which generates G'
-        comms = distinct_values(g.comm_table)
+        comms = np.array(_commutator_seed(g, range(g.order), None))
         sub2 = g.tbl[np.ix_(comms, comms)]
         if abelian != bool((sub2 == sub2.T).all()):
             raise GammaForgeError("internal inconsistency in metabelian check")
@@ -479,9 +452,7 @@ def is_two_engel(g: AnyGroup) -> tuple[bool, tuple[int, int] | None]:
     """[x,y,y] = 1 for all pairs; on failure the lexicographically least witness."""
     if isinstance(g, Group):
         C = g.comm_table
-        n = g.order
-        E = C[C, np.arange(n)[None, :]]
-        w = first_false(E == 0)
+        w = first_false_rows(g.order, lambda r: C[C[r], np.arange(g.order)] == 0)
         return (w is None), w
     for x in range(g.order):
         for y in range(g.order):

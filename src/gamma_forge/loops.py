@@ -27,7 +27,9 @@ from .core import (
     StabilizerChain,
     distinct_values,
     first_false,
+    first_false_rows,
     left_power_walk,
+    row_zeros,
 )
 
 
@@ -64,11 +66,15 @@ class Loop:
 
     @cached_property
     def right_inverses(self) -> np.ndarray:
-        return self.ldiv[:, 0]
+        """The y with x y = 0 for each x: the one 0 of row x of the Latin table."""
+        return row_zeros(self.tbl)
 
     @cached_property
     def left_inverses(self) -> np.ndarray:
-        return self.rdiv[0, :]
+        """The x with x y = 0 for each y."""
+        left = np.empty(self.n, dtype=np.int32)
+        left[self.right_inverses] = np.arange(self.n)
+        return left
 
     @cached_property
     def inverse(self) -> np.ndarray | None:
@@ -78,7 +84,7 @@ class Loop:
         return None
 
     def is_commutative(self) -> bool:
-        return bool((self.tbl == self.tbl.T).all())
+        return commutativity_witness(self.tbl) is None
 
     def is_associative(self) -> tuple[bool, tuple[int, int, int] | None]:
         """Exhaustive associativity test with least witness triple."""
@@ -113,8 +119,20 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
     (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z).  So the n^2 pairs
     (x, z) are tested only for the a of a generating set (_closure_witness).
     """
-    return _closure_witness(t, lambda a, xs: (t[t[xs, a]], t[xs][:, t[a]]),  # (xa)z, x(az)
-                            lambda x, ys: (t[t[x, ys]], t[x][t[ys]]))         # (xy)z, x(yz)
+    return _closure_witness(len(t), lambda x, y: t[x, y],
+                            lambda a, xs: (t[t[xs, a]], t[xs][:, t[a]]),  # (xa)z, x(az)
+                            lambda x, ys: (t[t[x, ys]], t[x][t[ys]]))     # (xy)z, x(yz)
+
+
+def commutativity_witness(t: np.ndarray) -> tuple[int, int] | None:
+    """Least (x, y) with xy != yx in the table t, or None."""
+    return first_false_rows(len(t), lambda r: t[r] == t[:, r].T)
+
+
+def aip_witness(q: Loop) -> tuple[int, int] | None:
+    """Least (x, y) with (xy)^-1 != x^-1 y^-1 in a loop with two-sided inverses, or None."""
+    t, inv = q.tbl, q.inverse
+    return first_false_rows(q.n, lambda r: inv[t[r]] == t[inv[r, None], inv])
 
 
 def _least_block_witness(n: int, sides, xs=None) -> tuple[int, int, int] | None:
@@ -129,29 +147,31 @@ def _least_block_witness(n: int, sides, xs=None) -> tuple[int, int, int] | None:
     return None
 
 
-def _close(op: np.ndarray, reached: np.ndarray, members: np.ndarray, k: int, a: int) -> int:
+def _close(op, reached: np.ndarray, members: np.ndarray, k: int, a: int) -> int:
     """Add a to R = members[:k] (flagged in reached), a set closed under op, and
-    close R again, combining each newly reached c as op[c, R] and op[R, c]; returns |R|."""
+    close R again, combining each newly reached c as op(c, R) and op(R, c); returns |R|."""
     reached[a], members[k], todo = True, a, [a]
     k += 1
     while todo:  # up to a row block of elements c per step
-        cs, todo = todo[-_ROW_BLOCK:], todo[:-_ROW_BLOCK]
-        prods = np.concatenate((op[np.ix_(cs, members[:k])].ravel(), op[np.ix_(members[:k], cs)].ravel()))
-        fresh = distinct_values(prods[~reached[prods]])
-        reached[fresh] = True
-        members[k:k + fresh.size] = fresh
-        k += fresh.size
-        todo += fresh.tolist()
+        cs, todo = np.array(todo[-_ROW_BLOCK:]), todo[:-_ROW_BLOCK]
+        R = members[:k]
+        for prods in (op(cs[:, None], R), op(R[:, None], cs)):
+            fresh = distinct_values(prods[~reached[prods]])
+            reached[fresh] = True
+            members[k:k + fresh.size] = fresh
+            k += fresh.size
+            todo += fresh.tolist()
     return k
 
 
-def _closure_witness(op: np.ndarray, sides, witness_sides=None) -> tuple[int, int, int] | None:
+def _closure_witness(n: int, op, sides, witness_sides=None) -> tuple[int, int, int] | None:
     """Least witness of an identity whose passing x, those where the arrays
-    sides(x, rows y) agree, are closed under op (the caller proves this).  So
-    greedy generators decide: test the least element not yet reached, close
-    the reached set under op, repeat; no element is taken for an identity.  On
-    a failure the per-x scan of witness_sides (default: sides) gives the least."""
-    n, k = len(op), 0
+    sides(x, rows y) agree, are closed under the operation op(X, Y) on
+    broadcast index arrays (the caller proves this).  So greedy generators
+    decide: test the least element not yet reached, close the reached set
+    under op, repeat; no element is taken for an identity.  On a failure the
+    per-x scan of witness_sides (default: sides) gives the least."""
+    k = 0
     reached, members = np.zeros(n, dtype=bool), np.empty(n, dtype=np.intp)
     while k < n:
         a = int(np.argmin(reached))
@@ -190,8 +210,8 @@ def check_gamma_axioms(q: Loop | CayleyTable) -> GammaVerdict:
 
     Axioms: commutativity; automorphic inverse property (xy)^-1 = x^-1 y^-1;
     L_x and L_{x^-1} commute; and P_x P_y P_x = P_{yP_x} for the permutation
-    P_x = R_x L_{x^-1}^{-1}.  When commutativity holds, the alternative form
-    P_x = L_x L_{x^-1}^{-1} is cross-asserted.
+    P_x = R_x L_{x^-1}^{-1}.  When commutativity holds, P is read in the equal
+    form P_x = L_x L_{x^-1}^{-1}.
 
     A Latin table without a two-sided identity still gets a commutativity
     verdict; the inverse-dependent axioms come back inapplicable.
@@ -201,14 +221,13 @@ def check_gamma_axioms(q: Loop | CayleyTable) -> GammaVerdict:
         if not cls.is_latin:
             raise ConstructionError(f"not a quasigroup: {cls.witness}")
         if not cls.is_loop:
-            w = first_false(q.table == q.table.T)
+            w = commutativity_witness(q.table)
             gamma1 = AxiomVerdict(w is None, w)
             na = AxiomVerdict(None, cls.witness)
             return GammaVerdict(gamma1, na, na, na)
         q = Loop(q)
-    t = q.tbl
-    n = q.n
-    w = first_false(t == t.T)
+    t, ld = q.tbl, q.ldiv
+    w = commutativity_witness(t)
     gamma1 = AxiomVerdict(w is None, w)
 
     inv = q.inverse
@@ -218,24 +237,24 @@ def check_gamma_axioms(q: Loop | CayleyTable) -> GammaVerdict:
         na = AxiomVerdict(None, witness)
         return GammaVerdict(gamma1, na, na, na)
 
-    # AIP: inv[x*y] == inv[x]*inv[y]
-    w = first_false(inv[t] == t[inv[:, None], inv[None, :]])
+    w = aip_witness(q)
     gamma2 = AxiomVerdict(w is None, w)
 
     # [x, u] -> x^-1 (x u) against x (x^-1 u)
-    w = first_false(t[inv[:, None], t] == t[np.arange(n)[:, None], t[inv]])
+    w = first_false_rows(q.n, lambda r: t[inv[r, None], t[r]] == np.take_along_axis(t[r], t[inv[r]], 1))
     gamma3 = AxiomVerdict(w is None, w)
 
-    # P_x = R_x L_{x^-1}^{-1}: P[x, u] = x^-1 \ (u x)
-    P = q.ldiv[inv[:, None], t.T]
-    if gamma1.holds:
-        w = first_false(P == q.ldiv[inv[:, None], t])
-        if w is not None:
-            raise GammaForgeError(
-                f"internal inconsistency: P-map forms disagree at {q.label(w[0])}")
+    # P_x = R_x L_{x^-1}^{-1}: P(x, u) = x^-1 \ (u x), evaluated where read by flat
+    # gathers, as x^-1 \ (x u) in a commutative loop (rows read faster than columns)
+    n, ar, ldf, ux = q.n, np.arange(q.n, dtype=np.int32), ld.ravel(), np.ravel(t if gamma1.holds else t.T)
+    P = lambda x, u: ldf.take(n * inv[x] + ux.take(n * x + u))
     # P_x P_y P_x against P_{y P_x}.  The passing x are closed under (a, b) -> P_a(b): maps s
     # with s P_y s = P_{s(y)} for all y are closed under s, r -> s r s; P_a P_b P_a = P_{P_a(b)}
-    w = _closure_witness(P, lambda x, ys: (P[x][P[ys][:, P[x]]], P[P[x, ys]]))
+    def p_sides(x, ys):  # rows ys of P_x P_y P_x and of P_{y P_x}
+        px = P(x, ar)
+        return px.take(P(ar[ys, None], px)), P(px[ys][:, None], ar)
+
+    w = _closure_witness(q.n, P, p_sides)
     gamma4 = AxiomVerdict(w is None, w)
     return GammaVerdict(gamma1, gamma2, gamma3, gamma4)
 
@@ -253,11 +272,10 @@ def is_left_bruck(q: Loop) -> tuple[bool, object | None]:
     if inv is None:
         bad = first_false(q.right_inverses == q.left_inverses)
         return False, f"element {q.label(bad[0])} has no two-sided inverse"
-    t = q.tbl
-    w = first_false(inv[t] == t[inv[:, None], inv[None, :]])
+    w = aip_witness(q)
     if w is not None:
         return False, ("aip", w[0], w[1])
-    w = _left_bol_witness(t)
+    w = _left_bol_witness(q.tbl)
     return w is None, w
 
 
@@ -265,7 +283,7 @@ def _left_bol_witness(t: np.ndarray) -> tuple[int, int, int] | None:
     """Least (x, y, z) with x(y(xz)) != (x(yx))z in a loop table, or None.  The
     x with L_x L_y L_x = L_{x(yx)} for all y are closed under (a, b) -> c = a(ba):
     L_c = L_a L_b L_a, so L_c L_y L_c = L_a L_{b((a(ya))b)} L_a is L_{c(yc)}."""
-    return _closure_witness(t[np.arange(len(t))[:, None], t.T],
+    return _closure_witness(len(t), lambda x, y: t[x, t[y, x]],
                             lambda x, ys: (t[x][t[ys][:, t[x]]], t[t[x, t[ys, x]]]))
 
 

@@ -4,8 +4,8 @@ Everything here works on labeled pairs/tuples with direct modular arithmetic
 and brute-force searches, never through the library's group or loop engines,
 so the two sides of every comparison stay independent.  The exception is a
 section of former library API that only tests used (permutations,
-translations, divisions, loop powers, nested commutators and the isomorphism
-search), kept to test against.
+translations, divisions, loop powers, nested commutators, the isomorphism
+search and the sorting Latin test), kept to test against.
 """
 
 from __future__ import annotations
@@ -379,6 +379,23 @@ def powers_coincide_scan(gt, qt):
             if pg != pl:
                 return False, (x, k)
     return True, None
+
+
+def classify_by_sort(arr):
+    """(is_latin, identity index or None, witness) of a table, deciding each
+    row and column a permutation by sorting it."""
+    arr = np.asarray(arr)
+    ref = np.arange(len(arr))
+    rows_ok = (np.sort(arr, axis=1) == ref).all(axis=1)
+    cols_ok = (np.sort(arr, axis=0) == ref[:, None]).all(axis=0)
+    if not rows_ok.all():
+        return False, None, f"row {int(np.argmin(rows_ok))} is not a permutation"
+    if not cols_ok.all():
+        return False, None, f"column {int(np.argmin(cols_ok))} is not a permutation"
+    for e in np.nonzero((arr == ref).all(axis=1))[0]:
+        if (arr[:, e] == ref).all():
+            return True, int(e), None
+    return True, None, "no two-sided identity"
 
 
 def format_tbl_per_cell(table, extra_comments=None):

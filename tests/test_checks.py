@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 from gamma_forge import checks, constructions, loops
-from gamma_forge.checks import CHECK_IDS, CLAIMS, GROUP_ONLY_CHECKS, run_checks
-from gamma_forge.groups import construct
+from gamma_forge.checks import CHECK_IDS, CLAIMS, GROUP_ONLY_CHECKS, CheckContext, run_check, run_checks
+from gamma_forge.constructions import circ_loop, oplus_loop
+from gamma_forge.groups import construct, derived_subgroup, nilpotency_class
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -93,3 +97,55 @@ def test_class3_check_builds_each_central_quotient_once(monkeypatch):
     report = run_checks(construct("wr:3"), ["class3-center-equality"])
     assert report.checks[0].verdict == "pass"
     assert calls == [81, 9]  # circ(wr:3) by its center, then the quotient by its own
+
+
+def test_sampled_triples_follow_the_seed():
+    n = 155  # above the exhaustive limit
+    first = checks._triple_indices(n, 7)
+    assert first[3] is False
+    for a, b in zip(first[:3], checks._triple_indices(n, 7)[:3]):
+        assert (a == b).all()
+    for v in first[:3]:
+        assert v.shape == (checks.SAMPLED_TRIPLES,) and v.min() >= 0 and v.max() == n - 1
+    others = checks._triple_indices(n, 8)
+    assert all((a != b).mean() > 0.9 for a, b in zip(first[:3], others[:3]))
+    assert not (first[0] == first[1]).all() and not (first[1] == first[2]).all()
+
+
+def test_sampled_check_catches_a_wrong_commutator_convention():
+    # x y x^-1 y^-1 in place of [x, y] breaks the product expansions on most
+    # triples, so every sample of sd:31:5:2 (order 155, sampled) finds one.  The
+    # transposed table [y, x] = [x, y]^-1 would not do: G' is abelian here, and
+    # the identities hold for both orders of the bracket
+    g = construct("sd:31:5:2")
+    assert checks.commutator_identities_hold(g, 0) == (True, None, False)
+    t, inv, xs = g.tbl, g.inverse, np.arange(g.order)
+    g.__dict__["comm_table"] = t[t[t[xs[:, None], xs], inv[:, None]], inv]
+    for seed in range(3):
+        ok, witness, exhaustive = checks.commutator_identities_hold(g, seed)
+        assert not ok and not exhaustive and witness.startswith("product-in-first-slot expansion fails at")
+
+
+def test_checks_at_order_729_keep_scratch_to_a_row_block():
+    # every step of verify ut:4:3 (the checks of the verify-class3-729
+    # benchmark: all but class3-center-equality) may hold at most 3 MB above
+    # what it holds before and after; one n^2 int32 table here is 2.1 MB, so
+    # a step that builds an n^2 temporary it does not keep fails
+    g = construct("ut:4:3")
+    ctx = CheckContext(g)
+    steps = [("circ_loop", lambda: circ_loop(g)), ("oplus_loop", lambda: oplus_loop(g)),
+             ("derived_subgroup", lambda: derived_subgroup(g)), ("nilpotency_class", lambda: nilpotency_class(g))]
+    steps += [(cid, lambda cid=cid: run_check(ctx, cid)) for cid in CHECK_IDS if cid != "class3-center-equality"]
+    excess = {}
+    tracemalloc.start()
+    try:
+        for name, step in steps:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kept = step()  # what a step returns counts as held after it
+            after, peak = tracemalloc.get_traced_memory()
+            excess[name] = peak - max(before, after)
+            del kept
+    finally:
+        tracemalloc.stop()
+    assert {name: round(b / 1e6, 2) for name, b in excess.items() if b > 3e6} == {}

@@ -121,16 +121,22 @@ def test_verify_large_functional_group_ends():
     assert "[ok  ] uniquely-2-divisible" in proc.stdout
 
 
-def test_runs_leave_numpy_ma_unloaded():
-    # np.unique imports numpy.ma, 12-38 ms per process; core.distinct_values does its work
+def test_runs_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma, 12-38 ms per process; core.distinct_values does its work.
+    # numpy.random loads about 20 modules; the sampled triples of sd:31:5:2 (order 155)
+    # come from the random module instead
     env = dict(os.environ, PYTHONPATH=str(Path(gamma_forge.__file__).parents[1]))
     env.pop("GAMMA_FORGE_TABLE_CAP", None)
-    code = "import sys\nfrom gamma_forge.cli import main\ncode = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)"
-    for argv in (["verify", "sd:7:3:2"], ["survey", "--orders", "3..27"]):
+    code = ("import sys\nfrom gamma_forge.cli import main\ncode = main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)")
+    tbl = tmp_path / "g.tbl"
+    tableio.export_table(construct("sd:7:3:2").table, tbl)
+    for argv in (["verify", "sd:7:3:2"], ["verify", "sd:31:5:2"], ["survey", "--orders", "3..27"],
+                 ["import", str(tbl)], ["convert", str(tbl), "--direction", "circ", "--out", str(tmp_path / "c.tbl")]):
         proc = subprocess.run([sys.executable, "-c", code, *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stdout.splitlines()[-1] == "0 False False", argv
 
 
 def test_verify_functional_group_skips_loop_checks(capsys):

@@ -24,7 +24,7 @@ import pytest
 import oracles
 from oracles import Permutation
 from gamma_forge.catalog import CATALOG_SPECS
-from gamma_forge import constructions
+from gamma_forge import constructions, core
 from gamma_forge.constructions import (bruck_from_gamma, circ_loop, gamma_from_bruck, loop_sqrt_table,
                                        oplus_loop, power)
 from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, left_power_walk
@@ -183,6 +183,7 @@ def test_small_row_blocks_match_references(monkeypatch):
     # blocks of 3 rows put most witnesses and dropped nucleus candidates past
     # the first block, which the 128-row blocks reach only above order 128
     monkeypatch.setattr(loops, "_ROW_BLOCK", 3)
+    monkeypatch.setattr(core, "_ROW_BLOCK", 3)
     for seed, m, k, odd in RANDOM_LOOPS:
         assert_matches_references(relabel(cocycle_loop(seed, m, k, odd), seed))
     for spec in ("sd:7:3:2", "wr:3", "heis:3", "sd:11:5:3"):
@@ -503,12 +504,14 @@ def test_random_latin_loops_tell_the_operations_apart():
     for seed in BOL_MISLEADS:
         t = latin_loop(seed)
         assert oracles.left_bol_scan(t) is not None
-        assert loops._closure_witness(t, lambda x, ys: (t[x][t[ys][:, t[x]]], t[t[x, t[ys, x]]])) is None
+        assert loops._closure_witness(len(t), lambda x, y: t[x, y],
+                                      lambda x, ys: (t[x][t[ys][:, t[x]]], t[t[x, t[ys, x]]])) is None
     for seed in P_MAP_MISLEADS:
         t = latin_loop(seed)
         P = passing_sets(t)[2][1]
         assert oracles.gamma_axioms_scan(t)[1][0] is False
-        assert loops._closure_witness(t, lambda x, ys: (P[x][P[ys][:, P[x]]], P[P[x, ys]])) is None
+        assert loops._closure_witness(len(t), lambda x, y: t[x, y],
+                                      lambda x, ys: (P[x][P[ys][:, P[x]]], P[P[x, ys]])) is None
 
 
 PRODUCT_CASES = [(kind, seed, first) for kind in ("circ", "oplus")
@@ -652,3 +655,51 @@ def test_divisions_match_the_argsort_they_replace(spec):
         for div, axis in ((c.left_division, 1), (c.right_division, 0)):
             assert div.dtype == np.int32 and not div.flags.writeable
             assert (div == np.argsort(t, axis=axis)).all()
+
+
+def mutated_tables(t, seed):
+    """Copies of a Latin table t, each broken one way: a repeated entry in a
+    row, two entries of a row swapped (the rows stay permutations, two
+    columns break), and every row equal to the first (only columns break)."""
+    rng = np.random.default_rng(seed)
+    n = len(t)
+    x, y, z = (int(v) for v in rng.integers(0, n, 3))
+    repeated, swapped = t.copy(), t.copy()
+    repeated[x, y] = t[x, (y + 1) % n]
+    swapped[x, [y, (y + 1) % n]] = t[x, [(y + 1) % n, y]]
+    return repeated, swapped, np.tile(t[z], (n, 1))
+
+
+@pytest.mark.parametrize("block", [3, 128])
+def test_classify_marks_match_the_sort_they_replace(block, monkeypatch):
+    # the row and column marks of classify against the sorted rows and
+    # columns of oracles.classify_by_sort: verdict, identity and witness text
+    monkeypatch.setattr(core, "_ROW_BLOCK", block)
+    tables = []
+    for i, spec in enumerate(SMALL_SPECS):
+        g = group(spec)
+        tables += [g.tbl, relabel(oplus_loop(g).tbl, i), (2 * np.arange(g.order)[:, None] + np.arange(g.order)) % g.order]
+    tables += [twisted_loop(seed, 3, 5) for seed in range(3)] + [cocycle_loop(seed, 5, 7) for seed in range(3)]
+    tables += [mut for i, t in enumerate(list(tables)) for mut in mutated_tables(np.asarray(t), i)]
+    tables.append(np.roll(np.arange(9), 4)[np.add.outer(np.arange(9), np.arange(9)) % 9])
+    texts = set()
+    for t in tables:
+        res = core.classify(CayleyTable(t))
+        latin, identity, witness = oracles.classify_by_sort(t)
+        assert (res.is_latin, res.identity_index, res.witness) == (latin, identity, witness)
+        assert res.is_loop == (identity is not None)
+        texts.add(witness.split()[0] if witness else None)
+    assert texts == {None, "row", "column", "no"}
+
+
+def test_inverses_are_read_from_the_zero_cells():
+    # the inverses of a loop against the division tables they were read from
+    loops_ = [f(group(spec)) for spec in ("sd:7:3:2", "wr:3", "sd:31:5:2") for f in (circ_loop, oplus_loop)]
+    loops_ += [Loop(CayleyTable(t)) for t in
+               [twisted_loop(seed, 3, 5) for seed in range(4)] + [cocycle_loop(seed, 5, 7) for seed in range(4)]]
+    two_sided = set()
+    for q in loops_:
+        assert (q.right_inverses == q.ldiv[:, 0]).all() and (q.left_inverses == q.rdiv[0, :]).all()
+        assert q.right_inverses.dtype == q.left_inverses.dtype == np.int32
+        two_sided.add(q.inverse is not None)
+    assert two_sided == {True, False}
