@@ -205,6 +205,14 @@ def test_block_witness_is_least_across_blocks():
 
     assert loops._least_block_witness(n, sides) == (5, 200, 7)
     assert loops._least_block_witness(n, lambda x, ys: (np.zeros((1, n)),) * 2) is None
+    # the row-block scans name rows past the first block by their own index
+    mask = np.ones((n, n), dtype=bool)
+    mask[[250, 200, 200], [1, 9, 7]] = False
+    assert core.first_false_rows(n, lambda r: mask[r]) == (200, 7)
+    assert core.first_false_rows(n, lambda r: mask[r] | True) is None
+    t = np.add.outer(np.arange(n), np.arange(n)) % n
+    t[150, 200] = 0
+    assert loops.commutativity_witness(t) == (150, 200)
 
 
 def test_nonassociative_table_group_error_names_least_triple():
