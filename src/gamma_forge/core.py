@@ -60,8 +60,11 @@ def first_false(mask: np.ndarray) -> tuple[int, ...] | None:
 
 def distinct_values(values) -> np.ndarray:
     """The distinct values of a non-negative int array, ascending, as np.unique
-    gives them; np.unique would import numpy.ma (12-38 ms) in every process."""
-    return np.flatnonzero(np.bincount(np.ravel(values)))
+    gives them; np.unique would import numpy.ma (12-38 ms) in every process,
+    and np.bincount copies an int32 array to intp."""
+    seen = np.zeros(np.max(values, initial=-1) + 1, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen)
 
 
 def row_zeros(t: np.ndarray) -> np.ndarray:
@@ -184,18 +187,19 @@ def build_table(
     return CayleyTable(arr, name=name, element_names=element_names)
 
 
-def classify(t: CayleyTable) -> ClassifyResult:
-    """Decide Latin-ness and loop-ness, with a witness for any failure.  A row
-    is a permutation when its entries mark every cell of a bool row; a block
-    of rows (then of columns, through the transpose) per step."""
-    arr = t.table
-    n = t.n
+def classify(t: CayleyTable | np.ndarray) -> ClassifyResult:
+    """Decide Latin-ness and loop-ness of a table (or of a square array with
+    entries in 0..n-1), with a witness for any failure.  A row is a
+    permutation when its entries mark every cell of a bool row; a block of
+    rows (then of columns, through the transpose) per step."""
+    arr = t.table if isinstance(t, CayleyTable) else t
+    n = len(arr)
     ref = np.arange(n, dtype=arr.dtype)
     for what, side in (("row", arr), ("column", arr.T)):
         for lo in range(0, n, _ROW_BLOCK):
             block = side[lo:lo + _ROW_BLOCK]
             marks = np.zeros(block.shape, dtype=bool)
-            marks.ravel()[block + np.arange(0, block.size, n)[:, None]] = True
+            marks.ravel()[block + np.arange(0, block.size, n, dtype=arr.dtype)[:, None]] = True
             if not marks.all():
                 r = lo + int(np.argmin(marks.all(axis=1)))
                 return ClassifyResult(False, False, False, None, f"{what} {r} is not a permutation")

@@ -123,11 +123,6 @@ class Group(_Powers):
     def inv(self, x: int) -> int:
         return int(self.inverse[x])
 
-    def conj(self, x: int, y: int) -> int:
-        """x conjugated by y, i.e. y^-1 * x * y."""
-        t = self.tbl
-        return int(t[t[self.inverse[y], x], y])
-
     @cached_property
     def comm_table(self) -> np.ndarray:
         """C[x, y] = [x, y] = x^-1 y^-1 x y."""
@@ -189,9 +184,6 @@ class FunctionalGroup(_Powers):
             self._inv_cache[x] = cached
         return cached
 
-    def conj(self, x: int, y: int) -> int:
-        return self.mul(self.mul(self.inv(y), x), y)
-
     def __repr__(self):
         return f"<FunctionalGroup {self.name!r} order={self.order}>"
 
@@ -216,33 +208,21 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        mem = set(self.members)
-        if 0 not in mem:
+        if 0 not in self.members:
             raise ConstructionError("subgroup must contain the identity")
-        g = self.parent
-        if isinstance(g, Group):
-            idx = np.asarray(self.members)
-            mask = np.zeros(g.order, dtype=bool)
-            mask[idx] = True
-            if not mask[g.inverse[idx]].all():
-                a = int(idx[np.argmin(mask[g.inverse[idx]])])
-                raise ConstructionError(f"subgroup not closed under inverse at {g.label(a)}")
-            w = first_false_rows(len(idx), lambda r: mask[g.tbl[idx[r, None], idx]])
-            if w is not None:
-                i, j = w
-                raise ConstructionError(
-                    f"subgroup not closed under product at "
-                    f"({g.label(int(idx[i]))},{g.label(int(idx[j]))})")
-            return
-        if len(self.members) ** 2 > 1_000_000:
-            return  # desk-scale brute validation only; big closures are trusted
-        for a in self.members:
-            if g.inv(a) not in mem:
-                raise ConstructionError(f"subgroup not closed under inverse at {g.label(a)}")
-            for b in self.members:
-                if g.mul(a, b) not in mem:
-                    raise ConstructionError(
-                        f"subgroup not closed under product at ({g.label(a)},{g.label(b)})")
+        g = _require_table(self.parent, "subgroup validation")
+        idx = np.asarray(self.members)
+        mask = np.zeros(g.order, dtype=bool)
+        mask[idx] = True
+        if not mask[g.inverse[idx]].all():
+            a = int(idx[np.argmin(mask[g.inverse[idx]])])
+            raise ConstructionError(f"subgroup not closed under inverse at {g.label(a)}")
+        w = first_false_rows(len(idx), lambda r: mask[g.tbl[idx[r, None], idx]])
+        if w is not None:
+            i, j = w
+            raise ConstructionError(
+                f"subgroup not closed under product at "
+                f"({g.label(int(idx[i]))},{g.label(int(idx[j]))})")
 
     @property
     def order(self) -> int:
@@ -264,33 +244,6 @@ def subgroup_closure(g: AnyGroup, seed: Sequence[int]) -> tuple[int, ...]:
                     new.append(c)
         frontier = new
     return tuple(sorted(members))
-
-
-def normal_closure(g: AnyGroup, seed: Sequence[int],
-                   conj_by: Sequence[int] | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Smallest subgroup containing seed, closed under conjugation by
-    ``conj_by`` (default: the group's generators).
-
-    Returns (members, generating set); the generating set stays small, which
-    keeps later scans over the subgroup cheap.
-    """
-    if conj_by is None:
-        conj_by = list(g.gens)
-        if isinstance(g, Group) and not conj_by:
-            conj_by = list(range(g.order))
-    gens_sub = sorted(set(int(s) for s in seed) | {0})
-    members = set(subgroup_closure(g, gens_sub))
-    while True:
-        extra = set()
-        for a in members:
-            for t in conj_by:
-                c = g.conj(a, t)
-                if c not in members:
-                    extra.add(c)
-        if not extra:
-            return tuple(sorted(members)), tuple(gens_sub)
-        gens_sub = sorted(set(gens_sub) | extra)
-        members = set(subgroup_closure(g, gens_sub))
 
 
 # ---------------------------------------------------------------------------
@@ -364,40 +317,28 @@ def upper_central_series(g: AnyGroup) -> list[Subgroup]:
         current = nxt
 
 
-def _commutator_seed(g: AnyGroup, members_a: Sequence[int], members_b: Sequence[int] | None) -> list[int]:
-    if isinstance(g, Group):
-        a, cols = np.asarray(members_a), slice(None) if members_b is None else np.asarray(members_b)
-        seen = np.zeros(g.order, dtype=bool)
-        for lo in range(0, len(a), _ROW_BLOCK):
-            seen[g.comm_table[a[lo:lo + _ROW_BLOCK]][:, cols]] = True
-        return np.flatnonzero(seen).tolist()
-    bs = members_b if members_b is not None else list(g.gens)
-    return sorted({commutator(g, a, b) for a in members_a for b in bs})
+def _commutator_seed(g: Group, members_a: Sequence[int], members_b: Sequence[int] | None) -> list[int]:
+    a, cols = np.asarray(members_a), slice(None) if members_b is None else np.asarray(members_b)
+    seen = np.zeros(g.order, dtype=bool)
+    for lo in range(0, len(a), _ROW_BLOCK):
+        seen[g.comm_table[a[lo:lo + _ROW_BLOCK]][:, cols]] = True
+    return np.flatnonzero(seen).tolist()
 
 
-def _descending_series(g: AnyGroup, what: str, table_seed: Callable, closure: Callable) -> list[Subgroup]:
-    """[G, ...] until stable.  In a table group the next term is generated by
-    table_seed(members of the last); in a functional one closure(generators
-    of the last) gives its (members, generators)."""
-    if not isinstance(g, Group) and not g.gens:
-        raise TableRequiredError(f"{what} of functional {g.name} needs generators")
-    series, gens = [Subgroup(g, tuple(range(g.order)))], tuple(g.gens)
+def _descending_series(g: AnyGroup, what: str, seed: Callable) -> list[Subgroup]:
+    """[G, ...] until stable, each term generated by seed(members of the last)."""
+    g = _require_table(g, what)
+    series = [Subgroup(g, tuple(range(g.order)))]
     while True:
-        if isinstance(g, Group):
-            nxt = subgroup_closure(g, table_seed(series[-1].members))
-        else:
-            nxt, gens = closure(gens)
+        nxt = subgroup_closure(g, seed(series[-1].members))
         if nxt == series[-1].members:
             return series
         series.append(Subgroup(g, nxt))
 
 
 def lower_central_series(g: AnyGroup) -> list[Subgroup]:
-    """[gamma_1, gamma_2, ...] descending until stable.  In a functional group
-    [H, G] is the normal closure of commutators of H-generators with group
-    generators; the declared generators are assumed to generate."""
-    return _descending_series(g, "lower central series", lambda h: _commutator_seed(g, h, None),
-                              lambda hs: normal_closure(g, sorted({commutator(g, a, t) for a in hs for t in g.gens})))
+    """[gamma_1, gamma_2, ...] descending until stable."""
+    return _descending_series(g, "lower central series", lambda h: _commutator_seed(g, h, None))
 
 
 def nilpotency_class(g: AnyGroup) -> int | None:
@@ -409,56 +350,35 @@ def nilpotency_class(g: AnyGroup) -> int | None:
 
 
 def derived_series(g: AnyGroup) -> list[Subgroup]:
-    """[G, G', G'', ...] until stable.  The derived subgroup of <S> is the
-    closure of pairwise S-commutators under conjugation by S."""
-    return _descending_series(g, "derived series", lambda h: _commutator_seed(g, h, h),
-                              lambda hs: normal_closure(g, sorted({commutator(g, a, b) for a in hs for b in hs}),
-                                                        conj_by=hs))
+    """[G, G', G'', ...] until stable."""
+    return _descending_series(g, "derived series", lambda h: _commutator_seed(g, h, h))
 
 
 def derived_subgroup(g: AnyGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(members, generating set) of G'."""
-    if isinstance(g, Group):
-        members = subgroup_closure(g, _commutator_seed(g, range(g.order), range(g.order)))
-        return members, members
-    if not g.gens:
-        raise TableRequiredError(f"derived subgroup of functional {g.name} needs generators")
-    seed = sorted({commutator(g, a, b) for a in g.gens for b in g.gens})
-    return normal_closure(g, seed)
+    g = _require_table(g, "derived subgroup")
+    members = subgroup_closure(g, _commutator_seed(g, range(g.order), range(g.order)))
+    return members, members
 
 
 def is_metabelian(g: AnyGroup) -> bool:
     """G'' = 1, cross-asserted against 'all commutators commute pairwise'."""
-    dprime_members, dprime_gens = derived_subgroup(g)
-    if isinstance(g, Group):
-        idx = np.asarray(dprime_members)
-        sub = g.tbl[np.ix_(idx, idx)]
-        abelian = bool((sub == sub.T).all())
-        # cross-check on the raw commutator set, which generates G'
-        comms = np.array(_commutator_seed(g, range(g.order), None))
-        sub2 = g.tbl[np.ix_(comms, comms)]
-        if abelian != bool((sub2 == sub2.T).all()):
-            raise GammaForgeError("internal inconsistency in metabelian check")
-        return abelian
-    # a generated subgroup is abelian exactly when its generators commute
-    commute = lambda xs: all(g.mul(a, b) == g.mul(b, a) for i, a in enumerate(xs) for b in xs[i + 1:])
-    abelian = commute(dprime_gens)
-    if len(dprime_members) <= 1024 and commute(dprime_members) != abelian:
+    idx = np.asarray(derived_subgroup(g)[0])
+    sub = g.tbl[np.ix_(idx, idx)]
+    abelian = bool((sub == sub.T).all())
+    # cross-check on the raw commutator set, which generates G'
+    comms = np.array(_commutator_seed(g, range(g.order), None))
+    sub2 = g.tbl[np.ix_(comms, comms)]
+    if abelian != bool((sub2 == sub2.T).all()):
         raise GammaForgeError("internal inconsistency in metabelian check")
     return abelian
 
 
 def is_two_engel(g: AnyGroup) -> tuple[bool, tuple[int, int] | None]:
     """[x,y,y] = 1 for all pairs; on failure the lexicographically least witness."""
-    if isinstance(g, Group):
-        C = g.comm_table
-        w = first_false_rows(g.order, lambda r: C[C[r], np.arange(g.order)] == 0)
-        return (w is None), w
-    for x in range(g.order):
-        for y in range(g.order):
-            if commutator(g, commutator(g, x, y), y) != 0:
-                return False, (x, y)
-    return True, None
+    C = _require_table(g, "2-Engel test").comm_table
+    w = first_false_rows(g.order, lambda r: C[C[r], np.arange(g.order)] == 0)
+    return (w is None), w
 
 
 # ---------------------------------------------------------------------------

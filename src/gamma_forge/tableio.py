@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -25,16 +26,19 @@ class ImportResult:
     comments: list[str] = field(default_factory=list)
 
 
-def parse_tbl(text: str) -> tuple[np.ndarray, str | None, list[str]]:
-    """Parse .tbl text into (raw array, declared name, comment lines); numpy
-    reads the rows whole if they are clean (_clean_rows), else line by line."""
-    name = None
-    comments = []
-    rows: list[list[int]] | np.ndarray = []
-    n = None
-    all_lines = text.splitlines()
-    lines = enumerate(all_lines, start=1)
-    for lineno, line in lines:
+def parse_tbl(source: str | Iterable[str]) -> tuple[np.ndarray, str | None, list[str]]:
+    """Parse .tbl text, or the lines of an open .tbl file as they are read, into
+    (raw array, declared name, comment lines).  Each row goes into one int32
+    array, allocated at the first row: numpy reads a clean row (_clean_row),
+    the line parser (_parsed_row) any other."""
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:  # split as str.splitlines splits the whole text
+        lines = (part for line in source for part in line.splitlines())
+    name = arr = n = None
+    comments, k = [], 0  # k: rows read
+    numbered = enumerate(lines, start=1)
+    for lineno, line in numbered:
         stripped = line.strip()
         if not stripped:
             continue
@@ -51,97 +55,112 @@ def parse_tbl(text: str) -> tuple[np.ndarray, str | None, list[str]]:
                 raise ConstructionError(f"line {lineno}: expected element count, got {stripped!r}")
             if n < 1:
                 raise ConstructionError(f"line {lineno}: element count must be >= 1")
-            block = _clean_rows(all_lines[lineno:lineno + n], n)
-            if block is not None:  # the rows are read: go on after them
-                rows, lines = block, enumerate(all_lines[lineno + n:], start=lineno + n + 1)
-                break
             continue
-        parts = stripped.split()
-        if len(parts) != n:
-            raise ConstructionError(f"line {lineno}: expected {n} entries, got {len(parts)}")
-        try:
-            row = [int(p) for p in parts]
-        except ValueError:
-            raise ConstructionError(f"line {lineno}: non-integer entry")
-        for col, v in enumerate(row):
-            if not 0 <= v < n:
-                raise ConstructionError(f"line {lineno}: entry {v} at column {col} outside 0..{n - 1}")
-        rows.append(row)
-        if len(rows) == n:
+        row = _clean_row(stripped, n)
+        if row is None:
+            row = _parsed_row(stripped, n, lineno)
+        if arr is None:
+            try:
+                arr = np.empty((n, n), dtype=np.int32)
+            except MemoryError:
+                raise ConstructionError(f"line {lineno}: a table of {n} rows does not fit in memory")
+        arr[k] = row
+        k += 1
+        if k == n:
             break
-    for lineno, line in lines:  # what follows the last row
+    for lineno, line in numbered:  # what follows the last row
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             raise ConstructionError(f"line {lineno}: unexpected content after the {n} table rows")
     if n is None:
         raise ConstructionError("no element count found")
-    if len(rows) != n:
-        raise ConstructionError(f"expected {n} rows, found {len(rows)}")
-    return np.asarray(rows, dtype=np.int32), name, comments
+    if k != n:
+        raise ConstructionError(f"expected {n} rows, found {k}")
+    return arr, name, comments
 
 
-def _clean_rows(lines: list[str], n: int) -> np.ndarray | None:
-    """The (n, n) table of n row lines if each holds only ASCII digits, spaces
-    and tabs, with a digit, and reads as n values in 0..n-1 (as int() reads
-    them); else None.  numpy's separator matches zero blanks, so '1-2' or '1+2'
-    would read as two values, and a line of only blanks reads as one 0.  A value
-    of 2^63 or more reads as the int64 maximum and fails the range check."""
-    text = "\n".join(lines)
-    if (len(lines) < n or any(map(str.isspace, lines)) or not text.isascii()
-            or text.encode().translate(None, b"0123456789 \t\n")):
+def _clean_row(line: str, n: int) -> np.ndarray | None:
+    """The n values of a stripped row line, read by numpy, if it holds only
+    ASCII digits, spaces and tabs and reads as n values in 0..n-1; else None.
+    numpy's separator matches zero blanks, so '1-2' would read as two values;
+    a value of 2^63 or more reads as the int64 maximum, out of range."""
+    if not line.isascii() or line.encode().translate(None, b"0123456789 \t"):
         return None
-    rows = [np.fromstring(line, dtype=np.int64, sep=" ") for line in lines]
-    if any(row.size != n for row in rows):
-        return None
-    arr = np.stack(rows)
-    return arr.astype(np.int32) if ((arr >= 0) & (arr < n)).all() else None
+    row = np.fromstring(line, dtype=np.int64, sep=" ")
+    return row if row.size == n and row.min() >= 0 and row.max() < n else None
+
+
+def _parsed_row(line: str, n: int, lineno: int) -> list[int]:
+    """The n values of a stripped row line as int() reads them, or the error
+    that names the line."""
+    parts = line.split()
+    if len(parts) != n:
+        raise ConstructionError(f"line {lineno}: expected {n} entries, got {len(parts)}")
+    try:
+        row = [int(p) for p in parts]
+    except ValueError:
+        raise ConstructionError(f"line {lineno}: non-integer entry")
+    for col, v in enumerate(row):
+        if not 0 <= v < n:
+            raise ConstructionError(f"line {lineno}: entry {v} at column {col} outside 0..{n - 1}")
+    return row
 
 
 def normalize_identity(arr: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
-    """Relabel so a two-sided identity, if present, sits at index 0.
+    """Relabel a writable table with entries in 0..n-1 in place, so that a
+    two-sided identity e, if present, sits at index 0: by the transposition
+    (0 e), rows, columns and values 0 and e swap, a block of rows per step.
 
-    Returns (table, relabeling) where relabeling maps old index -> new index;
+    Returns (arr, relabeling) where relabeling maps old index -> new index;
     relabeling is None when nothing was moved (identity already 0 or absent).
     """
-    t = CayleyTable(arr)
-    cls = classify(t)
-    e = cls.identity_index
+    e = classify(arr).identity_index
     if e is None or e == 0:
         return arr, None
-    sigma = np.arange(arr.shape[0], dtype=np.int32)
-    sigma[0], sigma[e] = e, 0  # transposition moving e to slot 0
-    out = np.empty_like(arr)
-    out[np.ix_(sigma, sigma)] = sigma[arr]
-    return out, sigma.tolist()
+    arr[[0, e]] = arr[[e, 0]]
+    arr[:, [0, e]] = arr[:, [e, 0]]
+    for lo in range(0, len(arr), _ROW_BLOCK):
+        block = arr[lo:lo + _ROW_BLOCK]
+        zeros = block == 0
+        block[block == e] = 0
+        block[zeros] = e
+    sigma = list(range(len(arr)))
+    sigma[0], sigma[e] = e, 0
+    return arr, sigma
 
 
 def import_table(path: str | Path) -> ImportResult:
-    """Load a .tbl file, normalizing its identity to index 0."""
-    text = Path(path).read_text()
-    arr, name, comments = parse_tbl(text)
-    norm, sigma = normalize_identity(arr)
-    table = CayleyTable(norm, name=name or Path(path).stem)
+    """Load a .tbl file, normalizing its identity to index 0; the rows flow
+    into one array that the CayleyTable takes without a copy."""
+    with open(path) as fh:
+        arr, name, comments = parse_tbl(fh)
+    _, sigma = normalize_identity(arr)
+    arr.setflags(write=False)
+    table = CayleyTable(arr, name=name or Path(path).stem)
     return ImportResult(table=table, relabeling=sigma, name=name, comments=comments)
+
+
+def _tbl_chunks(arr: np.ndarray, name: str, extra_comments: list[str] | None):
+    """.tbl text of a table: the headers, then a block of rows per piece."""
+    head = [f"# name: {name}"] if name else []
+    head += [f"# {c}" for c in extra_comments or []]
+    yield "".join(f"{line}\n" for line in head + [str(len(arr))])
+    labels = np.array([str(v) for v in range(len(arr))], dtype=object)
+    for lo in range(0, len(arr), _ROW_BLOCK):
+        yield "".join([" ".join(labels[row].tolist()) + "\n" for row in arr[lo:lo + _ROW_BLOCK]])
 
 
 def format_tbl(table: CayleyTable, extra_comments: list[str] | None = None) -> str:
     """Render a table as .tbl text with the standard headers."""
-    lines = []
-    if table.name:
-        lines.append(f"# name: {table.name}")
-    for c in extra_comments or []:
-        lines.append(f"# {c}")
-    lines.append(str(table.n))
-    labels = np.array([str(v) for v in range(table.n)], dtype=object)
-    for lo in range(0, table.n, _ROW_BLOCK):  # a block of rows per step, so memory stays flat
-        lines.extend(map(" ".join, labels[table.table[lo:lo + _ROW_BLOCK]].tolist()))
-    return "\n".join(lines) + "\n"
+    return "".join(_tbl_chunks(table.table, table.name, extra_comments))
 
 
 def export_table(table: CayleyTable, path: str | Path,
                  extra_comments: list[str] | None = None) -> None:
-    """Write a table to a .tbl file (identity-normalized form expected)."""
-    arr, sigma = normalize_identity(np.asarray(table.table))
-    if sigma is not None:
-        table = CayleyTable(arr, name=table.name)
-    Path(path).write_text(format_tbl(table, extra_comments))
+    """Write a table to a .tbl file a block of rows at a time, relabeled (on a
+    copy) so that its identity, if any, sits at index 0."""
+    arr = table.table
+    if table.classification.identity_index:  # neither None nor 0
+        arr, _ = normalize_identity(arr.copy())
+    with open(path, "w") as fh:
+        fh.writelines(_tbl_chunks(arr, table.name, extra_comments))

@@ -4,8 +4,9 @@ Everything here works on labeled pairs/tuples with direct modular arithmetic
 and brute-force searches, never through the library's group or loop engines,
 so the two sides of every comparison stay independent.  The exception is a
 section of former library API that only tests used (permutations,
-translations, divisions, loop powers, nested commutators, the isomorphism
-search and the sorting Latin test), kept to test against.
+translations, divisions, loop powers, nested commutators, the normal-closure
+series of functional groups, the isomorphism search and the sorting Latin
+test), kept to test against.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from gamma_forge.core import ConstructionError, EvenOrderError, GammaForgeError
-from gamma_forge.groups import commutator
+from gamma_forge.groups import commutator, subgroup_closure
 
 # --- the order-21 split extension: pairs (h, k), h mod 7, k mod 3,
 #     generator of the cyclic part acting by h -> 2h
@@ -181,6 +182,18 @@ def left_bol_scan(t):
             rhs = t[t[x, t[y, x]]]
             if not (lhs == rhs).all():
                 return (x, y, int(np.argmin(lhs == rhs)))
+    return None
+
+
+def moufang_scan(t):
+    """Least (x, y, z) with (xy)(zx) != x((yz)x), or None: the n^2 products
+    of each x at once."""
+    for x in range(len(t)):
+        lhs = t[t[x][:, None], t[:, x][None, :]]  # [y, z] -> (xy)(zx)
+        rhs = t[x][t[t, x]]                       # [y, z] -> x((yz)x)
+        if not (lhs == rhs).all():
+            y, z = divmod(int(np.argmin(lhs == rhs)), len(t))
+            return x, y, z
     return None
 
 
@@ -421,6 +434,33 @@ def nested_commutator(g, xs: Sequence[int]) -> int:
     for x in xs[1:]:
         acc = commutator(g, acc, x)
     return acc
+
+
+def normal_closure(g, seed, conj_by):
+    """(members, generators) of the smallest subgroup holding seed and closed
+    under conjugation by conj_by, one product at a time."""
+    gens = sorted(set(seed) | {0})
+    while True:
+        members = subgroup_closure(g, gens)
+        have = set(members)
+        extra = {c for a in members for y in conj_by if (c := g.mul(g.mul(g.inv(y), a), y)) not in have}
+        if not extra:
+            return members, tuple(gens)
+        gens = sorted(set(gens) | extra)
+
+
+def functional_series(g, derived: bool):
+    """Member tuples of the derived (else the lower central) series of a group
+    from its declared generators: the next term is the normal closure of the
+    commutators of the last term's generators with themselves (else with the
+    group's generators) under conjugation by those."""
+    series, gens = [tuple(range(g.order))], tuple(g.gens)
+    while True:
+        others = gens if derived else g.gens
+        nxt, gens = normal_closure(g, {commutator(g, a, b) for a in gens for b in others}, others)
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
 
 
 def left_power(q: Loop, x: int, k: int) -> int:

@@ -126,6 +126,28 @@ def test_sampled_check_catches_a_wrong_commutator_convention():
         assert not ok and not exhaustive and witness.startswith("product-in-first-slot expansion fails at")
 
 
+def test_check_pins_the_bracket_convention():
+    # the transposed table [y, x] = [x, y]^-1 passes every expansion in
+    # sd:31:5:2, whose G' is abelian; the definition [x, y] = x^-1 y^-1 x y
+    # on the same triples fails on it, sampled or exhaustive (sd:7:3:2)
+    for spec in ("sd:31:5:2", "sd:7:3:2"):
+        g = construct(spec)
+        assert checks.commutator_identities_hold(g, 0)[0]
+        g.__dict__["comm_table"] = np.ascontiguousarray(g.comm_table.T)
+        for seed in range(3):
+            ok, witness, exhaustive = checks.commutator_identities_hold(g, seed)
+            assert not ok and exhaustive == (g.order <= checks.EXHAUSTIVE_TRIPLE_LIMIT)
+            assert witness.startswith("commutator definition fails at")
+
+
+def test_functional_group_laws_are_skipped():
+    # a functional group's product rule is not scanned, so no pass is claimed
+    report = run_checks(construct("ut:5:3"), ["group-laws", "uniquely-2-divisible"])
+    assert [(c.verdict, c.witness) for c in report.checks] == [
+        ("skipped", "functional group: the product rule is not scanned"), ("pass", None)]
+    assert run_checks(construct("sd:7:3:2"), ["group-laws"]).checks[0].verdict == "pass"
+
+
 def test_checks_at_order_729_keep_scratch_to_a_row_block():
     # every step of verify ut:4:3 (the checks of the verify-class3-729
     # benchmark: all but class3-center-equality) may hold at most 3 MB above

@@ -96,7 +96,7 @@ PINNED_VERIFY = [
     ("ut:4:3", 0, "148d91dda8167bd141a20f854f2e2407c693d7c9e4403f6812128b4e216ebec6"),
     ("sd:31:5:2", 0, "2a438846ce5da2747606399bbf51e8144ec258656eb92b96ead1fac29619f839"),
     ("cyclic:4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("ut:5:3", 0, "79f9bc98d300cc078e501de53c98ede3879d42c53bd14c3483eb7a8878ee92a8"),
+    ("ut:5:3", 0, "b8657c40d27dc98404c320616a44669b7db5e2abc0b5fd032efc565a6cb2ac00"),
 ]
 
 

@@ -389,9 +389,9 @@ def identity_moved(t, seed):
 @pytest.mark.parametrize("spec,seed", [("cyclic:3", 0), ("wr:3", 1), ("sd:31:5:2", 2), ("ut:4:3", 3)])
 def test_normalize_identity_matches_reference(spec, seed):
     arr = identity_moved(group(spec).tbl, seed)
-    out, sigma = normalize_identity(arr)
     ref_out, ref_sigma = oracles.normalize_identity_scan(arr)
-    assert (out == ref_out).all() and out.dtype == arr.dtype
+    out, sigma = normalize_identity(arr)  # in place
+    assert out is arr and (out == ref_out).all()
     assert sigma == ref_sigma and all(type(v) is int for v in sigma)
     # nothing to move: identity already at 0, or no two-sided identity
     for t in (group(spec).tbl, (np.arange(4)[:, None] - np.arange(4)[None, :]) % 4):
@@ -493,6 +493,40 @@ def test_random_commutative_loops_match_references(seed):
     assert (t == t.T).all()
     assert_matches_references(t)
     assert_inner_scans_match_references(t)
+
+
+def cml81():
+    """A nonassociative commutative Moufang loop of order 81, the least order
+    with one, on GF(3)^4: x o y = x + y + (0, 0, 0, (x3 - y3)(x1 y2 - x2 y1))."""
+    v = (np.arange(81)[:, None] // 3 ** np.arange(4)) % 3
+    x, y = v[:, None, :], v[None, :, :]
+    s = (x + y) % 3
+    s[..., 3] = (s[..., 3] + (x[..., 2] - y[..., 2]) * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])) % 3
+    return s @ 3 ** np.arange(4)
+
+
+# latin_loop(seed, commutative=True) is an abelian group, so left Bol, for
+# these seeds; for COMMUTATIVE_LATIN_SEEDS but 11 it is not left Bol
+BOL_COMMUTATIVE_LATIN_SEEDS = [11, 23, 38]
+
+
+def test_moufang_closure_matches_the_scan():
+    # a commutative loop is Moufang exactly when it is left Bol: the closure
+    # decides, and the scan gives the least witness of a failure
+    tables = [cml81()] + [latin_loop(seed, commutative=True)
+                          for seed in COMMUTATIVE_LATIN_SEEDS + BOL_COMMUTATIVE_LATIN_SEEDS[1:]]
+    tables += [latin_loop(seed) for seed in LATIN_SEEDS[:20]]  # noncommutative: the scan alone
+    for spec in SMALL_SPECS:
+        tables += [circ_loop(group(spec)).tbl, oplus_loop(group(spec)).tbl]
+    verdicts = []
+    for t in tables:
+        w = oracles.moufang_scan(t)
+        assert loops.is_moufang(Loop(CayleyTable(t))) == (w is None, w)
+        verdicts.append((bool((t == t.T).all()), w is None, oracles.assoc_scan(t) is None))
+    assert verdicts[0] == (True, True, False)  # Moufang, not a group
+    assert {(True, False, False), (False, False, False), (True, True, True)} <= set(verdicts)
+    for seed in BOL_COMMUTATIVE_LATIN_SEEDS:
+        assert loops._left_bol_witness(latin_loop(seed, commutative=True)) is None
 
 
 def test_random_loops_are_decided_without_their_chain():

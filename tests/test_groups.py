@@ -12,6 +12,7 @@ from gamma_forge.groups import (
     SemidirectSpec,
     SpecParseError,
     Subgroup,
+    TableRequiredError,
     center,
     commutator,
     construct,
@@ -125,10 +126,14 @@ def test_unitriangular_functional():
     # generators have order 3
     for g0 in u.gens:
         assert u.order_of(g0) == 3
-    assert not is_metabelian(u)
-    series = derived_series(u)
-    assert [s.order for s in series] == [3 ** 10, 729, 3, 1]
-    assert nilpotency_class(u) == 4
+    # the series come from normal closures of the generators' commutators,
+    # kept in the oracles; the library refuses them without a table
+    assert [len(s) for s in oracles.functional_series(u, True)] == [3 ** 10, 729, 3, 1]  # not metabelian
+    lower = oracles.functional_series(u, False)
+    assert len(lower) - 1 == 4 and lower[-1] == (0,)  # class 4
+    for predicate in (is_metabelian, derived_series, nilpotency_class, is_two_engel):
+        with pytest.raises(TableRequiredError):
+            predicate(u)
 
 
 def test_ut43_metabelian_class3():

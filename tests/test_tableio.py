@@ -1,12 +1,16 @@
-"""The .tbl reader and writer: whole-array paths against the per-line and
-per-cell code they replace.
+"""The .tbl reader and writer: the per-row numpy path, the in-place identity
+relabeling and the block-written export against the per-line and per-cell
+code they replace.
 
-``parse_tbl`` reads clean row lines with numpy and hands every other text to
-its line parser.  Forcing the line parser (by making ``_clean_rows`` decline)
-gives the reference: on every text the two must return the same array, name
-and comments, or raise the same error text.  ``format_tbl`` must write the
-bytes of the per-cell formatter kept in ``oracles``.
+``parse_tbl`` reads each clean row line with numpy (``_clean_row``) and hands
+every other row to its line parser (``_parsed_row``).  Forcing the line
+parser (by making ``_clean_row`` decline) gives the reference: on every text
+the two must return the same array, name and comments, or raise the same
+error text.  ``format_tbl`` must write the bytes of the per-cell formatter
+kept in ``oracles``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ import oracles
 from gamma_forge import tableio
 from gamma_forge.catalog import CATALOG_SPECS
 from gamma_forge.core import CayleyTable, ConstructionError
-from gamma_forge.groups import construct
+from gamma_forge.groups import construct, from_file
 
 SPECS = [s for s, order in CATALOG_SPECS.items() if order <= 155] + ["ut:4:3"]
 
@@ -30,10 +34,10 @@ def relabel(t, seed):
 
 def outcome(text, line_parser=False):
     """parse_tbl's (array, name, comments) or ("error", message), with the
-    line parser forced for every text when line_parser is set."""
+    line parser forced for every row when line_parser is set."""
     with pytest.MonkeyPatch.context() as mp:
         if line_parser:
-            mp.setattr(tableio, "_clean_rows", lambda lines, n: None)
+            mp.setattr(tableio, "_clean_row", lambda line, n: None)
         try:
             arr, name, comments = tableio.parse_tbl(text)
         except ConstructionError as err:
@@ -42,22 +46,34 @@ def outcome(text, line_parser=False):
     return arr.tolist(), name, comments
 
 
-def whole_read(text):
-    """Whether parse_tbl read the rows of text with numpy."""
-    calls = []
-    real = tableio._clean_rows
+def row_paths(text):
+    """(rows numpy read, line numbers of the rows the line parser got) when
+    parse_tbl reads text."""
+    read, parsed = [], []
+    real_clean, real_parsed = tableio._clean_row, tableio._parsed_row
 
-    def spy(lines, n):
-        calls.append(real(lines, n))
-        return calls[-1]
+    def clean(line, n):
+        row = real_clean(line, n)
+        read.append(row is not None)
+        return row
+
+    def line_parser(line, n, lineno):
+        parsed.append(lineno)
+        return real_parsed(line, n, lineno)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tableio, "_clean_rows", spy)
+        mp.setattr(tableio, "_clean_row", clean)
+        mp.setattr(tableio, "_parsed_row", line_parser)
         try:
             tableio.parse_tbl(text)
         except ConstructionError:
             pass
-    return any(c is not None for c in calls)
+    return sum(read), parsed
+
+
+def whole_read(text, n):
+    """Whether numpy read all n rows of text."""
+    return row_paths(text) == (n, [])
 
 
 def assert_same_as_line_parser(text):
@@ -73,7 +89,7 @@ def test_relabeled_catalog_tables_read_whole(spec):
     arr, name, comments = assert_same_as_line_parser(text)
     assert (np.array(arr) == t).all() and name == spec
     assert comments == [f"# name: {spec}", "# relabeled", "# seeded"]
-    assert whole_read(text)
+    assert whole_read(text, len(t))
 
 
 Z4 = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
@@ -92,28 +108,31 @@ CLEAN = {  # texts whose rows numpy reads, with the array they hold
     "leading zeros": (z4_text(["00 1 2 3", "1 2 3 0", "2 3 0 01", "3 0 1 0000000000000000000002"]), Z4),
 }
 
-LINE_PARSED = {  # texts the line parser must read: accepted by int(), or errors
-    "plus sign": z4_text(["0 1 2 3", "1 2 +3 0", "2 3 0 1", "3 0 1 2"]),
-    "underscore": "11\n" + "\n".join(" ".join("1_0" if v == 10 else str(v) for v in row) for row in Z11) + "\n",
-    "arabic-indic digit": z4_text(["0 1 2 ٣", "1 2 3 0", "2 3 0 1", "3 0 1 2"]),
-    "blank row line": "1\n   \n0\n",
-    "blank between rows": z4_text(["0 1 2 3", "1 2 3 0", " \t ", "2 3 0 1", "3 0 1 2"]),
-    "comment between rows": z4_text(["0 1 2 3", "# name: mid", "1 2 3 0", "2 3 0 1", "3 0 1 2"]),
-    "1+2": z4_text(["0 1 2 3", "1 2 3 0", "2 3 0 1+2", "3 0 1 2"]),
-    "1-2": z4_text(["0 1 2 3", "1 2 3 0", "2 3 0 1-2", "3 0 1 2"]),
-    "hex": z4_text(["0 1 2 3", "1 2 3 0x1", "2 3 0 1", "3 0 1 2"]),
-    "float": z4_text(["0 1 2 3", "1 2 3 0", "2 3 0 1.0", "3 0 1 2"]),
-    "negative": z4_text(["0 1 2 3", "1 2 3 0", "2 3 0 -1", "3 0 1 2"]),
-    "2^63": z4_text(["0 1 2 3", "1 2 3 9223372036854775808", "2 3 0 1", "3 0 1 2"]),
-    "2^64 + 1": z4_text(["0 1 2 3", "1 2 3 18446744073709551617", "2 3 0 1", "3 0 1 2"]),
-    "out of range": z4_text(["0 1 2 3", "1 2 3 4", "2 3 0 1", "3 0 1 2"]),
-    "short row": z4_text(["0 1 2 3", "1 2 3", "2 3 0 1", "3 0 1 2"]),
-    "long row": z4_text(["0 1 2 3", "1 2 3 0 1", "2 3 0 1", "3 0 1 2"]),
-    "too few rows": z4_text(["0 1 2 3", "1 2 3 0"]),
-    "no count": "# only a comment\n\n",
-    "bad count": "four\n0 1 2 3\n",
-    "zero count": "0\n",
-    "no-break space": z4_text(["0 1 2 3", "1\xa02 3 0", "2 3 0 1", "3 0 1 2"]),
+LINE_PARSED = {  # texts with the line numbers of the rows the line parser must read:
+    # accepted by int(), or errors; blank and '#' lines are not rows, so the rows
+    # around them are clean, and a text may end before its rows do
+    "plus sign": (z4_text(["0 1 2 3", "1 2 +3 0", "2 3 0 1", "3 0 1 2"]), [3]),
+    "underscore": ("11\n" + "\n".join(" ".join("1_0" if v == 10 else str(v) for v in row) for row in Z11) + "\n",
+                   list(range(2, 13))),
+    "arabic-indic digit": (z4_text(["0 1 2 ٣", "1 2 3 0", "2 3 0 1", "3 0 1 2"]), [2]),
+    "blank row line": ("1\n   \n0\n", []),
+    "blank between rows": (z4_text(["0 1 2 3", "1 2 3 0", " \t ", "2 3 0 1", "3 0 1 2"]), []),
+    "comment between rows": (z4_text(["0 1 2 3", "# name: mid", "1 2 3 0", "2 3 0 1", "3 0 1 2"]), []),
+    "1+2": (z4_text(["0 1 2 3", "1 2 3 0", "2 3 0 1+2", "3 0 1 2"]), [4]),
+    "1-2": (z4_text(["0 1 2 3", "1 2 3 0", "2 3 0 1-2", "3 0 1 2"]), [4]),
+    "hex": (z4_text(["0 1 2 3", "1 2 3 0x1", "2 3 0 1", "3 0 1 2"]), [3]),
+    "float": (z4_text(["0 1 2 3", "1 2 3 0", "2 3 0 1.0", "3 0 1 2"]), [4]),
+    "negative": (z4_text(["0 1 2 3", "1 2 3 0", "2 3 0 -1", "3 0 1 2"]), [4]),
+    "2^63": (z4_text(["0 1 2 3", "1 2 3 9223372036854775808", "2 3 0 1", "3 0 1 2"]), [3]),
+    "2^64 + 1": (z4_text(["0 1 2 3", "1 2 3 18446744073709551617", "2 3 0 1", "3 0 1 2"]), [3]),
+    "out of range": (z4_text(["0 1 2 3", "1 2 3 4", "2 3 0 1", "3 0 1 2"]), [3]),
+    "short row": (z4_text(["0 1 2 3", "1 2 3", "2 3 0 1", "3 0 1 2"]), [3]),
+    "long row": (z4_text(["0 1 2 3", "1 2 3 0 1", "2 3 0 1", "3 0 1 2"]), [3]),
+    "too few rows": (z4_text(["0 1 2 3", "1 2 3 0"]), []),
+    "no count": ("# only a comment\n\n", []),
+    "bad count": ("four\n0 1 2 3\n", []),
+    "zero count": ("0\n", []),
+    "no-break space": (z4_text(["0 1 2 3", "1\xa02 3 0", "2 3 0 1", "3 0 1 2"]), [3]),
 }
 
 
@@ -121,18 +140,18 @@ LINE_PARSED = {  # texts the line parser must read: accepted by int(), or errors
 def test_clean_rows_read_whole(case):
     text, table = CLEAN[case]
     assert assert_same_as_line_parser(text)[0] == table
-    assert whole_read(text)
+    assert whole_read(text, len(table))
 
 
 @pytest.mark.parametrize("case", sorted(LINE_PARSED))
 def test_other_texts_keep_the_line_parser(case):
-    text = LINE_PARSED[case]
+    text, lines = LINE_PARSED[case]
     assert_same_as_line_parser(text)
-    assert not whole_read(text)
+    assert row_paths(text)[1] == lines
 
 
 def test_line_parser_outcomes_are_pinned():
-    got = {case: outcome(text) for case, text in LINE_PARSED.items()}
+    got = {case: outcome(text) for case, (text, _) in LINE_PARSED.items()}
     assert got["plus sign"][0] == got["arabic-indic digit"][0] == got["no-break space"][0] == Z4
     assert got["underscore"][0] == Z11
     assert got["blank row line"][0] == [[0]]
@@ -150,7 +169,7 @@ def test_line_parser_outcomes_are_pinned():
 
 def test_content_after_whole_rows_is_an_error():
     text = z4_text(["0 1 2 3", "1 2 3 0", "2 3 0 1", "3 0 1 2"], tail="# fine\n\n0 1\n")
-    assert whole_read(text)
+    assert whole_read(text, 4)
     assert assert_same_as_line_parser(text) == ("error", "line 8: unexpected content after the 4 table rows")
 
 
@@ -165,5 +184,83 @@ def test_format_matches_per_cell_formatter(spec):
 def test_export_writes_per_cell_bytes(tmp_path):
     t = CayleyTable(relabel(construct("sd:31:5:2").tbl, 3), name="relabeled")
     tableio.export_table(t, tmp_path / "t.tbl", ["x"])
-    norm = CayleyTable(tableio.normalize_identity(t.table)[0], name="relabeled")
+    norm = CayleyTable(tableio.normalize_identity(t.table.copy())[0], name="relabeled")
     assert (tmp_path / "t.tbl").read_bytes() == oracles.format_tbl_per_cell(norm, ["x"]).encode()
+
+
+def test_file_lines_split_as_the_text_does(tmp_path):
+    # parse_tbl splits the lines of a file as str.splitlines splits the whole
+    # text, so line numbers in errors do not depend on the separators
+    rows = ["0 1 2 3", "1 2 3 0", "2 3 0 1", "3 0 1 2"]
+    texts = ["# name: z4\r4\r\n" + "\x0c".join(rows) + "\x85# end\u2028",
+             "4\x1c" + "\v".join(rows[:2] + ["2 3 0 9"] + rows[3:]) + "\n",
+             "4\n" + "\r".join(rows) + "\x1e\x1d0 1\n"]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"{i}.tbl"
+        path.write_text(text, newline="")
+        with open(path) as fh:
+            try:
+                got = tableio.parse_tbl(fh)
+                got = got[0].tolist(), got[1], got[2]
+            except ConstructionError as err:
+                got = "error", str(err)
+        assert got == outcome(text)
+    assert outcome(texts[0])[0] == Z4
+    assert outcome(texts[1]) == ("error", "line 4: entry 9 at column 3 outside 0..3")
+    assert outcome(texts[2]) == ("error", "line 7: unexpected content after the 4 table rows")
+
+
+def relabeled_file(tmp_path, spec):
+    t = relabel(construct(spec).tbl, 1)
+    assert t[0, 0] != 0  # the identity is moved on import
+    path = tmp_path / "moved.tbl"
+    path.write_text(oracles.format_tbl_per_cell(CayleyTable(t, name=spec)))
+    return path, t
+
+
+def test_import_relabels_the_parsed_array_in_place(tmp_path, monkeypatch):
+    path, t = relabeled_file(tmp_path, "sd:31:5:2")
+    parsed = []
+    real = tableio.parse_tbl
+    monkeypatch.setattr(tableio, "parse_tbl", lambda src: parsed.append(real(src)) or parsed[-1])
+    res = tableio.import_table(path)
+    arr = res.table.table
+    assert arr is parsed[0][0] and arr.flags.owndata and not arr.flags.writeable
+    ref, sigma = oracles.normalize_identity_scan(t)
+    assert (arr == ref).all() and res.relabeling == sigma
+
+
+def test_reading_and_writing_keep_scratch_to_a_row_block(tmp_path):
+    # at order 729 a table is 2.1 MB; reading one (parse, relabel and, for
+    # from_file, the group-law check) and writing one may hold at most 1 MB
+    # above it, so no step builds a copy of the table or a table-sized mask
+    path, _ = relabeled_file(tmp_path, "ut:4:3")
+    table = construct("ut:4:3").table
+    steps = [("import_table", lambda: tableio.import_table(path)), ("from_file", lambda: from_file(path)),
+             ("export_table", lambda: tableio.export_table(table, tmp_path / "out.tbl"))]
+    excess = {}
+    tracemalloc.start()
+    try:
+        for name, step in steps:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kept = step()  # what a step returns counts as held after it
+            after, peak = tracemalloc.get_traced_memory()
+            excess[name] = peak - max(before, after)
+            del kept
+    finally:
+        tracemalloc.stop()
+    assert {name: round(b / 1e6, 2) for name, b in excess.items() if b > 1e6} == {}
+    assert (tmp_path / "out.tbl").read_text() == oracles.format_tbl_per_cell(table)
+
+
+def test_a_table_too_large_for_memory_is_an_error(monkeypatch):
+    real = np.empty
+
+    def empty(shape, dtype=float):
+        if shape == (5, 5):
+            raise MemoryError
+        return real(shape, dtype)
+
+    monkeypatch.setattr(tableio.np, "empty", empty)
+    assert outcome("5\n# a first row\n0 1 2 3 4\n") == ("error", "line 3: a table of 5 rows does not fit in memory")
