@@ -15,7 +15,6 @@ from .groups import (
     SemidirectSpec,
     Subgroup,
     center,
-    commutator,
     construct,
     cyclic,
     derived_series,
@@ -28,12 +27,11 @@ from .groups import (
     lower_central_series,
     nilpotency_class,
     sd,
-    sqrt_element,
     unitriangular,
     upper_central_series,
     wreath_cyclic,
 )
-from .constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop, power
+from .constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop
 from .loops import (
     Loop,
     check_gamma_axioms,
@@ -46,6 +44,6 @@ from .loops import (
     powers_coincide,
     quotient_loop,
 )
-from .sdforms import SdElement, SdForms
+from .sdforms import SdForms
 
 __version__ = "0.1.0"

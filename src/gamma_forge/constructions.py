@@ -5,10 +5,9 @@ Two ways to deform a group product into a commutative loop:
   circ:   x o y = x y [y,x]^(1/2)        (square root of the commutator)
   oplus:  x (+) y = (x y^2 x)^(1/2)      (square root of a palindrome)
 
-plus the translation between the two loop varieties in both directions, and
-unambiguous powers in power-associative loops.  Everything is validated at
-construction: loop-ness, commutativity, the automorphic inverse property, and
-power coincidence with the source group.
+plus the translation between the two loop varieties in both directions.
+Everything is validated at construction: loop-ness, commutativity, the
+automorphic inverse property, and power coincidence with the source group.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .loops import (
     aip_witness,
     check_gamma_axioms,
     commutativity_witness,
-    cyclic_powers,
     is_left_bruck,
     is_power_associative,
     powers_coincide,
@@ -235,20 +233,4 @@ def _gamma_by_doubling(q: Loop) -> np.ndarray:
             point = np.where(k >> j & 1, aj.take(point), point)
         out[x] = point - base
     return out
-
-
-def power(q: Loop, x: int, k: int) -> int:
-    """The unambiguous k-th power of x; negative k through the two-sided inverse.
-
-    Requires the submagma generated by x to be associative (checked), which
-    is what makes the bracketing irrelevant: it is then cyclic on the left
-    powers x^0, ..., x^(m-1), and x^k is the one at k mod m.
-    """
-    powers = cyclic_powers(q.tbl, x)
-    if powers is None:
-        raise ConstructionError(f"powers of {q.label(x)} are ambiguous "
-                                f"(generated submagma is not associative)")
-    if k < 0 and q.inverse is None:
-        raise ConstructionError("negative powers need two-sided inverses")
-    return int(powers[k % len(powers)])
 

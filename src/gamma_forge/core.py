@@ -100,10 +100,12 @@ class ClassifyResult:
 class CayleyTable:
     """An n x n multiplication table over elements 0..n-1.
 
-    Immutable after construction; ``table[x, y]`` is the product x*y.
+    Immutable after construction; ``table[x, y]`` is the product x*y.  A
+    ``classification`` handed in is taken as the table's own, unchecked.
     """
 
-    def __init__(self, table, name: str = "", element_names: Sequence[str] | None = None):
+    def __init__(self, table, name: str = "", element_names: Sequence[str] | None = None,
+                 classification: ClassifyResult | None = None):
         # a read-only int32 array that owns its data is taken as is, anything else copied
         owned = isinstance(table, np.ndarray) and table.base is None and not table.flags.writeable
         arr = table if owned and table.dtype == np.int32 else np.array(table, dtype=np.int32)
@@ -122,9 +124,8 @@ class CayleyTable:
         self.table = arr
         self.name = name
         self.element_names = list(element_names) if element_names is not None else None
-
-    def product(self, x: int, y: int) -> int:
-        return int(self.table[x, y])
+        if classification is not None:
+            self.classification = classification
 
     def label(self, x: int) -> str:
         if self.element_names is not None:

@@ -25,7 +25,6 @@ from .core import (
     GammaForgeError,
     _ROW_BLOCK,
     build_table,
-    classify,
     distinct_values,
     first_false_rows,
     left_power_walk,
@@ -33,7 +32,7 @@ from .core import (
     table_cap,
 )
 from . import tableio
-from .loops import associativity_witness, commutativity_witness
+from .loops import _close, associativity_witness, commutativity_witness
 
 
 _SQUARE_BLOCK = 1 << 16  # elements squared per numpy step in functional groups
@@ -47,36 +46,11 @@ class SpecParseError(GammaForgeError):
     """A group-spec string could not be parsed."""
 
 
-class _Powers:
-    """Element orders and powers from mul, shared by both kinds of group."""
-
-    def order_of(self, x: int) -> int:
-        acc = x
-        for k in range(1, self.order + 1):
-            if acc == 0:
-                return k
-            acc = self.mul(acc, x)
-        raise ConstructionError(
-            f"element {self.label(x)} has no power equal to the identity "
-            f"within {self.order} steps: {self.name} is not a group")
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(x), -k)
-        acc, base = 0, x
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
-
-
 # ---------------------------------------------------------------------------
 # Table-backed groups
 
 
-class Group(_Powers):
+class Group:
     """A finite group given by a verified Cayley table with identity 0."""
 
     def __init__(self, table: CayleyTable, check: bool = True,
@@ -97,7 +71,7 @@ class Group(_Powers):
         self.inverse.setflags(write=False)
 
     def _verify(self):
-        cls = classify(self.table)
+        cls = self.table.classification
         if not cls.is_latin:
             raise ConstructionError(f"not a group table: {cls.witness}")
         if cls.identity_index != 0:
@@ -119,9 +93,6 @@ class Group(_Powers):
     def rule(self, x, y):
         """The product as an array-capable rule, so rules can be composed."""
         return self.tbl[x, y]
-
-    def inv(self, x: int) -> int:
-        return int(self.inverse[x])
 
     @cached_property
     def comm_table(self) -> np.ndarray:
@@ -150,7 +121,7 @@ class Group(_Powers):
         return f"<Group {self.name!r} order={self.order}>"
 
 
-class FunctionalGroup(_Powers):
+class FunctionalGroup:
     """A finite group held as a product rule instead of a table.
 
     Permits streamed scans (element enumeration, rule products) but refuses
@@ -167,7 +138,6 @@ class FunctionalGroup(_Powers):
         self.source_spec = source_spec
         self.notes = tuple(notes)
         self.sd_spec = None
-        self._inv_cache: dict[int, int] = {}
         if self.mul(0, 0) != 0:
             raise ConstructionError("identity must be index 0")
 
@@ -176,13 +146,6 @@ class FunctionalGroup(_Powers):
 
     def mul(self, x: int, y: int) -> int:
         return int(self.rule(x, y))
-
-    def inv(self, x: int) -> int:
-        cached = self._inv_cache.get(x)
-        if cached is None:
-            cached = self.power(x, self.order_of(x) - 1)
-            self._inv_cache[x] = cached
-        return cached
 
     def __repr__(self):
         return f"<FunctionalGroup {self.name!r} order={self.order}>"
@@ -229,32 +192,20 @@ class Subgroup:
         return len(self.members)
 
 
-def subgroup_closure(g: AnyGroup, seed: Sequence[int]) -> tuple[int, ...]:
-    """Members of the subgroup generated by ``seed`` (frontier fixpoint)."""
-    gens = sorted(set(int(s) for s in seed) | {0})
-    members = set(gens)
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for b in frontier:
-            for a in gens:
-                c = g.mul(b, a)
-                if c not in members:
-                    members.add(c)
-                    new.append(c)
-        frontier = new
-    return tuple(sorted(members))
+def subgroup_closure(g: Group, seed: Sequence[int]) -> tuple[int, ...]:
+    """Members of the subgroup generated by ``seed``: {0} closed under the
+    product, then each seed element not yet reached added and the set closed
+    again.  A finite set closed under the product is a subgroup."""
+    reached, members = np.zeros(g.order, dtype=bool), np.empty(g.order, dtype=np.intp)
+    k = _close(g.rule, reached, members, 0, 0)
+    for s in seed:
+        if not reached[s]:
+            k = _close(g.rule, reached, members, k, int(s))
+    return tuple(np.sort(members[:k]).tolist())
 
 
 # ---------------------------------------------------------------------------
 # Commutators and predicates
-
-
-def commutator(g: AnyGroup, x: int, y: int) -> int:
-    """[x, y] = x^-1 y^-1 x y."""
-    if isinstance(g, Group):
-        return int(g.comm_table[x, y])
-    return g.mul(g.mul(g.mul(g.inv(x), g.inv(y)), x), y)
 
 
 def is_uniquely_2_divisible(g: AnyGroup) -> bool:
@@ -279,14 +230,6 @@ def is_uniquely_2_divisible(g: AnyGroup) -> bool:
         raise GammaForgeError(
             f"internal inconsistency: squaring injective={injective} but order parity says {odd}")
     return injective
-
-
-def sqrt_element(g: AnyGroup, a: int) -> int:
-    """The unique b with b*b = a inside <a>; element order must be odd."""
-    m = g.order_of(a)
-    if m % 2 == 0:
-        raise EvenOrderError(f"element {g.label(a)} has even order {m}")
-    return g.power(a, (m + 1) // 2)
 
 
 def center(g: AnyGroup) -> Subgroup:
@@ -431,10 +374,6 @@ class SemidirectSpec:
 
     def encode(self, h: int, f: int) -> int:
         return f * self.nH + h
-
-    def decode(self, u: int) -> tuple[int, int]:
-        f, h = divmod(u, self.nH)
-        return h, f
 
 
 # ---------------------------------------------------------------------------

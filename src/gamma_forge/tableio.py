@@ -9,7 +9,7 @@ normalized tables with a '# name:' header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -106,15 +106,15 @@ def _parsed_row(line: str, n: int, lineno: int) -> list[int]:
     return row
 
 
-def normalize_identity(arr: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
-    """Relabel a writable table with entries in 0..n-1 in place, so that a
-    two-sided identity e, if present, sits at index 0: by the transposition
-    (0 e), rows, columns and values 0 and e swap, a block of rows per step.
+def normalize_identity(arr: np.ndarray, e: int | None) -> tuple[np.ndarray, list[int] | None]:
+    """Relabel a writable table with entries in 0..n-1 in place, so that its
+    two-sided identity e (None if it has none) sits at index 0: by the
+    transposition (0 e), rows, columns and values 0 and e swap, a block of
+    rows per step.
 
     Returns (arr, relabeling) where relabeling maps old index -> new index;
     relabeling is None when nothing was moved (identity already 0 or absent).
     """
-    e = classify(arr).identity_index
     if e is None or e == 0:
         return arr, None
     arr[[0, e]] = arr[[e, 0]]
@@ -131,12 +131,17 @@ def normalize_identity(arr: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
 
 def import_table(path: str | Path) -> ImportResult:
     """Load a .tbl file, normalizing its identity to index 0; the rows flow
-    into one array that the CayleyTable takes without a copy."""
+    into one array that the CayleyTable takes without a copy, together with
+    the array's one classification: the transposition (0 e) keeps the Latin
+    verdict and its witness, and moves the identity to 0."""
     with open(path) as fh:
         arr, name, comments = parse_tbl(fh)
-    _, sigma = normalize_identity(arr)
+    cls = classify(arr)
+    _, sigma = normalize_identity(arr, cls.identity_index)
     arr.setflags(write=False)
-    table = CayleyTable(arr, name=name or Path(path).stem)
+    if sigma is not None:
+        cls = replace(cls, identity_index=0)
+    table = CayleyTable(arr, name=name or Path(path).stem, classification=cls)
     return ImportResult(table=table, relabeling=sigma, name=name, comments=comments)
 
 
@@ -160,7 +165,8 @@ def export_table(table: CayleyTable, path: str | Path,
     """Write a table to a .tbl file a block of rows at a time, relabeled (on a
     copy) so that its identity, if any, sits at index 0."""
     arr = table.table
-    if table.classification.identity_index:  # neither None nor 0
-        arr, _ = normalize_identity(arr.copy())
+    e = table.classification.identity_index
+    if e:  # neither None nor 0
+        arr, _ = normalize_identity(arr.copy(), e)
     with open(path, "w") as fh:
         fh.writelines(_tbl_chunks(arr, table.name, extra_comments))

@@ -4,9 +4,9 @@ Everything here works on labeled pairs/tuples with direct modular arithmetic
 and brute-force searches, never through the library's group or loop engines,
 so the two sides of every comparison stay independent.  The exception is a
 section of former library API that only tests used (permutations,
-translations, divisions, loop powers, nested commutators, the normal-closure
-series of functional groups, the isomorphism search and the sorting Latin
-test), kept to test against.
+translations, divisions, loop powers, inverses and nested commutators, the
+frontier subgroup closure, the normal-closure series of functional groups,
+the isomorphism search and the sorting Latin test), kept to test against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from gamma_forge.core import ConstructionError, EvenOrderError, GammaForgeError
-from gamma_forge.groups import commutator, subgroup_closure
 
 # --- the order-21 split extension: pairs (h, k), h mod 7, k mod 3,
 #     generator of the cyclic part acting by h -> 2h
@@ -426,6 +425,37 @@ def format_tbl_per_cell(table, extra_comments=None):
 #     here to test against
 
 
+def inverse(g, x: int) -> int:
+    """x^(m-1) for the order m of x, by walking the powers of x with g.mul."""
+    prev, acc = 0, x
+    while acc != 0:
+        prev, acc = acc, g.mul(acc, x)
+    return prev
+
+
+def commutator(g, x: int, y: int) -> int:
+    """[x, y] = x^-1 y^-1 x y, one product at a time."""
+    return g.mul(g.mul(g.mul(inverse(g, x), inverse(g, y)), x), y)
+
+
+def subgroup_closure(g, seed) -> tuple[int, ...]:
+    """Members of the subgroup generated by seed, frontier by frontier: each
+    new element times every generator."""
+    gens = sorted(set(int(s) for s in seed) | {0})
+    members = set(gens)
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for b in frontier:
+            for a in gens:
+                c = g.mul(b, a)
+                if c not in members:
+                    members.add(c)
+                    new.append(c)
+        frontier = new
+    return tuple(sorted(members))
+
+
 def nested_commutator(g, xs: Sequence[int]) -> int:
     """[x0, x1, ..., xk] folded left: [[x0,x1],...,xk]."""
     if not xs:
@@ -443,7 +473,8 @@ def normal_closure(g, seed, conj_by):
     while True:
         members = subgroup_closure(g, gens)
         have = set(members)
-        extra = {c for a in members for y in conj_by if (c := g.mul(g.mul(g.inv(y), a), y)) not in have}
+        conj = [(inverse(g, y), y) for y in conj_by]
+        extra = {c for a in members for yi, y in conj if (c := g.mul(g.mul(yi, a), y)) not in have}
         if not extra:
             return members, tuple(gens)
         gens = sorted(set(gens) | extra)
@@ -659,7 +690,6 @@ def is_isomorphic(q1: Loop, q2: Loop, budget: int = 2_000_000) -> IsoResult:
     phi = np.full(n, -1, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
     assigned: list[int] = []
-    steps = 0
 
     def consistent(a: int, b: int) -> bool:
         # called with phi[a] = b already placed; every constraint touching a
@@ -682,30 +712,41 @@ def is_isomorphic(q1: Loop, q2: Loop, budget: int = 2_000_000) -> IsoResult:
                 return False
         return True
 
-    def dfs(depth: int) -> str:
-        nonlocal steps
-        if depth == n:
-            return "yes"
-        a = order[depth]
-        for b in candidates[a]:
-            if used[b]:
-                continue
-            steps += 1
-            if steps > budget:
-                return "indeterminate"
-            phi[a] = b
-            used[b] = True
-            assigned.append(a)
-            if consistent(a, b):
-                res = dfs(depth + 1)
-                if res != "no":
-                    return res
-            assigned.pop()
-            used[b] = False
-            phi[a] = -1
+    def search() -> str:
+        # depth-first, with the next candidate of each depth on an explicit
+        # stack instead of one recursion level per element
+        steps, depth, pos = 0, 0, [0] * n
+        while depth >= 0:
+            if depth == n:
+                return "yes"
+            a, cands = order[depth], candidates[order[depth]]
+            if phi[a] >= 0:  # back from depth + 1: undo this depth's placement
+                used[phi[a]] = False
+                phi[a] = -1
+                assigned.pop()
+            while pos[depth] < len(cands):
+                b = cands[pos[depth]]
+                pos[depth] += 1
+                if used[b]:
+                    continue
+                steps += 1
+                if steps > budget:
+                    return "indeterminate"
+                phi[a] = b
+                used[b] = True
+                assigned.append(a)
+                if consistent(a, b):
+                    depth += 1
+                    break
+                assigned.pop()
+                used[b] = False
+                phi[a] = -1
+            else:
+                pos[depth] = 0
+                depth -= 1
         return "no"
 
-    verdict = dfs(0)
+    verdict = search()
     if verdict == "yes":
         mapping = tuple(int(v) for v in phi)
         tm = np.array(mapping)

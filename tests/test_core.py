@@ -25,7 +25,7 @@ from oracles import (
 def test_build_table_trivial_and_cyclic():
     # rules are evaluated on broadcast index arrays; a constant broadcasts too
     t1 = build_table(1, lambda x, y: 0)
-    assert t1.n == 1 and t1.product(0, 0) == 0
+    assert t1.n == 1 and t1.table[0, 0] == 0
     z7 = build_table(7, lambda x, y: (x + y) % 7)
     assert classify(z7).is_loop
     assert classify(z7).identity_index == 0
@@ -46,9 +46,9 @@ def test_build_table_group21_rule():
     t = build_table(21, rule)
     assert classify(t).is_loop
     # spot: (1,0)*(0,1) = (1,1)
-    assert t.product(1, 7) == 7 + 1
+    assert t.table[1, 7] == 7 + 1
     # the table is the rule evaluated cell by cell
-    assert all(t.product(x, y) == rule(x, y) for x in range(21) for y in range(21))
+    assert all(t.table[x, y] == rule(x, y) for x in range(21) for y in range(21))
 
 
 def test_build_table_rejects_out_of_range():
@@ -97,8 +97,8 @@ def test_divisions():
     z7 = build_table(7, lambda x, y: (x + y) % 7)
     assert left_divide(z7, 3, 5) == 2
     for x, y in product(range(7), repeat=2):
-        assert z7.product(x, left_divide(z7, x, y)) == y
-        assert z7.product(right_divide(z7, y, x), x) == y
+        assert z7.table[x, left_divide(z7, x, y)] == y
+        assert z7.table[right_divide(z7, y, x), x] == y
     assert left_divide(z7, 0, 4) == 4  # identity\y = y
 
 

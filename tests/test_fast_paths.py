@@ -25,8 +25,7 @@ import oracles
 from oracles import Permutation
 from gamma_forge.catalog import CATALOG_SPECS
 from gamma_forge import constructions, core
-from gamma_forge.constructions import (bruck_from_gamma, circ_loop, gamma_from_bruck, loop_sqrt_table,
-                                       oplus_loop, power)
+from gamma_forge.constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, loop_sqrt_table, oplus_loop
 from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, left_power_walk
 from gamma_forge import loops
 from gamma_forge.groups import Group, construct
@@ -390,12 +389,12 @@ def identity_moved(t, seed):
 def test_normalize_identity_matches_reference(spec, seed):
     arr = identity_moved(group(spec).tbl, seed)
     ref_out, ref_sigma = oracles.normalize_identity_scan(arr)
-    out, sigma = normalize_identity(arr)  # in place
+    out, sigma = normalize_identity(arr, core.classify(arr).identity_index)  # in place
     assert out is arr and (out == ref_out).all()
     assert sigma == ref_sigma and all(type(v) is int for v in sigma)
     # nothing to move: identity already at 0, or no two-sided identity
     for t in (group(spec).tbl, (np.arange(4)[:, None] - np.arange(4)[None, :]) % 4):
-        for out, sigma in (normalize_identity(t), oracles.normalize_identity_scan(t)):
+        for out, sigma in (normalize_identity(t, core.classify(t).identity_index), oracles.normalize_identity_scan(t)):
             assert out is t and sigma is None
 
 
@@ -593,8 +592,9 @@ def test_product_loops_reach_late_witnesses():
 def test_walked_group_powers_match_scalar_powers(spec):
     g = group(spec)
     orders, halves, differ = left_power_walk(g.tbl)
-    assert orders.tolist() == [g.order_of(x) for x in range(g.order)]
-    assert halves.tolist() == [g.power(x, (m + 1) // 2) for x, m in enumerate(orders.tolist())]
+    q = Loop(g.table)
+    assert orders.tolist() == [oracles.loop_order_of(q, x) for x in range(g.order)]
+    assert halves.tolist() == [oracles.left_power(q, x, (m + 1) // 2) for x, m in enumerate(orders.tolist())]
     assert not differ.any()
     if g.order % 2:
         assert (g.sqrt_table == halves).all()
@@ -648,26 +648,16 @@ def test_power_associativity_matches_references_on_seeded_loops(block, monkeypat
 
 
 def test_cyclic_powers_decide_each_generated_submagma():
-    # the old power(): a closure test of <x>, then left powers, of the inverse for k < 0
+    # a closure test of <x>, then its left powers, which close at the order of x
     small = [t for t in seeded_loops() if len(t) == 15]
     for t in small + [circ_loop(group("sd:7:3:2")).tbl, cocycle_loop(3, 5, 3, odd=True)]:
         q = Loop(CayleyTable(t))
         for x in range(len(t)):
             pw = cyclic_powers(t, x)
             assert (pw is not None) == oracles.submagma_is_associative(t, x)
-            if pw is None:
-                with pytest.raises(ConstructionError, match="ambiguous"):
-                    power(q, x, 2)
-                continue
-            assert pw.tolist() == [oracles.left_power(q, x, k) for k in range(len(pw))]
-            for k in range(-len(pw) - 2, 2 * len(pw) + 2):
-                if k >= 0:
-                    assert power(q, x, k) == oracles.left_power(q, x, k)
-                elif q.inverse is None:
-                    with pytest.raises(ConstructionError, match="two-sided inverses"):
-                        power(q, x, k)
-                else:
-                    assert power(q, x, k) == oracles.left_power(q, int(q.inverse[x]), -k)
+            if pw is not None:
+                assert pw.tolist() == [oracles.left_power(q, x, k) for k in range(len(pw))]
+                assert len(pw) == oracles.loop_order_of(q, x)
 
 
 @pytest.mark.parametrize("spec", [s for s in SMALL_SPECS if group(s).order <= 125] + ["ut:4:3"])

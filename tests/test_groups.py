@@ -1,11 +1,14 @@
 """Group constructors, commutator machinery, series, and predicates."""
 
+import random
+
 import numpy as np
 import pytest
 
 import oracles
 from gamma_forge import groups
-from gamma_forge.core import ConstructionError, EvenOrderError
+from gamma_forge.catalog import CATALOG_SPECS
+from gamma_forge.core import ConstructionError, EvenOrderError, build_table, left_power_walk
 from gamma_forge.groups import (
     FunctionalGroup,
     Group,
@@ -14,7 +17,6 @@ from gamma_forge.groups import (
     Subgroup,
     TableRequiredError,
     center,
-    commutator,
     construct,
     cyclic,
     derived_series,
@@ -28,7 +30,7 @@ from gamma_forge.groups import (
     lower_central_series,
     nilpotency_class,
     sd,
-    sqrt_element,
+    subgroup_closure,
     unitriangular,
     upper_central_series,
 )
@@ -49,7 +51,7 @@ def test_cyclic_basic():
     z7 = cyclic(7)
     assert z7.order == 7
     assert z7.mul(3, 5) == 1
-    assert z7.inv(2) == 5
+    assert z7.inverse[2] == 5
 
 
 def test_direct_product():
@@ -125,7 +127,7 @@ def test_unitriangular_functional():
     assert u.order == 3 ** 10
     # generators have order 3
     for g0 in u.gens:
-        assert u.order_of(g0) == 3
+        assert g0 != 0 and u.mul(u.mul(g0, g0), g0) == 0
     # the series come from normal closures of the generators' commutators,
     # kept in the oracles; the library refuses them without a table
     assert [len(s) for s in oracles.functional_series(u, True)] == [3 ** 10, 729, 3, 1]  # not metabelian
@@ -145,14 +147,11 @@ def test_ut43_metabelian_class3():
 
 
 def test_commutator_examples(g21):
-    z9 = cyclic(9)
-    for x in range(9):
-        for y in range(9):
-            assert commutator(z9, x, y) == 0
+    assert (cyclic(9).comm_table == 0).all()
     x, y = oracles.idx21((1, 0)), oracles.idx21((0, 1))
-    assert g21.label(commutator(g21, x, y)) == "(3,0)"
+    assert g21.label(g21.comm_table[x, y]) == "(3,0)"
     assert g21.label(oracles.nested_commutator(g21, [x, y, y])) == "(2,0)"
-    assert commutator(g21, x, y) == oracles.idx21(oracles.comm21((1, 0), (0, 1)))
+    assert g21.comm_table[x, y] == oracles.commutator(g21, x, y) == oracles.idx21(oracles.comm21((1, 0), (0, 1)))
 
 
 def test_u2d_examples(g21):
@@ -177,20 +176,17 @@ def test_functional_u2d_matches_product_scan(spec, cap, monkeypatch):
 
 
 def test_sqrt_examples(g21):
-    z7 = cyclic(7)
-    assert sqrt_element(z7, 4) == 2
-    assert g21.label(sqrt_element(g21, oracles.idx21((4, 0)))) == "(2,0)"
-    assert g21.label(sqrt_element(g21, oracles.idx21((0, 1)))) == "(0,2)"
+    assert cyclic(7).sqrt_table[4] == 2
+    assert g21.label(g21.sqrt_table[oracles.idx21((4, 0))]) == "(2,0)"
+    assert g21.label(g21.sqrt_table[oracles.idx21((0, 1))]) == "(0,2)"
     with pytest.raises(EvenOrderError):
-        sqrt_element(cyclic(4), 1)
+        cyclic(4).sqrt_table
 
 
 def test_sqrt_of_square_is_identity_map(g21):
-    for x in range(g21.order):
-        assert sqrt_element(g21, g21.mul(x, x)) == x
+    assert (g21.sqrt_table[g21.squares] == np.arange(g21.order)).all()
     h = heisenberg(3)
-    for x in range(h.order):
-        assert sqrt_element(h, h.mul(x, x)) == x
+    assert (h.sqrt_table[h.squares] == np.arange(h.order)).all()
 
 
 def test_group21_series(g21):
@@ -227,7 +223,7 @@ def test_nested_commutator_detects_class():
     # class 2: every length-3 commutator trivial, some length-2 not
     assert all(oracles.nested_commutator(h, [x, y, z]) == 0
                for x in range(0, 27, 5) for y in range(27) for z in range(27))
-    assert any(commutator(h, x, y) != 0 for x in range(27) for y in range(27))
+    assert h.comm_table.any()
 
 
 def test_commutator_identity_suite_exhaustive(g21):
@@ -358,14 +354,29 @@ def test_orders_beyond_int32_are_refused():
     assert construct("dp:cyclic:3,cyclic:700000000").order < 2 ** 31
 
 
-def test_order_of_stops_on_a_rule_that_is_not_a_group():
-    g = FunctionalGroup(5, lambda x, y: max(x, y), name="max5")
-    assert g.order_of(0) == 1
-    with pytest.raises(ConstructionError, match="element 3 .*max5 is not a group"):
-        g.order_of(3)
+def test_power_walk_stops_on_a_table_that_is_not_a_group():
+    # max(x, y): 0 has order 1, every other x is its own square
+    with pytest.raises(ConstructionError, match=r"^element 1 has no power equal to the identity within 5 steps$"):
+        left_power_walk(build_table(5, np.maximum).table)
+    # Z3 on 0..2, max above: 1 and 2 close, 3 is the least element that does not
+    t = build_table(5, lambda x, y: np.where((x < 3) & (y < 3), (x + y) % 3, np.maximum(x, y))).table
+    with pytest.raises(ConstructionError, match=r"^element 3 has no power equal to the identity within 5 steps$"):
+        left_power_walk(t)
 
 
 def test_even_order_flagged():
     g = cyclic(4)
     assert "even order" in g.notes
     assert not is_uniquely_2_divisible(g)
+
+
+def test_subgroup_closure_matches_the_frontier_closure():
+    # on each catalog group's commutator seed, and on seeded random seeds
+    # (repeats and the identity included) that often generate the whole group
+    for spec in CATALOG_SPECS:
+        g = construct(spec)
+        seeds = [groups._commutator_seed(g, range(g.order), None)]
+        rng = random.Random(spec)
+        seeds += [rng.choices(range(g.order), k=k) for k in (0, 1, 1, 2, 3)] + [[0, 0]]
+        for seed in seeds:
+            assert subgroup_closure(g, seed) == oracles.subgroup_closure(g, seed), (spec, seed)

@@ -1,5 +1,7 @@
 """Loop predicates, inner mappings, automorphicity, center, and isomorphism."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,23 @@ def test_isomorphic_budget_indeterminate():
     qb = circ_loop(construct("sd:7:3:4"))
     res = is_isomorphic(qa, qb, budget=3)
     assert res.verdict == "indeterminate"
+
+
+def test_isomorphism_search_needs_no_recursion_per_element():
+    # the search keeps its candidates on a stack: 243 elements deep under a
+    # recursion limit of 150 (a recursive search raised RecursionError)
+    g = cyclic(243)
+    pi = np.random.default_rng(5).permutation(g.order)
+    pi[pi == 0], pi[0] = pi[0], 0
+    t = np.empty_like(g.tbl)
+    t[pi[:, None], pi[None, :]] = pi[g.tbl]
+    qa, qb = Loop(g.table), Loop(CayleyTable(t))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        res = is_isomorphic(qa, qb)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.verdict == "yes"
+    phi = np.array(res.mapping)
+    assert (phi[qa.tbl] == qb.tbl[phi[:, None], phi[None, :]]).all()

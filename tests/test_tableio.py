@@ -10,15 +10,16 @@ error text.  ``format_tbl`` must write the bytes of the per-cell formatter
 kept in ``oracles``.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from gamma_forge import tableio
+from gamma_forge import cli, core, tableio
 from gamma_forge.catalog import CATALOG_SPECS
-from gamma_forge.core import CayleyTable, ConstructionError
+from gamma_forge.core import CayleyTable, ConstructionError, classify
 from gamma_forge.groups import construct, from_file
 
 SPECS = [s for s, order in CATALOG_SPECS.items() if order <= 155] + ["ut:4:3"]
@@ -184,7 +185,7 @@ def test_format_matches_per_cell_formatter(spec):
 def test_export_writes_per_cell_bytes(tmp_path):
     t = CayleyTable(relabel(construct("sd:31:5:2").tbl, 3), name="relabeled")
     tableio.export_table(t, tmp_path / "t.tbl", ["x"])
-    norm = CayleyTable(tableio.normalize_identity(t.table.copy())[0], name="relabeled")
+    norm = CayleyTable(tableio.normalize_identity(t.table.copy(), t.classification.identity_index)[0], name="relabeled")
     assert (tmp_path / "t.tbl").read_bytes() == oracles.format_tbl_per_cell(norm, ["x"]).encode()
 
 
@@ -264,3 +265,50 @@ def test_a_table_too_large_for_memory_is_an_error(monkeypatch):
 
     monkeypatch.setattr(tableio.np, "empty", empty)
     assert outcome("5\n# a first row\n0 1 2 3 4\n") == ("error", "line 3: a table of 5 rows does not fit in memory")
+
+
+def spy_classify(monkeypatch):
+    """The arrays classify is called on, through every module binding it."""
+    calls, real = [], core.classify
+
+    def spy(t):
+        calls.append(t)
+        return real(t)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gamma_forge") and vars(mod).get("classify") is real:
+            monkeypatch.setattr(mod, "classify", spy)
+    return calls
+
+
+def test_import_classifies_each_table_once(tmp_path, monkeypatch, capsys):
+    # the relabeled table takes the classification of the parsed array
+    path, _ = relabeled_file(tmp_path, "sd:7:3:2")
+    calls = spy_classify(monkeypatch)
+    res = tableio.import_table(path)
+    assert res.table.classification.is_loop and len(calls) == 1
+    from_file(path)
+    assert len(calls) == 2
+    assert cli.main(["import", str(path)]) == 0
+    assert "associative: the table is a group" in capsys.readouterr().out
+    assert len(calls) == 3
+
+
+def test_handed_over_classification_is_that_of_the_table(tmp_path):
+    rng = np.random.default_rng(7)
+    tables = [relabel(construct(spec).tbl, seed) for spec in SPECS for seed in (1, 2)]
+    tables += [(np.arange(n)[:, None] - np.arange(n)[None, :]) % n for n in (1, 4, 9)]  # Latin, no identity for n > 1
+    tables += [relabel(construct("sd:7:3:2").tbl, 3)[:, ::-1]]  # Latin, no identity
+    tables += [rng.integers(0, n, (n, n)) for n in (2, 5, 21)]  # not Latin
+    bad = relabel(construct("heis:3").tbl, 4)
+    bad[5, 6] = bad[5, 7]
+    tables += [bad]  # not Latin at row 5
+    kinds = set()
+    for k, t in enumerate(tables):
+        path = tmp_path / f"{k}.tbl"
+        path.write_text(oracles.format_tbl_per_cell(CayleyTable(t)))
+        table = tableio.import_table(path).table
+        cls = table.classification
+        assert cls == classify(table.table), k
+        kinds.add((cls.is_latin, cls.is_loop))
+    assert kinds == {(True, True), (True, False), (False, False)}
