@@ -108,9 +108,7 @@ def _witness_str(subject, w) -> str | None:
     """Format a witness tuple with element labels (works for groups and loops)."""
     if w is None:
         return None
-    size = getattr(subject, "order", None)
-    if size is None:
-        size = getattr(subject, "n", 0)
+    size = subject.order if hasattr(subject, "order") else subject.n
     if isinstance(w, tuple):
         return "(" + ",".join(
             subject.label(int(v))
@@ -188,10 +186,6 @@ class CheckContext:
     @cached_property
     def automorphic(self) -> AutomorphicVerdict:
         return is_automorphic(self.circ)
-
-    @property
-    def heavy_ok(self) -> bool:
-        return self.force_exhaustive or self.g.order <= HEAVY_CHECK_LIMIT
 
 
 # A check returns (verdict, expected, witness); run_check adds its id and claim.
@@ -291,7 +285,7 @@ def _check_oplus_bruck(ctx: CheckContext) -> Outcome:
 
 
 def _check_correspondence(ctx: CheckContext) -> Outcome:
-    if not ctx.heavy_ok:
+    if not ctx.force_exhaustive and ctx.g.order > HEAVY_CHECK_LIMIT:
         return _skipped(f"order {ctx.g.order} above roundtrip limit "
                         f"{HEAVY_CHECK_LIMIT}; rerun with --exhaustive")
     bruck = bruck_from_gamma(ctx.circ, verify=False)
@@ -358,12 +352,10 @@ def _check_closed_forms(ctx: CheckContext) -> Outcome:
     forms = SdForms(g.sd_spec)
     n = g.order
     circ = ctx.circ
-    if not (forms.inverse_table() == g.inverse).all():
-        i = int(np.argmin(forms.inverse_table() == g.inverse))
-        return _predicted(False, f"inverse differs at {g.label(i)}")
-    if not (forms.sqrt_table() == g.sqrt_table).all():
-        i = int(np.argmin(forms.sqrt_table() == g.sqrt_table))
-        return _predicted(False, f"square root differs at {g.label(i)}")
+    for what, closed, engine in (("inverse", forms.inverse_table(), g.inverse),
+                                 ("square root", forms.sqrt_table(), g.sqrt_table)):
+        if not (closed == engine).all():
+            return _predicted(False, f"{what} differs at {g.label(int(np.argmin(closed == engine)))}")
     for what, closed, engine in (("commutator", forms.commutator_table(), g.comm_table),
                                  ("circ product", forms.circ_table(), circ.tbl),
                                  ("circ division", forms.ldiv_table(), circ.ldiv)):

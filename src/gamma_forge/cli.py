@@ -19,7 +19,7 @@ from . import tableio
 from .catalog import run_survey
 from .checks import run_checks
 from .constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop
-from .core import CayleyTable, GammaForgeError, table_cap
+from .core import GammaForgeError, table_cap
 from .groups import Group, construct, is_uniquely_2_divisible
 from .loops import Loop
 from .report import survey_to_json, survey_to_text
@@ -94,8 +94,7 @@ def cmd_convert(args) -> int:
     else:
         raise GammaForgeError(f"unknown direction {direction!r}")
     comments = [f"source: {args.input}, construction: {direction}"]
-    table = CayleyTable(q.tbl, name=q.name, element_names=q.table.element_names)
-    tableio.export_table(table, args.out, extra_comments=comments)
+    tableio.export_table(q.table, args.out, extra_comments=comments)
     print(f"wrote {args.out} (order {q.n})")
     return 0
 

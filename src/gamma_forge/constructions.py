@@ -159,23 +159,26 @@ def _lmlt_order_is_odd(q: Loop) -> bool:
 def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:
     """The translated table when every A_(x,y) has odd order.
 
-    A block of rows x walks every p = yx at once, 4 flat gathers per step; a
-    second pointer takes a step on every odd step, so when the walk first
-    returns to p after c (odd) steps it holds A^((c+1)/2)(p).  Closed orbits
-    leave the arrays after each step.
+    A block of rows x walks every p = yx with y >= x at once, 4 flat gathers
+    per step; a second pointer takes a step on every odd step, so when the
+    walk first returns to p after c (odd) steps it holds A^((c+1)/2)(p).
+    Closed orbits leave the arrays after each step.
+
+    The entry at (y, x) is the one at (x, y): in any loop A_(y,x) = A^-1 for
+    A = A_(x,y), and A(yx) = x(y(x\\(y\\(yx)))) = xy; so (y, x) walks the cycle
+    of p backwards from A(p), to A^-((c+1)/2)(A(p)) = A^((c+1)/2)(p) (A^c p = p).
     """
     n = q.n
-    t, ld = q.tbl.ravel(), q.ldiv.ravel()   # flat index of (x, u) is x n + u
-    out = np.empty(n * n, dtype=np.int32)
-    ys = np.arange(n, dtype=np.int32)
+    t, ld = q.tbl.ravel(), q.ldiv.ravel()   # flat index of (x, u) is x n + u, in intp
+    out = np.empty((n, n), dtype=q.tbl.dtype)
     for lo in range(0, n, _ROW_BLOCK):
-        xs = np.arange(lo, min(lo + _ROW_BLOCK, n), dtype=np.int32)
-        fx, fy = np.repeat(xs * n, n), np.tile(ys * n, len(xs))
-        cell = fx + np.tile(ys, len(xs))          # flat index of (x, y)
-        p = t.take(fy + np.repeat(xs, n))         # yx
+        x, y = np.nonzero(np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None] <= np.arange(n))
+        x += lo
+        fx, fy = n * x, n * y
+        p = t.take(fy + x)                        # yx
         cur = half = p
         steps = 0
-        while cell.size:
+        while fx.size:
             steps += 1
             cur = t.take(fx + t.take(fy + ld.take(fx + ld.take(fy + cur))))
             if steps % 2:
@@ -184,10 +187,11 @@ def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:
             if closed.any():
                 if steps % 2 == 0:
                     raise GammaForgeError(f"internal inconsistency: |LMlt| odd but a cycle of length {steps}")
-                out[cell[closed]] = half[closed]
+                x, y = fx[closed] // n, fy[closed] // n
+                out[x, y] = out[y, x] = half[closed]
                 open_ = ~closed
-                fx, fy, cell, p, cur, half = (a[open_] for a in (fx, fy, cell, p, cur, half))
-    return out.reshape(n, n)
+                fx, fy, p, cur, half = (a[open_] for a in (fx, fy, p, cur, half))
+    return out
 
 
 def _gamma_by_doubling(q: Loop) -> np.ndarray:
@@ -206,8 +210,8 @@ def _gamma_by_doubling(q: Loop) -> np.ndarray:
     t = q.tbl
     ld = q.ldiv
     n = q.n
-    base = n * np.arange(n, dtype=np.int32)  # flat index of (y, 0)
-    out = np.empty((n, n), dtype=np.int32)
+    base = n * np.arange(n, dtype=np.int32)  # flat index of (y, 0); int32 keeps the n^2 powers small
+    out = np.empty((n, n), dtype=t.dtype)
     for x in range(n):   # flat gathers: .take is about twice as fast as [] here
         # flat index of (y, A_y(u)) for the commutator A_y = L_x L_y L_x^-1 L_y^-1
         a = t[x].take(t.take(ld[x].take(ld) + base[:, None])) + base[:, None]

@@ -58,11 +58,22 @@ def first_false(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(idx, np.shape(mask)))
 
 
+def element_dtype(n: int) -> np.dtype:
+    """The dtype of arrays of elements 0..n-1: the least unsigned one holding n - 1."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+def flat(n: int, a, b) -> np.ndarray:
+    """The flat index n a + b of cell (a, b) of an n x n table, formed in intp:
+    numpy keeps n * a in a's narrow unsigned dtype, where it wraps."""
+    return np.multiply(a, n, dtype=np.intp) + b
+
+
 def distinct_values(values) -> np.ndarray:
     """The distinct values of a non-negative int array, ascending, as np.unique
     gives them; np.unique would import numpy.ma (12-38 ms) in every process,
-    and np.bincount copies an int32 array to intp."""
-    seen = np.zeros(np.max(values, initial=-1) + 1, dtype=bool)
+    and np.bincount copies a narrow array to intp."""
+    seen = np.zeros(int(np.max(values, initial=0)) + 1, dtype=bool)
     seen[values] = True
     return np.flatnonzero(seen)
 
@@ -71,7 +82,7 @@ def row_zeros(t: np.ndarray) -> np.ndarray:
     """The column of the first 0 in each row of t (0 for a row without one),
     a block of rows per step."""
     return np.concatenate([np.argmin(t[lo:lo + _ROW_BLOCK] != 0, axis=1)
-                           for lo in range(0, len(t), _ROW_BLOCK)]).astype(np.int32)
+                           for lo in range(0, len(t), _ROW_BLOCK)]).astype(element_dtype(len(t)))
 
 
 def first_false_rows(n: int, block: Callable[[slice], np.ndarray]) -> tuple[int, ...] | None:
@@ -106,19 +117,16 @@ class CayleyTable:
 
     def __init__(self, table, name: str = "", element_names: Sequence[str] | None = None,
                  classification: ClassifyResult | None = None):
-        # a read-only int32 array that owns its data is taken as is, anything else copied
-        owned = isinstance(table, np.ndarray) and table.base is None and not table.flags.writeable
-        arr = table if owned and table.dtype == np.int32 else np.array(table, dtype=np.int32)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ConstructionError(f"table must be square, got shape {arr.shape}")
-        n = arr.shape[0]
+        raw = np.asarray(table)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+            raise ConstructionError(f"table must be square, got shape {raw.shape}")
+        n = raw.shape[0]
         if n < 1:
             raise ConstructionError("table must have at least one element")
-        if arr.min() < 0 or arr.max() >= n:
-            x, y = first_false((arr >= 0) & (arr < n))
-            raise ConstructionError(
-                f"entry at ({x},{y}) is {int(arr[x, y])}, outside 0..{n - 1}"
-            )
+        _check_range(raw, n)  # in the input's own dtype, before narrowing
+        # a read-only array of the element dtype that owns its data is taken as is, anything else copied
+        owned = raw is table and raw.base is None and not raw.flags.writeable
+        arr = raw if owned and raw.dtype == element_dtype(n) else raw.astype(element_dtype(n))
         arr.setflags(write=False)
         self.n = n
         self.table = arr
@@ -158,9 +166,17 @@ class CayleyTable:
         into, t = (div, self.table) if left else (div.T, self.table.T)
         for lo in range(0, self.n, _ROW_BLOCK):
             np.put_along_axis(into[lo:lo + _ROW_BLOCK], t[lo:lo + _ROW_BLOCK],
-                              np.arange(self.n, dtype=np.int32)[None, :], axis=1)
+                              np.arange(self.n, dtype=div.dtype)[None, :], axis=1)
         div.setflags(write=False)
         return div
+
+
+def _check_range(block: np.ndarray, n: int, lo: int = 0) -> None:
+    """Raise on the least cell of a block of rows lo, lo + 1, ... of a table
+    whose entry is outside 0..n-1, compared in the block's own dtype."""
+    if block.min() < 0 or block.max() >= n:
+        x, y = first_false((block >= 0) & (block < n))
+        raise ConstructionError(f"entry at ({lo + x},{y}) is {block[x, y]}, outside 0..{n - 1}")
 
 
 def build_table(
@@ -173,17 +189,18 @@ def build_table(
     arrays: rule(X, Y) for a column X of row indices and the row Y of all
     indices, a block of _ROW_BLOCK rows per step so memory stays flat in n.
 
-    Entries are saturated to the int32 range on storage, so CayleyTable's
-    range check still reports the least out-of-range cell.
+    Each block is range-checked in the rule's own dtype before it is stored
+    in the element dtype, so the least out-of-range cell is reported.
     """
     if n < 1:
         raise ConstructionError(f"element count must be >= 1, got {n}")
-    arr = np.empty((n, n), dtype=np.int32)
+    arr = np.empty((n, n), dtype=element_dtype(n))
     y = np.arange(n)[None, :]
-    info = np.iinfo(np.int32)
     for lo in range(0, n, _ROW_BLOCK):
         x = np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None]
-        arr[lo:lo + _ROW_BLOCK] = np.clip(rule(x, y), info.min, info.max)
+        block = np.broadcast_to(rule(x, y), (len(x), n))
+        _check_range(block, n, lo)
+        arr[lo:lo + _ROW_BLOCK] = block
     arr.setflags(write=False)  # so CayleyTable takes it without a copy
     return CayleyTable(arr, name=name, element_names=element_names)
 
@@ -200,7 +217,7 @@ def classify(t: CayleyTable | np.ndarray) -> ClassifyResult:
         for lo in range(0, n, _ROW_BLOCK):
             block = side[lo:lo + _ROW_BLOCK]
             marks = np.zeros(block.shape, dtype=bool)
-            marks.ravel()[block + np.arange(0, block.size, n, dtype=arr.dtype)[:, None]] = True
+            marks.ravel()[np.arange(0, block.size, n)[:, None] + block] = True
             if not marks.all():
                 r = lo + int(np.argmin(marks.all(axis=1)))
                 return ClassifyResult(False, False, False, None, f"{what} {r} is not a permutation")
@@ -222,7 +239,7 @@ def left_power_walk(t: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndar
     so does x at its first difference, keeping 0 in orders and halves.
     """
     n = len(t)
-    orders, halves, differ = (np.zeros(n, dtype=np.int32) for _ in range(3))
+    orders, halves, differ = (np.zeros(n, dtype=d) for d in (np.int32, t.dtype, np.int32))
     tf, uf = t.ravel(), (t if u is None else u).ravel()
     xs = np.arange(n)
     cur = half = other = xs  # x^1 = 0 x
@@ -237,10 +254,10 @@ def left_power_walk(t: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndar
             xs, cur, half, other = xs[keep], cur[keep], half[keep], other[keep]
             if not xs.size:
                 return orders, halves, differ
-        cur = tf.take(cur * n + xs)
-        other = cur if u is None else uf.take(other * n + xs)
+        cur = tf.take(flat(n, cur, xs))
+        other = cur if u is None else uf.take(flat(n, other, xs))
         if k % 2 == 0:
-            half = tf.take(half * n + xs)
+            half = tf.take(flat(n, half, xs))
     raise ConstructionError(f"element {int(xs[0])} has no power equal to the identity within {n} steps")
 
 
@@ -274,7 +291,7 @@ class StabilizerChain:
 
     def __init__(self, n: int):
         self.n = n
-        self.identity = np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0)))
+        self.identity = np.arange(n, dtype=element_dtype(n))
         self.levels: list[_Level] = []
 
     def _new_level(self, b: int) -> None:

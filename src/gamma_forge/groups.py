@@ -26,6 +26,7 @@ from .core import (
     _ROW_BLOCK,
     build_table,
     distinct_values,
+    element_dtype,
     first_false_rows,
     left_power_walk,
     row_zeros,
@@ -343,8 +344,8 @@ class SemidirectSpec:
 
     def __post_init__(self):
         H, F = self.H, self.F
-        act = np.asarray(self.action, dtype=np.int32)
-        self.action = act
+        self.nH, self.nF = H.order, F.order
+        act = np.asarray(self.action)  # validated as given, then narrowed
         if act.shape != (F.order, H.order):
             raise ConstructionError(f"action must be ({F.order},{H.order}), got {act.shape}")
         if H.order % 2 == 0 or F.order % 2 == 0:
@@ -363,17 +364,7 @@ class SemidirectSpec:
             for f2 in range(F.order):
                 if not (act[F.mul(f1, f2)] == act[f2][act[f1]]).all():
                     raise ConstructionError(f"action is not a homomorphism at ({f1},{f2})")
-
-    @property
-    def nH(self) -> int:
-        return self.H.order
-
-    @property
-    def nF(self) -> int:
-        return self.F.order
-
-    def encode(self, h: int, f: int) -> int:
-        return f * self.nH + h
+        self.action = act.astype(element_dtype(H.order))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +416,9 @@ def direct(factors: Sequence[AnyGroup], source_spec: str | None = None) -> AnyGr
         raise ConstructionError("direct product needs at least one factor")
     strides = [math.prod(f.order for f in factors[i + 1:]) for i in range(len(factors))]
 
-    def rule(x, y):
-        return sum(f.rule(x // s % f.order, y // s % f.order) * s for f, s in zip(factors, strides))
+    def rule(x, y):  # a table factor's product is in its narrow element dtype: widened before * s
+        return sum(np.multiply(f.rule(x // s % f.order, y // s % f.order), s, dtype=np.int64)
+                   for f, s in zip(factors, strides))
 
     def label(x):
         out = factors[0].label(x // strides[0])

@@ -25,9 +25,12 @@ from .core import (
     ConstructionError,
     GammaForgeError,
     StabilizerChain,
+    build_table,
     distinct_values,
+    element_dtype,
     first_false,
     first_false_rows,
+    flat,
     left_power_walk,
     row_zeros,
 )
@@ -56,13 +59,8 @@ class Loop:
     def mul(self, x: int, y: int) -> int:
         return int(self.tbl[x, y])
 
-    @cached_property
-    def ldiv(self) -> np.ndarray:
-        return self.table.left_division
-
-    @cached_property
-    def rdiv(self) -> np.ndarray:
-        return self.table.right_division
+    ldiv = property(lambda self: self.table.left_division)
+    rdiv = property(lambda self: self.table.right_division)
 
     @cached_property
     def right_inverses(self) -> np.ndarray:
@@ -72,7 +70,7 @@ class Loop:
     @cached_property
     def left_inverses(self) -> np.ndarray:
         """The x with x y = 0 for each y."""
-        left = np.empty(self.n, dtype=np.int32)
+        left = np.empty_like(self.right_inverses)
         left[self.right_inverses] = np.arange(self.n)
         return left
 
@@ -244,17 +242,17 @@ def check_gamma_axioms(q: Loop | CayleyTable) -> GammaVerdict:
     w = first_false_rows(q.n, lambda r: t[inv[r, None], t[r]] == np.take_along_axis(t[r], t[inv[r]], 1))
     gamma3 = AxiomVerdict(w is None, w)
 
-    # P_x = R_x L_{x^-1}^{-1}: P(x, u) = x^-1 \ (u x), evaluated where read by flat
-    # gathers, as x^-1 \ (x u) in a commutative loop (rows read faster than columns)
-    n, ar, ldf, ux = q.n, np.arange(q.n, dtype=np.int32), ld.ravel(), np.ravel(t if gamma1.holds else t.T)
-    P = lambda x, u: ldf.take(n * inv[x] + ux.take(n * x + u))
+    # P_x = R_x L_{x^-1}^{-1}: P(x, u) = x^-1 \ (u x), held as a table during the closure (one
+    # gather per read), built as x^-1 \ (x u) in a commutative loop (rows read faster than columns)
+    ux = t if gamma1.holds else t.T
+    P = build_table(q.n, lambda x, u: ld[inv[x], ux[x, u]]).table
     # P_x P_y P_x against P_{y P_x}.  The passing x are closed under (a, b) -> P_a(b): maps s
     # with s P_y s = P_{s(y)} for all y are closed under s, r -> s r s; P_a P_b P_a = P_{P_a(b)}
     def p_sides(x, ys):  # rows ys of P_x P_y P_x and of P_{y P_x}
-        px = P(x, ar)
-        return px.take(P(ar[ys, None], px)), P(px[ys][:, None], ar)
+        px = P[x]
+        return px.take(P[ys][:, px]), P[px[ys]]
 
-    w = _closure_witness(q.n, P, p_sides)
+    w = _closure_witness(q.n, lambda x, u: P[x, u], p_sides)
     gamma4 = AxiomVerdict(w is None, w)
     return GammaVerdict(gamma1, gamma2, gamma3, gamma4)
 
@@ -354,9 +352,9 @@ def _inner_maps(q: Loop, kind: str, x: int, rows: np.ndarray) -> np.ndarray:
     rows, or T_y for each y in rows (then x is unused)."""
     t, n = q.tbl, q.n  # flat .take gathers: about twice as fast as [] with 2-D indices
     if kind == "L":  # u -> (yx) \ (y(xu))
-        return q.ldiv.take(n * t[rows, x][:, None] + t[rows][:, t[x]])
+        return q.ldiv.take(flat(n, t[rows, x][:, None], t[rows][:, t[x]]))
     if kind == "R":  # u -> ((ux)y) / (xy)
-        return q.rdiv.take(n * t.take(n * t[:, x][None, :] + rows[:, None]) + t[x, rows][:, None])
+        return q.rdiv.take(flat(n, t.take(flat(n, t[:, x][None, :], rows[:, None])), t[x, rows][:, None]))
     return q.ldiv[rows[:, None], t[:, rows].T]  # T: u -> y \ (uy)
 
 
@@ -541,7 +539,7 @@ def quotient_loop(q: Loop, members: Sequence[int]) -> tuple[Loop, np.ndarray]:
         block_of[blk] = len(reps)
         reps.append(a)
     m = len(reps)
-    qt = np.empty((m, m), dtype=np.int32)
+    qt = np.empty((m, m), dtype=element_dtype(m))
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
             blk_vals = block_of[q.tbl[np.ix_(q.tbl[a, s], q.tbl[b, s])]]

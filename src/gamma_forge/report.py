@@ -141,9 +141,7 @@ def survey_to_text(rows: list[SurveyRow], summary: dict) -> str:
         if r.skipped:
             lines.append(f"{r.spec:34} {r.order:>5} skipped: {r.skipped}")
             continue
-        cls = "-" if r.nilpotency_class is None else str(r.nilpotency_class)
-        if r.nilpotency_class is None:
-            cls = "notnil"
+        cls = "notnil" if r.nilpotency_class is None else str(r.nilpotency_class)
         line = (f"{r.spec:34} {r.order:>5} {fmt_b(r.uniquely_2_divisible):>4} {cls:>6} "
                 f"{fmt_b(r.metabelian):>5} {fmt_b(r.two_engel):>4} {fmt_b(r.circ_is_loop):>4} "
                 f"{fmt_b(r.circ_gamma):>4} {fmt_b(r.circ_associative):>4} "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GammaForgeError, distinct_values
+from .core import GammaForgeError, distinct_values, element_dtype
 from .groups import SemidirectSpec
 
 
@@ -35,6 +35,7 @@ class SdForms:
         self.H, self.F = spec.H, spec.F
         self.nH, self.nF = spec.nH, spec.nF
         self.one = np.arange(self.nH)
+        self.dtype = element_dtype(self.nH * self.nF)
 
     # -- maps over H as image arrays --------------------------------------
 
@@ -68,26 +69,23 @@ class SdForms:
         # elements with F-part f occupy one contiguous index block
         return slice(f * self.nH, (f + 1) * self.nH)
 
+    def _elements(self, f: int, h: np.ndarray) -> np.ndarray:
+        """The indices f*|H| + h of (h, f) in G's element dtype; H's may be narrower."""
+        return f * self.nH + h.astype(self.dtype)
+
     def inverse_table(self) -> np.ndarray:
         """u^-1 = h^(-f^-1) f^-1."""
-        out = np.empty(self.nH * self.nF, dtype=np.int64)
-        for f in range(self.nF):
-            fi = int(self.F.inverse[f])
-            out[self._block(f)] = fi * self.nH + self.neg(self.act(fi))
-        return out
+        return np.concatenate([self._elements(fi, self.neg(self.act(fi))) for fi in self.F.inverse.tolist()])
 
     def sqrt_table(self) -> np.ndarray:
         """u^(1/2) = h^((1+f^(1/2))^-1) f^(1/2)."""
-        out = np.empty(self.nH * self.nF, dtype=np.int64)
-        for f in range(self.nF):
-            fh = int(self.F.sqrt_table[f])
-            out[self._block(f)] = fh * self.nH + self.inv(self.add(self.one, self.act(fh)))
-        return out
+        return np.concatenate([self._elements(fh, self.inv(self.add(self.one, self.act(fh))))
+                               for fh in self.F.sqrt_table.tolist()])
 
     def commutator_table(self) -> np.ndarray:
         """[x,y] = h1^(f1^-1 (-1 + f2^-1)) h2^(f2^-1 (-f1^-1 + 1)), in H."""
         n = self.nH * self.nF
-        out = np.empty((n, n), dtype=np.int64)
+        out = np.empty((n, n), dtype=self.dtype)
         for f1 in range(self.nF):
             for f2 in range(self.nF):
                 f1i, f2i = self.F.inverse[f1], self.F.inverse[f2]
@@ -100,19 +98,19 @@ class SdForms:
     def circ_table(self) -> np.ndarray:
         """x o y = h1^((1+f2)/2) h2^((1+f1)/2) f1 f2."""
         n = self.nH * self.nF
-        out = np.empty((n, n), dtype=np.int64)
+        out = np.empty((n, n), dtype=self.dtype)
         for f1 in range(self.nF):
             for f2 in range(self.nF):
                 a1 = self.H.sqrt_table[self.add(self.one, self.act(f2))]
                 a2 = self.H.sqrt_table[self.add(self.one, self.act(f1))]
                 hp = self.H.tbl[a1[:, None], a2[None, :]]
-                out[self._block(f1), self._block(f2)] = self.F.mul(f1, f2) * self.nH + hp
+                out[self._block(f1), self._block(f2)] = self._elements(self.F.mul(f1, f2), hp)
         return out
 
     def ldiv_table(self) -> np.ndarray:
         """The o-division x \\ y = (h1^(-1 - f1^-1 f2) h2^2)^((1+f1)^-1) f1^-1 f2."""
         n = self.nH * self.nF
-        out = np.empty((n, n), dtype=np.int64)
+        out = np.empty((n, n), dtype=self.dtype)
         two = self.H.squares
         for f1 in range(self.nF):
             f1i = int(self.F.inverse[f1])
@@ -120,8 +118,7 @@ class SdForms:
             for f2 in range(self.nF):
                 a1 = self.add(self.neg(self.one), self.neg(self.mul(self.act(f1i), self.act(f2))))
                 inner = self.H.tbl[a1[:, None], two[None, :]]
-                out[self._block(f1), self._block(f2)] = \
-                    self.F.mul(f1i, f2) * self.nH + outer[inner]
+                out[self._block(f1), self._block(f2)] = self._elements(self.F.mul(f1i, f2), outer[inner])
         return out
 
     def lxy_table(self) -> np.ndarray:
@@ -132,7 +129,7 @@ class SdForms:
         F-block has the same table.
         """
         n = self.nH * self.nF
-        out = np.empty((self.nF, n, n), dtype=np.int32)
+        out = np.empty((self.nF, n, n), dtype=self.dtype)
         for f in range(self.nF):
             for f1 in range(self.nF):
                 for f2 in range(self.nF):
@@ -141,5 +138,5 @@ class SdForms:
                                  self.neg(self.act(f1)))
                     c = self.H.sqrt_table[self.inv(self.add(self.one, self.act(self.F.mul(f1, f2))))]
                     hh = c[self.H.tbl[a[:, None], b[None, :]]]  # [h, h2]
-                    out[f1, self._block(f2), self._block(f)] = f * self.nH + hh.T  # [h2, h]
+                    out[f1, self._block(f2), self._block(f)] = self._elements(f, hh.T)  # [h2, h]
         return out

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import _ROW_BLOCK, CayleyTable, ConstructionError, classify
+from .core import _ROW_BLOCK, CayleyTable, ConstructionError, classify, element_dtype
 
 
 @dataclass
@@ -28,9 +28,10 @@ class ImportResult:
 
 def parse_tbl(source: str | Iterable[str]) -> tuple[np.ndarray, str | None, list[str]]:
     """Parse .tbl text, or the lines of an open .tbl file as they are read, into
-    (raw array, declared name, comment lines).  Each row goes into one int32
-    array, allocated at the first row: numpy reads a clean row (_clean_row),
-    the line parser (_parsed_row) any other."""
+    (raw array, declared name, comment lines).  Each row is range-checked as
+    read, then stored in one array of the element dtype, allocated at the
+    first row: numpy reads a clean row (_clean_row), the line parser
+    (_parsed_row) any other."""
     if isinstance(source, str):
         lines = source.splitlines()
     else:  # split as str.splitlines splits the whole text
@@ -61,7 +62,7 @@ def parse_tbl(source: str | Iterable[str]) -> tuple[np.ndarray, str | None, list
             row = _parsed_row(stripped, n, lineno)
         if arr is None:
             try:
-                arr = np.empty((n, n), dtype=np.int32)
+                arr = np.empty((n, n), dtype=element_dtype(n))
             except MemoryError:
                 raise ConstructionError(f"line {lineno}: a table of {n} rows does not fit in memory")
         arr[k] = row

@@ -358,6 +358,34 @@ def gamma_from_bruck_scan(t):
     return out, None
 
 
+def gamma_by_full_orbit_walk(q):
+    """The Bruck -> Gamma table of a loop whose commutators A_(x,y) all have
+    odd order, walking the cycle of yx under A_(x,y) for every pair (x, y),
+    a block of 128 rows x at a time, with a second pointer that steps on odd
+    steps: after c steps it holds A^((c+1)/2)(yx)."""
+    n = q.n
+    t, ld = q.tbl.ravel(), q.ldiv.ravel()
+    out = np.empty(n * n, dtype=q.tbl.dtype)
+    ys = np.arange(n)
+    for lo in range(0, n, 128):
+        xs = np.arange(lo, min(lo + 128, n))
+        fx, fy = np.repeat(xs * n, n), np.tile(ys * n, len(xs))
+        cell = fx + np.tile(ys, len(xs))
+        p = t.take(fy + np.repeat(xs, n))
+        cur = half = p
+        steps = 0
+        while cell.size:
+            steps += 1
+            cur = t.take(fx + t.take(fy + ld.take(fx + ld.take(fy + cur))))
+            if steps % 2:
+                half = t.take(fx + t.take(fy + ld.take(fx + ld.take(fy + half))))
+            closed = cur == p
+            assert not closed.any() or steps % 2, "a cycle of even length"
+            out[cell[closed]] = half[closed]
+            fx, fy, cell, p, cur, half = (a[~closed] for a in (fx, fy, cell, p, cur, half))
+    return out.reshape(n, n)
+
+
 def normalize_identity_scan(arr):
     """(table, relabeling) with a two-sided identity e moved to 0 by the
     transposition (0 e), relabeled cell by cell; (arr, None) if e is 0 or

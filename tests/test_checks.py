@@ -8,8 +8,9 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from gamma_forge import checks, constructions, loops
+from gamma_forge import checks, constructions, core, loops
 from gamma_forge.checks import CHECK_IDS, CLAIMS, GROUP_ONLY_CHECKS, CheckContext, run_check, run_checks
 from gamma_forge.constructions import circ_loop, oplus_loop
 from gamma_forge.groups import construct, derived_subgroup, nilpotency_class
@@ -151,8 +152,8 @@ def test_functional_group_laws_are_skipped():
 def test_checks_at_order_729_keep_scratch_to_a_row_block():
     # every step of verify ut:4:3 (the checks of the verify-class3-729
     # benchmark: all but class3-center-equality) may hold at most 3 MB above
-    # what it holds before and after; one n^2 int32 table here is 2.1 MB, so
-    # a step that builds an n^2 temporary it does not keep fails
+    # what it holds before and after; an n^2 intp temporary here is 4.3 MB and
+    # an int32 one 2.1 MB, so a step that builds one it does not keep fails
     g = construct("ut:4:3")
     ctx = CheckContext(g)
     steps = [("circ_loop", lambda: circ_loop(g)), ("oplus_loop", lambda: oplus_loop(g)),
@@ -171,3 +172,60 @@ def test_checks_at_order_729_keep_scratch_to_a_row_block():
     finally:
         tracemalloc.stop()
     assert {name: round(b / 1e6, 2) for name, b in excess.items() if b > 3e6} == {}
+
+
+class _TakeSpy(np.ndarray):
+    """A view of a table whose take() records who gave it which index dtype."""
+    calls: list = []
+
+    def take(self, indices, *args, **kwargs):
+        _TakeSpy.calls.append((sys._getframe(1).f_code.co_name, np.asarray(indices).dtype))
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+def _spy_on_loop(q):
+    q.table.__dict__["left_division"] = q.ldiv.view(_TakeSpy)
+    q.table.__dict__["right_division"] = q.rdiv.view(_TakeSpy)
+    q.tbl = q.tbl.view(_TakeSpy)
+    return q
+
+
+def _held_arrays(ctx):
+    """The element arrays a CheckContext holds after its checks, by name."""
+    owners = {"group": ctx.g, "group.table": ctx.g.table}
+    for name in ("circ", "oplus"):
+        owners.update({name: getattr(ctx, name), f"{name}.table": getattr(ctx, name).table})
+    held = {f"{o}.{k}": v for o, obj in owners.items() for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+    chain = ctx.circ.mlt_chain
+    held["circ.mlt_chain.identity"] = chain.identity
+    held.update({f"circ.mlt_chain.levels[{i}].{k}[{j}]": a for i, lvl in enumerate(chain.levels)
+                 for k in ("gens", "invs", "reps") for j, a in enumerate(getattr(lvl, k))})
+    return held
+
+
+@pytest.mark.parametrize("spec", ["ut:4:3", "sd:127:3:19"])
+def test_held_arrays_are_narrow_and_flat_indices_intp(spec, monkeypatch):
+    # every element array a verify holds is in the element dtype, uint16 at
+    # orders 729 and 381; every flat index handed to take() is intp, as
+    # n * a in a narrow dtype wraps (381 * 173 > 65535)
+    g = construct(spec)
+    g.tbl = g.tbl.view(_TakeSpy)
+    ctx = CheckContext(g, force_exhaustive=True)
+    _spy_on_loop(ctx.circ), _spy_on_loop(ctx.oplus)
+    walk = constructions._gamma_by_orbit_walk
+    monkeypatch.setattr(constructions, "_gamma_by_orbit_walk", lambda q: walk(_spy_on_loop(q)))
+    monkeypatch.setattr(_TakeSpy, "calls", [])
+    verdicts = {cid: run_check(ctx, cid).verdict for cid in CHECK_IDS}
+    assert "fail" not in verdicts.values() and verdicts["correspondence-roundtrip"] == "pass"
+    dtype = core.element_dtype(g.order)
+    assert dtype == np.uint16
+    held = _held_arrays(ctx)
+    assert {"group.tbl", "group.inverse", "group.comm_table", "group.squares", "group.sqrt_table",
+            "circ.tbl", "circ.right_inverses", "circ.left_inverses", "circ.table.left_division",
+            "oplus.tbl", "oplus.right_inverses"} <= set(held)
+    assert {name: a.dtype for name, a in held.items() if a.dtype != dtype} == {}
+    if g.sd_spec is not None:
+        assert g.sd_spec.action.dtype == core.element_dtype(g.sd_spec.nH)
+    callers = {name for name, _ in _TakeSpy.calls}
+    assert {"left_power_walk", "_inner_maps", "_gamma_by_orbit_walk"} <= callers
+    assert {d for _, d in _TakeSpy.calls} == {np.dtype(np.intp)}

@@ -97,6 +97,8 @@ PINNED_VERIFY = [
     ("sd:31:5:2", 0, "2a438846ce5da2747606399bbf51e8144ec258656eb92b96ead1fac29619f839"),
     ("cyclic:4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("ut:5:3", 0, "b8657c40d27dc98404c320616a44669b7db5e2abc0b5fd032efc565a6cb2ac00"),
+    # order 381, above the uint8 elements of order 256: every check runs, the roundtrip and closed forms too
+    ("sd:127:3:19 --exhaustive", 0, "91b8e1d1d73810b5018553019a4b5b395e00553de16c08e4d4755573e676d1e7"),
 ]
 
 
@@ -104,7 +106,7 @@ def test_verify_json_outputs_pinned(capsys, monkeypatch):
     monkeypatch.delenv("GAMMA_FORGE_TABLE_CAP", raising=False)
     got = []
     for spec, _, _ in PINNED_VERIFY:
-        code, out, _ = run_cli(capsys, "verify", spec, "--format", "json")
+        code, out, _ = run_cli(capsys, "verify", *spec.split(), "--format", "json")
         out = re.sub(r'"timing_ms": [0-9.]+', '"timing_ms": 0', out)
         got.append((spec, code, hashlib.sha256(out.encode()).hexdigest()))
     assert got == PINNED_VERIFY

@@ -60,6 +60,35 @@ def test_build_table_rejects_out_of_range():
         build_table(3, lambda x, y: (x + y) % 3 + 2 ** 32 * ((x == 1) & (y == 0) | (x == 2)))
 
 
+def test_range_checks_run_before_narrowing():
+    # entries are checked in the dtype they come in, then stored in the
+    # element dtype (uint8 at order 21, uint16 at 300), so -1, n and values
+    # that would wrap into 0..n-1 there (257, 65541) are named at their least cell
+    def rule(n, bad):
+        return lambda x, y: (x + y) % n + sum(v * ((x == r) & (y == c)) for (r, c), v in bad.items())
+
+    cases = [(21, {(1, 2): -1 - 3}, "entry at (1,2) is -1, outside 0..20"),
+             (21, {(4, 0): 21 - 4, (4, 5): -1 - 9}, "entry at (4,0) is 21, outside 0..20"),
+             (21, {(2, 9): 257 - 11, (3, 0): 21 - 3}, "entry at (2,9) is 257, outside 0..20"),
+             (300, {(250, 0): -1 - 250, (200, 7): 65541 - 207}, "entry at (200,7) is 65541, outside 0..299")]
+    for n, bad, message in cases:
+        with pytest.raises(ConstructionError) as err:
+            build_table(n, rule(n, bad))
+        assert str(err.value) == message
+        r = np.arange(n)
+        arr = (r[:, None] + r) % n
+        for (x, y), v in bad.items():
+            arr[x, y] += v
+        for given in (arr.tolist(), arr.astype(np.int64)):
+            with pytest.raises(ConstructionError) as err:
+                CayleyTable(given)
+            assert str(err.value) == message
+    # 2^31 no longer wraps to -2^31 (int64 input) or overflows (list input)
+    for given in ([[0, 1, 2 ** 31], [1, 2, 0], [2, 0, 1]], np.array([[0, 1, 2 ** 31], [1, 2, 0], [2, 0, 1]])):
+        with pytest.raises(ConstructionError, match=r"^entry at \(0,2\) is 2147483648, outside 0\.\.2$"):
+            CayleyTable(given)
+
+
 def test_build_table_row_blocks():
     # orders across several row blocks give the same table as a direct evaluation
     n = 300

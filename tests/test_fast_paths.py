@@ -308,6 +308,22 @@ def test_translation_paths_follow_the_parity_of_lmlt(monkeypatch):
     assert [m is None for m in messages] == [True] + [False] * 5
 
 
+@pytest.mark.parametrize("block", [3, 128])
+def test_orbit_walk_over_pairs_x_le_y_matches_the_full_walk(block, monkeypatch):
+    # the walk takes the pairs x <= y and mirrors each entry to (y, x); against
+    # the walk over every pair, at order 381 (uint16 elements) and on the
+    # noncommutative cocycle loops, with blocks of 3 rows closing across blocks
+    monkeypatch.setattr(constructions, "_ROW_BLOCK", block)
+    loops_ = [bruck_from_gamma(circ_loop(group("sd:127:3:19")), verify=False)]
+    loops_ += [Loop(CayleyTable(bruck_case(case))) for case in BRUCK_CASES if case[0] == "cocycle"]
+    assert not all(q.is_commutative() for q in loops_)
+    for q in loops_:
+        assert constructions._lmlt_order_is_odd(q)
+        walked = constructions._gamma_by_orbit_walk(q)
+        assert walked.dtype == core.element_dtype(q.n)
+        assert (walked == oracles.gamma_by_full_orbit_walk(q)).all()
+
+
 def test_roundtrip_at_order_729():
     circ = circ_loop(group("ut:4:3"))
     bruck = bruck_from_gamma(circ, verify=False)
@@ -399,9 +415,11 @@ def test_normalize_identity_matches_reference(spec, seed):
 
 
 def product_loop(t1, t2):
-    """The direct product of two loop tables, element (a, b) at index a + len(t1) b."""
+    """The direct product of two loop tables, element (a, b) at index a + len(t1) b,
+    computed in intp (a library table is in a narrow unsigned dtype)."""
     n1, n2 = len(t1), len(t2)
     a, b = np.arange(n1 * n2) % n1, np.arange(n1 * n2) // n1
+    t1, t2 = np.asarray(t1, dtype=np.intp), np.asarray(t2, dtype=np.intp)
     return t1[a[:, None], a[None, :]] + n1 * t2[b[:, None], b[None, :]]
 
 
@@ -685,7 +703,7 @@ def test_divisions_match_the_argsort_they_replace(spec):
     for t in (g.tbl, relabel(oplus_loop(g).tbl, 5), twisted_loop(len(spec), 3, 5)):
         c = CayleyTable(t)
         for div, axis in ((c.left_division, 1), (c.right_division, 0)):
-            assert div.dtype == np.int32 and not div.flags.writeable
+            assert div.dtype == core.element_dtype(len(t)) and not div.flags.writeable
             assert (div == np.argsort(t, axis=axis)).all()
 
 
@@ -732,6 +750,6 @@ def test_inverses_are_read_from_the_zero_cells():
     two_sided = set()
     for q in loops_:
         assert (q.right_inverses == q.ldiv[:, 0]).all() and (q.left_inverses == q.rdiv[0, :]).all()
-        assert q.right_inverses.dtype == q.left_inverses.dtype == np.int32
+        assert q.right_inverses.dtype == q.left_inverses.dtype == core.element_dtype(q.n)
         two_sided.add(q.inverse is not None)
     assert two_sided == {True, False}

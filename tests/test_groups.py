@@ -354,6 +354,15 @@ def test_orders_beyond_int32_are_refused():
     assert construct("dp:cyclic:3,cyclic:700000000").order < 2 ** 31
 
 
+def test_direct_products_widen_narrow_factor_tables():
+    # Z5 x Z61 (order 305): the Z5 table is uint8, and its entries times the
+    # stride 61 plus the Z61 part reach 4 * 61 + 60 = 304, past uint8's 255
+    g = construct("dp:cyclic:5,cyclic:61")
+    x = np.arange(305)
+    assert g.tbl.dtype == np.uint16 and construct("cyclic:5").tbl.dtype == np.uint8
+    assert (g.tbl == (x[:, None] // 61 + x // 61) % 5 * 61 + (x[:, None] + x) % 61).all()
+
+
 def test_power_walk_stops_on_a_table_that_is_not_a_group():
     # max(x, y): 0 has order 1, every other x is its own square
     with pytest.raises(ConstructionError, match=r"^element 1 has no power equal to the identity within 5 steps$"):

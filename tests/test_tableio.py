@@ -43,7 +43,7 @@ def outcome(text, line_parser=False):
             arr, name, comments = tableio.parse_tbl(text)
         except ConstructionError as err:
             return "error", str(err)
-    assert arr.dtype == np.int32
+    assert arr.dtype == core.element_dtype(len(arr))
     return arr.tolist(), name, comments
 
 
@@ -312,3 +312,21 @@ def test_handed_over_classification_is_that_of_the_table(tmp_path):
         assert cls == classify(table.table), k
         kinds.add((cls.is_latin, cls.is_loop))
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("n,value", [(3, -1), (3, 3), (3, 70000), (21, 257), (300, 65541)])
+def test_out_of_range_rows_are_errors_before_narrowing(tmp_path, capsys, n, value):
+    # a row is range-checked as read, before it is stored in the narrow
+    # element dtype (uint8 up to order 256, uint16 above), where 257 and
+    # 65541 would wrap into 0..n-1; the CLI exits 2 with the same message
+    r = np.arange(n)
+    rows = ((r[:, None] + r) % n).tolist()
+    rows[n - 1][n // 2] = value
+    path = tmp_path / "bad.tbl"
+    path.write_text(f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    message = f"line {n + 1}: entry {value} at column {n // 2} outside 0..{n - 1}"
+    with pytest.raises(ConstructionError) as err:
+        tableio.import_table(path)
+    assert str(err.value) == message
+    assert cli.main(["import", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
