@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GammaForgeError, first_false, first_false_rows
+from .core import _ROW_BLOCK, GammaForgeError, first_false, first_false_rows
 from .groups import (
     AnyGroup,
     Group,
@@ -30,7 +30,7 @@ from .loops import (
     AutomorphicVerdict,
     GammaVerdict,
     Loop,
-    _inner_maps,
+    _greedy_generators,
     check_gamma_axioms,
     is_automorphic,
     is_left_bruck,
@@ -65,33 +65,33 @@ def commutator_identities_hold(g: Group, seed: int = 0) -> tuple[bool, str | Non
 
     Returns (ok, witness, exhaustive).
     """
-    t, inv, C = g.tbl, g.inverse, g.comm_table
+    t, inv, C = g.tbl, g.inverse, g.commutator
     conj = lambda a, y: t[t[inv[y], a], y]  # y^-1 a y, on the triples only
     X, Y, Z, exhaustive = _triple_indices(g.order, seed)
 
     def sides():  # each identity built only once the ones before it hold
         # [xy, z] == [x,z]^y [y,z]  and  [x, yz] == [x,z] [x,y]^z
-        yield "product-in-first-slot expansion", C[t[X, Y], Z], t[conj(C[X, Z], Y), C[Y, Z]]
-        yield "product-in-second-slot expansion", C[X, t[Y, Z]], t[C[X, Z], conj(C[X, Y], Z)]
+        yield "product-in-first-slot expansion", C(t[X, Y], Z), t[conj(C(X, Z), Y), C(Y, Z)]
+        yield "product-in-second-slot expansion", C(X, t[Y, Z]), t[C(X, Z), conj(C(X, Y), Z)]
         # [x, y^-1] == [y,x]^(y^-1)  and  [x^-1, y] == [y,x]^(x^-1)
-        yield "inverse-commutator identity", C[X, inv[Y]], conj(C[Y, X], inv[Y])
-        yield "inverse-commutator identity", C[inv[X], Y], conj(C[Y, X], inv[X])
+        yield "inverse-commutator identity", C(X, inv[Y]), conj(C(Y, X), inv[Y])
+        yield "inverse-commutator identity", C(inv[X], Y), conj(C(Y, X), inv[X])
         # [x,y^-1,z]^y [y,z^-1,x]^z [z,x^-1,y]^x == 1
-        t1 = conj(C[C[X, inv[Y]], Z], Y)
-        t2 = conj(C[C[Y, inv[Z]], X], Z)
-        yield "three-term conjugated product", t[t[t1, t2], conj(C[C[Z, inv[X]], Y], X)], 0
-        yield "commutator definition", C[X, Y], t[t[t[inv[X], inv[Y]], X], Y]
+        t1 = conj(C(C(X, inv[Y]), Z), Y)
+        t2 = conj(C(C(Y, inv[Z]), X), Z)
+        yield "three-term conjugated product", t[t[t1, t2], conj(C(C(Z, inv[X]), Y), X)], 0
+        yield "commutator definition", C(X, Y), t[t[t[inv[X], inv[Y]], X], Y]
     return _first_failure(g, X, Y, Z, exhaustive, sides())
 
 
 def metabelian_identities_hold(g: Group, seed: int = 0) -> tuple[bool, str | None, bool]:
     """For metabelian groups: [sqrt([x,y]), z] == sqrt([[x,y], z]) and the
     rotation product [x,y,z][z,x,y][y,z,x] == 1."""
-    t, C, S = g.tbl, g.comm_table, g.sqrt_table
+    t, C, S = g.tbl, g.commutator, g.sqrt_table
     X, Y, Z, exhaustive = _triple_indices(g.order, seed)
     return _first_failure(g, X, Y, Z, exhaustive, (
-        ("root-of-commutator identity", C[S[C[X, Y]], Z], S[C[C[X, Y], Z]]),
-        ("rotation product", t[t[C[C[X, Y], Z], C[C[Z, X], Y]], C[C[Y, Z], X]], 0)))
+        ("root-of-commutator identity", C(S[C(X, Y)], Z), S[C(C(X, Y), Z)]),
+        ("rotation product", t[t[C(C(X, Y), Z), C(C(Z, X), Y)], C(C(Y, Z), X)], 0)))
 
 
 def _first_failure(g: AnyGroup, X, Y, Z, exhaustive: bool, identities) -> tuple[bool, str | None, bool]:
@@ -350,26 +350,60 @@ def _check_closed_forms(ctx: CheckContext) -> Outcome:
     if g.sd_spec is None:
         return _skipped("subject was not built as a split extension")
     forms = SdForms(g.sd_spec)
-    n = g.order
-    circ = ctx.circ
+    n, t, xs = g.order, ctx.circ.tbl, np.arange(g.order)
     for what, closed, engine in (("inverse", forms.inverse_table(), g.inverse),
                                  ("square root", forms.sqrt_table(), g.sqrt_table)):
         if not (closed == engine).all():
             return _predicted(False, f"{what} differs at {g.label(int(np.argmin(closed == engine)))}")
-    for what, closed, engine in (("commutator", forms.commutator_table(), g.comm_table),
-                                 ("circ product", forms.circ_table(), circ.tbl),
-                                 ("circ division", forms.ldiv_table(), circ.ldiv)):
-        if not (closed == engine).all():
-            w = first_false(closed == engine)
-            return _predicted(False, f"{what} differs at {_witness_str(g, w)}")
-    lxy = forms.lxy_table()
-    for x in range(n):
-        w = first_false(lxy[x // forms.nH] == _inner_maps(circ, "L", x, np.arange(n)))
+    # each table is compared a row block at a time and dropped before the next is built;
+    # a closed-form entry c at (x, y) is the division x \ y exactly when x o c = y
+    for what, table, agrees in (("commutator", forms.commutator_table, lambda r, c: c == g.commutator(xs[r, None], xs)),
+                                ("circ product", forms.circ_table, lambda r, c: c == t[r]),
+                                ("circ division", forms.ldiv_table, lambda r, c: t[xs[r, None], c] == xs)):
+        w = first_false_rows(n, lambda r, closed=table(): agrees(r, closed[r]))
         if w is not None:
-            y, u = w
-            return _predicted(False, f"inner L-map differs at ({g.label(x)},{g.label(y)}) "
-                                     f"on {g.label(u)}")
+            return _predicted(False, f"{what} differs at {_witness_str(g, w)}")
+    w = _lmap_witness(ctx.circ, forms.lxy_table, forms.nH, ctx.automorphic.is_true)
+    if w is not None:
+        x, y, u = w
+        return _predicted(False, f"inner L-map differs at ({g.label(x)},{g.label(y)}) "
+                                 f"on {g.label(u)}")
     return _predicted(True)
+
+
+def _lmap_witness(q: Loop, lxy, nH: int, automorphic: bool) -> tuple[int, int, int] | None:
+    """Least (x, y, u) with lxy(x // nH)[y, u] != L_{x,y}(u) in q, or None.
+
+    If every inner mapping of q is an automorphism, two L maps that agree on
+    a generating set of q are equal: the points where two automorphisms
+    agree form a subloop.  So the maps of the first x of each block of nH
+    are compared whole, and those of every other x only on the greedy
+    generators of q.  Any difference, or a q that is not automorphic, runs
+    the comparison of every x whole, which gives the least witness.
+    """
+    if not automorphic:
+        return _lmap_scan(q, lxy, nH)
+    t = q.tbl
+    gens = np.array([a for a in _greedy_generators(q.n, lambda a, b: t[a, b]) if a], dtype=np.intp)
+    return None if _lmap_scan(q, lxy, nH, gens) is None else _lmap_scan(q, lxy, nH)
+
+
+def _lmap_scan(q: Loop, lxy, nH: int, gens: np.ndarray | None = None) -> tuple[int, int, int] | None:
+    """The first (x, y, u) with lxy(x // nH)[y, u] != L_{x,y}(u), comparing
+    every u for the first x of each block, and for every x if gens is None;
+    else only the u in gens (then u indexes gens).  An image v is L_{x,y}(u)
+    exactly when (yx) v = y (xu), so no division is formed."""
+    t, xs = q.tbl, np.arange(q.n)
+    for f in range(q.n // nH):
+        table = lxy(f)
+        for x in range(f * nH, (f + 1) * nH):
+            us = xs if gens is None or x == f * nH else gens
+            w = first_false_rows(q.n, lambda r: t[t[r, x][:, None], table[r][:, us]] == t[xs[r, None], t[x, us]],
+                                 _ROW_BLOCK if us is xs else q.n)
+            if w is not None:
+                return x, *w
+        del table  # before the next block's table is built
+    return None
 
 
 # The check registry, in report order: (id, claim, group-only, function).

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .core import (_ROW_BLOCK, CayleyTable, ConstructionError, EvenOrderError, GammaForgeError,
-                   StabilizerChain, build_table, left_power_walk)
+                   StabilizerChain, build_table, divide_rows, left_power_walk)
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
 from .loops import (
     Loop,
@@ -45,8 +45,8 @@ def circ_loop(g: AnyGroup, check: bool = True) -> Loop:
     g = _require_table(g, "circ construction")
     if not is_uniquely_2_divisible(g):
         raise ConstructionError(f"{g.name} is not uniquely 2-divisible")
-    t, s, C = g.tbl, g.sqrt_table, g.comm_table
-    table = build_table(g.order, lambda x, y: t[t[x, y], s[C[y, x]]],
+    t, s = g.tbl, g.sqrt_table
+    table = build_table(g.order, lambda x, y: t[t[x, y], s[g.commutator(y, x)]],
                         name=f"circ({g.name})", element_names=g.table.element_names)
     q = Loop(table, source=_provenance(g, "circ"))
     if check:
@@ -116,13 +116,11 @@ def bruck_from_gamma(q: Loop, verify: bool = True) -> Loop:
     inv = q.inverse
     if inv is None:
         raise ConstructionError("input lacks two-sided inverses")
-    lsqrt = loop_sqrt_table(q)
-    t = q.tbl
-    n = q.n
-    d = t[t.diagonal()[None, :], np.arange(n)[:, None]]   # [x, y] -> y^2 * x
-    e = q.ldiv[inv[:, None], d]                 # [x, y] -> x^-1 \ (y^2 x)
-    table = CayleyTable(lsqrt[e], name=f"bruck({q.name})",
-                        element_names=q.table.element_names)
+    lsqrt, t = loop_sqrt_table(q), q.tbl
+    sq = t.diagonal()
+    # [x, y] -> (x^-1 \ (y^2 x))^(1/2), with the division rows of a block of x^-1 at a time
+    table = build_table(q.n, lambda x, y: lsqrt[np.take_along_axis(divide_rows(t, inv[x[:, 0]]), t[sq[y], x], 1)],
+                        name=f"bruck({q.name})", element_names=q.table.element_names)
     return Loop(table, source={**q.source, "construction": "gamma->bruck"})
 
 
@@ -169,7 +167,7 @@ def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:
     of p backwards from A(p), to A^-((c+1)/2)(A(p)) = A^((c+1)/2)(p) (A^c p = p).
     """
     n = q.n
-    t, ld = q.tbl.ravel(), q.ldiv.ravel()   # flat index of (x, u) is x n + u, in intp
+    t, ld = q.tbl.ravel(), divide_rows(q.tbl, np.arange(n)).ravel()  # flat index of (x, u): x n + u, in intp
     out = np.empty((n, n), dtype=q.tbl.dtype)
     for lo in range(0, n, _ROW_BLOCK):
         x, y = np.nonzero(np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None] <= np.arange(n))
@@ -207,9 +205,8 @@ def _gamma_by_doubling(q: Loop) -> np.ndarray:
     points holds its least label, c <= 2^j, and no higher power is needed.
     The least labels give each cycle length c.
     """
-    t = q.tbl
-    ld = q.ldiv
-    n = q.n
+    t, n = q.tbl, q.n
+    ld = divide_rows(t, np.arange(n))
     base = n * np.arange(n, dtype=np.int32)  # flat index of (y, 0); int32 keeps the n^2 powers small
     out = np.empty((n, n), dtype=t.dtype)
     for x in range(n):   # flat gathers: .take is about twice as fast as [] here

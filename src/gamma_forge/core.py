@@ -85,11 +85,11 @@ def row_zeros(t: np.ndarray) -> np.ndarray:
                            for lo in range(0, len(t), _ROW_BLOCK)]).astype(element_dtype(len(t)))
 
 
-def first_false_rows(n: int, block: Callable[[slice], np.ndarray]) -> tuple[int, ...] | None:
+def first_false_rows(n: int, block: Callable[[slice], np.ndarray], rows: int = _ROW_BLOCK) -> tuple[int, ...] | None:
     """first_false of an n-row mask whose rows r are block(r), for a slice r of
-    _ROW_BLOCK rows per step; so the mask is never held whole."""
-    for lo in range(0, n, _ROW_BLOCK):
-        w = first_false(block(slice(lo, lo + _ROW_BLOCK)))
+    `rows` rows per step; so the mask is never held whole."""
+    for lo in range(0, n, rows):
+        w = first_false(block(slice(lo, lo + rows)))
         if w is not None:
             return (lo + w[0], *w[1:])
     return None
@@ -123,6 +123,8 @@ class CayleyTable:
         n = raw.shape[0]
         if n < 1:
             raise ConstructionError("table must have at least one element")
+        if raw.dtype.kind not in "iu":
+            _check_integers(raw if isinstance(table, np.ndarray) else np.asarray(table, dtype=object))
         _check_range(raw, n)  # in the input's own dtype, before narrowing
         # a read-only array of the element dtype that owns its data is taken as is, anything else copied
         owned = raw is table and raw.base is None and not raw.flags.writeable
@@ -148,27 +150,24 @@ class CayleyTable:
     def classification(self) -> ClassifyResult:
         return classify(self)
 
-    @cached_property
-    def left_division(self) -> np.ndarray:
-        """Array D with D[x, y] = x\\y, i.e. the z solving x*z = y: D[x, x*z] = z."""
-        return self._division(left=True)
 
-    @cached_property
-    def right_division(self) -> np.ndarray:
-        """Array D with D[y, x] = y/x, i.e. the z solving z*x = y: D[z*x, x] = z."""
-        return self._division(left=False)
+def divide_rows(t: np.ndarray, cs) -> np.ndarray:
+    """Rows c\\. of the left division of a Latin table t for each c in cs, a
+    block of rows per step: D[i, t[c_i, z]] = z.  The rows of t.T give the
+    right division columns: divide_rows(t.T, cs)[i, y] = y / c_i."""
+    div, z = np.empty((len(cs), len(t)), dtype=t.dtype), np.arange(len(t), dtype=t.dtype)[None, :]
+    for lo in range(0, len(cs), _ROW_BLOCK):
+        np.put_along_axis(div[lo:lo + _ROW_BLOCK], t[cs[lo:lo + _ROW_BLOCK]], z, axis=1)
+    return div
 
-    def _division(self, left: bool) -> np.ndarray:
-        """Scatter z into row x at x*z (left), or into column x at z*x, a block of rows per step."""
-        if not self.classification.is_latin:
-            raise ConstructionError(f"not a Latin square: {self.classification.witness}")
-        div = np.empty_like(self.table)
-        into, t = (div, self.table) if left else (div.T, self.table.T)
-        for lo in range(0, self.n, _ROW_BLOCK):
-            np.put_along_axis(into[lo:lo + _ROW_BLOCK], t[lo:lo + _ROW_BLOCK],
-                              np.arange(self.n, dtype=div.dtype)[None, :], axis=1)
-        div.setflags(write=False)
-        return div
+
+def _check_integers(cells: np.ndarray) -> None:
+    """Raise on the least cell that holds no integer: a float, a bool or
+    anything else; a float array offends at (0, 0) already."""
+    for (x, y), v in np.ndenumerate(cells):
+        v = v.item() if isinstance(v, np.generic) else v
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConstructionError(f"entry at ({x},{y}) is {v!r}, not an integer")
 
 
 def _check_range(block: np.ndarray, n: int, lo: int = 0) -> None:

@@ -28,12 +28,13 @@ from .core import (
     distinct_values,
     element_dtype,
     first_false_rows,
+    flat,
     left_power_walk,
     row_zeros,
     table_cap,
 )
 from . import tableio
-from .loops import _close, associativity_witness, commutativity_witness
+from .loops import _close, _greedy_generators, associativity_witness, commutativity_witness
 
 
 _SQUARE_BLOCK = 1 << 16  # elements squared per numpy step in functional groups
@@ -95,11 +96,22 @@ class Group:
         """The product as an array-capable rule, so rules can be composed."""
         return self.tbl[x, y]
 
+    def commutator(self, x, y):
+        """[x, y] = x^-1 y^-1 x y = (yx)^-1 (xy), on ints or broadcast index arrays;
+        flat .take gathers are about twice as fast as [] with 2-D indices."""
+        t, n = self.tbl.ravel(), self.order
+        return t.take(flat(n, self.inverse[t.take(flat(n, y, x))], t.take(flat(n, x, y))))
+
     @cached_property
-    def comm_table(self) -> np.ndarray:
-        """C[x, y] = [x, y] = x^-1 y^-1 x y."""
-        t, inv = self.tbl, self.inverse
-        return build_table(self.order, lambda x, y: t[t[t[inv[x], inv[y]], x], y]).table
+    def commutators(self) -> np.ndarray:
+        """The distinct commutators, ascending: they generate G'."""
+        return _commutator_seed(self, range(self.order), None)
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """A generating set: each the least element outside the subgroup of those before."""
+        return np.array([a for a in _greedy_generators(self.order, self.rule) if a],
+                        dtype=self.tbl.dtype)
 
     @cached_property
     def squares(self) -> np.ndarray:
@@ -234,50 +246,49 @@ def is_uniquely_2_divisible(g: AnyGroup) -> bool:
 
 
 def center(g: AnyGroup) -> Subgroup:
-    g = _require_table(g, "center")
-    t = g.tbl
-    mask = np.concatenate([(t[lo:lo + _ROW_BLOCK] == t[:, lo:lo + _ROW_BLOCK].T).all(axis=1)
-                           for lo in range(0, g.order, _ROW_BLOCK)])
-    return Subgroup(g, tuple(int(i) for i in np.nonzero(mask)[0]))
+    series = upper_central_series(_require_table(g, "center"))
+    return series[min(1, len(series) - 1)]
 
 
 def upper_central_series(g: AnyGroup) -> list[Subgroup]:
     """[zeta^0, zeta^1, ...] ascending until stable.
 
-    zeta^{i+1} is computed directly as {x : [x,y] in zeta^i for all y}, which
-    matches the quotient-center definition without quotient bookkeeping.
+    zeta^{i+1} = {x : [x,y] in zeta^i for all y}, which matches the
+    quotient-center definition without quotient bookkeeping.  Only the y of
+    g.generators are tested: for fixed x the y with [x, y] in the normal
+    zeta^i form a subgroup, as [x, yz] = [x, z] [x, y]^z.
     """
     g = _require_table(g, "upper central series")
-    n = g.order
-    C = g.comm_table
-    series = [Subgroup(g, (0,))]
-    current = np.zeros(n, dtype=bool)
-    current[0] = True
+    xs, gens = np.arange(g.order), g.generators
+    series, current = [Subgroup(g, (0,))], xs == 0
     while True:
-        nxt = np.concatenate([current[C[lo:lo + _ROW_BLOCK]].all(axis=1) for lo in range(0, n, _ROW_BLOCK)])
+        nxt = np.concatenate([current[g.commutator(xs[lo:lo + _ROW_BLOCK, None], gens)].all(axis=1)
+                              for lo in range(0, g.order, _ROW_BLOCK)])
         if (nxt == current).all():
             return series
-        series.append(Subgroup(g, tuple(int(i) for i in np.nonzero(nxt)[0])))
+        series.append(Subgroup(g, tuple(np.flatnonzero(nxt).tolist())))
         current = nxt
 
 
-def _commutator_seed(g: Group, members_a: Sequence[int], members_b: Sequence[int] | None) -> list[int]:
-    a, cols = np.asarray(members_a), slice(None) if members_b is None else np.asarray(members_b)
+def _commutator_seed(g: Group, members_a: Sequence[int], members_b: Sequence[int] | None) -> np.ndarray:
+    """The distinct [a, b] for a in members_a and b in members_b (default: all of G)."""
+    a, b = np.asarray(members_a), np.arange(g.order) if members_b is None else np.asarray(members_b)
     seen = np.zeros(g.order, dtype=bool)
     for lo in range(0, len(a), _ROW_BLOCK):
-        seen[g.comm_table[a[lo:lo + _ROW_BLOCK]][:, cols]] = True
-    return np.flatnonzero(seen).tolist()
+        seen[g.commutator(a[lo:lo + _ROW_BLOCK, None], b)] = True
+    return np.flatnonzero(seen).astype(g.tbl.dtype)
 
 
 def _descending_series(g: AnyGroup, what: str, seed: Callable) -> list[Subgroup]:
-    """[G, ...] until stable, each term generated by seed(members of the last)."""
+    """[G, G', ...] until stable, each later term generated by seed(members of
+    the last); the second is G' in both series, from the shared commutators."""
     g = _require_table(g, what)
     series = [Subgroup(g, tuple(range(g.order)))]
-    while True:
-        nxt = subgroup_closure(g, seed(series[-1].members))
-        if nxt == series[-1].members:
-            return series
+    nxt = subgroup_closure(g, g.commutators)
+    while nxt != series[-1].members:
         series.append(Subgroup(g, nxt))
+        nxt = subgroup_closure(g, seed(nxt))
+    return series
 
 
 def lower_central_series(g: AnyGroup) -> list[Subgroup]:
@@ -301,7 +312,7 @@ def derived_series(g: AnyGroup) -> list[Subgroup]:
 def derived_subgroup(g: AnyGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(members, generating set) of G'."""
     g = _require_table(g, "derived subgroup")
-    members = subgroup_closure(g, _commutator_seed(g, range(g.order), range(g.order)))
+    members = subgroup_closure(g, g.commutators)
     return members, members
 
 
@@ -311,17 +322,18 @@ def is_metabelian(g: AnyGroup) -> bool:
     sub = g.tbl[np.ix_(idx, idx)]
     abelian = bool((sub == sub.T).all())
     # cross-check on the raw commutator set, which generates G'
-    comms = np.array(_commutator_seed(g, range(g.order), None))
-    sub2 = g.tbl[np.ix_(comms, comms)]
+    sub2 = g.tbl[np.ix_(g.commutators, g.commutators)]
     if abelian != bool((sub2 == sub2.T).all()):
         raise GammaForgeError("internal inconsistency in metabelian check")
     return abelian
 
 
 def is_two_engel(g: AnyGroup) -> tuple[bool, tuple[int, int] | None]:
-    """[x,y,y] = 1 for all pairs; on failure the lexicographically least witness."""
-    C = _require_table(g, "2-Engel test").comm_table
-    w = first_false_rows(g.order, lambda r: C[C[r], np.arange(g.order)] == 0)
+    """[x,y,y] = 1 for all pairs; on failure the lexicographically least witness.
+    A nested commutator holds about twice the scratch of one gather, so the
+    scan takes half a row block per step."""
+    C, xs = _require_table(g, "2-Engel test").commutator, np.arange(g.order)
+    w = first_false_rows(g.order, lambda r: C(C(xs[r, None], xs), xs) == 0, _ROW_BLOCK // 2)
     return (w is None), w
 
 

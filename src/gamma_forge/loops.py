@@ -27,6 +27,7 @@ from .core import (
     StabilizerChain,
     build_table,
     distinct_values,
+    divide_rows,
     element_dtype,
     first_false,
     first_false_rows,
@@ -58,9 +59,6 @@ class Loop:
 
     def mul(self, x: int, y: int) -> int:
         return int(self.tbl[x, y])
-
-    ldiv = property(lambda self: self.table.left_division)
-    rdiv = property(lambda self: self.table.right_division)
 
     @cached_property
     def right_inverses(self) -> np.ndarray:
@@ -162,20 +160,26 @@ def _close(op, reached: np.ndarray, members: np.ndarray, k: int, a: int) -> int:
     return k
 
 
+def _greedy_generators(n: int, op):
+    """Yield the least element not reached yet, then close the reached set
+    under op with it, until every element is reached: each one yielded lies
+    outside the closure of those before, and together they generate."""
+    reached, members, k = np.zeros(n, dtype=bool), np.empty(n, dtype=np.intp), 0
+    while k < n:
+        a = int(np.argmin(reached))
+        yield a
+        k = _close(op, reached, members, k, a)
+
+
 def _closure_witness(n: int, op, sides, witness_sides=None) -> tuple[int, int, int] | None:
     """Least witness of an identity whose passing x, those where the arrays
     sides(x, rows y) agree, are closed under the operation op(X, Y) on
     broadcast index arrays (the caller proves this).  So greedy generators
-    decide: test the least element not yet reached, close the reached set
-    under op, repeat; no element is taken for an identity.  On a failure the
-    per-x scan of witness_sides (default: sides) gives the least."""
-    k = 0
-    reached, members = np.zeros(n, dtype=bool), np.empty(n, dtype=np.intp)
-    while k < n:
-        a = int(np.argmin(reached))
+    decide; no element is taken for an identity.  On a failure the per-x
+    scan of witness_sides (default: sides) gives the least."""
+    for a in _greedy_generators(n, op):
         if _least_block_witness(n, sides, [a]) is not None:
             return _least_block_witness(n, witness_sides or sides)
-        k = _close(op, reached, members, k, a)
     return None
 
 
@@ -224,7 +228,7 @@ def check_gamma_axioms(q: Loop | CayleyTable) -> GammaVerdict:
             na = AxiomVerdict(None, cls.witness)
             return GammaVerdict(gamma1, na, na, na)
         q = Loop(q)
-    t, ld = q.tbl, q.ldiv
+    t = q.tbl
     w = commutativity_witness(t)
     gamma1 = AxiomVerdict(w is None, w)
 
@@ -245,7 +249,7 @@ def check_gamma_axioms(q: Loop | CayleyTable) -> GammaVerdict:
     # P_x = R_x L_{x^-1}^{-1}: P(x, u) = x^-1 \ (u x), held as a table during the closure (one
     # gather per read), built as x^-1 \ (x u) in a commutative loop (rows read faster than columns)
     ux = t if gamma1.holds else t.T
-    P = build_table(q.n, lambda x, u: ld[inv[x], ux[x, u]]).table
+    P = build_table(q.n, lambda x, u: np.take_along_axis(divide_rows(t, inv[x[:, 0]]), ux[x, u], 1)).table
     # P_x P_y P_x against P_{y P_x}.  The passing x are closed under (a, b) -> P_a(b): maps s
     # with s P_y s = P_{s(y)} for all y are closed under s, r -> s r s; P_a P_b P_a = P_{P_a(b)}
     def p_sides(x, ys):  # rows ys of P_x P_y P_x and of P_{y P_x}
@@ -347,15 +351,19 @@ def powers_coincide(g, q: Loop) -> tuple[bool, tuple[int, int] | None]:
 # Inner mappings and automorphicity
 
 
-def _inner_maps(q: Loop, kind: str, x: int, rows: np.ndarray) -> np.ndarray:
+def _inner_maps(q: Loop, kind: str, x: int, rows: np.ndarray, div: np.ndarray | None = None) -> np.ndarray:
     """Inner maps as the rows of an array: L_{x,y} or R_{x,y} for each y in
-    rows, or T_y for each y in rows (then x is unused)."""
-    t, n = q.tbl, q.n  # flat .take gathers: about twice as fast as [] with 2-D indices
-    if kind == "L":  # u -> (yx) \ (y(xu))
-        return q.ldiv.take(flat(n, t[rows, x][:, None], t[rows][:, t[x]]))
-    if kind == "R":  # u -> ((ux)y) / (xy)
-        return q.rdiv.take(flat(n, t.take(flat(n, t[:, x][None, :], rows[:, None])), t[x, rows][:, None]))
-    return q.ldiv[rows[:, None], t[:, rows].T]  # T: u -> y \ (uy)
+    rows, or T_y for each y in rows (then x is unused).  The divisions are
+    read from div, the whole division table of the kind's side (left for L
+    and T, right through the transpose for R), else formed for these rows."""
+    t, n = (q.tbl.T if kind == "R" else q.tbl), q.n  # R_{x,y} of Q is L_{x,y} of its opposite
+    if kind == "T":  # u -> y \ (uy)
+        cs, vals = rows, t[:, rows].T
+    else:  # u -> (yx) \ (y(xu)); flat .take gathers: about twice as fast as [] with 2-D indices
+        cs, vals = t[rows, x], t.take(flat(n, rows[:, None], t[x]))
+    if div is None:
+        div, cs = divide_rows(t, cs), np.arange(len(cs))
+    return div.take(flat(n, cs[:, None], vals))
 
 
 # Fixed random weights of the row hash that finds repeated inner maps, drawn with
@@ -439,8 +447,9 @@ def _least_inner_witness(q: Loop) -> tuple | None:
     seen: dict[int, np.ndarray] = {}
     rows = np.arange(n)
     for kind in ("L",) if commutative else ("L", "R", "T"):
+        div = divide_rows(t.T if kind == "R" else t, rows)  # held for this call only
         for x in ((-1,) if kind == "T" else range(n)):
-            maps = _inner_maps(q, kind, x, rows)
+            maps = _inner_maps(q, kind, x, rows, div)
             for y in _unseen_rows(maps, seen).tolist():
                 phi = maps[y]
                 ok = t[phi[:, None], phi[None, :]] == phi[t]

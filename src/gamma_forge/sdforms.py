@@ -121,22 +121,21 @@ class SdForms:
                 out[self._block(f1), self._block(f2)] = self._elements(self.F.mul(f1i, f2), outer[inner])
         return out
 
-    def lxy_table(self) -> np.ndarray:
-        """Array [f1, y, u] of closed-form inner-map images
+    def lxy_table(self, f1: int) -> np.ndarray:
+        """Array [y, u] of closed-form inner-map images
         u L_{x,y} = (h^((1+f1)(1+f2)) h2^(1 + f f1 - f - f1))^((1+f1 f2)^-1 / 2) f
-        for x = (h1, f1), y = (h2, f2) and u = (h, f), one table for each
-        F-part f1 of x: the closed form does not involve h1, so every x in one
-        F-block has the same table.
+        for x = (h1, f1), y = (h2, f2) and u = (h, f), for one F-part f1 of x:
+        the closed form does not involve h1, so every x in one F-block has
+        the same table.
         """
         n = self.nH * self.nF
-        out = np.empty((self.nF, n, n), dtype=self.dtype)
+        out = np.empty((n, n), dtype=self.dtype)
         for f in range(self.nF):
-            for f1 in range(self.nF):
-                for f2 in range(self.nF):
-                    a = self.mul(self.add(self.one, self.act(f1)), self.add(self.one, self.act(f2)))
-                    b = self.add(self.one, self.mul(self.act(f), self.act(f1)), self.neg(self.act(f)),
-                                 self.neg(self.act(f1)))
-                    c = self.H.sqrt_table[self.inv(self.add(self.one, self.act(self.F.mul(f1, f2))))]
-                    hh = c[self.H.tbl[a[:, None], b[None, :]]]  # [h, h2]
-                    out[f1, self._block(f2), self._block(f)] = self._elements(f, hh.T)  # [h2, h]
+            for f2 in range(self.nF):
+                a = self.mul(self.add(self.one, self.act(f1)), self.add(self.one, self.act(f2)))
+                b = self.add(self.one, self.mul(self.act(f), self.act(f1)), self.neg(self.act(f)),
+                             self.neg(self.act(f1)))
+                c = self.H.sqrt_table[self.inv(self.add(self.one, self.act(self.F.mul(f1, f2))))]
+                hh = c[self.H.tbl[a[:, None], b[None, :]]]  # [h, h2]
+                out[self._block(f2), self._block(f)] = self._elements(f, hh.T)  # [h2, h]
         return out

@@ -364,7 +364,7 @@ def gamma_by_full_orbit_walk(q):
     a block of 128 rows x at a time, with a second pointer that steps on odd
     steps: after c steps it holds A^((c+1)/2)(yx)."""
     n = q.n
-    t, ld = q.tbl.ravel(), q.ldiv.ravel()
+    t, ld = q.tbl.ravel(), _ldiv(q.tbl).ravel()
     out = np.empty(n * n, dtype=q.tbl.dtype)
     ys = np.arange(n)
     for lo in range(0, n, 128):
@@ -464,6 +464,26 @@ def inverse(g, x: int) -> int:
 def commutator(g, x: int, y: int) -> int:
     """[x, y] = x^-1 y^-1 x y, one product at a time."""
     return g.mul(g.mul(g.mul(inverse(g, x), inverse(g, y)), x), y)
+
+
+def commutator_table(g) -> np.ndarray:
+    """C[x, y] = [x, y], one commutator at a time."""
+    return np.array([[commutator(g, x, y) for y in range(g.order)] for x in range(g.order)])
+
+
+def upper_central_series_scan(t) -> list[tuple[int, ...]]:
+    """The members of zeta^0, zeta^1, ... of a group table until stable, each
+    zeta^(i+1) = {x : [x, y] in zeta^i for every y}, from the n^2 commutators."""
+    n = len(t)
+    inv, xs = _ldiv(t)[:, 0], np.arange(n)
+    C = t[t[t[inv[:, None], inv[None, :]], xs[:, None]], xs[None, :]]
+    current, series = xs == 0, [(0,)]
+    while True:
+        nxt = current[C].all(axis=1)
+        if (nxt == current).all():
+            return series
+        series.append(tuple(np.flatnonzero(nxt).tolist()))
+        current = nxt
 
 
 def subgroup_closure(g, seed) -> tuple[int, ...]:
@@ -652,14 +672,14 @@ def left_divide(t: CayleyTable, x: int, y: int) -> int:
     """The unique z with x*z = y (requires a loop)."""
     if not t.classification.is_loop:
         raise ConstructionError(f"division requires a loop: {t.classification.witness}")
-    return int(t.left_division[x, y])
+    return int(_ldiv(t.table)[x, y])
 
 
 def right_divide(t: CayleyTable, y: int, x: int) -> int:
     """The unique z with z*x = y (requires a loop)."""
     if not t.classification.is_loop:
         raise ConstructionError(f"division requires a loop: {t.classification.witness}")
-    return int(t.right_division[y, x])
+    return int(_rdiv(t.table)[y, x])
 
 
 def perm_sqrt_odd(p: Permutation) -> Permutation:
@@ -714,7 +734,7 @@ def is_isomorphic(q1: Loop, q2: Loop, budget: int = 2_000_000) -> IsoResult:
     order = sorted(range(1, n), key=lambda a: (len(candidates[a]), a))
     order = [0] + order
     t1, t2 = q1.tbl, q2.tbl
-    ld1, rd1 = q1.ldiv, q1.rdiv
+    ld1, rd1 = _ldiv(t1), _rdiv(t1)
     phi = np.full(n, -1, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
     assigned: list[int] = []

@@ -120,8 +120,8 @@ def test_sampled_check_catches_a_wrong_commutator_convention():
     # the identities hold for both orders of the bracket
     g = construct("sd:31:5:2")
     assert checks.commutator_identities_hold(g, 0) == (True, None, False)
-    t, inv, xs = g.tbl, g.inverse, np.arange(g.order)
-    g.__dict__["comm_table"] = t[t[t[xs[:, None], xs], inv[:, None]], inv]
+    t, inv = g.tbl, g.inverse
+    g.commutator = lambda x, y: t[t[t[x, y], inv[x]], inv[y]]
     for seed in range(3):
         ok, witness, exhaustive = checks.commutator_identities_hold(g, seed)
         assert not ok and not exhaustive and witness.startswith("product-in-first-slot expansion fails at")
@@ -134,7 +134,7 @@ def test_check_pins_the_bracket_convention():
     for spec in ("sd:31:5:2", "sd:7:3:2"):
         g = construct(spec)
         assert checks.commutator_identities_hold(g, 0)[0]
-        g.__dict__["comm_table"] = np.ascontiguousarray(g.comm_table.T)
+        g.commutator = lambda x, y, real=g.commutator: real(y, x)
         for seed in range(3):
             ok, witness, exhaustive = checks.commutator_identities_hold(g, seed)
             assert not ok and exhaustive == (g.order <= checks.EXHAUSTIVE_TRIPLE_LIMIT)
@@ -184,8 +184,6 @@ class _TakeSpy(np.ndarray):
 
 
 def _spy_on_loop(q):
-    q.table.__dict__["left_division"] = q.ldiv.view(_TakeSpy)
-    q.table.__dict__["right_division"] = q.rdiv.view(_TakeSpy)
     q.tbl = q.tbl.view(_TakeSpy)
     return q
 
@@ -206,8 +204,9 @@ def _held_arrays(ctx):
 @pytest.mark.parametrize("spec", ["ut:4:3", "sd:127:3:19"])
 def test_held_arrays_are_narrow_and_flat_indices_intp(spec, monkeypatch):
     # every element array a verify holds is in the element dtype, uint16 at
-    # orders 729 and 381; every flat index handed to take() is intp, as
-    # n * a in a narrow dtype wraps (381 * 173 > 65535)
+    # orders 729 and 381, and the only n^2 ones are the three product tables:
+    # no commutator or division table is kept; every flat index handed to
+    # take() is intp, as n * a in a narrow dtype wraps (381 * 173 > 65535)
     g = construct(spec)
     g.tbl = g.tbl.view(_TakeSpy)
     ctx = CheckContext(g, force_exhaustive=True)
@@ -220,10 +219,12 @@ def test_held_arrays_are_narrow_and_flat_indices_intp(spec, monkeypatch):
     dtype = core.element_dtype(g.order)
     assert dtype == np.uint16
     held = _held_arrays(ctx)
-    assert {"group.tbl", "group.inverse", "group.comm_table", "group.squares", "group.sqrt_table",
-            "circ.tbl", "circ.right_inverses", "circ.left_inverses", "circ.table.left_division",
+    assert {"group.tbl", "group.inverse", "group.commutators", "group.generators", "group.squares",
+            "group.sqrt_table", "circ.tbl", "circ.right_inverses", "circ.left_inverses",
             "oplus.tbl", "oplus.right_inverses"} <= set(held)
     assert {name: a.dtype for name, a in held.items() if a.dtype != dtype} == {}
+    square = {name for name, a in held.items() if a.size >= g.order ** 2}
+    assert square == {f"{o}{k}" for o in ("group", "circ", "oplus") for k in (".tbl", ".table.table")}
     if g.sd_spec is not None:
         assert g.sd_spec.action.dtype == core.element_dtype(g.sd_spec.nH)
     callers = {name for name, _ in _TakeSpy.calls}

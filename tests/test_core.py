@@ -333,3 +333,24 @@ def test_tbl_parse_errors(tmp_path):
         tableio.import_table(path)
     path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n\n# trailing comment\n")
     assert (tableio.import_table(path).table.table == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]).all()
+
+
+def test_only_integer_tables_are_taken():
+    # a float, bool, string or missing entry is named at its least cell; a
+    # float or bool array offends at (0, 0), as every entry of it is no integer
+    cases = [([[0, 1.5], [1, 0]], "entry at (0,1) is 1.5, not an integer"),
+             ([[0, 1], [1.0, 0]], "entry at (1,0) is 1.0, not an integer"),
+             ([[0, 1], [1, None]], "entry at (1,1) is None, not an integer"),
+             ([[0, "1"], [1, 0]], "entry at (0,1) is '1', not an integer"),
+             (np.array([[0, 1], [1, 0]], dtype=float), "entry at (0,0) is 0.0, not an integer"),
+             (np.array([[0, 1], [1, 0]], dtype=np.float32), "entry at (0,0) is 0.0, not an integer"),
+             (np.array([[False, True], [True, False]]), "entry at (0,0) is False, not an integer")]
+    for given, message in cases:
+        with pytest.raises(ConstructionError) as err:
+            CayleyTable(given)
+        assert str(err.value) == message
+    for given in ([[0, 1], [1, 0]], np.array([[0, 1], [1, 0]], dtype=np.int8), np.array([[0, 1], [1, 0]], dtype=np.uint64)):
+        assert CayleyTable(given).table.tolist() == [[0, 1], [1, 0]]
+    # integers too large for int64 are range-checked as Python ints
+    with pytest.raises(ConstructionError, match=r"^entry at \(1,1\) is 1180591620717411303424, outside 0\.\.1$"):
+        CayleyTable([[0, 1], [1, 2 ** 70]])

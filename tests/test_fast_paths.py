@@ -8,7 +8,8 @@ loops; numpy's argsort is the reference for the divisions.  Verdicts and
 witnesses, tables and error messages must agree exactly, so the fast paths
 keep the least witness.  The orbit walk of the translation is checked against
 the pointer doubling it replaced when |LMlt| is odd, and the loops with even
-|LMlt| are pinned to the doubling.  The stabilizer chain of Mlt is checked
+|LMlt| are pinned to the doubling.  The closed-form L maps compared on
+generators are checked against the comparison of every x.  The stabilizer chain of Mlt is checked
 against the multiplication group closed element by element.  Random
 Latin-square loops check the closure lemmas behind the generator tests and
 include loops in which the operation matters.
@@ -24,7 +25,7 @@ import pytest
 import oracles
 from oracles import Permutation
 from gamma_forge.catalog import CATALOG_SPECS
-from gamma_forge import constructions, core
+from gamma_forge import checks, constructions, core
 from gamma_forge.constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, loop_sqrt_table, oplus_loop
 from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, left_power_walk
 from gamma_forge import loops
@@ -41,6 +42,7 @@ from gamma_forge.loops import (
     loop_center,
     powers_coincide,
 )
+from gamma_forge.sdforms import SdForms
 from gamma_forge.tableio import normalize_identity
 
 
@@ -699,12 +701,19 @@ def test_powers_coincide_witnesses_reach_late_exponents():
 
 @pytest.mark.parametrize("spec", SMALL_SPECS + ["ut:4:3"])
 def test_divisions_match_the_argsort_they_replace(spec):
+    # rows c\. of the left division, and the right division columns ./c
+    # through the transpose, for all c, for c in any order with repeats, and
+    # for a few random c, against argsort; on groups (ut:4:3 is uint16 and
+    # noncommutative), relabeled oplus loops and noncommutative twisted loops
     g = group(spec)
     for t in (g.tbl, relabel(oplus_loop(g).tbl, 5), twisted_loop(len(spec), 3, 5)):
-        c = CayleyTable(t)
-        for div, axis in ((c.left_division, 1), (c.right_division, 0)):
-            assert div.dtype == core.element_dtype(len(t)) and not div.flags.writeable
-            assert (div == np.argsort(t, axis=axis)).all()
+        c = CayleyTable(t).table
+        n = len(c)
+        for cs in (np.arange(n), np.array([n - 1, 0, n - 1]), np.random.default_rng(n).integers(0, n, 3)):
+            left, right = core.divide_rows(c, cs), core.divide_rows(c.T, cs)
+            assert left.dtype == right.dtype == core.element_dtype(n)
+            assert (left == np.argsort(t, axis=1)[cs]).all()
+            assert (right == np.argsort(t, axis=0)[:, cs].T).all()
 
 
 def mutated_tables(t, seed):
@@ -749,7 +758,87 @@ def test_inverses_are_read_from_the_zero_cells():
                [twisted_loop(seed, 3, 5) for seed in range(4)] + [cocycle_loop(seed, 5, 7) for seed in range(4)]]
     two_sided = set()
     for q in loops_:
-        assert (q.right_inverses == q.ldiv[:, 0]).all() and (q.left_inverses == q.rdiv[0, :]).all()
+        assert (q.right_inverses == oracles._ldiv(q.tbl)[:, 0]).all()
+        assert (q.left_inverses == oracles._rdiv(q.tbl)[0, :]).all()
         assert q.right_inverses.dtype == q.left_inverses.dtype == core.element_dtype(q.n)
         two_sided.add(q.inverse is not None)
     assert two_sided == {True, False}
+
+
+lmap_scan = checks._lmap_scan
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The calls _lmap_witness makes to the L-map scan: "gens" when it compares
+    the generators only, else "whole"."""
+    calls = []
+    monkeypatch.setattr(checks, "_lmap_scan", lambda q, lxy, nH, gens=None:
+                        calls.append("whole" if gens is None else "gens") or lmap_scan(q, lxy, nH, gens))
+    return calls
+
+
+@pytest.mark.parametrize("spec", [s for s in CATALOG_SPECS if s.startswith("sd:")])
+def test_closed_form_fast_path_matches_the_per_x_scan(spec, scans):
+    g = group(spec)
+    forms, q = SdForms(g.sd_spec), circ_loop(g)
+    nH, nF = forms.nH, forms.nF
+    assert is_automorphic(q).is_true
+    assert checks._lmap_witness(q, forms.lxy_table, nH, True) is None and scans == ["gens"]
+    assert lmap_scan(q, forms.lxy_table, nH) is None
+
+    # a mutated entry of the last F-block's table: the first x of the block
+    # differs, and the scan names it
+    def mutated(f):
+        table = forms.lxy_table(f)
+        if f == nF - 1:
+            table[5, 2] = (table[5, 2] + 1) % g.order
+        return table
+
+    assert checks._lmap_witness(q, mutated, nH, True) == ((nF - 1) * nH, 5, 2)
+    assert scans == ["gens"] * 2 + ["whole"]
+    # one block of all n elements with the table of x = 0: its first x agrees,
+    # so only the generator compare of the other x can catch it
+    one_block = lambda f: forms.lxy_table(0)
+    w = lmap_scan(q, one_block, g.order)
+    assert w is not None and w[0] > 0
+    assert checks._lmap_witness(q, one_block, g.order, True) == w and scans == ["gens"] * 2 + ["whole"] + ["gens", "whole"]
+
+
+@pytest.mark.parametrize("spec", ["sd:7:3:2", "sd:13:3:3", "wr:3"])
+def test_closed_form_fast_path_needs_an_automorphic_loop(spec, scans):
+    # the oplus loop of a split extension is not automorphic: every x is
+    # compared whole at once, with the L maps of the first x of each block as
+    # the tables, against the scalar inner maps of the oracle
+    g = group(spec)
+    q, nH = oplus_loop(g), g.sd_spec.nH
+    Ls = oracles.inner_generators(q.tbl).Ls
+    verdict = is_automorphic(q)
+    assert not verdict.is_true
+    w = checks._lmap_witness(q, lambda f: Ls[f * nH], nH, verdict.is_true)
+    firsts = [(x, *np.argwhere(Ls[x] != Ls[x // nH * nH])[0]) for x in range(q.n)
+              if (Ls[x] != Ls[x // nH * nH]).any()]
+    assert scans == ["whole"] and w == firsts[0]
+
+
+def test_generator_compare_misleads_without_automorphisms():
+    # why the fast path needs an automorphic loop: in this twisted loop of
+    # order 15, L_{13,y} and L_{12,y} agree on the greedy generators {1, 3}
+    # for every y, and differ
+    q = Loop(CayleyTable(twisted_loop(5, 3, 5)))
+    Ls = oracles.inner_generators(q.tbl).Ls
+    gens = [a for a in loops._greedy_generators(q.n, lambda a, b: q.tbl[a, b]) if a]
+    assert gens == [1, 3] and not is_automorphic(q).is_true
+    assert (Ls[13][:, gens] == Ls[12][:, gens]).all() and not (Ls[13] == Ls[12]).all()
+
+
+def test_generator_compare_reads_every_generator():
+    # the scan on generators against the scalar maps: with the identity maps
+    # of x = 0 as the table of one block of all x, it names the first x, y
+    # and index into gens at which some L_{x,y} moves a generator
+    for seed in range(4):
+        q = Loop(CayleyTable(twisted_loop(seed, 3, 5)))
+        Ls = oracles.inner_generators(q.tbl).Ls
+        for gens in (np.array([1, 3]), np.array([2, 7]), np.array([1, 2])):
+            moved = [(x, *np.argwhere(Ls[x][:, gens] != gens)[0]) for x in range(q.n) if (Ls[x][:, gens] != gens).any()]
+            assert lmap_scan(q, lambda f: Ls[0], q.n, gens) == moved[0]

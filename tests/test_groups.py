@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from gamma_forge import groups
+from gamma_forge import groups, tableio
 from gamma_forge.catalog import CATALOG_SPECS
-from gamma_forge.core import ConstructionError, EvenOrderError, build_table, left_power_walk
+from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, build_table, left_power_walk
 from gamma_forge.groups import (
     FunctionalGroup,
     Group,
@@ -147,11 +147,12 @@ def test_ut43_metabelian_class3():
 
 
 def test_commutator_examples(g21):
-    assert (cyclic(9).comm_table == 0).all()
+    xs = np.arange(9)
+    assert (cyclic(9).commutator(xs[:, None], xs) == 0).all()
     x, y = oracles.idx21((1, 0)), oracles.idx21((0, 1))
-    assert g21.label(g21.comm_table[x, y]) == "(3,0)"
+    assert g21.label(g21.commutator(x, y)) == "(3,0)"
     assert g21.label(oracles.nested_commutator(g21, [x, y, y])) == "(2,0)"
-    assert g21.comm_table[x, y] == oracles.commutator(g21, x, y) == oracles.idx21(oracles.comm21((1, 0), (0, 1)))
+    assert g21.commutator(x, y) == oracles.commutator(g21, x, y) == oracles.idx21(oracles.comm21((1, 0), (0, 1)))
 
 
 def test_u2d_examples(g21):
@@ -223,7 +224,7 @@ def test_nested_commutator_detects_class():
     # class 2: every length-3 commutator trivial, some length-2 not
     assert all(oracles.nested_commutator(h, [x, y, z]) == 0
                for x in range(0, 27, 5) for y in range(27) for z in range(27))
-    assert h.comm_table.any()
+    assert h.commutator(np.arange(27)[:, None], np.arange(27)).any()
 
 
 def test_commutator_identity_suite_exhaustive(g21):
@@ -306,7 +307,6 @@ def test_spec_parser_errors():
 
 
 def test_from_file_roundtrip(tmp_path, g21):
-    from gamma_forge import tableio
     path = tmp_path / "g21.tbl"
     tableio.export_table(g21.table, path)
     g2 = from_file(path)
@@ -389,3 +389,44 @@ def test_subgroup_closure_matches_the_frontier_closure():
         seeds += [rng.choices(range(g.order), k=k) for k in (0, 1, 1, 2, 3)] + [[0, 0]]
         for seed in seeds:
             assert subgroup_closure(g, seed) == oracles.subgroup_closure(g, seed), (spec, seed)
+
+
+@pytest.mark.parametrize("spec", [s for s, order in CATALOG_SPECS.items() if order <= 81])
+def test_commutator_matches_the_oracle(spec):
+    g = construct(spec)
+    xs = np.arange(g.order)
+    assert (g.commutator(xs[:, None], xs) == oracles.commutator_table(g)).all()
+    assert g.commutators.tolist() == sorted(set(oracles.commutator_table(g).ravel().tolist()))
+
+
+def _relabeled_file_group(g, seed, tmp_path):
+    """g written to a .tbl file under a seeded relabeling that moves the identity, read back."""
+    rng = np.random.default_rng(seed)
+    pi = rng.permutation(g.order)
+    t = np.empty_like(g.tbl)
+    t[pi[:, None], pi[None, :]] = pi[g.tbl]
+    path = tmp_path / f"g{seed}.tbl"
+    tableio.export_table(CayleyTable(t), path)
+    return from_file(path)
+
+
+@pytest.mark.parametrize("spec", [s for s, order in CATALOG_SPECS.items() if order <= 243])
+def test_generator_center_and_series_match_the_pairwise_scan(spec, tmp_path):
+    # [x, s] for s in a generating set found by the closure, against [x, y]
+    # for every y; file groups carry no catalog generators
+    g = construct(spec)
+    for h in (g, _relabeled_file_group(g, 1, tmp_path), _relabeled_file_group(g, 2, tmp_path)):
+        assert h.gens == () or h is g
+        assert oracles.subgroup_closure(h, h.generators.tolist()) == tuple(range(h.order))
+        series = oracles.upper_central_series_scan(np.asarray(h.tbl))
+        assert [s.members for s in upper_central_series(h)] == series
+        assert center(h).members == (series[1] if len(series) > 1 else (0,))
+
+
+@pytest.mark.parametrize("spec", [s for s, order in CATALOG_SPECS.items() if order <= 81 and not s.startswith("dp:")])
+def test_series_match_the_normal_closures_of_the_declared_generators(spec):
+    # both series start from the shared commutator set; wr:3 (class 3,
+    # metabelian) tells the derived series from the lower central one
+    g = construct(spec)
+    assert [s.members for s in derived_series(g)] == oracles.functional_series(g, True)
+    assert [s.members for s in lower_central_series(g)] == oracles.functional_series(g, False)

@@ -54,13 +54,13 @@ def test_ldiv_closed_form_is_circ_division(forms21, g21):
         for y, b in enumerate(oracles.P21):
             assert oracles.circ21(a, oracles.P21[ldiv[x, y]]) == b
     # reading the same formula as division in the group fails outright
-    assert not (forms21.ldiv_table() == g21.table.left_division).all()
+    assert not (forms21.ldiv_table() == oracles._ldiv(g21.tbl)).all()
 
 
 def test_lxy_closed_form_single_values(forms21, g21):
     q = circ_loop(g21)
     ig = oracles.inner_generators(q.tbl)
-    lxy = forms21.lxy_table()
+    lxy = np.stack([forms21.lxy_table(f) for f in range(3)])
     rng = np.random.default_rng(1)
     for _ in range(100):
         u, x, y = (int(v) for v in rng.integers(0, 21, 3))
@@ -74,11 +74,12 @@ def test_all_closed_form_tables_agree(spec_str):
     q = circ_loop(g)
     assert (forms.inverse_table() == g.inverse).all()
     assert (forms.sqrt_table() == g.sqrt_table).all()
-    assert (forms.commutator_table() == g.comm_table).all()
+    assert (forms.commutator_table() == oracles.commutator_table(g)).all()
     assert (forms.circ_table() == q.tbl).all()
-    assert (forms.ldiv_table() == q.ldiv).all()
+    assert (forms.ldiv_table() == oracles._ldiv(q.tbl)).all()
     # one table per F-part of x: the element (h, f) has index f*|H| + h
-    assert (forms.lxy_table()[np.arange(q.n) // forms.nH] == oracles.inner_generators(q.tbl).Ls).all()
+    lxy = np.stack([forms.lxy_table(f) for f in range(forms.nF)])
+    assert (lxy[np.arange(q.n) // forms.nH] == oracles.inner_generators(q.tbl).Ls).all()
 
 
 def test_expression_evaluator_pieces(forms21, g21):
