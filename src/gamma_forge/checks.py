@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _ROW_BLOCK, GammaForgeError, first_false, first_false_rows
+from .core import GammaForgeError, first_false, first_false_rows
 from .groups import (
     AnyGroup,
     Group,
@@ -399,7 +399,7 @@ def _lmap_scan(q: Loop, lxy, nH: int, gens: np.ndarray | None = None) -> tuple[i
         for x in range(f * nH, (f + 1) * nH):
             us = xs if gens is None or x == f * nH else gens
             w = first_false_rows(q.n, lambda r: t[t[r, x][:, None], table[r][:, us]] == t[xs[r, None], t[x, us]],
-                                 _ROW_BLOCK if us is xs else q.n)
+                                 len(us))
             if w is not None:
                 return x, *w
         del table  # before the next block's table is built

@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .core import (_ROW_BLOCK, CayleyTable, ConstructionError, EvenOrderError, GammaForgeError,
-                   StabilizerChain, build_table, divide_rows, left_power_walk)
+from .core import (CayleyTable, ConstructionError, EvenOrderError, GammaForgeError,
+                   build_table, divide_rows, left_power_walk, row_blocks)
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
 from .loops import (
     Loop,
@@ -26,6 +26,7 @@ from .loops import (
     commutativity_witness,
     is_left_bruck,
     is_power_associative,
+    mlt_chain,
     powers_coincide,
 )
 
@@ -147,11 +148,8 @@ def gamma_from_bruck(q: Loop, verify: bool = True) -> Loop:
 
 
 def _lmlt_order_is_odd(q: Loop) -> bool:
-    """Whether |LMlt(Q)|, the product of the orbit lengths of the chain, is odd."""
-    chain = StabilizerChain(q.n)
-    for row in q.tbl:
-        chain.add(row)
-    return all(len(level.orbit) % 2 for level in chain.levels)
+    """Whether |LMlt(Q)|, the product of the orbit lengths of its chain, is odd."""
+    return all(len(level.orbit) % 2 for level in mlt_chain(q, left=True).levels)
 
 
 def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:
@@ -166,12 +164,12 @@ def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:
     A = A_(x,y), and A(yx) = x(y(x\\(y\\(yx)))) = xy; so (y, x) walks the cycle
     of p backwards from A(p), to A^-((c+1)/2)(A(p)) = A^((c+1)/2)(p) (A^c p = p).
     """
-    n = q.n
-    t, ld = q.tbl.ravel(), divide_rows(q.tbl, np.arange(n)).ravel()  # flat index of (x, u): x n + u, in intp
+    n, xs = q.n, np.arange(q.n)
+    t, ld = q.tbl.ravel(), divide_rows(q.tbl, xs).ravel()  # flat index of (x, u): x n + u, in intp
     out = np.empty((n, n), dtype=q.tbl.dtype)
-    for lo in range(0, n, _ROW_BLOCK):
-        x, y = np.nonzero(np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None] <= np.arange(n))
-        x += lo
+    for r in row_blocks(n):
+        x, y = np.nonzero(xs[r, None] <= xs)
+        x += r.start
         fx, fy = n * x, n * y
         p = t.take(fy + x)                        # yx
         cur = half = p

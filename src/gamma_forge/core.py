@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ DEFAULT_TABLE_CAP = 3000
 
 TABLE_CAP_ENV = "GAMMA_FORGE_TABLE_CAP"
 
-_ROW_BLOCK = 128  # rows per numpy step of table builds and n^2 scans, so memory stays flat in n
+_BLOCK_CELLS = 1 << 14  # cells per numpy step of table builds and n^2 scans: 128 KiB per intp temporary
 
 
 def table_cap() -> int:
@@ -78,20 +78,27 @@ def distinct_values(values) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
+def row_blocks(n: int, width: int | None = None) -> Iterator[slice]:
+    """Slices of the rows 0..n-1, ascending, of at least one row each, so that
+    rows x width (default: n) cells stay within _BLOCK_CELLS unless one row
+    exceeds it: a block's temporaries stay within one size at every order."""
+    step = max(1, _BLOCK_CELLS // max(1, n if width is None else width))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def row_zeros(t: np.ndarray) -> np.ndarray:
     """The column of the first 0 in each row of t (0 for a row without one),
     a block of rows per step."""
-    return np.concatenate([np.argmin(t[lo:lo + _ROW_BLOCK] != 0, axis=1)
-                           for lo in range(0, len(t), _ROW_BLOCK)]).astype(element_dtype(len(t)))
+    return np.concatenate([np.argmin(t[r] != 0, axis=1) for r in row_blocks(len(t))]).astype(element_dtype(len(t)))
 
 
-def first_false_rows(n: int, block: Callable[[slice], np.ndarray], rows: int = _ROW_BLOCK) -> tuple[int, ...] | None:
-    """first_false of an n-row mask whose rows r are block(r), for a slice r of
-    `rows` rows per step; so the mask is never held whole."""
-    for lo in range(0, n, rows):
-        w = first_false(block(slice(lo, lo + rows)))
+def first_false_rows(n: int, block: Callable[[slice], np.ndarray], width: int | None = None) -> tuple[int, ...] | None:
+    """first_false of an n-row mask whose rows r are block(r), for a block r of
+    rows of `width` cells each (default: n) per step; so the mask is never held whole."""
+    for r in row_blocks(n, width):
+        w = first_false(block(r))
         if w is not None:
-            return (lo + w[0], *w[1:])
+            return (r.start + w[0], *w[1:])
     return None
 
 
@@ -156,8 +163,8 @@ def divide_rows(t: np.ndarray, cs) -> np.ndarray:
     block of rows per step: D[i, t[c_i, z]] = z.  The rows of t.T give the
     right division columns: divide_rows(t.T, cs)[i, y] = y / c_i."""
     div, z = np.empty((len(cs), len(t)), dtype=t.dtype), np.arange(len(t), dtype=t.dtype)[None, :]
-    for lo in range(0, len(cs), _ROW_BLOCK):
-        np.put_along_axis(div[lo:lo + _ROW_BLOCK], t[cs[lo:lo + _ROW_BLOCK]], z, axis=1)
+    for r in row_blocks(len(cs), len(t)):
+        np.put_along_axis(div[r], t[cs[r]], z, axis=1)
     return div
 
 
@@ -186,20 +193,18 @@ def build_table(
 ) -> CayleyTable:
     """Materialize the table of a product rule that accepts broadcast index
     arrays: rule(X, Y) for a column X of row indices and the row Y of all
-    indices, a block of _ROW_BLOCK rows per step so memory stays flat in n.
+    indices, a block of rows per step (row_blocks).
 
     Each block is range-checked in the rule's own dtype before it is stored
     in the element dtype, so the least out-of-range cell is reported.
     """
     if n < 1:
         raise ConstructionError(f"element count must be >= 1, got {n}")
-    arr = np.empty((n, n), dtype=element_dtype(n))
-    y = np.arange(n)[None, :]
-    for lo in range(0, n, _ROW_BLOCK):
-        x = np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None]
-        block = np.broadcast_to(rule(x, y), (len(x), n))
-        _check_range(block, n, lo)
-        arr[lo:lo + _ROW_BLOCK] = block
+    arr, xs = np.empty((n, n), dtype=element_dtype(n)), np.arange(n)
+    for r in row_blocks(n):
+        block = np.broadcast_to(rule(xs[r, None], xs[None, :]), (r.stop - r.start, n))
+        _check_range(block, n, r.start)
+        arr[r] = block
     arr.setflags(write=False)  # so CayleyTable takes it without a copy
     return CayleyTable(arr, name=name, element_names=element_names)
 
@@ -213,13 +218,13 @@ def classify(t: CayleyTable | np.ndarray) -> ClassifyResult:
     n = len(arr)
     ref = np.arange(n, dtype=arr.dtype)
     for what, side in (("row", arr), ("column", arr.T)):
-        for lo in range(0, n, _ROW_BLOCK):
-            block = side[lo:lo + _ROW_BLOCK]
+        for r in row_blocks(n):
+            block = side[r]
             marks = np.zeros(block.shape, dtype=bool)
             marks.ravel()[np.arange(0, block.size, n)[:, None] + block] = True
             if not marks.all():
-                r = lo + int(np.argmin(marks.all(axis=1)))
-                return ClassifyResult(False, False, False, None, f"{what} {r} is not a permutation")
+                bad = r.start + int(np.argmin(marks.all(axis=1)))
+                return ClassifyResult(False, False, False, None, f"{what} {bad} is not a permutation")
     # two-sided identity: a row equal to 0..n-1 whose matching column also is;
     # it maps 0 to 0, and in a Latin table only one row e has e * 0 = 0
     e = int(np.argmin(arr[:, 0] != 0))

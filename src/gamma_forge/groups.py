@@ -23,21 +23,18 @@ from .core import (
     ConstructionError,
     EvenOrderError,
     GammaForgeError,
-    _ROW_BLOCK,
     build_table,
     distinct_values,
     element_dtype,
     first_false_rows,
     flat,
     left_power_walk,
+    row_blocks,
     row_zeros,
     table_cap,
 )
 from . import tableio
-from .loops import _close, _greedy_generators, associativity_witness, commutativity_witness
-
-
-_SQUARE_BLOCK = 1 << 16  # elements squared per numpy step in functional groups
+from .loops import associativity_witness, commutativity_witness
 
 
 class TableRequiredError(GammaForgeError):
@@ -110,8 +107,7 @@ class Group:
     @cached_property
     def generators(self) -> np.ndarray:
         """A generating set: each the least element outside the subgroup of those before."""
-        return np.array([a for a in _greedy_generators(self.order, self.rule) if a],
-                        dtype=self.tbl.dtype)
+        return np.array(subgroup_closure(self, range(self.order))[1], dtype=self.tbl.dtype)
 
     @cached_property
     def squares(self) -> np.ndarray:
@@ -205,16 +201,24 @@ class Subgroup:
         return len(self.members)
 
 
-def subgroup_closure(g: Group, seed: Sequence[int]) -> tuple[int, ...]:
-    """Members of the subgroup generated by ``seed``: {0} closed under the
-    product, then each seed element not yet reached added and the set closed
-    again.  A finite set closed under the product is a subgroup."""
-    reached, members = np.zeros(g.order, dtype=bool), np.empty(g.order, dtype=np.intp)
-    k = _close(g.rule, reached, members, 0, 0)
-    for s in seed:
-        if not reached[s]:
-            k = _close(g.rule, reached, members, k, int(s))
-    return tuple(np.sort(members[:k]).tolist())
+def subgroup_closure(g: Group, seed: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(members ascending, generators) of the subgroup generated by ``seed``;
+    each seed element outside the subgroup of those before is a generator.  A
+    finite subgroup is the closure of {0} under right products with its
+    generators: the old members are closed under the earlier ones, so they
+    take only the new one, and each newly reached element all of them."""
+    reached, gens = np.arange(g.order) == 0, []
+    for a in seed:
+        if reached[a]:
+            continue
+        gens.append(int(a))
+        cs, right = np.flatnonzero(reached), gens[-1:]
+        while cs.size:
+            was = reached.copy()
+            for r in row_blocks(cs.size, len(right)):
+                reached[g.tbl[cs[r, None], right]] = True
+            cs, right = np.flatnonzero(reached & ~was), gens
+    return tuple(np.flatnonzero(reached).tolist()), tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +233,8 @@ def is_uniquely_2_divisible(g: AnyGroup) -> bool:
     else:  # each square s adds bit s % 8 to byte s // 8 of n/8 bytes, a block per step
         n = g.order
         sums = np.zeros((n + 7) // 8, dtype=np.uint8)
-        for lo in range(0, n, _SQUARE_BLOCK):
-            xs = np.arange(lo, min(lo + _SQUARE_BLOCK, n))
+        for r in row_blocks(n, 1):
+            xs = np.arange(r.start, r.stop)
             s = g.rule(xs, xs)
             np.add.at(sums, s >> 3, np.left_shift(np.uint8(1), (s & 7).astype(np.uint8)))
         # k powers of two sum to at most k set bits, so a byte reading r set
@@ -262,8 +266,8 @@ def upper_central_series(g: AnyGroup) -> list[Subgroup]:
     xs, gens = np.arange(g.order), g.generators
     series, current = [Subgroup(g, (0,))], xs == 0
     while True:
-        nxt = np.concatenate([current[g.commutator(xs[lo:lo + _ROW_BLOCK, None], gens)].all(axis=1)
-                              for lo in range(0, g.order, _ROW_BLOCK)])
+        nxt = np.concatenate([current[g.commutator(xs[r, None], gens)].all(axis=1)
+                              for r in row_blocks(g.order, len(gens))])
         if (nxt == current).all():
             return series
         series.append(Subgroup(g, tuple(np.flatnonzero(nxt).tolist())))
@@ -274,8 +278,8 @@ def _commutator_seed(g: Group, members_a: Sequence[int], members_b: Sequence[int
     """The distinct [a, b] for a in members_a and b in members_b (default: all of G)."""
     a, b = np.asarray(members_a), np.arange(g.order) if members_b is None else np.asarray(members_b)
     seen = np.zeros(g.order, dtype=bool)
-    for lo in range(0, len(a), _ROW_BLOCK):
-        seen[g.commutator(a[lo:lo + _ROW_BLOCK, None], b)] = True
+    for r in row_blocks(len(a), len(b)):
+        seen[g.commutator(a[r, None], b)] = True
     return np.flatnonzero(seen).astype(g.tbl.dtype)
 
 
@@ -284,10 +288,10 @@ def _descending_series(g: AnyGroup, what: str, seed: Callable) -> list[Subgroup]
     the last); the second is G' in both series, from the shared commutators."""
     g = _require_table(g, what)
     series = [Subgroup(g, tuple(range(g.order)))]
-    nxt = subgroup_closure(g, g.commutators)
+    nxt = subgroup_closure(g, g.commutators)[0]
     while nxt != series[-1].members:
         series.append(Subgroup(g, nxt))
-        nxt = subgroup_closure(g, seed(nxt))
+        nxt = subgroup_closure(g, seed(nxt))[0]
     return series
 
 
@@ -312,8 +316,7 @@ def derived_series(g: AnyGroup) -> list[Subgroup]:
 def derived_subgroup(g: AnyGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(members, generating set) of G'."""
     g = _require_table(g, "derived subgroup")
-    members = subgroup_closure(g, g.commutators)
-    return members, members
+    return subgroup_closure(g, g.commutators)
 
 
 def is_metabelian(g: AnyGroup) -> bool:
@@ -330,10 +333,10 @@ def is_metabelian(g: AnyGroup) -> bool:
 
 def is_two_engel(g: AnyGroup) -> tuple[bool, tuple[int, int] | None]:
     """[x,y,y] = 1 for all pairs; on failure the lexicographically least witness.
-    A nested commutator holds about twice the scratch of one gather, so the
-    scan takes half a row block per step."""
+    A nested commutator holds about twice the scratch of one gather, so each
+    row counts as 2n cells of a block."""
     C, xs = _require_table(g, "2-Engel test").commutator, np.arange(g.order)
-    w = first_false_rows(g.order, lambda r: C(C(xs[r, None], xs), xs) == 0, _ROW_BLOCK // 2)
+    w = first_false_rows(g.order, lambda r: C(C(xs[r, None], xs), xs) == 0, 2 * g.order)
     return (w is None), w
 
 

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    _ROW_BLOCK,
     DEFAULT_TABLE_CAP,
     CayleyTable,
     ConstructionError,
@@ -33,6 +32,7 @@ from .core import (
     first_false_rows,
     flat,
     left_power_walk,
+    row_blocks,
     row_zeros,
 )
 
@@ -88,16 +88,10 @@ class Loop:
         return w is None, w
 
     @cached_property
-    def mlt_chain(self) -> StabilizerChain:
-        """Mlt(Q), generated by the L_x (and the R_x unless Q is commutative),
-        as a stabilizer chain.  The least translation that does not sift joins
-        the generators, until all of them sift.  L_1 moves 0 (1 * 0 = 1), so
-        b_0 = 0 and the level-1 strong generators generate Stab(0) = Inn(Q)."""
-        chain = StabilizerChain(self.n)
-        for side in (self.tbl,) if self.is_commutative() else (self.tbl, self.tbl.T):
-            for perm in side:
-                chain.add(perm)
-        return chain
+    def inner_generators(self) -> list[np.ndarray]:
+        """Generators of Inn(Q) from mlt_chain(Q); the chain is dropped, with the
+        n coset representatives of n cells each that its level 0 holds."""
+        return mlt_chain(self).generators(1)
 
     @cached_property
     def center_data(self) -> LoopCenterData:
@@ -105,6 +99,19 @@ class Loop:
 
     def __repr__(self):
         return f"<Loop {self.name!r} n={self.n}>"
+
+
+def mlt_chain(q: Loop, left: bool = False) -> StabilizerChain:
+    """Mlt(Q), generated by the L_x and the R_x (by the L_x alone if Q is
+    commutative), or LMlt(Q), generated by the L_x, if left; as a stabilizer
+    chain.  The least translation that does not sift joins the generators,
+    until all of them sift.  L_1 moves 0 (1 * 0 = 1), so b_0 = 0 and the
+    level-1 strong generators of Mlt(Q) generate Stab(0) = Inn(Q)."""
+    chain = StabilizerChain(q.n)
+    for side in (q.tbl,) if left or q.is_commutative() else (q.tbl, q.tbl.T):
+        for perm in side:
+            chain.add(perm)
+    return chain
 
 
 def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
@@ -135,40 +142,34 @@ def _least_block_witness(n: int, sides, xs=None) -> tuple[int, int, int] | None:
     """Least (x, y, u), x in xs (default: all), where the arrays sides(x, rows y)
     differ, a block of rows y per step."""
     for x in range(n) if xs is None else xs:
-        for lo in range(0, n, _ROW_BLOCK):
-            w = first_false(np.equal(*sides(x, slice(lo, lo + _ROW_BLOCK))))  # sides held one block at a time
-            if w is not None:
-                return x, lo + w[0], w[1]
+        w = first_false_rows(n, lambda r: np.equal(*sides(x, r)))  # sides held one block at a time
+        if w is not None:
+            return x, *w
     return None
 
 
-def _close(op, reached: np.ndarray, members: np.ndarray, k: int, a: int) -> int:
-    """Add a to R = members[:k] (flagged in reached), a set closed under op, and
-    close R again, combining each newly reached c as op(c, R) and op(R, c); returns |R|."""
-    reached[a], members[k], todo = True, a, [a]
-    k += 1
-    while todo:  # up to a row block of elements c per step
-        cs, todo = np.array(todo[-_ROW_BLOCK:]), todo[:-_ROW_BLOCK]
-        R = members[:k]
-        for X, Y in ((cs[:, None], R), (R[:, None], cs)):
-            fresh = distinct_values(op(X, Y))  # one block of products held at a time
-            fresh = fresh[~reached[fresh]]
-            reached[fresh] = True
-            members[k:k + fresh.size] = fresh
-            k += fresh.size
-            todo += fresh.tolist()
-    return k
-
-
 def _greedy_generators(n: int, op):
-    """Yield the least element not reached yet, then close the reached set
-    under op with it, until every element is reached: each one yielded lies
-    outside the closure of those before, and together they generate."""
+    """Yield the least element a not reached yet, then close the reached set R
+    under op with it, combining each newly reached c as op(c, R) and op(R, c),
+    until every element is reached: each one yielded lies outside the closure
+    of those before, and together they generate."""
     reached, members, k = np.zeros(n, dtype=bool), np.empty(n, dtype=np.intp), 0
     while k < n:
         a = int(np.argmin(reached))
         yield a
-        k = _close(op, reached, members, k, a)
+        reached[a], members[k], todo = True, a, [a]
+        k += 1
+        while todo:  # a block of elements c per step, each combined with the k of R
+            step = next(row_blocks(len(todo), k)).stop
+            cs, todo = np.array(todo[-step:]), todo[:-step]
+            R = members[:k]
+            for X, Y in ((cs[:, None], R), (R[:, None], cs)):
+                fresh = distinct_values(op(X, Y))  # one block of products held at a time
+                fresh = fresh[~reached[fresh]]
+                reached[fresh] = True
+                members[k:k + fresh.size] = fresh
+                k += fresh.size
+                todo += fresh.tolist()
 
 
 def _closure_witness(n: int, op, sides, witness_sides=None) -> tuple[int, int, int] | None:
@@ -324,10 +325,7 @@ def cyclic_powers(t: np.ndarray, x: int) -> np.ndarray | None:
         p = t.item(p, x)
     pw, m = np.array(powers), len(powers)
     shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate((pw, pw[:-1])), m)  # row i: x^(i+j)
-    for lo in range(0, m, _ROW_BLOCK):
-        if not (t[pw[lo:lo + _ROW_BLOCK, None], pw] == shifted[lo:lo + _ROW_BLOCK]).all():
-            return None
-    return pw
+    return pw if first_false_rows(m, lambda r: t[pw[r, None], pw] == shifted[r]) is None else None
 
 
 def powers_coincide(g, q: Loop) -> tuple[bool, tuple[int, int] | None]:
@@ -400,7 +398,7 @@ def is_automorphic(q: Loop) -> AutomorphicVerdict:
     """Whether every inner mapping of q is an automorphism of q; exhaustive.
 
     Inn(Q) is the stabilizer of the identity in Mlt(Q) (Bruck, A Survey of
-    Binary Systems, 1958), so the level-1 strong generators of q.mlt_chain
+    Binary Systems, 1958), so the level-1 strong generators of mlt_chain(q)
     generate it.  Aut(Q) is a group, so when each of them passes the n^2
     automorphism test, every inner mapping does: every L_{x,y}, R_{x,y} and
     T_x.  On a failure the distinct-map scan gives the least witness.  The
@@ -411,7 +409,7 @@ def is_automorphic(q: Loop) -> AutomorphicVerdict:
     t = q.tbl
     passes = lambda gens: _least_block_witness(
         q.n, lambda k, us: (t[gens[k][us]][:, gens[k]], gens[k][t[us]]), range(len(gens))) is None
-    if passes(_inner_maps(q, "L", q.n - 1, np.arange(1, min(4, q.n)))) and passes(q.mlt_chain.generators(1)):
+    if passes(_inner_maps(q, "L", q.n - 1, np.arange(1, min(4, q.n)))) and passes(q.inner_generators):
         return AutomorphicVerdict("true")
     w = _least_inner_witness(q)
     if w is None:
@@ -475,11 +473,11 @@ def loop_center(q: Loop) -> LoopCenterData:
 
     In a commutative loop the center is the set of points that every inner
     mapping fixes: the fixed points of the maps that is_automorphic tests
-    first and, unless only 0 is left, of the level-1 strong generators of
-    q.mlt_chain, which generate Inn(Q).  Otherwise a sieve: for each x, the
-    candidates a still alive in a placement are tested against every z, a
-    block of them per step, and each is dropped only on a failing pair, so
-    the survivors are exactly that nucleus.
+    first and, unless only 0 is left, of q.inner_generators, which generate
+    Inn(Q).  Otherwise a sieve: for each x, the candidates a still alive in a
+    placement are tested against every z, a block of them per step, and each
+    is dropped only on a failing pair, so the survivors are exactly that
+    nucleus.
     """
     t, n = q.tbl, q.n
     as_tuple = lambda m: tuple(int(i) for i in np.nonzero(m)[0])
@@ -487,8 +485,8 @@ def loop_center(q: Loop) -> LoopCenterData:
         # Z(Q) = N_lambda here, as N_lambda = N_rho lies in N_mu; and a is in N_lambda
         # exactly when every R_{x,y} fixes a, since R_{x,y}(a) = a means (ax)y = a(xy)
         fixed = (_inner_maps(q, "L", n - 1, np.arange(1, min(4, n))) == np.arange(n)).all(axis=0)
-        for g in q.mlt_chain.generators(1) if fixed[1:].any() else ():
-            fixed &= g == q.mlt_chain.identity
+        for g in q.inner_generators if fixed[1:].any() else ():
+            fixed &= g == np.arange(n)
         return LoopCenterData(tuple(range(n)), as_tuple(fixed), as_tuple(fixed))
     comm_mask = (t == t.T).all(axis=1)
     placements = (  # (x, a) -> rows a of z: the two sides of the associator law
@@ -500,10 +498,9 @@ def loop_center(q: Loop) -> LoopCenterData:
     for x in range(n):
         for alive, sides in zip((left, mid, right), placements):
             cand = np.flatnonzero(alive)
-            for lo in range(0, cand.size, _ROW_BLOCK):
-                a = cand[lo:lo + _ROW_BLOCK]
-                lhs, rhs = sides(x, a)
-                alive[a] = (lhs == rhs).all(axis=1)
+            for r in row_blocks(cand.size, n):
+                a = cand[r]
+                alive[a] = np.equal(*sides(x, a)).all(axis=1)
     nucleus_mask = left & mid & right
     center_mask = comm_mask & nucleus_mask
     return LoopCenterData(as_tuple(comm_mask), as_tuple(nucleus_mask), as_tuple(center_mask))

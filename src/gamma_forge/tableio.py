@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import _ROW_BLOCK, CayleyTable, ConstructionError, classify, element_dtype
+from .core import CayleyTable, ConstructionError, classify, element_dtype, row_blocks
 
 
 @dataclass
@@ -110,24 +110,21 @@ def _parsed_row(line: str, n: int, lineno: int) -> list[int]:
 def normalize_identity(arr: np.ndarray, e: int | None) -> tuple[np.ndarray, list[int] | None]:
     """Relabel a writable table with entries in 0..n-1 in place, so that its
     two-sided identity e (None if it has none) sits at index 0: by the
-    transposition (0 e), rows, columns and values 0 and e swap, a block of
-    rows per step.
+    transposition (0 e), rows, columns and values 0 and e swap, the values
+    through one gather per block of rows.
 
     Returns (arr, relabeling) where relabeling maps old index -> new index;
     relabeling is None when nothing was moved (identity already 0 or absent).
     """
     if e is None or e == 0:
         return arr, None
+    sigma = np.arange(len(arr), dtype=arr.dtype)
+    sigma[[0, e]] = e, 0
     arr[[0, e]] = arr[[e, 0]]
     arr[:, [0, e]] = arr[:, [e, 0]]
-    for lo in range(0, len(arr), _ROW_BLOCK):
-        block = arr[lo:lo + _ROW_BLOCK]
-        zeros = block == 0
-        block[block == e] = 0
-        block[zeros] = e
-    sigma = list(range(len(arr)))
-    sigma[0], sigma[e] = e, 0
-    return arr, sigma
+    for r in row_blocks(len(arr)):
+        arr[r] = sigma[arr[r]]
+    return arr, sigma.tolist()
 
 
 def import_table(path: str | Path) -> ImportResult:
@@ -152,8 +149,8 @@ def _tbl_chunks(arr: np.ndarray, name: str, extra_comments: list[str] | None):
     head += [f"# {c}" for c in extra_comments or []]
     yield "".join(f"{line}\n" for line in head + [str(len(arr))])
     labels = np.array([str(v) for v in range(len(arr))], dtype=object)
-    for lo in range(0, len(arr), _ROW_BLOCK):
-        yield "".join([" ".join(labels[row].tolist()) + "\n" for row in arr[lo:lo + _ROW_BLOCK]])
+    for r in row_blocks(len(arr)):
+        yield "".join([" ".join(labels[row].tolist()) + "\n" for row in arr[r]])
 
 
 def format_tbl(table: CayleyTable, extra_comments: list[str] | None = None) -> str:

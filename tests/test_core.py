@@ -8,8 +8,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, StabilizerChain, build_table, classify
-from gamma_forge import tableio
+from gamma_forge.core import (CayleyTable, ConstructionError, EvenOrderError, StabilizerChain, build_table, classify,
+                              row_blocks)
+from gamma_forge import core, tableio
 from oracles import (
     CapExceededError,
     Permutation,
@@ -95,6 +96,26 @@ def test_build_table_row_blocks():
     t = build_table(n, lambda x, y: (x * 7 + y) % n)
     r = np.arange(n)
     assert (t.table == (r[:, None] * 7 + r[None, :]) % n).all()
+
+
+def test_row_blocks_cover_every_row_once_within_the_budget():
+    # ascending slices of at least one row each, covering 0..n-1 once, with
+    # rows x width within the budget unless one row exceeds it (then one row
+    # per block), and every block but the last as large as the budget allows
+    for n in range(1, 3001):
+        widths = (n, 3) + ((2 * n, 20000) if n % 97 == 0 or n in (1, 2, 155, 2991, 3000) else ())
+        for width in widths:
+            blocks = list(row_blocks(n, width))
+            assert all(r.step is None for r in blocks)
+            starts, stops = np.array([r.start for r in blocks]), np.array([r.stop for r in blocks])
+            assert starts[0] == 0 and stops[-1] == n and (starts[1:] == stops[:-1]).all()
+            rows = stops - starts
+            assert rows.min() >= 1 and rows.max() * width <= max(core._BLOCK_CELLS, width)
+            assert (rows[:-1] == max(1, core._BLOCK_CELLS // width)).all()
+        assert list(row_blocks(n)) == list(row_blocks(n, n))
+    # a table of up to 128 rows is one block, of 155 rows two; 22 rows at order 729, 5 at 2991
+    assert [len(list(row_blocks(n))) for n in (128, 129, 155)] == [1, 2, 2]
+    assert [next(row_blocks(n)).stop for n in (729, 2991, 3000)] == [22, 5, 5]
 
 
 def test_classify_witnesses():

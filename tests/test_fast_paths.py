@@ -181,15 +181,17 @@ def test_random_loops_fail_p_map_and_match_references(seed, m, k, odd):
 
 
 def test_small_row_blocks_match_references(monkeypatch):
-    # blocks of 3 rows put most witnesses and dropped nucleus candidates past
-    # the first block, which the 128-row blocks reach only above order 128
-    monkeypatch.setattr(loops, "_ROW_BLOCK", 3)
-    monkeypatch.setattr(core, "_ROW_BLOCK", 3)
-    for seed, m, k, odd in RANDOM_LOOPS:
-        assert_matches_references(relabel(cocycle_loop(seed, m, k, odd), seed))
+    # blocks of 3 rows of n cells, in the loop builds and the scans, put most
+    # witnesses and dropped nucleus candidates past the first block, which the
+    # default budget of cells reaches only above order 128
+    tables = [relabel(cocycle_loop(seed, m, k, odd), seed) for seed, m, k, odd in RANDOM_LOOPS]
     for spec in ("sd:7:3:2", "wr:3", "heis:3", "sd:11:5:3"):
-        for q in (circ_loop(group(spec)), oplus_loop(group(spec))):
-            assert_matches_references(relabel(q.tbl, 8))
+        g = group(spec)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 3 * g.order)
+        tables += [relabel(q.tbl, 8) for q in (circ_loop(g), oplus_loop(g))]
+    for t in tables:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 3 * len(t))
+        assert_matches_references(t)
     # under this relabeling the least Bruck failure of circ(wr:3) is at y = 3
     assert oracles.left_bruck_scan(relabel(circ_loop(group("wr:3")).tbl, 8)) == (False, (1, 3, 3))
 
@@ -271,7 +273,7 @@ def test_orbit_walk_matches_doubling_and_references(case, monkeypatch):
     if case[0] == "oplus":  # the roundtrip of circ
         assert (walked == circ_loop(group(case[1])).tbl).all()
     # blocks of 3 rows x: orbits closing in several blocks, some blocks of fewer rows
-    monkeypatch.setattr(constructions, "_ROW_BLOCK", 3)
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 3 * q.n)
     assert (gamma_from_bruck(q, verify=False).tbl == walked).all()
 
 
@@ -310,16 +312,16 @@ def test_translation_paths_follow_the_parity_of_lmlt(monkeypatch):
     assert [m is None for m in messages] == [True] + [False] * 5
 
 
-@pytest.mark.parametrize("block", [3, 128])
-def test_orbit_walk_over_pairs_x_le_y_matches_the_full_walk(block, monkeypatch):
+@pytest.mark.parametrize("rows", [3, 128])
+def test_orbit_walk_over_pairs_x_le_y_matches_the_full_walk(rows, monkeypatch):
     # the walk takes the pairs x <= y and mirrors each entry to (y, x); against
     # the walk over every pair, at order 381 (uint16 elements) and on the
     # noncommutative cocycle loops, with blocks of 3 rows closing across blocks
-    monkeypatch.setattr(constructions, "_ROW_BLOCK", block)
     loops_ = [bruck_from_gamma(circ_loop(group("sd:127:3:19")), verify=False)]
     loops_ += [Loop(CayleyTable(bruck_case(case))) for case in BRUCK_CASES if case[0] == "cocycle"]
     assert not all(q.is_commutative() for q in loops_)
     for q in loops_:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", rows * q.n)
         assert constructions._lmlt_order_is_odd(q)
         walked = constructions._gamma_by_orbit_walk(q)
         assert walked.dtype == core.element_dtype(q.n)
@@ -374,7 +376,7 @@ def test_mlt_chain_matches_extensional_closure(case):
     q = Loop(CayleyTable(t))
     mlt = oracles.multiplication_group(t)
     inn = oracles.stabilizer_of(mlt, 0)
-    chain = q.mlt_chain
+    chain = loops.mlt_chain(q)
     assert chain.levels[0].point == 0
     assert math.prod(len(level.orbit) for level in chain.levels) == len(mlt)
     if case in NEEDS_RIGHT:
@@ -556,7 +558,7 @@ def test_random_loops_are_decided_without_their_chain():
         q = Loop(CayleyTable(t))
         assert is_automorphic(q).witness == oracles.automorphic_scan(t)
         assert loop_center(q).center == oracles.center_scan(t)[2]
-        assert "mlt_chain" not in q.__dict__
+        assert "inner_generators" not in q.__dict__
 
 
 def test_random_latin_loops_tell_the_operations_apart():
@@ -652,11 +654,12 @@ def seeded_loops():
     return out
 
 
-@pytest.mark.parametrize("block", [128, 1])
-def test_power_associativity_matches_references_on_seeded_loops(block, monkeypatch):
-    monkeypatch.setattr(loops, "_ROW_BLOCK", block)  # 1: each row x^i of a gather is its own block
+@pytest.mark.parametrize("rows", [128, 1])
+def test_power_associativity_matches_references_on_seeded_loops(rows, monkeypatch):
     witnesses = []
     for t in seeded_loops():
+        # 128 rows of n cells: every gather whole; 1 cell: each row x^i of a gather is its own block
+        monkeypatch.setattr(core, "_BLOCK_CELLS", rows * len(t) if rows > 1 else 1)
         q = Loop(CayleyTable(t))
         verdict = is_power_associative(q)
         assert verdict == oracles.power_associative_scan(t)
@@ -729,11 +732,10 @@ def mutated_tables(t, seed):
     return repeated, swapped, np.tile(t[z], (n, 1))
 
 
-@pytest.mark.parametrize("block", [3, 128])
-def test_classify_marks_match_the_sort_they_replace(block, monkeypatch):
+@pytest.mark.parametrize("rows", [3, 128])
+def test_classify_marks_match_the_sort_they_replace(rows, monkeypatch):
     # the row and column marks of classify against the sorted rows and
     # columns of oracles.classify_by_sort: verdict, identity and witness text
-    monkeypatch.setattr(core, "_ROW_BLOCK", block)
     tables = []
     for i, spec in enumerate(SMALL_SPECS):
         g = group(spec)
@@ -743,6 +745,7 @@ def test_classify_marks_match_the_sort_they_replace(block, monkeypatch):
     tables.append(np.roll(np.arange(9), 4)[np.add.outer(np.arange(9), np.arange(9)) % 9])
     texts = set()
     for t in tables:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", rows * len(t))
         res = core.classify(CayleyTable(t))
         latin, identity, witness = oracles.classify_by_sort(t)
         assert (res.is_latin, res.identity_index, res.witness) == (latin, identity, witness)

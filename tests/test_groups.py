@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gamma_forge import groups, tableio
+from gamma_forge import core, groups, loops, tableio
 from gamma_forge.catalog import CATALOG_SPECS
 from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, build_table, left_power_walk
 from gamma_forge.groups import (
@@ -172,7 +172,7 @@ def test_functional_u2d_matches_product_scan(spec, cap, monkeypatch):
     expected = oracles.uniquely_2_divisible_scan(g)
     assert expected == (g.order % 2 == 1)
     assert is_uniquely_2_divisible(g) == expected
-    monkeypatch.setattr(groups, "_SQUARE_BLOCK", 5)
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 5)
     assert is_uniquely_2_divisible(g) == expected
 
 
@@ -388,7 +388,9 @@ def test_subgroup_closure_matches_the_frontier_closure():
         rng = random.Random(spec)
         seeds += [rng.choices(range(g.order), k=k) for k in (0, 1, 1, 2, 3)] + [[0, 0]]
         for seed in seeds:
-            assert subgroup_closure(g, seed) == oracles.subgroup_closure(g, seed), (spec, seed)
+            members, gens = subgroup_closure(g, seed)
+            assert members == oracles.subgroup_closure(g, seed), (spec, seed)
+            assert set(gens) <= set(seed) and oracles.subgroup_closure(g, gens) == members
 
 
 @pytest.mark.parametrize("spec", [s for s, order in CATALOG_SPECS.items() if order <= 81])
@@ -413,11 +415,18 @@ def _relabeled_file_group(g, seed, tmp_path):
 @pytest.mark.parametrize("spec", [s for s, order in CATALOG_SPECS.items() if order <= 243])
 def test_generator_center_and_series_match_the_pairwise_scan(spec, tmp_path):
     # [x, s] for s in a generating set found by the closure, against [x, y]
-    # for every y; file groups carry no catalog generators
+    # for every y; file groups carry no catalog generators.  The closure under
+    # right products with the generators gives the list of the two-sided one
+    # (each new element combined with the whole set on both sides), and each
+    # generator is the least element outside the subgroup of those before
     g = construct(spec)
     for h in (g, _relabeled_file_group(g, 1, tmp_path), _relabeled_file_group(g, 2, tmp_path)):
         assert h.gens == () or h is g
-        assert oracles.subgroup_closure(h, h.generators.tolist()) == tuple(range(h.order))
+        gens = h.generators.tolist()
+        assert gens == [a for a in loops._greedy_generators(h.order, h.rule) if a]
+        for i, a in enumerate(gens):
+            assert a == min(set(range(h.order)) - set(oracles.subgroup_closure(h, gens[:i])))
+        assert oracles.subgroup_closure(h, gens) == tuple(range(h.order))
         series = oracles.upper_central_series_scan(np.asarray(h.tbl))
         assert [s.members for s in upper_central_series(h)] == series
         assert center(h).members == (series[1] if len(series) > 1 else (0,))
