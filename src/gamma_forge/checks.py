@@ -1,21 +1,21 @@
 """Per-theorem verification suites over a single group.
 
-Each check runs an exhaustive (or explicitly sampled) scan, compares the
-verdict against the predicted outcome for that class of group when a theorem
-predicts one, and reports the least witness on failure.  A ``CheckContext``
-computes each fact about the subject once; survey rows read the same facts
-and encode the metabelian <=> automorphic biconditional the search is after.
+Each check runs an exhaustive scan, or an exact reduction of one proved in
+its docstring, compares the verdict against the predicted outcome for that
+class of group when a theorem predicts one, and reports the least witness on
+failure.  A ``CheckContext`` computes each fact about the subject once;
+survey rows read the same facts and encode the metabelian <=> automorphic
+biconditional the search is after.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from functools import cached_property
 
 import numpy as np
 
-from .core import GammaForgeError, first_false, first_false_rows
+from .core import GammaForgeError, first_false, first_false_rows, flat, row_blocks
 from .groups import (
     AnyGroup,
     Group,
@@ -42,66 +42,69 @@ from .constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_
 from .sdforms import SdForms
 from .report import CheckResult, Report
 
-EXHAUSTIVE_TRIPLE_LIMIT = 81       # full triple scans up to this order, sampled above
-SAMPLED_TRIPLES = 20000
 HEAVY_CHECK_LIMIT = 250             # correspondence roundtrips above this are opt-in
 
 
-def _triple_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """All triples up to the exhaustive limit, a sample beyond: 64-bit words of
-    random.Random(seed) mod n (numpy.random would load about 20 modules)."""
-    if n <= EXHAUSTIVE_TRIPLE_LIMIT:
-        x, y, z = np.indices((n, n, n))
-        return x.ravel(), y.ravel(), z.ravel(), True
-    words = np.frombuffer(random.Random(seed).randbytes(24 * SAMPLED_TRIPLES), "<u8")
-    x, y, z = (words % n).astype(np.intp).reshape(3, SAMPLED_TRIPLES)
-    return x, y, z, False
+def commutator_identities_hold(g: Group) -> tuple[bool, str | None]:
+    """(ok, witness) of the commutator identities [xy, z] = [x,z]^y [y,z],
+    [x, yz] = [x,z] [x,y]^z, [x, y^-1] = [y,x]^(y^-1), [x^-1, y] = [y,x]^(x^-1),
+    [x,y^-1,z]^y [y,z^-1,x]^z [z,x^-1,y]^x = 1 (a^y = y^-1 a y) and the
+    definition [x, y] = x^-1 y^-1 x y.  Only the definition is scanned, on all
+    n^2 pairs: a Group is verified to be a group when it is built, and in a
+    group each other identity, with [x, y] read as x^-1 y^-1 x y, expands on
+    both sides to the same word in x, y, z.  So all hold at every triple once
+    g.commutator agrees with the definition at every pair; else the least
+    pair where it does not is the witness."""
+    t, inv, n, xs = g.tbl.ravel(), g.inverse, g.order, np.arange(g.order)
+    times = lambda a, b: t.take(flat(n, a, b))
+    w = first_false_rows(n, lambda r: g.commutator(xs[r, None], xs)
+                         == times(times(times(inv[r, None], inv), xs[r, None]), xs))
+    return w is None, None if w is None else f"commutator definition fails at {_witness_str(g, w)}"
 
 
-def commutator_identities_hold(g: Group, seed: int = 0) -> tuple[bool, str | None, bool]:
-    """Expansion identities for [xy,z], [x,yz], inverse commutators, the
-    three-term conjugated product that telescopes to 1, and [x,y] = x^-1 y^-1 x y
-    itself: when G' is abelian the others also hold for [y,x].
+def metabelian_identities_hold(g: Group) -> tuple[bool, str | None]:
+    """(ok, witness) of [sqrt([x,y]), z] = sqrt([[x,y], z]), then [x,y,z][z,x,y][y,z,x] = 1,
+    at every triple of a metabelian group whose g.commutator passes
+    commutator_identities_hold; the first that fails names its least triple."""
+    for what, witness in (("root-of-commutator identity", _root_witness), ("rotation product", _rotation_witness)):
+        if (w := witness(g)) is not None:
+            return False, f"{what} fails at {_witness_str(g, w)}"
+    return True, None
 
-    Returns (ok, witness, exhaustive).
+
+def _root_witness(g: Group) -> tuple[int, int, int] | None:
+    """The least (x, y, z) with [s(c), z] != s([c, z]) for c = [x, y] and
+    s = g.sqrt_table, or None.  Both sides read (x, y) only through c, one of
+    g.commutators, so the pairs (c, z) are tested: |G'| n, not n^3.  The least
+    failing triple is the least (x, y) whose c fails, with that c's least z."""
+    C, s, cs, xs = g.commutator, g.sqrt_table, g.commutators, np.arange(g.order)
+    fails, least_z = np.zeros(g.order, dtype=bool), np.zeros(g.order, dtype=np.intp)
+    for r in row_blocks(len(cs)):
+        ok = C(s[cs[r, None]], xs) == s[C(cs[r, None], xs)]
+        fails[cs[r]], least_z[cs[r]] = ~ok.all(axis=1), np.argmin(ok, axis=1)
+    w = fails.any() and first_false_rows(g.order, lambda r: ~fails[C(xs[r, None], xs)])
+    return (*w, int(least_z[C(*w)])) if w else None
+
+
+def _rotation_witness(g: Group) -> tuple[int, int, int] | None:
+    """The least (x, y, z) with J(x, y, z) = [[x,y],z][[z,x],y][[y,z],x] != 1,
+    or None, in a metabelian group whose g.commutator is its bracket.
+
+    The factors of J lie in the abelian G', so they commute and J(x, y, z) =
+    J(z, x, y).  By [a, bc] = [a,c][a,b]^c, [ab, c] = [a,c]^b [b,c] and
+    [u^w, y] = [u, y]^w for u in G' (as y = y^w [w, y]), J(x, y, z1 z2) =
+    J(x, y, z1)^z2 J(x, y, z2): for fixed (x, y) the z with J = 1 form a
+    subgroup.  So J = 1 everywhere iff J(x, y, g) = 1 for all x, y and
+    generators g, iff (rotating) J(g, x, h) = 1 for all x and generators g, h:
+    n k^2 triples.  If one fails, the triples are scanned in order, a block of
+    pairs (x, y) at a time, up to the first failure.
     """
-    t, inv, C = g.tbl, g.inverse, g.commutator
-    conj = lambda a, y: t[t[inv[y], a], y]  # y^-1 a y, on the triples only
-    X, Y, Z, exhaustive = _triple_indices(g.order, seed)
-
-    def sides():  # each identity built only once the ones before it hold
-        # [xy, z] == [x,z]^y [y,z]  and  [x, yz] == [x,z] [x,y]^z
-        yield "product-in-first-slot expansion", C(t[X, Y], Z), t[conj(C(X, Z), Y), C(Y, Z)]
-        yield "product-in-second-slot expansion", C(X, t[Y, Z]), t[C(X, Z), conj(C(X, Y), Z)]
-        # [x, y^-1] == [y,x]^(y^-1)  and  [x^-1, y] == [y,x]^(x^-1)
-        yield "inverse-commutator identity", C(X, inv[Y]), conj(C(Y, X), inv[Y])
-        yield "inverse-commutator identity", C(inv[X], Y), conj(C(Y, X), inv[X])
-        # [x,y^-1,z]^y [y,z^-1,x]^z [z,x^-1,y]^x == 1
-        t1 = conj(C(C(X, inv[Y]), Z), Y)
-        t2 = conj(C(C(Y, inv[Z]), X), Z)
-        yield "three-term conjugated product", t[t[t1, t2], conj(C(C(Z, inv[X]), Y), X)], 0
-        yield "commutator definition", C(X, Y), t[t[t[inv[X], inv[Y]], X], Y]
-    return _first_failure(g, X, Y, Z, exhaustive, sides())
-
-
-def metabelian_identities_hold(g: Group, seed: int = 0) -> tuple[bool, str | None, bool]:
-    """For metabelian groups: [sqrt([x,y]), z] == sqrt([[x,y], z]) and the
-    rotation product [x,y,z][z,x,y][y,z,x] == 1."""
-    t, C, S = g.tbl, g.commutator, g.sqrt_table
-    X, Y, Z, exhaustive = _triple_indices(g.order, seed)
-    return _first_failure(g, X, Y, Z, exhaustive, (
-        ("root-of-commutator identity", C(S[C(X, Y)], Z), S[C(C(X, Y), Z)]),
-        ("rotation product", t[t[C(C(X, Y), Z), C(C(Z, X), Y)], C(C(Y, Z), X)], 0)))
-
-
-def _first_failure(g: AnyGroup, X, Y, Z, exhaustive: bool, identities) -> tuple[bool, str | None, bool]:
-    """(ok, witness, exhaustive) of (name, lhs, rhs) identities on the triples,
-    taken in order: the first that fails names its first failing triple."""
-    for what, lhs, rhs in identities:
-        if not (lhs == rhs).all():
-            i = int(np.argmin(lhs == rhs))
-            return False, f"{what} fails at ({g.label(int(X[i]))},{g.label(int(Y[i]))},{g.label(int(Z[i]))})", exhaustive
-    return True, None, exhaustive
+    t, C, n, xs, gens = g.tbl, g.commutator, g.order, np.arange(g.order), g.generators
+    J = lambda x, y, z: t[t[C(C(x, y), z), C(C(z, x), y)], C(C(y, z), x)]
+    if first_false_rows(n, lambda r: J(gens[:, None], xs[r, None, None], gens) == 0, len(gens) ** 2) is None:
+        return None
+    p, z = first_false_rows(n * n, lambda r: J(*np.divmod(np.arange(r.start, r.stop)[:, None], n), xs) == 0)
+    return p // n, p % n, z
 
 
 def _witness_str(subject, w) -> str | None:
@@ -124,9 +127,8 @@ class CheckContext:
     cannot disagree on a verdict such as the inner-mapping one.
     """
 
-    def __init__(self, g: AnyGroup, seed: int = 0, force_exhaustive: bool = False):
+    def __init__(self, g: AnyGroup, force_exhaustive: bool = False):
         self.g = g
-        self.seed = seed
         self.force_exhaustive = force_exhaustive
 
     @cached_property
@@ -158,6 +160,10 @@ class CheckContext:
     def second_center(self) -> tuple[int, ...]:
         series = upper_central_series(self.g)
         return series[2].members if len(series) > 2 else series[-1].members
+
+    @cached_property
+    def commutator_identities(self) -> tuple[bool, str | None]:
+        return commutator_identities_hold(self.g)
 
     @cached_property
     def circ(self) -> Loop:
@@ -192,7 +198,6 @@ class CheckContext:
 Outcome = tuple[str, str | None, str | None]
 
 _NO_TABLE_SCANS = "functional group: table scans unavailable"
-_SAMPLED = f"sampled {SAMPLED_TRIPLES} triples (order above {EXHAUSTIVE_TRIPLE_LIMIT})"
 
 
 def _predicted(ok: bool, witness: str | None = None) -> Outcome:
@@ -225,8 +230,7 @@ def _check_u2d(ctx: CheckContext) -> Outcome:
 def _check_commutator_identities(ctx: CheckContext) -> Outcome:
     if not isinstance(ctx.g, Group):
         return _skipped(_NO_TABLE_SCANS)
-    ok, w, exhaustive = commutator_identities_hold(ctx.g, ctx.seed)
-    return _predicted(ok, _SAMPLED if ok and not exhaustive else w)
+    return _predicted(*ctx.commutator_identities)
 
 
 def _check_metabelian_identities(ctx: CheckContext) -> Outcome:
@@ -234,8 +238,9 @@ def _check_metabelian_identities(ctx: CheckContext) -> Outcome:
         return _skipped(_NO_TABLE_SCANS)
     if not ctx.uniquely_2_divisible or not ctx.metabelian:
         return _skipped("only applies to uniquely 2-divisible metabelian groups")
-    ok, w, exhaustive = metabelian_identities_hold(ctx.g, ctx.seed)
-    return _predicted(ok, _SAMPLED if ok and not exhaustive else w)
+    # both reductions assume the group's own bracket: a wrong one fails here with its witness
+    ok, w = ctx.commutator_identities
+    return _predicted(*(metabelian_identities_hold(ctx.g) if ok else (ok, w)))
 
 
 def _check_gamma_axioms(ctx: CheckContext) -> Outcome:
@@ -350,29 +355,30 @@ def _check_closed_forms(ctx: CheckContext) -> Outcome:
     if g.sd_spec is None:
         return _skipped("subject was not built as a split extension")
     forms = SdForms(g.sd_spec)
-    n, t, xs = g.order, ctx.circ.tbl, np.arange(g.order)
+    t, xs = ctx.circ.tbl, np.arange(g.order)
     for what, closed, engine in (("inverse", forms.inverse_table(), g.inverse),
                                  ("square root", forms.sqrt_table(), g.sqrt_table)):
         if not (closed == engine).all():
             return _predicted(False, f"{what} differs at {g.label(int(np.argmin(closed == engine)))}")
-    # each table is compared a row block at a time and dropped before the next is built;
-    # a closed-form entry c at (x, y) is the division x \ y exactly when x o c = y
+    # each table holds the rows of the x of one F-part f, from x = f nH on, and is dropped
+    # before the next is built; a closed-form entry c at (x, y) is x \ y exactly when x o c = y
     for what, table, agrees in (("commutator", forms.commutator_table, lambda r, c: c == g.commutator(xs[r, None], xs)),
                                 ("circ product", forms.circ_table, lambda r, c: c == t[r]),
                                 ("circ division", forms.ldiv_table, lambda r, c: t[xs[r, None], c] == xs)):
-        w = first_false_rows(n, lambda r, closed=table(): agrees(r, closed[r]))
-        if w is not None:
-            return _predicted(False, f"{what} differs at {_witness_str(g, w)}")
+        for f in range(forms.nF):
+            lo, closed = f * forms.nH, table(f)
+            w = first_false_rows(forms.nH, lambda r: agrees(slice(lo + r.start, lo + r.stop), closed[r]))
+            if w is not None:
+                return _predicted(False, f"{what} differs at {_witness_str(g, (lo + w[0], w[1]))}")
+            del closed
     w = _lmap_witness(ctx.circ, forms.lxy_table, forms.nH, ctx.automorphic.is_true)
     if w is not None:
-        x, y, u = w
-        return _predicted(False, f"inner L-map differs at ({g.label(x)},{g.label(y)}) "
-                                 f"on {g.label(u)}")
+        return _predicted(False, f"inner L-map differs at {_witness_str(g, w[:2])} on {g.label(w[2])}")
     return _predicted(True)
 
 
 def _lmap_witness(q: Loop, lxy, nH: int, automorphic: bool) -> tuple[int, int, int] | None:
-    """Least (x, y, u) with lxy(x // nH)[y, u] != L_{x,y}(u) in q, or None.
+    """Least (x, y, u) with lxy(x // nH, y // nH)[y % nH, u] != L_{x,y}(u) in q, or None.
 
     If every inner mapping of q is an automorphism, two L maps that agree on
     a generating set of q are equal: the points where two automorphisms
@@ -389,17 +395,25 @@ def _lmap_witness(q: Loop, lxy, nH: int, automorphic: bool) -> tuple[int, int, i
 
 
 def _lmap_scan(q: Loop, lxy, nH: int, gens: np.ndarray | None = None) -> tuple[int, int, int] | None:
-    """The first (x, y, u) with lxy(x // nH)[y, u] != L_{x,y}(u), comparing
-    every u for the first x of each block, and for every x if gens is None;
-    else only the u in gens (then u indexes gens).  An image v is L_{x,y}(u)
-    exactly when (yx) v = y (xu), so no division is formed."""
+    """The first (x, y, u) with lxy(x // nH, y // nH)[y % nH, u] != L_{x,y}(u),
+    comparing every u for the first x of each block, and for every x if gens
+    is None; else only the u in gens (then u indexes gens).  The first x reads
+    one block of rows of y at a time, the other x their columns us.  An image
+    v is L_{x,y}(u) exactly when (yx) v = y (xu), so no division is formed."""
     t, xs = q.tbl, np.arange(q.n)
+    agrees = lambda x, r, images, us: t[t[r, x][:, None], images] == t[xs[r, None], t[x, us]]  # images of us
     for f in range(q.n // nH):
-        table = lxy(f)
-        for x in range(f * nH, (f + 1) * nH):
-            us = xs if gens is None or x == f * nH else gens
-            w = first_false_rows(q.n, lambda r: t[t[r, x][:, None], table[r][:, us]] == t[xs[r, None], t[x, us]],
-                                 len(us))
+        x0, us = f * nH, xs if gens is None else gens
+        table = np.empty((q.n, len(us)), dtype=t.dtype)  # columns us of every row
+        for lo in range(0, q.n, nH):
+            rows = lxy(f, lo // nH)
+            w = first_false_rows(nH, lambda r: agrees(x0, slice(lo + r.start, lo + r.stop), rows[r], xs))
+            if w is not None:
+                return x0, lo + w[0], w[1]
+            table[lo:lo + nH] = rows[:, us]
+            del rows  # before the next rows are built
+        for x in range(x0 + 1, x0 + nH):
+            w = first_false_rows(q.n, lambda r: agrees(x, r, table[r], us), len(us))
             if w is not None:
                 return x, *w
         del table  # before the next block's table is built
@@ -468,19 +482,18 @@ GROUP_ONLY_CHECKS = tuple(cid for cid, _, group_only, _ in _CHECKS if group_only
 _CHECK_FUNCS = {cid: fn for cid, _, _, fn in _CHECKS}
 
 
-def run_checks(g: AnyGroup, selected: list[str] | None = None, seed: int = 0,
+def run_checks(g: AnyGroup, selected: list[str] | None = None,
                force_exhaustive: bool = False, env: dict | None = None) -> Report:
     """Run the selected (default: all applicable) checks and build a report."""
     ids = selected or CHECK_IDS
     for cid in ids:
         if cid not in _CHECK_FUNCS:
             raise GammaForgeError(f"unknown check id {cid!r} (known: {', '.join(CHECK_IDS)})")
-    ctx = CheckContext(g, seed=seed, force_exhaustive=force_exhaustive)
+    ctx = CheckContext(g, force_exhaustive=force_exhaustive)
     report = Report(
         subject=g.source_spec or g.name,
         order=g.order,
-        environment={"seed": seed, "exhaustive": force_exhaustive,
-                     **(env or {})},
+        environment={"exhaustive": force_exhaustive, **(env or {})},
     )
     for cid in ids:
         if cid not in GROUP_ONLY_CHECKS and ctx.skip_reason:

@@ -1,9 +1,9 @@
 """Report and survey-row structures with text and JSON rendering.
 
-Reports are deterministic under a fixed seed: iteration orders are fixed and
-witnesses are lexicographically least, so re-running reproduces the output
-byte-for-byte apart from the timing fields.  Survey output carries no timing
-at all and is fully byte-deterministic.
+Reports are deterministic: iteration orders are fixed and witnesses are
+lexicographically least, so re-running reproduces the output byte-for-byte
+apart from the timing fields.  Survey output carries no timing at all and is
+fully byte-deterministic.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ The halves h -> (h^a)^(1/2) and squares h -> (h^a)^2 are read from H's own
 root and square tables.  Inverting a map fails loudly if it is not a
 bijection, which would contradict the fact that sums of commuting odd-order
 automorphisms are again automorphisms.  The six ``*_table`` methods give each
-closed form over all elements, for the exhaustive comparison with the
-generic table engine.
+closed form for the exhaustive comparison with the generic table engine: the
+inverse and root over all elements, the other four |H| rows at a time.
 """
 
 from __future__ import annotations
@@ -82,60 +82,48 @@ class SdForms:
         return np.concatenate([self._elements(fh, self.inv(self.add(self.one, self.act(fh))))
                                for fh in self.F.sqrt_table.tolist()])
 
-    def commutator_table(self) -> np.ndarray:
-        """[x,y] = h1^(f1^-1 (-1 + f2^-1)) h2^(f2^-1 (-f1^-1 + 1)), in H."""
-        n = self.nH * self.nF
-        out = np.empty((n, n), dtype=self.dtype)
-        for f1 in range(self.nF):
-            for f2 in range(self.nF):
-                f1i, f2i = self.F.inverse[f1], self.F.inverse[f2]
-                a1 = self.mul(self.act(f1i), self.add(self.neg(self.one), self.act(f2i)))
-                a2 = self.mul(self.act(f2i), self.add(self.neg(self.act(f1i)), self.one))
-                hp = self.H.tbl[a1[:, None], a2[None, :]]
-                out[self._block(f1), self._block(f2)] = hp  # F-part is the identity
+    def commutator_table(self, f1: int) -> np.ndarray:
+        """Rows [x,y] of the x of F-part f1: h1^(f1^-1 (-1 + f2^-1)) h2^(f2^-1 (-f1^-1 + 1)), in H."""
+        out = np.empty((self.nH, self.nH * self.nF), dtype=self.dtype)
+        f1i = self.F.inverse[f1]
+        for f2 in range(self.nF):
+            f2i = self.F.inverse[f2]
+            a1 = self.mul(self.act(f1i), self.add(self.neg(self.one), self.act(f2i)))
+            a2 = self.mul(self.act(f2i), self.add(self.neg(self.act(f1i)), self.one))
+            out[:, self._block(f2)] = self.H.tbl[a1[:, None], a2[None, :]]  # F-part is the identity
         return out
 
-    def circ_table(self) -> np.ndarray:
-        """x o y = h1^((1+f2)/2) h2^((1+f1)/2) f1 f2."""
-        n = self.nH * self.nF
-        out = np.empty((n, n), dtype=self.dtype)
-        for f1 in range(self.nF):
-            for f2 in range(self.nF):
-                a1 = self.H.sqrt_table[self.add(self.one, self.act(f2))]
-                a2 = self.H.sqrt_table[self.add(self.one, self.act(f1))]
-                hp = self.H.tbl[a1[:, None], a2[None, :]]
-                out[self._block(f1), self._block(f2)] = self._elements(self.F.mul(f1, f2), hp)
+    def circ_table(self, f1: int) -> np.ndarray:
+        """Rows x o y of the x of F-part f1: x o y = h1^((1+f2)/2) h2^((1+f1)/2) f1 f2."""
+        out = np.empty((self.nH, self.nH * self.nF), dtype=self.dtype)
+        a2 = self.H.sqrt_table[self.add(self.one, self.act(f1))]
+        for f2 in range(self.nF):
+            a1 = self.H.sqrt_table[self.add(self.one, self.act(f2))]
+            out[:, self._block(f2)] = self._elements(self.F.mul(f1, f2), self.H.tbl[a1[:, None], a2[None, :]])
         return out
 
-    def ldiv_table(self) -> np.ndarray:
-        """The o-division x \\ y = (h1^(-1 - f1^-1 f2) h2^2)^((1+f1)^-1) f1^-1 f2."""
-        n = self.nH * self.nF
-        out = np.empty((n, n), dtype=self.dtype)
-        two = self.H.squares
-        for f1 in range(self.nF):
-            f1i = int(self.F.inverse[f1])
-            outer = self.inv(self.add(self.one, self.act(f1)))
-            for f2 in range(self.nF):
-                a1 = self.add(self.neg(self.one), self.neg(self.mul(self.act(f1i), self.act(f2))))
-                inner = self.H.tbl[a1[:, None], two[None, :]]
-                out[self._block(f1), self._block(f2)] = self._elements(self.F.mul(f1i, f2), outer[inner])
+    def ldiv_table(self, f1: int) -> np.ndarray:
+        """Rows of the o-division of the x of F-part f1: x \\ y = (h1^(-1 - f1^-1 f2) h2^2)^((1+f1)^-1) f1^-1 f2."""
+        out = np.empty((self.nH, self.nH * self.nF), dtype=self.dtype)
+        f1i = int(self.F.inverse[f1])
+        outer = self.inv(self.add(self.one, self.act(f1)))
+        for f2 in range(self.nF):
+            a1 = self.add(self.neg(self.one), self.neg(self.mul(self.act(f1i), self.act(f2))))
+            inner = self.H.tbl[a1[:, None], self.H.squares[None, :]]
+            out[:, self._block(f2)] = self._elements(self.F.mul(f1i, f2), outer[inner])
         return out
 
-    def lxy_table(self, f1: int) -> np.ndarray:
+    def lxy_table(self, f1: int, f2: int) -> np.ndarray:
         """Array [y, u] of closed-form inner-map images
         u L_{x,y} = (h^((1+f1)(1+f2)) h2^(1 + f f1 - f - f1))^((1+f1 f2)^-1 / 2) f
-        for x = (h1, f1), y = (h2, f2) and u = (h, f), for one F-part f1 of x:
-        the closed form does not involve h1, so every x in one F-block has
-        the same table.
-        """
-        n = self.nH * self.nF
-        out = np.empty((n, n), dtype=self.dtype)
+        for x = (h1, f1), y = (h2, f2) (row h2) and u = (h, f), for one F-part f1 of x
+        and f2 of y: the closed form does not involve h1, so every x in one F-block has
+        the same rows."""
+        out = np.empty((self.nH, self.nH * self.nF), dtype=self.dtype)
+        a = self.mul(self.add(self.one, self.act(f1)), self.add(self.one, self.act(f2)))
+        c = self.H.sqrt_table[self.inv(self.add(self.one, self.act(self.F.mul(f1, f2))))]
         for f in range(self.nF):
-            for f2 in range(self.nF):
-                a = self.mul(self.add(self.one, self.act(f1)), self.add(self.one, self.act(f2)))
-                b = self.add(self.one, self.mul(self.act(f), self.act(f1)), self.neg(self.act(f)),
-                             self.neg(self.act(f1)))
-                c = self.H.sqrt_table[self.inv(self.add(self.one, self.act(self.F.mul(f1, f2))))]
-                hh = c[self.H.tbl[a[:, None], b[None, :]]]  # [h, h2]
-                out[self._block(f2), self._block(f)] = self._elements(f, hh.T)  # [h2, h]
+            b = self.add(self.one, self.mul(self.act(f), self.act(f1)), self.neg(self.act(f)), self.neg(self.act(f1)))
+            hh = c[self.H.tbl[a[:, None], b[None, :]]]  # [h, h2]
+            out[:, self._block(f)] = self._elements(f, hh.T)  # [h2, h]
         return out

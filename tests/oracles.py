@@ -471,6 +471,48 @@ def commutator_table(g) -> np.ndarray:
     return np.array([[commutator(g, x, y) for y in range(g.order)] for x in range(g.order)])
 
 
+def commutator_identities_scan(g, metabelian: bool = False) -> str | None:
+    """The witness of the commutator identities (metabelian: the root and
+    rotation identities instead) with g.commutator as the bracket and
+    g.sqrt_table as the root, or None: the definition [x, y] = x^-1 y^-1 x y
+    at every pair first (least pair), then each identity at all n^3 triples
+    (least triple), all evaluated whole with inverses from the table."""
+    t, C = np.asarray(g.tbl), g.commutator
+    n, inv = len(t), _ldiv(t)[:, 0]
+    label = lambda *w: "(" + ",".join(g.label(int(v)) for v in w) + ")"
+    x, y = np.indices((n, n))
+    ok = C(x, y) == t[t[t[inv[x], inv[y]], x], y]
+    if not ok.all():
+        return f"commutator definition fails at {label(*np.argwhere(~ok)[0])}"
+    X, Y, Z = np.indices((n, n, n)).reshape(3, -1)
+    conj = lambda a, b: t[t[inv[b], a], b]
+
+    def sides():  # each built only once those before it hold
+        if metabelian:
+            s = g.sqrt_table
+            yield "root-of-commutator identity", C(s[C(X, Y)], Z), s[C(C(X, Y), Z)]
+            yield "rotation product", t[t[C(C(X, Y), Z), C(C(Z, X), Y)], C(C(Y, Z), X)], 0
+            return
+        yield "product-in-first-slot expansion", C(t[X, Y], Z), t[conj(C(X, Z), Y), C(Y, Z)]
+        yield "product-in-second-slot expansion", C(X, t[Y, Z]), t[C(X, Z), conj(C(X, Y), Z)]
+        yield "inverse-commutator identity", C(X, inv[Y]), conj(C(Y, X), inv[Y])
+        yield "inverse-commutator identity", C(inv[X], Y), conj(C(Y, X), inv[X])
+        t1, t2 = conj(C(C(X, inv[Y]), Z), Y), conj(C(C(Y, inv[Z]), X), Z)
+        yield "three-term conjugated product", t[t[t1, t2], conj(C(C(Z, inv[X]), Y), X)], 0
+
+    for what, lhs, rhs in sides():
+        ok = lhs == rhs
+        if not ok.all():
+            i = int(np.argmin(ok))
+            return f"{what} fails at {label(X[i], Y[i], Z[i])}"
+    return None
+
+
+def whole_table(rows, nF: int) -> np.ndarray:
+    """The n x n closed-form table whose rows for the x of F-part f are rows(f)."""
+    return np.concatenate([rows(f) for f in range(nF)])
+
+
 def upper_central_series_scan(t) -> list[tuple[int, ...]]:
     """The members of zeta^0, zeta^1, ... of a group table until stable, each
     zeta^(i+1) = {x : [x, y] in zeta^i for every y}, from the n^2 commutators."""

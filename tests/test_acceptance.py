@@ -125,10 +125,11 @@ def test_criterion_05_closed_form_oracle(catalog):
         forms = SdForms(g.sd_spec)
         assert (forms.inverse_table() == g.inverse).all(), spec
         assert (forms.sqrt_table() == g.sqrt_table).all(), spec
-        assert (forms.commutator_table() == oracles.commutator_table(g)).all(), spec
-        assert (forms.circ_table() == q.tbl).all(), spec
-        assert (forms.ldiv_table() == oracles._ldiv(q.tbl)).all(), spec
-        lxy = np.stack([forms.lxy_table(f) for f in range(forms.nF)])[np.arange(q.n) // forms.nH]  # one per F-part of x
+        assert (oracles.whole_table(forms.commutator_table, forms.nF) == oracles.commutator_table(g)).all(), spec
+        assert (oracles.whole_table(forms.circ_table, forms.nF) == q.tbl).all(), spec
+        assert (oracles.whole_table(forms.ldiv_table, forms.nF) == oracles._ldiv(q.tbl)).all(), spec
+        lxy = np.stack([oracles.whole_table(lambda f2, f=f: forms.lxy_table(f, f2), forms.nF)
+                        for f in range(forms.nF)])[np.arange(q.n) // forms.nH]  # one per F-part of x
         assert (lxy == oracles.inner_generators(q.tbl).Ls).all(), spec
     elapsed = _elapsed_under(t0, 120, "criterion 5")
     print(f"\n[criterion 5] PASS: six closed forms match the table engine on "

@@ -790,22 +790,43 @@ def test_closed_form_fast_path_matches_the_per_x_scan(spec, scans):
     assert checks._lmap_witness(q, forms.lxy_table, nH, True) is None and scans == ["gens"]
     assert lmap_scan(q, forms.lxy_table, nH) is None
 
-    # a mutated entry of the last F-block's table: the first x of the block
-    # differs, and the scan names it
-    def mutated(f):
-        table = forms.lxy_table(f)
-        if f == nF - 1:
+    # a mutated entry of the last F-block's rows of y in the last F-part:
+    # the first x of the block differs, and the scan names it
+    def mutated(f, f2):
+        table = forms.lxy_table(f, f2)
+        if f == f2 == nF - 1:
             table[5, 2] = (table[5, 2] + 1) % g.order
         return table
 
-    assert checks._lmap_witness(q, mutated, nH, True) == ((nF - 1) * nH, 5, 2)
+    assert checks._lmap_witness(q, mutated, nH, True) == ((nF - 1) * nH, (nF - 1) * nH + 5, 2)
     assert scans == ["gens"] * 2 + ["whole"]
     # one block of all n elements with the table of x = 0: its first x agrees,
     # so only the generator compare of the other x can catch it
-    one_block = lambda f: forms.lxy_table(0)
+    one_block = lambda f, f2: oracles.whole_table(lambda k: forms.lxy_table(0, k), nF)
     w = lmap_scan(q, one_block, g.order)
     assert w is not None and w[0] > 0
     assert checks._lmap_witness(q, one_block, g.order, True) == w and scans == ["gens"] * 2 + ["whole"] + ["gens", "whole"]
+
+
+@pytest.mark.parametrize("what,method", [("commutator", "commutator_table"), ("circ product", "circ_table"),
+                                         ("circ division", "ldiv_table")])
+def test_closed_form_check_names_a_mutated_cell_in_whole_table_indices(what, method, monkeypatch):
+    # each table comes as the rows of one F-part of x at a time; the cells
+    # mutated in the last F-part of sd:7:3:2 (rows 14..20) are named in the
+    # indices of the whole table, the least first, past a row block (3 rows)
+    g = group("sd:7:3:2")
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 3 * g.order)
+    real = getattr(SdForms, method)
+
+    def mutated(self, f):
+        rows = real(self, f)
+        if f == self.nF - 1:
+            rows[[6, 5], [1, 2]] = (rows[[6, 5], [1, 2]] + 1) % g.order
+        return rows
+
+    monkeypatch.setattr(SdForms, method, mutated)
+    [check] = checks.run_checks(g, ["closed-form-agreement"]).checks
+    assert (check.verdict, check.witness) == ("fail", f"{what} differs at ({g.label(19)},{g.label(2)})")
 
 
 @pytest.mark.parametrize("spec", ["sd:7:3:2", "sd:13:3:3", "wr:3"])
@@ -818,7 +839,7 @@ def test_closed_form_fast_path_needs_an_automorphic_loop(spec, scans):
     Ls = oracles.inner_generators(q.tbl).Ls
     verdict = is_automorphic(q)
     assert not verdict.is_true
-    w = checks._lmap_witness(q, lambda f: Ls[f * nH], nH, verdict.is_true)
+    w = checks._lmap_witness(q, lambda f, f2: Ls[f * nH, f2 * nH:(f2 + 1) * nH], nH, verdict.is_true)
     firsts = [(x, *np.argwhere(Ls[x] != Ls[x // nH * nH])[0]) for x in range(q.n)
               if (Ls[x] != Ls[x // nH * nH]).any()]
     assert scans == ["whole"] and w == firsts[0]
@@ -844,4 +865,4 @@ def test_generator_compare_reads_every_generator():
         Ls = oracles.inner_generators(q.tbl).Ls
         for gens in (np.array([1, 3]), np.array([2, 7]), np.array([1, 2])):
             moved = [(x, *np.argwhere(Ls[x][:, gens] != gens)[0]) for x in range(q.n) if (Ls[x][:, gens] != gens).any()]
-            assert lmap_scan(q, lambda f: Ls[0], q.n, gens) == moved[0]
+            assert lmap_scan(q, lambda f, f2: Ls[0], q.n, gens) == moved[0]

@@ -1,12 +1,13 @@
 """Group constructors, commutator machinery, series, and predicates."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 import oracles
-from gamma_forge import core, groups, loops, tableio
+from gamma_forge import checks, core, groups, loops, tableio
 from gamma_forge.catalog import CATALOG_SPECS
 from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, build_table, left_power_walk
 from gamma_forge.groups import (
@@ -34,7 +35,7 @@ from gamma_forge.groups import (
     unitriangular,
     upper_central_series,
 )
-from gamma_forge.checks import commutator_identities_hold, metabelian_identities_hold
+from gamma_forge.checks import commutator_identities_hold, metabelian_identities_hold, run_checks
 
 
 @pytest.fixture(scope="module")
@@ -228,24 +229,122 @@ def test_nested_commutator_detects_class():
 
 
 def test_commutator_identity_suite_exhaustive(g21):
-    ok, w, exhaustive = commutator_identities_hold(g21)
-    assert ok and exhaustive, w
-    h = heisenberg(3)
-    ok, w, exhaustive = commutator_identities_hold(h)
-    assert ok and exhaustive, w
+    assert commutator_identities_hold(g21) == (True, None)
+    assert commutator_identities_hold(heisenberg(3)) == (True, None)
 
 
-def test_commutator_identity_suite_sampled_beyond_81():
+def test_commutator_identity_suite_exact_beyond_81():
+    # order 155, where 20000 sampled triples stood in for the n^3 scan
     g = construct("sd:31:5:2")
-    ok, w, exhaustive = commutator_identities_hold(g, seed=3)
-    assert ok and not exhaustive, w
+    assert commutator_identities_hold(g) == (True, None)
+    assert metabelian_identities_hold(g) == (True, None)
 
 
 def test_metabelian_identity_suite(g21, w81):
-    ok, w, exhaustive = metabelian_identities_hold(g21)
-    assert ok and exhaustive, w
-    ok, w, exhaustive = metabelian_identities_hold(w81)
-    assert ok and exhaustive, w
+    assert metabelian_identities_hold(g21) == (True, None)
+    assert metabelian_identities_hold(w81) == (True, None)
+
+
+IDENTITY_CHECKS = ["commutator-identities", "metabelian-commutator-identities"]
+
+
+def _identity_outcomes(g):
+    """(verdict, witness) of both identity checks on g, and those the n^3 oracle predicts."""
+    got = [(c.verdict, c.witness) for c in run_checks(g, IDENTITY_CHECKS).checks]
+    want = [oracles.commutator_identities_scan(g, metabelian) for metabelian in (False, True)]
+    want = [("pass" if w is None else "fail", w) for w in want]
+    if want[0][0] == "fail":  # a wrong bracket fails the metabelian check with its witness
+        want[1] = want[0]
+    return got, want
+
+
+@pytest.mark.parametrize("spec", [s for s, order in CATALOG_SPECS.items() if order <= 81])
+def test_identity_checks_match_the_triple_scan(spec, tmp_path):
+    # the bracket scan and the two reductions give the verdict and witness of
+    # every identity at all n^3 triples, on the catalog group and two relabelings
+    g = construct(spec)
+    for h in (g, _relabeled_file_group(g, 1, tmp_path), _relabeled_file_group(g, 2, tmp_path)):
+        got, want = _identity_outcomes(h)
+        assert got == want == [("pass", None)] * 2
+
+
+def _swap_roots(g, a, b):
+    s = g.sqrt_table.copy()
+    s[[a, b]] = s[[b, a]]
+    g.sqrt_table = s
+
+
+@pytest.mark.parametrize("spec", ["sd:7:3:2", "sd:13:3:3", "sd:11:5:3", "heis:3", "wr:3", "sd:31:5:2"])
+def test_identity_checks_kill_the_mutants_with_the_least_witness(spec, tmp_path, monkeypatch):
+    # each mutant fails with the witness of the n^3 oracle (for a wrong
+    # bracket, the least pair of the definition; order 155 ends there too):
+    # the bracket x y x^-1 y^-1, the transposed bracket [y, x], and two
+    # square roots swapped at the first or the last two commutator values.
+    # Two roots swapped outside them pass both: neither side of the root
+    # identity reads them.  Both checks read one bracket scan.  Blocks of one
+    # row put the witnesses past the first block
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 1)
+    calls = []
+    real = checks.commutator_identities_hold
+    monkeypatch.setattr(checks, "commutator_identities_hold", lambda g: calls.append(g) or real(g))
+    g0 = construct(spec)
+    subjects = [g0] if g0.order > 81 else [g0, _relabeled_file_group(g0, 3, tmp_path)]
+    for base in subjects:
+        cs = [int(c) for c in base.commutators if c]
+        outside = [x for x in range(1, base.order) if x not in set(cs)][:2]
+        mutants = [("xyx^-1y^-1", lambda g: setattr(g, "commutator", lambda x, y, t=g.tbl, inv=g.inverse:
+                                                      t[t[t[x, y], inv[x]], inv[y]])),
+                   ("transposed", lambda g: setattr(g, "commutator", lambda x, y, real=g.commutator: real(y, x)))]
+        if base.order <= 81:
+            mutants += [("roots at commutators", lambda g: _swap_roots(g, *cs[:2])),
+                        ("roots at the last commutators", lambda g: _swap_roots(g, *cs[-2:])),
+                        ("roots outside", lambda g: _swap_roots(g, *outside))]
+        for name, mutate in mutants:
+            g = construct(spec) if base is g0 else from_file(base.source_spec[len("file:"):])
+            mutate(g)
+            calls.clear()
+            got, want = _identity_outcomes(g)
+            assert got == want, (name, got, want)
+            assert len(calls) == 1
+            if name.startswith("roots"):
+                assert got[0] == ("pass", None)
+                if name == "roots outside":
+                    assert got[1] == ("pass", None)
+                elif spec.startswith("sd:"):  # G' = H meets the centre trivially: [sqrt(c), z] is not always 1
+                    assert got[1][0] == "fail"
+                if got[1][0] == "fail":
+                    assert got[1][1].startswith("root-of-commutator identity fails at ("), name
+            elif name == "transposed" or not spec.startswith("heis"):
+                # (in class 2, x y x^-1 y^-1 = [x^-1, y^-1] is [x, y])
+                assert got[0][0] == "fail" and got[0][1].startswith("commutator definition fails at ("), name
+
+
+def _symmetric_group_4(pi):
+    """S_4 (derived length 3, not metabelian) on its 24 permutations in sorted
+    order relabeled by pi, a permutation of 0..23 that fixes the identity."""
+    perms = sorted(itertools.permutations(range(4)))
+    idx = {p: i for i, p in enumerate(perms)}
+    t = np.array([[idx[tuple(a[b[i]] for i in range(4))] for b in perms] for a in perms])
+    relabeled = np.empty_like(t)
+    relabeled[pi[:, None], pi[None, :]] = pi[t]
+    return Group(CayleyTable(relabeled))
+
+
+def test_rotation_scan_names_the_least_failing_triple(monkeypatch):
+    # outside a metabelian group the rotation product fails, and the
+    # generators see it in S_4; the check then scans the triples in order,
+    # one pair (x, y) per block here, so its witness is the oracle's least
+    # failing triple
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 24)
+    rng = np.random.default_rng(4)
+    for pi in [np.arange(24)] + [np.concatenate([[0], 1 + rng.permutation(23)]) for _ in range(3)]:
+        g = _symmetric_group_4(pi)
+        assert not is_metabelian(g) and commutator_identities_hold(g) == (True, None)
+        w = checks._rotation_witness(g)
+        assert w is not None
+        g.sqrt_table = np.arange(24)  # S_4 has no roots; with s(x) = x the root identity holds trivially
+        want = oracles.commutator_identities_scan(g, metabelian=True)
+        assert f"rotation product fails at ({w[0]},{w[1]},{w[2]})" == want
 
 
 def test_wreath_nested_commutator_class_crosscheck(w81):

@@ -34,13 +34,13 @@ def test_sqrt_closed_form(forms21, g21):
 
 
 def test_circ_examples(forms21):
-    circ, idx = forms21.circ_table(), oracles.idx21
+    circ, idx = oracles.whole_table(forms21.circ_table, forms21.nF), oracles.idx21
     assert circ[idx((1, 0)), idx((0, 1))] == idx((5, 1))
     assert circ[idx((1, 1)), idx((1, 1))] == idx((3, 2))
 
 
 def test_commutator_closed_form_lands_in_h(forms21, g21):
-    comm = forms21.commutator_table()
+    comm = oracles.whole_table(forms21.commutator_table, forms21.nF)
     assert (comm < 7).all()  # F-part 0
     for x, a in enumerate(oracles.P21):
         for y, b in enumerate(oracles.P21):
@@ -49,18 +49,18 @@ def test_commutator_closed_form_lands_in_h(forms21, g21):
 
 def test_ldiv_closed_form_is_circ_division(forms21, g21):
     q = circ_loop(g21)
-    ldiv = forms21.ldiv_table()
+    ldiv = oracles.whole_table(forms21.ldiv_table, forms21.nF)
     for x, a in enumerate(oracles.P21):
         for y, b in enumerate(oracles.P21):
             assert oracles.circ21(a, oracles.P21[ldiv[x, y]]) == b
     # reading the same formula as division in the group fails outright
-    assert not (forms21.ldiv_table() == oracles._ldiv(g21.tbl)).all()
+    assert not (oracles.whole_table(forms21.ldiv_table, forms21.nF) == oracles._ldiv(g21.tbl)).all()
 
 
 def test_lxy_closed_form_single_values(forms21, g21):
     q = circ_loop(g21)
     ig = oracles.inner_generators(q.tbl)
-    lxy = np.stack([forms21.lxy_table(f) for f in range(3)])
+    lxy = np.stack([oracles.whole_table(lambda f2, f=f: forms21.lxy_table(f, f2), 3) for f in range(3)])
     rng = np.random.default_rng(1)
     for _ in range(100):
         u, x, y = (int(v) for v in rng.integers(0, 21, 3))
@@ -74,11 +74,11 @@ def test_all_closed_form_tables_agree(spec_str):
     q = circ_loop(g)
     assert (forms.inverse_table() == g.inverse).all()
     assert (forms.sqrt_table() == g.sqrt_table).all()
-    assert (forms.commutator_table() == oracles.commutator_table(g)).all()
-    assert (forms.circ_table() == q.tbl).all()
-    assert (forms.ldiv_table() == oracles._ldiv(q.tbl)).all()
+    assert (oracles.whole_table(forms.commutator_table, forms.nF) == oracles.commutator_table(g)).all()
+    assert (oracles.whole_table(forms.circ_table, forms.nF) == q.tbl).all()
+    assert (oracles.whole_table(forms.ldiv_table, forms.nF) == oracles._ldiv(q.tbl)).all()
     # one table per F-part of x: the element (h, f) has index f*|H| + h
-    lxy = np.stack([forms.lxy_table(f) for f in range(forms.nF)])
+    lxy = np.stack([oracles.whole_table(lambda f2, f=f: forms.lxy_table(f, f2), forms.nF) for f in range(forms.nF)])
     assert (lxy[np.arange(q.n) // forms.nH] == oracles.inner_generators(q.tbl).Ls).all()
 
 
