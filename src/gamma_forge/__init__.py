@@ -5,7 +5,6 @@ from .core import (
     ConstructionError,
     EvenOrderError,
     GammaForgeError,
-    StabilizerChain,
     build_table,
     classify,
 )

@@ -187,7 +187,7 @@ class CheckContext:
 
     @cached_property
     def circ_center(self) -> tuple[int, ...]:
-        return self.circ.center_data.center
+        return self.circ.center
 
     @cached_property
     def automorphic(self) -> AutomorphicVerdict:

@@ -149,7 +149,7 @@ def gamma_from_bruck(q: Loop, verify: bool = True) -> Loop:
 
 def _lmlt_order_is_odd(q: Loop) -> bool:
     """Whether |LMlt(Q)|, the product of the orbit lengths of its chain, is odd."""
-    return all(len(level.orbit) % 2 for level in mlt_chain(q, left=True).levels)
+    return all(len(level.orbit) % 2 for level in mlt_chain(q).levels)
 
 
 def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:

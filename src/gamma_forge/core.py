@@ -102,6 +102,28 @@ def first_false_rows(n: int, block: Callable[[slice], np.ndarray], width: int | 
     return None
 
 
+def subgroup_closure(t: np.ndarray, seed: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(members ascending, generators) of the subgroup generated by ``seed`` in
+    the table t of a group, or of a loop whose seed is central (the center is
+    an abelian group); each seed element outside the subgroup of those before
+    is a generator.  A finite subgroup is the closure of {0} under right
+    products with its generators: the old members are closed under the
+    earlier ones, so they take only the new one, and each newly reached
+    element all of them."""
+    reached, gens = np.arange(len(t)) == 0, []
+    for a in seed:
+        if reached[a]:
+            continue
+        gens.append(int(a))
+        cs, right = np.flatnonzero(reached), gens[-1:]
+        while cs.size:
+            was = reached.copy()
+            for r in row_blocks(cs.size, len(right)):
+                reached[t[cs[r, None], right]] = True
+            cs, right = np.flatnonzero(reached & ~was), gens
+    return tuple(np.flatnonzero(reached).tolist()), tuple(gens)
+
+
 # ---------------------------------------------------------------------------
 # Cayley tables
 

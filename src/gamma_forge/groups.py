@@ -31,6 +31,7 @@ from .core import (
     left_power_walk,
     row_blocks,
     row_zeros,
+    subgroup_closure,
     table_cap,
 )
 from . import tableio
@@ -107,7 +108,7 @@ class Group:
     @cached_property
     def generators(self) -> np.ndarray:
         """A generating set: each the least element outside the subgroup of those before."""
-        return np.array(subgroup_closure(self, range(self.order))[1], dtype=self.tbl.dtype)
+        return np.array(subgroup_closure(self.tbl, range(self.order))[1], dtype=self.tbl.dtype)
 
     @cached_property
     def squares(self) -> np.ndarray:
@@ -201,26 +202,6 @@ class Subgroup:
         return len(self.members)
 
 
-def subgroup_closure(g: Group, seed: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(members ascending, generators) of the subgroup generated by ``seed``;
-    each seed element outside the subgroup of those before is a generator.  A
-    finite subgroup is the closure of {0} under right products with its
-    generators: the old members are closed under the earlier ones, so they
-    take only the new one, and each newly reached element all of them."""
-    reached, gens = np.arange(g.order) == 0, []
-    for a in seed:
-        if reached[a]:
-            continue
-        gens.append(int(a))
-        cs, right = np.flatnonzero(reached), gens[-1:]
-        while cs.size:
-            was = reached.copy()
-            for r in row_blocks(cs.size, len(right)):
-                reached[g.tbl[cs[r, None], right]] = True
-            cs, right = np.flatnonzero(reached & ~was), gens
-    return tuple(np.flatnonzero(reached).tolist()), tuple(gens)
-
-
 # ---------------------------------------------------------------------------
 # Commutators and predicates
 
@@ -288,10 +269,10 @@ def _descending_series(g: AnyGroup, what: str, seed: Callable) -> list[Subgroup]
     the last); the second is G' in both series, from the shared commutators."""
     g = _require_table(g, what)
     series = [Subgroup(g, tuple(range(g.order)))]
-    nxt = subgroup_closure(g, g.commutators)[0]
+    nxt = subgroup_closure(g.tbl, g.commutators)[0]
     while nxt != series[-1].members:
         series.append(Subgroup(g, nxt))
-        nxt = subgroup_closure(g, seed(nxt))[0]
+        nxt = subgroup_closure(g.tbl, seed(nxt))[0]
     return series
 
 
@@ -316,7 +297,7 @@ def derived_series(g: AnyGroup) -> list[Subgroup]:
 def derived_subgroup(g: AnyGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(members, generating set) of G'."""
     g = _require_table(g, "derived subgroup")
-    return subgroup_closure(g, g.commutators)
+    return subgroup_closure(g.tbl, g.commutators)
 
 
 def is_metabelian(g: AnyGroup) -> bool:

@@ -2,11 +2,12 @@
 
 Covers the commutative-loop axiom block (commutativity, automorphic inverses,
 commuting inverse translations, the P-map identity), Moufang and left Bruck
-identities, the multiplication group as a stabilizer chain, automorphicity
-of the inner mappings, loop center and nucleus, central quotients and loop
-nilpotency.  All scans are exhaustive with lexicographically least witnesses.
-Associativity and the P-map and left Bol identities are tested only on a
-generating set: the elements that pass each are closed under an operation.
+identities, the group generated by the left translations as a stabilizer
+chain, and, for commutative loops, automorphicity of the inner mappings, the
+loop center, central quotients and loop nilpotency.  All scans are
+exhaustive with lexicographically least witnesses.  Associativity, the P-map
+and left Bol identities and the center are tested only on a generating set:
+the elements that pass each are closed under an operation.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     left_power_walk,
     row_blocks,
     row_zeros,
+    subgroup_closure,
 )
 
 
@@ -89,28 +91,28 @@ class Loop:
 
     @cached_property
     def inner_generators(self) -> list[np.ndarray]:
-        """Generators of Inn(Q) from mlt_chain(Q); the chain is dropped, with the
-        n coset representatives of n cells each that its level 0 holds."""
+        """Generators of Inn(Q) from mlt_chain(Q) for a commutative Q; the chain
+        is dropped, with the n coset representatives of n cells each that its
+        level 0 holds."""
         return mlt_chain(self).generators(1)
 
     @cached_property
-    def center_data(self) -> LoopCenterData:
+    def center(self) -> tuple[int, ...]:
         return loop_center(self)
 
     def __repr__(self):
         return f"<Loop {self.name!r} n={self.n}>"
 
 
-def mlt_chain(q: Loop, left: bool = False) -> StabilizerChain:
-    """Mlt(Q), generated by the L_x and the R_x (by the L_x alone if Q is
-    commutative), or LMlt(Q), generated by the L_x, if left; as a stabilizer
-    chain.  The least translation that does not sift joins the generators,
-    until all of them sift.  L_1 moves 0 (1 * 0 = 1), so b_0 = 0 and the
-    level-1 strong generators of Mlt(Q) generate Stab(0) = Inn(Q)."""
+def mlt_chain(q: Loop) -> StabilizerChain:
+    """The group generated by the L_x as a stabilizer chain: Mlt(Q) if Q is
+    commutative, as then R_x = L_x, and LMlt(Q) otherwise.  The least
+    translation that does not sift joins the generators, until all of them
+    sift.  L_1 moves 0 (1 * 0 = 1), so b_0 = 0 and the level-1 strong
+    generators of Mlt(Q) generate Stab(0) = Inn(Q)."""
     chain = StabilizerChain(q.n)
-    for side in (q.tbl,) if left or q.is_commutative() else (q.tbl, q.tbl.T):
-        for perm in side:
-            chain.add(perm)
+    for perm in q.tbl:
+        chain.add(perm)
     return chain
 
 
@@ -349,16 +351,12 @@ def powers_coincide(g, q: Loop) -> tuple[bool, tuple[int, int] | None]:
 # Inner mappings and automorphicity
 
 
-def _inner_maps(q: Loop, kind: str, x: int, rows: np.ndarray, div: np.ndarray | None = None) -> np.ndarray:
-    """Inner maps as the rows of an array: L_{x,y} or R_{x,y} for each y in
-    rows, or T_y for each y in rows (then x is unused).  The divisions are
-    read from div, the whole division table of the kind's side (left for L
-    and T, right through the transpose for R), else formed for these rows."""
-    t, n = (q.tbl.T if kind == "R" else q.tbl), q.n  # R_{x,y} of Q is L_{x,y} of its opposite
-    if kind == "T":  # u -> y \ (uy)
-        cs, vals = rows, t[:, rows].T
-    else:  # u -> (yx) \ (y(xu)); flat .take gathers: about twice as fast as [] with 2-D indices
-        cs, vals = t[rows, x], t.take(flat(n, rows[:, None], t[x]))
+def _inner_maps(q: Loop, x: int, rows: np.ndarray, div: np.ndarray | None = None) -> np.ndarray:
+    """The inner maps L_{x,y}: u -> (yx) \\ (y(xu)) for each y in rows, as the
+    rows of an array.  The divisions are read from div, the whole left
+    division table, else formed for these rows."""
+    t, n = q.tbl, q.n  # flat .take gathers: about twice as fast as [] with 2-D indices
+    cs, vals = t[rows, x], t.take(flat(n, rows[:, None], t[x]))
     if div is None:
         div, cs = divide_rows(t, cs), np.arange(len(cs))
     return div.take(flat(n, cs[:, None], vals))
@@ -387,29 +385,37 @@ def _unseen_rows(maps: np.ndarray, seen: dict[int, np.ndarray]) -> np.ndarray:
 @dataclass(frozen=True)
 class AutomorphicVerdict:
     status: str  # "true" | "false"
-    witness: tuple | None = None  # (kind, x, y, u, v); T witnesses use y = -1
+    witness: tuple | None = None  # ("L", x, y, u, v)
 
     @property
     def is_true(self) -> bool:
         return self.status == "true"
 
 
+def _require_commutative(q: Loop, what: str) -> None:
+    if not q.is_commutative():
+        raise GammaForgeError(f"{what} is decided for commutative loops only; {q.name} is not commutative")
+
+
 def is_automorphic(q: Loop) -> AutomorphicVerdict:
-    """Whether every inner mapping of q is an automorphism of q; exhaustive.
+    """Whether every inner mapping of the commutative loop q is an
+    automorphism of q; exhaustive.
 
     Inn(Q) is the stabilizer of the identity in Mlt(Q) (Bruck, A Survey of
     Binary Systems, 1958), so the level-1 strong generators of mlt_chain(q)
     generate it.  Aut(Q) is a group, so when each of them passes the n^2
-    automorphism test, every inner mapping does: every L_{x,y}, R_{x,y} and
-    T_x.  On a failure the distinct-map scan gives the least witness.  The
-    chain's cost grows with Mlt(Q) (0.12 s for circ(ut:4:3), 5.6 s for a
+    automorphism test, every inner mapping does.  In a commutative loop
+    R_{x,y} = L_{x,y} and T_x = 1, so the L_{x,y} are the standard inner
+    generators.  On a failure the distinct-map scan gives the least witness.
+    The chain's cost grows with Mlt(Q) (0.12 s for circ(ut:4:3), 5.6 s for a
     random loop of order 64, whose Mlt is S_64), so L_{x,1}, L_{x,2}, L_{x,3}
     for the last x come first: such a loop fails one and needs no chain.
     """
+    _require_commutative(q, "automorphicity")
     t = q.tbl
     passes = lambda gens: _least_block_witness(
         q.n, lambda k, us: (t[gens[k][us]][:, gens[k]], gens[k][t[us]]), range(len(gens))) is None
-    if passes(_inner_maps(q, "L", q.n - 1, np.arange(1, min(4, q.n)))) and passes(q.inner_generators):
+    if passes(_inner_maps(q, q.n - 1, np.arange(1, min(4, q.n)))) and passes(q.inner_generators):
         return AutomorphicVerdict("true")
     w = _least_inner_witness(q)
     if w is None:
@@ -419,91 +425,70 @@ def is_automorphic(q: Loop) -> AutomorphicVerdict:
 
 
 def _least_inner_witness(q: Loop) -> tuple | None:
-    """Least (kind, x, y, u, v) at which a standard inner generator is no
-    automorphism, or None.  For commutative loops only the L family is
-    scanned (the R maps coincide and the T maps are trivial; both facts are
-    cross-asserted on the first 16 x and y).
+    """Least ("L", x, y, u, v) at which an L_{x,y} is no automorphism, or None.
 
-    The scan builds the n maps of one x (of all x for T) at once and runs
-    the n^2 automorphism test only on maps not met before, in (kind, x, y)
-    order.  Whether a map is an automorphism, and its least failing (u, v),
-    depend only on the map.  So the least failing (kind, x, y) is the first
-    occurrence of its map: an earlier one would fail too.  Every first
-    occurrence is tested, so the witness is that of the full scan.
+    The scan builds the n maps of one x at once and runs the n^2
+    automorphism test only on maps not met before, in (x, y) order.  Whether
+    a map is an automorphism, and its least failing (u, v), depend only on
+    the map.  So the least failing (x, y) is the first occurrence of its
+    map: an earlier one would fail too.  Every first occurrence is tested,
+    so the witness is that of the full scan.
     """
     t, n = q.tbl, q.n
-    commutative = q.is_commutative()
-    if commutative:
-        few = np.arange(min(16, n))
-        for x in few.tolist():
-            if not (_inner_maps(q, "L", x, few) == _inner_maps(q, "R", x, few)).all():
-                raise GammaForgeError("internal inconsistency: L and R generators differ "
-                                      "in a commutative loop")
-        if not (_inner_maps(q, "T", 0, few) == np.arange(n)).all():
-            raise GammaForgeError("internal inconsistency: nontrivial T generator "
-                                  "in a commutative loop")
     seen: dict[int, np.ndarray] = {}
     rows = np.arange(n)
-    for kind in ("L",) if commutative else ("L", "R", "T"):
-        div = divide_rows(t.T if kind == "R" else t, rows)  # held for this call only
-        for x in ((-1,) if kind == "T" else range(n)):
-            maps = _inner_maps(q, kind, x, rows, div)
-            for y in _unseen_rows(maps, seen).tolist():
-                phi = maps[y]
-                ok = t[phi[:, None], phi[None, :]] == phi[t]
-                if not ok.all():
-                    u, v = first_false(ok)
-                    return (kind, *((y, -1) if kind == "T" else (x, y)), u, v)
+    div = divide_rows(t, rows)  # held for this call only
+    for x in range(n):
+        maps = _inner_maps(q, x, rows, div)
+        for y in _unseen_rows(maps, seen).tolist():
+            phi = maps[y]
+            ok = t[phi[:, None], phi[None, :]] == phi[t]
+            if not ok.all():
+                return ("L", x, y, *first_false(ok))
     return None
 
 
 # ---------------------------------------------------------------------------
-# Center, nucleus, quotients
+# Center and quotients
 
 
-@dataclass(frozen=True)
-class LoopCenterData:
-    commutant: tuple[int, ...]
-    nucleus: tuple[int, ...]
-    center: tuple[int, ...]
+def loop_center(q: Loop) -> tuple[int, ...]:
+    """The center Z(Q) of a commutative loop Q, ascending, by closure.
 
-
-def loop_center(q: Loop) -> LoopCenterData:
-    """Commutant, nucleus (all three associator placements), and their meet.
-
-    In a commutative loop the center is the set of points that every inner
-    mapping fixes: the fixed points of the maps that is_automorphic tests
-    first and, unless only 0 is left, of q.inner_generators, which generate
-    Inn(Q).  Otherwise a sieve: for each x, the candidates a still alive in a
-    placement are tested against every z, a block of them per step, and each
-    is dropped only on a failing pair, so the survivors are exactly that
-    nucleus.
+    Here Z(Q) = N_lambda = {a : (ax)y = a(xy) for all x, y}.  Q is its own
+    opposite, so N_lambda = N_rho; for a in both, (xa)y = (ax)y = a(xy) =
+    a(yx) = (ay)x = x(ay), so a lies in N_mu too, and it commutes.  N_lambda
+    is closed under products: for a, b in it, ((ab)x)y = (a(bx))y =
+    a((bx)y) = a(b(xy)) = (ab)(xy).  So it is a subloop, an abelian group.
+    1. Sieve: a candidate a != 0 is dropped on a failing pair (x, y), for x
+       a greedy generator of Q, all candidates at once, a block per step.
+       Only failing candidates go, so Z(Q) survives.
+    2. The least survivor not known to be central takes the full n^2 test.
+    3. One that passes joins the generators of the known central subgroup
+       K, which is closed under products.  One that fails takes its coset
+       aK with it: ak central for a k in K would make a = (ak)/k central.
+    Steps 2 and 3 repeat until every survivor is in K, so K = Z(Q), and
+    each generator of Z(Q) costs one n^2 scan.
     """
+    _require_commutative(q, "the center")
     t, n = q.tbl, q.n
-    as_tuple = lambda m: tuple(int(i) for i in np.nonzero(m)[0])
-    if q.is_commutative():
-        # Z(Q) = N_lambda here, as N_lambda = N_rho lies in N_mu; and a is in N_lambda
-        # exactly when every R_{x,y} fixes a, since R_{x,y}(a) = a means (ax)y = a(xy)
-        fixed = (_inner_maps(q, "L", n - 1, np.arange(1, min(4, n))) == np.arange(n)).all(axis=0)
-        for g in q.inner_generators if fixed[1:].any() else ():
-            fixed &= g == np.arange(n)
-        return LoopCenterData(tuple(range(n)), as_tuple(fixed), as_tuple(fixed))
-    comm_mask = (t == t.T).all(axis=1)
-    placements = (  # (x, a) -> rows a of z: the two sides of the associator law
-        lambda x, a: (t[t[a, x], :], t[a][:, t[x]]),        # (a x) z = a (x z)
-        lambda x, a: (t[t[x, a], :], t[x][t[a]]),           # (x a) z = x (a z)
-        lambda x, a: (t[t[x][None, :], a[:, None]], t[x][t[:, a].T]),  # (x z) a = x (z a)
-    )
-    left, mid, right = (np.ones(n, dtype=bool) for _ in placements)
-    for x in range(n):
-        for alive, sides in zip((left, mid, right), placements):
-            cand = np.flatnonzero(alive)
-            for r in row_blocks(cand.size, n):
-                a = cand[r]
-                alive[a] = np.equal(*sides(x, a)).all(axis=1)
-    nucleus_mask = left & mid & right
-    center_mask = comm_mask & nucleus_mask
-    return LoopCenterData(as_tuple(comm_mask), as_tuple(nucleus_mask), as_tuple(center_mask))
+    alive = np.ones(n, dtype=bool)
+    for x in _greedy_generators(n, lambda a, b: t[a, b]):
+        cand = np.flatnonzero(alive[1:]) + 1
+        for r in row_blocks(cand.size) if x else ():  # (a0)y = a(0y) for every a
+            a = cand[r]
+            alive[a] = (t[t[a, x]] == t[a][:, t[x]]).all(axis=1)
+        if not alive[1:].any():
+            break
+    central, gens = np.arange(n) == 0, []
+    while (rest := np.flatnonzero(alive & ~central)).size:
+        a = int(rest[0])
+        if first_false_rows(n, lambda r: t[t[a, r]] == t[a][t[r]]) is None:  # (ax)y = a(xy), rows x
+            gens.append(a)
+            central[list(subgroup_closure(t, gens)[0])] = True
+        else:
+            alive[t[a, central]] = False
+    return tuple(np.flatnonzero(central).tolist())
 
 
 def quotient_loop(q: Loop, members: Sequence[int]) -> tuple[Loop, np.ndarray]:
@@ -516,9 +501,9 @@ def quotient_loop(q: Loop, members: Sequence[int]) -> tuple[Loop, np.ndarray]:
     s = sorted(set(int(m) for m in members))
     if 0 not in s:
         raise ConstructionError("central subloop must contain the identity")
-    cdata = q.center_data
+    z = set(q.center)
     for a in s:
-        if a not in cdata.center:
+        if a not in z:
             raise ConstructionError(f"element {q.label(a)} is not central")
     inv = q.inverse
     if inv is None:
@@ -563,7 +548,7 @@ def loop_nilpotency_class(q: Loop) -> int | None:
     depth = 0
     current = q
     while current.n > 1:
-        z = current.center_data.center
+        z = current.center
         if len(z) == 1:
             return None
         current, _ = quotient_loop(current, z)

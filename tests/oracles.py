@@ -768,8 +768,7 @@ def is_isomorphic(q1: Loop, q2: Loop, budget: int = 2_000_000) -> IsoResult:
     sig1, sig2 = _signatures(q1), _signatures(q2)
     if sorted(sig1) != sorted(sig2):
         return IsoResult("no", certificate="element signature profiles differ")
-    c1, c2 = q1.center_data, q2.center_data
-    if len(c1.center) != len(c2.center):
+    if len(q1.center) != len(q2.center):
         return IsoResult("no", certificate="center sizes differ")
 
     candidates = [[b for b in range(n) if sig2[b] == sig1[a]] for a in range(n)]

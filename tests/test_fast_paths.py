@@ -9,14 +9,17 @@ witnesses, tables and error messages must agree exactly, so the fast paths
 keep the least witness.  The orbit walk of the translation is checked against
 the pointer doubling it replaced when |LMlt| is odd, and the loops with even
 |LMlt| are pinned to the doubling.  The closed-form L maps compared on
-generators are checked against the comparison of every x.  The stabilizer chain of Mlt is checked
-against the multiplication group closed element by element.  Random
-Latin-square loops check the closure lemmas behind the generator tests and
-include loops in which the operation matters.
+generators are checked against the comparison of every x.  The stabilizer
+chain of the left translations is checked against the group they generate,
+closed element by element.  The center of a commutative loop is checked
+with and without its sieve.  Random Latin-square loops check the closure
+lemmas behind the generator tests and include loops in which the operation
+matters, or the sieve keeps a candidate that is not central.
 """
 
 import itertools
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +30,7 @@ from oracles import Permutation
 from gamma_forge.catalog import CATALOG_SPECS
 from gamma_forge import checks, constructions, core
 from gamma_forge.constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, loop_sqrt_table, oplus_loop
-from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, left_power_walk
+from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, GammaForgeError, left_power_walk
 from gamma_forge import loops
 from gamma_forge.groups import Group, construct
 from gamma_forge.loops import (
@@ -92,10 +95,15 @@ def twisted_loop(seed, m, k):
 
 
 def assert_inner_scans_match_references(t):
-    """The inner-mapping scan and, at odd order, the Bruck -> Gamma translation."""
+    """The inner-mapping scan of a commutative loop (a noncommutative one is
+    refused) and, at odd order, the Bruck -> Gamma translation."""
     q = Loop(CayleyTable(t))
-    w = oracles.automorphic_scan(t)
-    assert is_automorphic(q) == AutomorphicVerdict("true" if w is None else "false", w)
+    if (t == t.T).all():
+        w = oracles.automorphic_scan(t)
+        assert is_automorphic(q) == AutomorphicVerdict("true" if w is None else "false", w)
+    else:
+        with pytest.raises(GammaForgeError, match="commutative loops only"):
+            is_automorphic(q)
     if len(t) % 2 == 0:
         return
     table, message = oracles.gamma_from_bruck_scan(t)
@@ -108,10 +116,23 @@ def assert_inner_scans_match_references(t):
 
 
 def assert_matches_references(t):
-    q = Loop(CayleyTable(t))
-    data = q.center_data
-    assert (data.commutant, data.nucleus, data.center) == oracles.center_scan(t)
+    assert_center_matches_reference(t)
     assert_identity_scans_match_references(t)
+
+
+def assert_center_matches_reference(t):
+    """The center of a commutative loop, with and without the sieve: the sieve
+    only screens, so the closure alone must reach the same center.  A
+    noncommutative loop is refused."""
+    if not (t == t.T).all():
+        with pytest.raises(GammaForgeError, match="commutative loops only"):
+            loop_center(Loop(CayleyTable(t)))
+        return
+    z = oracles.center_scan(t)[2]
+    assert Loop(CayleyTable(t)).center == z
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(loops, "_greedy_generators", lambda n, op: iter(()))
+        assert loop_center(Loop(CayleyTable(t))) == z
 
 
 def assert_identity_scans_match_references(t):
@@ -182,7 +203,7 @@ def test_random_loops_fail_p_map_and_match_references(seed, m, k, odd):
 
 def test_small_row_blocks_match_references(monkeypatch):
     # blocks of 3 rows of n cells, in the loop builds and the scans, put most
-    # witnesses and dropped nucleus candidates past the first block, which the
+    # witnesses and dropped center candidates past the first block, which the
     # default budget of cells reaches only above order 128
     tables = [relabel(cocycle_loop(seed, m, k, odd), seed) for seed, m, k, odd in RANDOM_LOOPS]
     for spec in ("sd:7:3:2", "wr:3", "heis:3", "sd:11:5:3"):
@@ -236,14 +257,12 @@ def test_twisted_loops_match_references(seed, m, k):
         assert_inner_scans_match_references(relabel(t, s))
 
 
-def test_twisted_loops_reach_even_orders_and_late_witnesses():
-    # the inputs above must exercise both translation outcomes, and inner-map
-    # failures found only after whole blocks of passing maps
+def test_twisted_loops_reach_even_orders():
+    # the inputs above must exercise both translation outcomes
     outcomes = [oracles.gamma_from_bruck_scan(twisted_loop(*p))[1] for p in TWISTED_LOOPS]
     assert outcomes[0] is None
     assert outcomes[2] == "translation commutator at (3,6) has even order 6"
     assert "has even order 30" in outcomes[5]
-    assert all(oracles.automorphic_scan(twisted_loop(*p))[1] > 1 for p in TWISTED_LOOPS)
 
 
 # left Bruck loops with |LMlt| odd: oplus (the Bruck partner of circ) of the
@@ -337,21 +356,27 @@ def test_roundtrip_at_order_729():
 
 def test_hash_collisions_never_skip_a_map(monkeypatch):
     # with zero weights every map has hash 0, so only exact comparison with
-    # the first map tells maps apart
+    # the first map tells maps apart; in the products with circ(sd:7:3:2)
+    # the first failing map comes after the maps of 21 passing x
     monkeypatch.setattr(loops, "_MAP_HASH_WEIGHTS", np.zeros_like(loops._MAP_HASH_WEIGHTS))
-    tables = [relabel(twisted_loop(seed, m, k), seed) for seed, m, k in TWISTED_LOOPS[:4]]
-    tables += [relabel(cocycle_loop(seed, m, k, odd), seed) for seed, m, k, odd in RANDOM_LOOPS[:3]]
-    tables += [circ_loop(group("sd:7:3:2")).tbl, relabel(oplus_loop(group("sd:7:3:2")).tbl, 3),
-               oplus_loop(group("wr:3")).tbl]
+    circ = circ_loop(group("sd:7:3:2")).tbl
+    tables = [relabel(latin_loop(seed, commutative=True), seed) for seed in (0, 2, 4)]
+    tables += [circ] + [product_loop(circ, latin_loop(seed, commutative=True)) for seed in (1, 9)]
+    witnesses = []
     for t in tables:
-        w = oracles.automorphic_scan(t)
-        assert is_automorphic(Loop(CayleyTable(t))).witness == w
+        witnesses.append(oracles.automorphic_scan(t))
+        assert is_automorphic(Loop(CayleyTable(t))).witness == witnesses[-1]
+    assert witnesses[3] is None and witnesses[4][1] == witnesses[5][1] == 21
 
 
 @pytest.mark.parametrize("spec,witness", [("sd:7:3:2", ("R", 1, 7, 7, 7)), ("wr:3", ("T", 1, -1, 27, 27))])
 def test_oplus_inner_map_witnesses(spec, witness):
-    v = is_automorphic(oplus_loop(group(spec)))
-    assert (v.status, v.witness) == ("false", witness)
+    # R and T witnesses need a noncommutative loop: the oracle finds them,
+    # and is_automorphic, which decides commutative loops, refuses the loop
+    t = oplus_loop(group(spec)).tbl
+    assert oracles.automorphic_scan(t) == witness
+    with pytest.raises(GammaForgeError, match="commutative loops only"):
+        is_automorphic(Loop(CayleyTable(t)))
 
 
 def mlt_case(case):
@@ -366,30 +391,32 @@ MLT_CASES = [(kind, spec) for spec in SMALL_SPECS if group(spec).order <= 27
              for kind in ("circ", "oplus")]
 MLT_CASES += [("twisted", 0, 3, 3), ("twisted", 10, 3, 3), ("twisted", 5, 3, 3),
               ("cocycle", 0, 3, 5), ("cocycle", 1, 3, 5, True), ("cocycle", 2, 3, 3)]
-# loops whose left translations generate a proper subgroup of Mlt, so the chain needs the R_x
-NEEDS_RIGHT = [("oplus", "sd:7:3:2"), ("oplus", "sd:7:3:4"), ("twisted", 10, 3, 3)]
+# loops whose left translations generate a proper subgroup of Mlt: the chain is LMlt(Q)
+LMLT_PROPER = [("oplus", "sd:7:3:2"), ("oplus", "sd:7:3:4"), ("twisted", 10, 3, 3)]
 
 
 @pytest.mark.parametrize("case", MLT_CASES, ids=str)
 def test_mlt_chain_matches_extensional_closure(case):
+    # the chain of the L_x is LMlt(Q), which is Mlt(Q) when Q is commutative
     t = mlt_case(case)
     q = Loop(CayleyTable(t))
-    mlt = oracles.multiplication_group(t)
-    inn = oracles.stabilizer_of(mlt, 0)
+    lmlt = oracles.close([Permutation(row) for row in t])
+    if (t == t.T).all():
+        assert lmlt == oracles.multiplication_group(t)
+    if case in LMLT_PROPER:
+        assert len(lmlt) < len(oracles.multiplication_group(t))
     chain = loops.mlt_chain(q)
     assert chain.levels[0].point == 0
-    assert math.prod(len(level.orbit) for level in chain.levels) == len(mlt)
-    if case in NEEDS_RIGHT:
-        assert len(oracles.close([Permutation(row) for row in t])) < len(mlt)
-    inn_gens = [Permutation(p) for p in chain.generators(1)]
-    assert all(p.images[0] == 0 for p in inn_gens)
-    assert oracles.close(inn_gens or [Permutation.identity(q.n)]) == inn
-    # every translation sifts to the identity; a permutation outside Mlt does not
-    for p in list(t) + list(t.T):
+    assert math.prod(len(level.orbit) for level in chain.levels) == len(lmlt)
+    stab_gens = [Permutation(p) for p in chain.generators(1)]
+    assert all(p.images[0] == 0 for p in stab_gens)
+    assert oracles.close(stab_gens or [Permutation.identity(q.n)]) == oracles.stabilizer_of(lmlt, 0)
+    # every left translation sifts to the identity; a permutation outside LMlt does not
+    for p in t:
         h, level = chain.sift(p.astype(chain.identity.dtype))
         assert level == len(chain.levels) and (h == chain.identity).all()
-    if len(mlt) < math.factorial(q.n):
-        outside = next(p for p in itertools.permutations(range(q.n)) if Permutation(p) not in mlt)
+    if len(lmlt) < math.factorial(q.n):
+        outside = next(p for p in itertools.permutations(range(q.n)) if Permutation(p) not in lmlt)
         h, level = chain.sift(np.array(outside, dtype=chain.identity.dtype))
         assert level < len(chain.levels) or (h != chain.identity).any()
 
@@ -503,8 +530,7 @@ def test_random_latin_loops_match_references(seed):
     assert is_power_associative(Loop(CayleyTable(t))) == oracles.power_associative_scan(t)
 
 
-# seeds whose backtracking ends quickly (seed 7 takes about 9 s); the loops of
-# seeds 6, 9 and 11 need the chain for their centers, the others do not
+# seeds whose backtracking ends quickly (seed 7 takes about 9 s)
 COMMUTATIVE_LATIN_SEEDS = [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13]
 
 
@@ -551,14 +577,56 @@ def test_moufang_closure_matches_the_scan():
 
 
 def test_random_loops_are_decided_without_their_chain():
-    # the first inner maps refute these loops and leave only 0 as a candidate
-    # for the center, so the chain of Mlt(Q), all of S_n for most random loops,
-    # is never built (for a random loop of order 64 it takes about 5 s)
-    for t in (twisted_loop(3, 11, 11), latin_loop(0, commutative=True), latin_loop(13, commutative=True)):
+    # the first inner maps refute these loops, so the chain of Mlt(Q), all of
+    # S_n for most random loops, is never built (for a random loop of order
+    # 64 it takes about 5 s); no center builds it
+    for t in (latin_loop(0, commutative=True), latin_loop(13, commutative=True)):
         q = Loop(CayleyTable(t))
         assert is_automorphic(q).witness == oracles.automorphic_scan(t)
-        assert loop_center(q).center == oracles.center_scan(t)[2]
+        assert loop_center(q) == oracles.center_scan(t)[2]
         assert "inner_generators" not in q.__dict__
+    for spec, size in (("ut:4:3", 27), ("sd:997:3:304", 1)):
+        q = circ_loop(group(spec))
+        assert len(loop_center(q)) == size
+        assert "inner_generators" not in q.__dict__
+
+
+def center_full_tests(q, monkeypatch):
+    """loop_center(q) and the results of the full n^2 tests it runs: the
+    calls of first_false_rows made from loop_center itself."""
+    tests, real = [], loops.first_false_rows
+
+    def spy(*args):
+        w = real(*args)
+        if sys._getframe(1).f_code.co_name == "loop_center":
+            tests.append(w)
+        return w
+
+    monkeypatch.setattr(loops, "first_false_rows", spy)
+    return loop_center(q), tests
+
+
+def test_center_closure_runs_one_full_test_per_generator(monkeypatch):
+    # Z(circ(ut:4:3)) is Z_3^3: 26 candidates survive the sieve, and the
+    # closure takes all but the 3 that generate Z(Q) with no test of their
+    # own (a center without the closure runs 26)
+    q = circ_loop(group("ut:4:3"))
+    z, tests = center_full_tests(q, monkeypatch)
+    assert len(z) == 27 and tests == [None] * 3
+    assert len(core.subgroup_closure(q.tbl, z)[1]) == 3
+
+
+# in these random commutative loops the sieve leaves a candidate that is not
+# central, and only its full test refutes it
+SIEVE_MISLEADS = [114, 178]
+
+
+@pytest.mark.parametrize("seed", SIEVE_MISLEADS)
+def test_center_sieve_survivors_take_the_full_test(seed, monkeypatch):
+    t = latin_loop(seed, commutative=True)
+    z, tests = center_full_tests(Loop(CayleyTable(t)), monkeypatch)
+    assert z == oracles.center_scan(t)[2]
+    assert any(w is not None for w in tests)
 
 
 def test_random_latin_loops_tell_the_operations_apart():
@@ -837,9 +905,8 @@ def test_closed_form_fast_path_needs_an_automorphic_loop(spec, scans):
     g = group(spec)
     q, nH = oplus_loop(g), g.sd_spec.nH
     Ls = oracles.inner_generators(q.tbl).Ls
-    verdict = is_automorphic(q)
-    assert not verdict.is_true
-    w = checks._lmap_witness(q, lambda f, f2: Ls[f * nH, f2 * nH:(f2 + 1) * nH], nH, verdict.is_true)
+    assert oracles.automorphic_scan(q.tbl) is not None
+    w = checks._lmap_witness(q, lambda f, f2: Ls[f * nH, f2 * nH:(f2 + 1) * nH], nH, False)
     firsts = [(x, *np.argwhere(Ls[x] != Ls[x // nH * nH])[0]) for x in range(q.n)
               if (Ls[x] != Ls[x // nH * nH]).any()]
     assert scans == ["whole"] and w == firsts[0]
@@ -852,7 +919,7 @@ def test_generator_compare_misleads_without_automorphisms():
     q = Loop(CayleyTable(twisted_loop(5, 3, 5)))
     Ls = oracles.inner_generators(q.tbl).Ls
     gens = [a for a in loops._greedy_generators(q.n, lambda a, b: q.tbl[a, b]) if a]
-    assert gens == [1, 3] and not is_automorphic(q).is_true
+    assert gens == [1, 3] and oracles.automorphic_scan(q.tbl) is not None
     assert (Ls[13][:, gens] == Ls[12][:, gens]).all() and not (Ls[13] == Ls[12]).all()
 
 

@@ -487,7 +487,7 @@ def test_subgroup_closure_matches_the_frontier_closure():
         rng = random.Random(spec)
         seeds += [rng.choices(range(g.order), k=k) for k in (0, 1, 1, 2, 3)] + [[0, 0]]
         for seed in seeds:
-            members, gens = subgroup_closure(g, seed)
+            members, gens = subgroup_closure(g.tbl, seed)
             assert members == oracles.subgroup_closure(g, seed), (spec, seed)
             assert set(gens) <= set(seed) and oracles.subgroup_closure(g, gens) == members
 

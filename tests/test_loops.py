@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from oracles import Permutation, is_isomorphic, translation
-from gamma_forge.core import CayleyTable, ConstructionError, divide_rows
+from gamma_forge.core import CayleyTable, ConstructionError, GammaForgeError, divide_rows
 from gamma_forge.groups import construct, cyclic, direct, upper_central_series
 from gamma_forge.constructions import circ_loop, oplus_loop
 from gamma_forge.loops import (
@@ -112,13 +112,12 @@ def test_automorphic_wreath(q81):
     assert is_automorphic(q81).is_true
 
 
-def test_automorphic_finds_witness():
-    # the oplus loop of a non-2-Engel group is Bruck but not automorphic here
+def test_noncommutative_loops_are_refused():
+    # the oplus loop of a non-2-Engel group is a noncommutative Bruck loop
     op = oplus_loop(construct("sd:7:3:2"))
-    v = is_automorphic(op)
-    assert v.status == "false"
-    kind, x, y, u, w = v.witness
-    assert kind in ("L", "R", "T")
+    for decide in (is_automorphic, loop_center):
+        with pytest.raises(GammaForgeError, match="commutative loops only"):
+            decide(op)
 
 
 def test_automorphic_matches_extensional_inner_oracle(q21):
@@ -150,24 +149,24 @@ def test_stabilizer_equals_standard_generator_closure(q21):
 
 
 def test_loop_center_of_group_is_group_center():
+    # heis:3 is not commutative, so the oracle gives its loop center
     g = construct("heis:3")
-    data = loop_center(Loop(g.table))
     from gamma_forge.groups import center
-    assert set(data.center) == set(center(g).members)
+    assert set(oracles.center_scan(g.tbl)[2]) == set(center(g).members)
 
 
 def test_loop_center_wreath(q81):
     w = construct("wr:3")
-    data = loop_center(q81)
-    assert len(data.center) == 9
+    z = loop_center(q81)
+    assert len(z) == 9
     zeta2 = upper_central_series(w)[2].members
-    assert set(data.center) == set(zeta2)
+    assert set(z) == set(zeta2)
     # independent oracle on labeled pairs
-    assert {oracles.P81[i] for i in data.center} == set(oracles.second_center81())
+    assert {oracles.P81[i] for i in z} == set(oracles.second_center81())
 
 
 def test_loop_center_group21_trivial(q21):
-    assert loop_center(q21).center == (0,)
+    assert loop_center(q21) == (0,)
 
 
 def test_quotient_abelian():
@@ -180,7 +179,7 @@ def test_quotient_abelian():
 
 
 def test_quotient_wreath_center(q81):
-    z = loop_center(q81).center
+    z = loop_center(q81)
     quot, _ = quotient_loop(q81, z)
     assert quot.n == 9
     assert quot.is_associative()[0]
