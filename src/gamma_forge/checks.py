@@ -327,9 +327,9 @@ def _check_class3(ctx: CheckContext) -> Outcome:
     zeta2, lc = ctx.second_center, ctx.circ_center
     if set(zeta2) != set(lc):
         return _predicted(False, f"|second center|={len(zeta2)} but |loop center|={len(lc)}")
-    quotient, _ = quotient_loop(ctx.circ, lc)
+    quotient, _ = quotient_loop(ctx.circ)
     assoc, w = quotient.is_associative()
-    commutative = quotient.is_commutative()
+    commutative = quotient.commutativity is None
     quotient_cls = loop_nilpotency_class(quotient)  # the circ loop's class is one more
     loop_cls = None if quotient_cls is None else quotient_cls + 1
     ok = assoc and commutative and loop_cls == 2

@@ -8,6 +8,8 @@ Two ways to deform a group product into a commutative loop:
 plus the translation between the two loop varieties in both directions.
 Everything is validated at construction: loop-ness, commutativity, the
 automorphic inverse property, and power coincidence with the source group.
+The loop keeps each law verdict it scans, so the checks that read one later
+(the axiom block, Moufang, left Bruck, the center) do not scan it again.
 """
 
 from __future__ import annotations
@@ -19,23 +21,14 @@ import numpy as np
 from .core import (CayleyTable, ConstructionError, EvenOrderError, GammaForgeError,
                    build_table, divide_rows, left_power_walk, row_blocks)
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
-from .loops import (
-    Loop,
-    aip_witness,
-    check_gamma_axioms,
-    commutativity_witness,
-    is_left_bruck,
-    is_power_associative,
-    mlt_chain,
-    powers_coincide,
-)
+from .loops import Loop, check_gamma_axioms, is_left_bruck, mlt_chain, powers_coincide
 
 
 def _provenance(g: AnyGroup, construction: str) -> dict:
     return {"source": g.source_spec or g.name, "construction": construction}
 
 
-def circ_loop(g: AnyGroup, check: bool = True) -> Loop:
+def circ_loop(g: AnyGroup) -> Loop:
     """The commutative loop with product x*y*sqrt([y,x]) on a uniquely
     2-divisible group.
 
@@ -50,12 +43,11 @@ def circ_loop(g: AnyGroup, check: bool = True) -> Loop:
     table = build_table(g.order, lambda x, y: t[t[x, y], s[g.commutator(y, x)]],
                         name=f"circ({g.name})", element_names=g.table.element_names)
     q = Loop(table, source=_provenance(g, "circ"))
-    if check:
-        _validate_constructed(g, q, require_commutative=True)
+    _validate_constructed(g, q, require_commutative=True)
     return q
 
 
-def oplus_loop(g: AnyGroup, check: bool = True) -> Loop:
+def oplus_loop(g: AnyGroup) -> Loop:
     """The loop with product sqrt(x*y^2*x) on a uniquely 2-divisible group.
 
     The left Bruck identity is a property check left to callers; construction
@@ -68,8 +60,7 @@ def oplus_loop(g: AnyGroup, check: bool = True) -> Loop:
     table = build_table(g.order, lambda x, y: s[t[t[x, sq[y]], x]],  # sqrt((x y^2) x)
                         name=f"oplus({g.name})", element_names=g.table.element_names)
     q = Loop(table, source=_provenance(g, "oplus"))
-    if check:
-        _validate_constructed(g, q, require_commutative=False)
+    _validate_constructed(g, q, require_commutative=False)
     return q
 
 
@@ -77,14 +68,12 @@ def _validate_constructed(g: Group, q: Loop, require_commutative: bool):
     if q.mul(0, 0) != 0:
         raise ConstructionError("constructed loop lost the source identity")
     if require_commutative:
-        w = commutativity_witness(q.tbl)
-        if w is not None:
-            raise ConstructionError(f"constructed table not commutative at {w}")
+        if q.commutativity is not None:
+            raise ConstructionError(f"constructed table not commutative at {q.commutativity}")
         if q.inverse is None:
             raise ConstructionError("constructed loop lacks two-sided inverses")
-        w = aip_witness(q)
-        if w is not None:
-            raise ConstructionError(f"automorphic inverse property fails at {w}")
+        if q.aip is not None:
+            raise ConstructionError(f"automorphic inverse property fails at {q.aip}")
     ok, w = powers_coincide(g, q)
     if not ok:
         raise ConstructionError(f"powers disagree with the source group at {w}")
@@ -92,7 +81,7 @@ def _validate_constructed(g: Group, q: Loop, require_commutative: bool):
 
 def loop_sqrt_table(q: Loop) -> np.ndarray:
     """Elementwise square roots x^((m+1)/2) in an odd-order power-associative loop."""
-    ok, bad = is_power_associative(q)
+    ok, bad = q.power_associativity
     if not ok:
         raise ConstructionError(f"loop is not power-associative at element {q.label(bad)}")
     orders, roots, _ = left_power_walk(q.tbl)

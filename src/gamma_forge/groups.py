@@ -53,9 +53,8 @@ class SpecParseError(GammaForgeError):
 class Group:
     """A finite group given by a verified Cayley table with identity 0."""
 
-    def __init__(self, table: CayleyTable, check: bool = True,
-                 source_spec: str | None = None, notes: Sequence[str] = (),
-                 gens: Sequence[int] = ()):
+    def __init__(self, table: CayleyTable, source_spec: str | None = None,
+                 notes: Sequence[str] = (), gens: Sequence[int] = ()):
         self.table = table
         self.tbl = table.table
         self.order = table.n
@@ -64,8 +63,7 @@ class Group:
         self.source_spec = source_spec
         self.notes = tuple(notes)
         self.sd_spec: "SemidirectSpec | None" = None
-        if check:
-            self._verify()
+        self._verify()
         # inverse of x is the unique y with x*y = 0; rows are permutations
         self.inverse = row_zeros(self.tbl)
         self.inverse.setflags(write=False)

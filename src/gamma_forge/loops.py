@@ -7,7 +7,9 @@ chain, and, for commutative loops, automorphicity of the inner mappings, the
 loop center, central quotients and loop nilpotency.  All scans are
 exhaustive with lexicographically least witnesses.  Associativity, the P-map
 and left Bol identities and the center are tested only on a generating set:
-the elements that pass each are closed under an operation.
+the elements that pass each are closed under an operation.  A Loop scans
+commutativity, automorphic inverses and power associativity once each and
+keeps the verdicts; central quotients are read off the center's cosets.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -40,16 +41,18 @@ from .core import (
 
 
 class Loop:
-    """A loop table (Latin, two-sided identity at 0) with cached structure."""
+    """A loop table (Latin, two-sided identity at 0) with cached structure.
 
-    def __init__(self, table: CayleyTable, source: dict | None = None, check: bool = True):
+    Its law verdicts (commutativity, automorphic inverses, power
+    associativity), its inverses and its center are each decided on first
+    read and kept: construction validation and every check read them here."""
+
+    def __init__(self, table: CayleyTable, source: dict | None = None):
         cls = table.classification
-        if check:
-            if not cls.is_loop:
-                raise ConstructionError(f"not a loop: {cls.witness}")
-            if cls.identity_index != 0:
-                raise ConstructionError(
-                    f"identity must be at index 0, found {cls.identity_index}")
+        if not cls.is_loop:
+            raise ConstructionError(f"not a loop: {cls.witness}")
+        if cls.identity_index != 0:
+            raise ConstructionError(f"identity must be at index 0, found {cls.identity_index}")
         self.table = table
         self.tbl = table.table
         self.n = table.n
@@ -81,8 +84,20 @@ class Loop:
             return self.right_inverses
         return None
 
-    def is_commutative(self) -> bool:
-        return commutativity_witness(self.tbl) is None
+    @cached_property
+    def commutativity(self) -> tuple[int, int] | None:
+        """Least (x, y) with xy != yx, or None."""
+        return commutativity_witness(self.tbl)
+
+    @cached_property
+    def aip(self) -> tuple[int, int] | None:
+        """Least (x, y) with (xy)^-1 != x^-1 y^-1, or None; needs two-sided inverses."""
+        return aip_witness(self)
+
+    @cached_property
+    def power_associativity(self) -> tuple[bool, int | None]:
+        """(True, None), or (False, x) for the least x generating a nonassociative submagma."""
+        return is_power_associative(self)
 
     def is_associative(self) -> tuple[bool, tuple[int, int, int] | None]:
         """Exhaustive associativity test with least witness triple."""
@@ -210,30 +225,16 @@ class GammaVerdict:
             self.inverse_translations_commute, self.p_map_identity))
 
 
-def check_gamma_axioms(q: Loop | CayleyTable) -> GammaVerdict:
+def check_gamma_axioms(q: Loop) -> GammaVerdict:
     """Exhaustively check the four defining axioms of the target loop variety.
 
     Axioms: commutativity; automorphic inverse property (xy)^-1 = x^-1 y^-1;
     L_x and L_{x^-1} commute; and P_x P_y P_x = P_{yP_x} for the permutation
     P_x = R_x L_{x^-1}^{-1}.  When commutativity holds, P is read in the equal
-    form P_x = L_x L_{x^-1}^{-1}.
-
-    A Latin table without a two-sided identity still gets a commutativity
-    verdict; the inverse-dependent axioms come back inapplicable.
+    form P_x = L_x L_{x^-1}^{-1}.  The first two are the loop's cached verdicts.
     """
-    if isinstance(q, CayleyTable):
-        cls = q.classification
-        if not cls.is_latin:
-            raise ConstructionError(f"not a quasigroup: {cls.witness}")
-        if not cls.is_loop:
-            w = commutativity_witness(q.table)
-            gamma1 = AxiomVerdict(w is None, w)
-            na = AxiomVerdict(None, cls.witness)
-            return GammaVerdict(gamma1, na, na, na)
-        q = Loop(q)
     t = q.tbl
-    w = commutativity_witness(t)
-    gamma1 = AxiomVerdict(w is None, w)
+    gamma1 = AxiomVerdict(q.commutativity is None, q.commutativity)
 
     inv = q.inverse
     if inv is None:
@@ -242,8 +243,7 @@ def check_gamma_axioms(q: Loop | CayleyTable) -> GammaVerdict:
         na = AxiomVerdict(None, witness)
         return GammaVerdict(gamma1, na, na, na)
 
-    w = aip_witness(q)
-    gamma2 = AxiomVerdict(w is None, w)
+    gamma2 = AxiomVerdict(q.aip is None, q.aip)
 
     # [x, u] -> x^-1 (x u) against x (x^-1 u)
     w = first_false_rows(q.n, lambda r: t[inv[r, None], t[r]] == np.take_along_axis(t[r], t[inv[r]], 1))
@@ -271,7 +271,7 @@ def is_moufang(q: Loop) -> tuple[bool, tuple[int, int, int] | None]:
     1990): there the left Bol closure decides, and only a failure is scanned."""
     t = q.tbl  # [y, z] -> (xy)(zx) against x((yz)x)
     sides = lambda x, ys: (t[t[x, ys]][:, t[:, x]], t[x][t[t[ys], x]])
-    if commutativity_witness(t) is None:
+    if q.commutativity is None:
         w = _left_bol_witness(t, sides)
     else:
         w = _least_block_witness(q.n, sides)
@@ -284,9 +284,8 @@ def is_left_bruck(q: Loop) -> tuple[bool, object | None]:
     if inv is None:
         bad = first_false(q.right_inverses == q.left_inverses)
         return False, f"element {q.label(bad[0])} has no two-sided inverse"
-    w = aip_witness(q)
-    if w is not None:
-        return False, ("aip", w[0], w[1])
+    if q.aip is not None:
+        return False, ("aip", *q.aip)
     w = _left_bol_witness(q.tbl)
     return w is None, w
 
@@ -339,7 +338,7 @@ def powers_coincide(g, q: Loop) -> tuple[bool, tuple[int, int] | None]:
     """
     if g.order != q.n:
         raise ValueError("group and loop must share one element set")
-    ok, bad = is_power_associative(q)
+    ok, bad = q.power_associativity
     if not ok:
         return False, (bad, -1)
     differ = left_power_walk(g.tbl, q.tbl)[2]
@@ -393,7 +392,7 @@ class AutomorphicVerdict:
 
 
 def _require_commutative(q: Loop, what: str) -> None:
-    if not q.is_commutative():
+    if q.commutativity is not None:
         raise GammaForgeError(f"{what} is decided for commutative loops only; {q.name} is not commutative")
 
 
@@ -491,55 +490,30 @@ def loop_center(q: Loop) -> tuple[int, ...]:
     return tuple(np.flatnonzero(central).tolist())
 
 
-def quotient_loop(q: Loop, members: Sequence[int]) -> tuple[Loop, np.ndarray]:
-    """Quotient by a central subloop; returns (quotient, element -> block map).
+def quotient_loop(q: Loop) -> tuple[Loop, np.ndarray]:
+    """The quotient of q by its center Z; returns (quotient, element -> coset map).
 
-    Verifies the subloop is central, closed under product and inverses, that
-    its cosets partition the loop, and that the quotient cell values are
-    well-defined; any failure carries a witness.
+    loop_center proves Z a central subgroup, so the cosets xZ partition Q
+    and (xZ)(yZ) = (xy)Z.  Each coset is named by its least element, the
+    minimum of xZ (a block of rows x per step): the representatives r_i are
+    the x with min xZ = x, ascending, and cell (i, j) is the coset of
+    r_i r_j.  One cross-assert on every cell, that the coset of xy is the
+    cell of the cosets of x and y, and that each coset holds |Z| elements,
+    catches an inconsistency.
     """
-    s = sorted(set(int(m) for m in members))
-    if 0 not in s:
-        raise ConstructionError("central subloop must contain the identity")
-    z = set(q.center)
-    for a in s:
-        if a not in z:
-            raise ConstructionError(f"element {q.label(a)} is not central")
-    inv = q.inverse
-    if inv is None:
-        raise ConstructionError("quotient needs two-sided inverses")
-    sset = set(s)
-    for a in s:
-        if int(inv[a]) not in sset:
-            raise ConstructionError(f"subloop not closed under inverse at {q.label(a)}")
-        for b in s:
-            if q.mul(a, b) not in sset:
-                raise ConstructionError(
-                    f"subloop not closed under product at ({q.label(a)},{q.label(b)})")
-    n = q.n
-    block_of = -np.ones(n, dtype=np.int32)
-    reps = []
-    for a in range(n):
-        if block_of[a] >= 0:
-            continue
-        blk = q.tbl[a, s]
-        if (block_of[blk] >= 0).any():
-            c = int(blk[int(np.argmax(block_of[blk] >= 0))])
-            raise ConstructionError(
-                f"cosets do not partition: {q.label(c)} lies in two blocks")
-        block_of[blk] = len(reps)
-        reps.append(a)
+    t, n, z = q.tbl, q.n, np.array(q.center)
+    least = np.concatenate([t[r][:, z].min(axis=1) for r in row_blocks(n, len(z))])
+    reps = np.flatnonzero(least == np.arange(n))
     m = len(reps)
-    qt = np.empty((m, m), dtype=element_dtype(m))
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            blk_vals = block_of[q.tbl[np.ix_(q.tbl[a, s], q.tbl[b, s])]]
-            if not (blk_vals == blk_vals.reshape(-1)[0]).all():
-                raise ConstructionError(
-                    f"quotient cell ({i},{j}) is not well-defined")
-            qt[i, j] = blk_vals.reshape(-1)[0]
-    names = [q.label(a) + "*S" for a in reps]
-    table = CayleyTable(qt, name=f"{q.name}/S", element_names=names)
+    if m * len(z) != n or (np.bincount(least)[reps] != len(z)).any():
+        raise GammaForgeError("internal inconsistency: the cosets of the center do not partition the loop")
+    block_of = np.searchsorted(reps, least).astype(np.int32)
+    qt = block_of[t[reps[:, None], reps]].astype(element_dtype(m))
+    w = first_false_rows(n, lambda r: block_of[t[r]] == qt[block_of[r, None], block_of])
+    if w is not None:
+        raise GammaForgeError(f"internal inconsistency: the quotient by the center is not "
+                              f"well defined at ({q.label(w[0])},{q.label(w[1])})")
+    table = CayleyTable(qt, name=f"{q.name}/S", element_names=[q.label(a) + "*S" for a in reps.tolist()])
     return Loop(table, source={"construction": "quotient", "of": q.name}), block_of
 
 
@@ -548,9 +522,8 @@ def loop_nilpotency_class(q: Loop) -> int | None:
     depth = 0
     current = q
     while current.n > 1:
-        z = current.center
-        if len(z) == 1:
+        if len(current.center) == 1:
             return None
-        current, _ = quotient_loop(current, z)
+        current, _ = quotient_loop(current)
         depth += 1
     return depth

@@ -256,6 +256,29 @@ def center_scan(t):
     return tuple(comm), tuple(nuc), tuple(a for a in comm if a in nuc)
 
 
+def central_quotient_scan(t, z):
+    """(table, block_of, representatives) of the quotient of a loop table t by
+    its central subloop z, by definition: the cosets {a c : c in z}, each
+    formed from the least element a not yet in a coset, and the cell of two
+    cosets the one coset holding every product of their members (asserted)."""
+    n = len(t)
+    block_of, cosets = [-1] * n, []
+    for a in range(n):
+        if block_of[a] < 0:
+            coset = {int(t[a, c]) for c in z}
+            assert len(coset) == len(z) and all(block_of[b] < 0 for b in coset), f"coset of {a} overlaps"
+            for b in coset:
+                block_of[b] = len(cosets)
+            cosets.append(coset)
+    table = np.empty((len(cosets), len(cosets)), dtype=int)
+    for i, ci in enumerate(cosets):
+        for j, cj in enumerate(cosets):
+            cells = {block_of[int(t[a, b])] for a in ci for b in cj}
+            assert len(cells) == 1, f"quotient cell ({i},{j}) is not well defined"
+            table[i, j] = cells.pop()
+    return table, np.array(block_of), [min(c) for c in cosets]
+
+
 def _rdiv(t):
     n = len(t)
     d = np.empty_like(t)

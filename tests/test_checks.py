@@ -87,13 +87,58 @@ def test_verify_scans_powers_once_per_loop(monkeypatch):
     assert sorted(calls) == ["circ(Z7:|Z3(a=2))", "oplus(Z7:|Z3(a=2))"]
 
 
+def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
+    # a Loop keeps its commutativity, automorphic-inverse and power-associativity
+    # verdicts, and construction and every check read them there: no table is
+    # scanned twice for one fact, through any binding of the scan
+    scanned = []  # (fact, table): holding the tables keeps their ids distinct
+
+    def spy(fact, real, table_of):
+        def counting(arg):
+            scanned.append((fact, table_of(arg)))
+            return real(arg)
+        return counting
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("gamma_forge")]
+    for fact, table_of in (("commutativity_witness", lambda t: t), ("aip_witness", lambda q: q.tbl),
+                           ("is_power_associative", lambda q: q.tbl)):
+        real = getattr(loops, fact)
+        counting = spy(fact, real, table_of)
+        for m in modules:
+            for name, value in list(vars(m).items()):
+                if value is real:
+                    monkeypatch.setattr(m, name, counting)
+    for spec, roundtrip_or_quotient in (("sd:7:3:2", "correspondence-roundtrip"), ("wr:3", "class3-center-equality")):
+        g = construct(spec)
+        scanned.clear()
+        report = run_checks(g)
+        assert report.consistent and {c.check_id: c.verdict for c in report.checks}[roundtrip_or_quotient] == "pass"
+        facts = [(fact, id(t)) for fact, t in scanned]
+        assert len(facts) == len(set(facts)), spec
+        # the circ and oplus loops were each scanned, and for wr:3 the commutativity of its order-9 quotient
+        assert sorted((fact, len(t)) for fact, t in scanned) == sorted(
+            [("aip_witness", g.order)] * 2 + [("commutativity_witness", g.order)]
+            + [("is_power_associative", g.order)] * 2 + [("commutativity_witness", 9)] * (spec == "wr:3"))
+    # every reader, called twice on loops built and validated, scans only the two
+    # facts construction leaves open: the oplus loop's commutativity and inverse property
+    circ, oplus = circ_loop(g), oplus_loop(g)
+    scanned.clear()
+    for _ in range(2):
+        for q in (circ, oplus):
+            loops.check_gamma_axioms(q), loops.is_moufang(q), loops.is_left_bruck(q)
+            loops.powers_coincide(g, q), constructions.loop_sqrt_table(q)
+        loops.is_automorphic(circ), loops.loop_center(circ)
+    assert sorted((fact, t is oplus.tbl) for fact, t in scanned) == [("aip_witness", True),
+                                                                      ("commutativity_witness", True)]
+
+
 def test_class3_check_builds_each_central_quotient_once(monkeypatch):
     calls = []
     real = loops.quotient_loop
 
-    def counting(q, members):
+    def counting(q):
         calls.append(q.n)
-        return real(q, members)
+        return real(q)
 
     monkeypatch.setattr(loops, "quotient_loop", counting)
     monkeypatch.setattr(checks, "quotient_loop", counting)

@@ -13,6 +13,7 @@ import pytest
 import gamma_forge
 from gamma_forge import tableio
 from gamma_forge.cli import main
+from gamma_forge.core import CayleyTable
 from gamma_forge.groups import construct
 from gamma_forge.constructions import circ_loop
 
@@ -253,6 +254,17 @@ def test_convert_rejects_bad_precondition(tmp_path, capsys):
                              "--out", str(tmp_path / "x.tbl"))
     assert code == 2
     assert "2-divisible" in err
+
+
+def test_convert_rejects_a_latin_table_without_identity(tmp_path, capsys):
+    # rows are cyclic shifts, 0 is a left identity only: the loop is refused before any axiom is read
+    path = tmp_path / "shifts.tbl"
+    path.write_text(tableio.format_tbl(CayleyTable([[(2 * x + y) % 5 for y in range(5)] for x in range(5)])))
+    code, out, err = run_cli(capsys, "convert", str(path), "--direction", "gamma-to-bruck",
+                             "--out", str(tmp_path / "x.tbl"))
+    assert code == 2 and out == ""
+    assert "not a loop" in err
+    assert not (tmp_path / "x.tbl").exists()
 
 
 def test_table_cap_env(tmp_path, capsys, monkeypatch):

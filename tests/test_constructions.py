@@ -41,7 +41,7 @@ def test_circ_heisenberg_is_abelian_group_of_exponent_3():
     h = heisenberg(3)
     q = circ_loop(h)
     assert q.is_associative()[0]
-    assert q.is_commutative()
+    assert q.commutativity is None
     assert all(oracles.left_power(q, x, 3) == 0 for x in range(q.n))
 
 
