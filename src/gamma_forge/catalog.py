@@ -48,7 +48,7 @@ def survey_row(g: AnyGroup) -> SurveyRow:
     row.metabelian = ctx.metabelian
     row.two_engel, ew = ctx.two_engel
     row.circ_is_loop = True  # validated at construction
-    row.circ_gamma = ctx.circ_axioms.all_hold
+    row.circ_gamma = ctx.circ.gamma_axioms.all_hold
     row.circ_associative, aw = ctx.circ_associative
     row.circ_moufang, mw = ctx.circ_moufang
     for key, subject, w in (("two-engel", g, ew), ("associativity", ctx.circ, aw),

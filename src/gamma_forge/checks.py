@@ -28,12 +28,9 @@ from .groups import (
 )
 from .loops import (
     AutomorphicVerdict,
-    GammaVerdict,
     Loop,
     _greedy_generators,
-    check_gamma_axioms,
     is_automorphic,
-    is_left_bruck,
     is_moufang,
     loop_nilpotency_class,
     quotient_loop,
@@ -174,10 +171,6 @@ class CheckContext:
         return oplus_loop(self.g)
 
     @cached_property
-    def circ_axioms(self) -> GammaVerdict:
-        return check_gamma_axioms(self.circ)
-
-    @cached_property
     def circ_associative(self) -> tuple[bool, tuple[int, int, int] | None]:
         return self.circ.is_associative()
 
@@ -244,7 +237,7 @@ def _check_metabelian_identities(ctx: CheckContext) -> Outcome:
 
 
 def _check_gamma_axioms(ctx: CheckContext) -> Outcome:
-    v = ctx.circ_axioms
+    v = ctx.circ.gamma_axioms
     parts = [f"{name}: {_witness_str(ctx.circ, av.witness)}"
              for name, av in (("commutativity", v.commutative),
                               ("automorphic-inverse", v.automorphic_inverse),
@@ -285,7 +278,7 @@ def _check_moufang(ctx: CheckContext) -> Outcome:
 
 
 def _check_oplus_bruck(ctx: CheckContext) -> Outcome:
-    ok, w = is_left_bruck(ctx.oplus)
+    ok, w = ctx.oplus.left_bruck
     return _predicted(ok, _witness_str(ctx.oplus, w))
 
 
@@ -293,11 +286,18 @@ def _check_correspondence(ctx: CheckContext) -> Outcome:
     if not ctx.force_exhaustive and ctx.g.order > HEAVY_CHECK_LIMIT:
         return _skipped(f"order {ctx.g.order} above roundtrip limit "
                         f"{HEAVY_CHECK_LIMIT}; rerun with --exhaustive")
-    bruck = bruck_from_gamma(ctx.circ, verify=False)
+    # each translation refuses a loop outside its variety: a failed verdict is this check's witness
+    refused = [f"{cid} fails: {w}" for cid, (verdict, _, w) in (("circ-loop-gamma-axioms", _check_gamma_axioms(ctx)),
+                                                                ("oplus-left-bruck", _check_oplus_bruck(ctx)))
+               if verdict == "fail"]
+    if refused:
+        return _predicted(False, "; ".join(refused))
+    # oplus equals the forward image, so it goes back: both loops keep their verdicts
+    bruck = bruck_from_gamma(ctx.circ)
     if not (bruck.tbl == ctx.oplus.tbl).all():
         w = first_false(bruck.tbl == ctx.oplus.tbl)
         return _predicted(False, f"forward image differs from oplus at {w}")
-    back = gamma_from_bruck(bruck, verify=False)
+    back = gamma_from_bruck(ctx.oplus)
     if not (back.tbl == ctx.circ.tbl).all():
         w = first_false(back.tbl == ctx.circ.tbl)
         return _predicted(False, f"roundtrip differs from circ at {w}")

@@ -25,9 +25,13 @@ from .loops import Loop
 from .report import survey_to_json, survey_to_text
 
 
+def _spec(token: str) -> str:
+    """The group spec a command argument names: an existing path is file:PATH."""
+    return f"file:{token}" if Path(token).exists() else token
+
+
 def _load_group(token: str) -> Group:
-    if Path(token).exists():
-        token = f"file:{token}"
+    token = _spec(token)
     g = construct(token)
     if not isinstance(g, Group):
         raise GammaForgeError(f"{token} is functional (order {g.order}); "
@@ -36,16 +40,14 @@ def _load_group(token: str) -> Group:
 
 
 def _load_loop(token: str) -> Loop:
-    if Path(token).exists() or token.startswith("file:"):
-        path = token[len("file:"):] if token.startswith("file:") else token
-        res = tableio.import_table(path)
-        return Loop(res.table)
-    g = _load_group(token)
-    return Loop(g.table)
+    token = _spec(token)
+    if token.startswith("file:"):
+        return Loop(tableio.import_table(token[len("file:"):]).table)
+    return Loop(_load_group(token).table)
 
 
 def cmd_verify(args) -> int:
-    g = construct(args.spec)
+    g = construct(_spec(args.spec))
     if isinstance(g, Group) and not is_uniquely_2_divisible(g):
         print(f"error: {args.spec} is not uniquely 2-divisible "
               f"(order {g.order})", file=sys.stderr)

@@ -10,18 +10,19 @@ Everything is validated at construction: loop-ness, commutativity, the
 automorphic inverse property, and power coincidence with the source group.
 The loop keeps each law verdict it scans, so the checks that read one later
 (the axiom block, Moufang, left Bruck, the center) do not scan it again.
+
+Each translation takes only loops of its variety, by the verdict the Loop
+keeps, and has one path; Bruck -> Gamma is one walk over cycles.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .core import (CayleyTable, ConstructionError, EvenOrderError, GammaForgeError,
                    build_table, divide_rows, left_power_walk, row_blocks)
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
-from .loops import Loop, check_gamma_axioms, is_left_bruck, mlt_chain, powers_coincide
+from .loops import Loop, powers_coincide
 
 
 def _provenance(g: AnyGroup, construction: str) -> dict:
@@ -91,22 +92,16 @@ def loop_sqrt_table(q: Loop) -> np.ndarray:
     return roots
 
 
-def bruck_from_gamma(q: Loop, verify: bool = True) -> Loop:
-    """Translate a commutative loop in the source variety to its left Bruck
-    partner: x (+) y = (x^-1 \\ (y^2 x))^(1/2), everything computed in q.
-
-    With ``verify`` the four variety axioms are checked first.
-    """
+def bruck_from_gamma(q: Loop) -> Loop:
+    """Translate a loop of odd order in the source variety (the four axioms of
+    check_gamma_axioms) to its left Bruck partner:
+    x (+) y = (x^-1 \\ (y^2 x))^(1/2), everything computed in q.  Any other
+    loop is refused."""
     if q.n % 2 == 0:
         raise ConstructionError("translation requires odd order")
-    if verify:
-        verdict = check_gamma_axioms(q)
-        if not verdict.all_hold:
-            raise ConstructionError(f"input fails the variety axioms: {verdict}")
-    inv = q.inverse
-    if inv is None:
-        raise ConstructionError("input lacks two-sided inverses")
-    lsqrt, t = loop_sqrt_table(q), q.tbl
+    if not q.gamma_axioms.all_hold:
+        raise ConstructionError(f"input fails the variety axioms: {q.gamma_axioms}")
+    inv, lsqrt, t = q.inverse, loop_sqrt_table(q), q.tbl  # inverses are two-sided under the axioms
     sq = t.diagonal()
     # [x, y] -> (x^-1 \ (y^2 x))^(1/2), with the division rows of a block of x^-1 at a time
     table = build_table(q.n, lambda x, y: lsqrt[np.take_along_axis(divide_rows(t, inv[x[:, 0]]), t[sq[y], x], 1)],
@@ -114,31 +109,26 @@ def bruck_from_gamma(q: Loop, verify: bool = True) -> Loop:
     return Loop(table, source={**q.source, "construction": "gamma->bruck"})
 
 
-def gamma_from_bruck(q: Loop, verify: bool = True) -> Loop:
+def gamma_from_bruck(q: Loop) -> Loop:
     """Translate a left Bruck loop of odd order back: the product of x and y is
-    the image of the identity under L_x L_y [L_y, L_x]^(1/2).
+    the image of the identity under L_x L_y [L_y, L_x]^(1/2).  Any other loop
+    is refused.
 
-    The commutator A = L_x L_y L_x^-1 L_y^-1, u -> x(y(x\\(y\\u))), must have
-    odd order m for every pair.  The entry at (x, y) is its root A^((m+1)/2)
-    at p = yx, which is A^((c+1)/2)(p) for the length c of the cycle of p,
-    as both exponents invert 2 modulo c.  Every A lies in LMlt(Q) = <L_x>,
-    so if |LMlt| is odd, every A has odd order and one walk over the orbits
-    gives the table; otherwise pointer doubling names the first even order.
+    The commutator A = L_x L_y L_x^-1 L_y^-1, u -> x(y(x\\(y\\u))), lies in
+    LMlt(Q) = <L_x>, and a Bruck loop of odd order has a left multiplication
+    group of odd order (Glauberman, On loops of odd order, J. Algebra 1,
+    1964).  So every A has odd order m, and the entry at (x, y) is its root
+    A^((m+1)/2) at p = yx, which is A^((c+1)/2)(p) for the length c of the
+    cycle of p, as both exponents invert 2 modulo c: one walk over the cycles
+    gives the table.
     """
     if q.n % 2 == 0:
         raise ConstructionError("translation requires odd order")
-    if verify:
-        ok, w = is_left_bruck(q)
-        if not ok:
-            raise ConstructionError(f"input is not a left Bruck loop, witness {w}")
-    out = _gamma_by_orbit_walk(q) if _lmlt_order_is_odd(q) else _gamma_by_doubling(q)
-    table = CayleyTable(out, name=f"gamma({q.name})", element_names=q.table.element_names)
+    ok, w = q.left_bruck
+    if not ok:
+        raise ConstructionError(f"input is not a left Bruck loop, witness {w}")
+    table = CayleyTable(_gamma_by_orbit_walk(q), name=f"gamma({q.name})", element_names=q.table.element_names)
     return Loop(table, source={**q.source, "construction": "bruck->gamma"})
-
-
-def _lmlt_order_is_odd(q: Loop) -> bool:
-    """Whether |LMlt(Q)|, the product of the orbit lengths of its chain, is odd."""
-    return all(len(level.orbit) % 2 for level in mlt_chain(q).levels)
 
 
 def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:
@@ -147,7 +137,9 @@ def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:
     A block of rows x walks every p = yx with y >= x at once, 4 flat gathers
     per step; a second pointer takes a step on every odd step, so when the
     walk first returns to p after c (odd) steps it holds A^((c+1)/2)(p).
-    Closed orbits leave the arrays after each step.
+    Closed orbits leave the arrays after each step.  A cycle of even length,
+    which Glauberman's theorem rules out in a left Bruck loop of odd order,
+    raises with its pair.
 
     The entry at (y, x) is the one at (x, y): in any loop A_(y,x) = A^-1 for
     A = A_(x,y), and A(yx) = x(y(x\\(y\\(yx)))) = xy; so (y, x) walks the cycle
@@ -170,55 +162,11 @@ def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:
                 half = t.take(fx + t.take(fy + ld.take(fx + ld.take(fy + half))))
             closed = cur == p
             if closed.any():
-                if steps % 2 == 0:
-                    raise GammaForgeError(f"internal inconsistency: |LMlt| odd but a cycle of length {steps}")
                 x, y = fx[closed] // n, fy[closed] // n
+                if steps % 2 == 0:
+                    raise GammaForgeError(f"internal inconsistency: the cycle of yx under L_x L_y L_x^-1 L_y^-1 "
+                                          f"at ({q.label(x[0])},{q.label(y[0])}) has even length {steps}")
                 out[x, y] = out[y, x] = half[closed]
                 open_ = ~closed
                 fx, fy, p, cur, half = (a[open_] for a in (fx, fy, p, cur, half))
     return out
-
-
-def _gamma_by_doubling(q: Loop) -> np.ndarray:
-    """The translated table by cycle lengths per x, raising EvenOrderError at
-    the first pair whose commutator has even order.
-
-    Each step takes one x and all n commutators A_y as the rows of an array.
-    Pointer doubling gives A^(2^j) and least_(j+1)(p) = min(least_j(p),
-    least_j(A^(2^j) p)), the least label of the first 2^(j+1) points from p,
-    until 2^j >= n or least_(j+1) = least_j.  In the latter case, on a cycle
-    of length c, least_j(p) <= least_j(A^(2^j) p) <= ... <= least_j(A^(c 2^j)
-    p) = least_j(p): these windows cover the cycle, so each window of 2^j
-    points holds its least label, c <= 2^j, and no higher power is needed.
-    The least labels give each cycle length c.
-    """
-    t, n = q.tbl, q.n
-    ld = divide_rows(t, np.arange(n))
-    base = n * np.arange(n, dtype=np.int32)  # flat index of (y, 0); int32 keeps the n^2 powers small
-    out = np.empty((n, n), dtype=t.dtype)
-    for x in range(n):   # flat gathers: .take is about twice as fast as [] here
-        # flat index of (y, A_y(u)) for the commutator A_y = L_x L_y L_x^-1 L_y^-1
-        a = t[x].take(t.take(ld[x].take(ld) + base[:, None])) + base[:, None]
-        powers = [a]                          # A^(2^j), as flat indices
-        least = np.arange(n * n, dtype=np.int32).reshape(n, n)  # least point of each cycle
-        while True:
-            step = np.minimum(least, least.take(powers[-1]))
-            done = 2 ** len(powers) >= n or (step == least).all()
-            least = step
-            if done:
-                break
-            powers.append(powers[-1].take(powers[-1]))
-        sizes = np.bincount(least.ravel(), minlength=n * n).reshape(n, n)  # [y, least] -> length
-        even = (sizes % 2 == 0) & (sizes > 0)
-        if even.any():
-            y = int(np.argmax(even.any(axis=1)))
-            m = math.lcm(*sizes[y][sizes[y] > 0].tolist())
-            raise EvenOrderError(
-                f"translation commutator at ({q.label(x)},{q.label(y)}) has even order {m}")
-        point = t[:, x] + base                # p = yx
-        k = (sizes.take(least.take(point)) + 1) // 2
-        for j, aj in enumerate(powers):
-            point = np.where(k >> j & 1, aj.take(point), point)
-        out[x] = point - base
-    return out
-

@@ -8,8 +8,9 @@ loop center, central quotients and loop nilpotency.  All scans are
 exhaustive with lexicographically least witnesses.  Associativity, the P-map
 and left Bol identities and the center are tested only on a generating set:
 the elements that pass each are closed under an operation.  A Loop scans
-commutativity, automorphic inverses and power associativity once each and
-keeps the verdicts; central quotients are read off the center's cosets.
+commutativity, automorphic inverses, power associativity, the axiom block
+and the left Bruck identities once each and keeps the verdicts; central
+quotients are read off the center's cosets.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class Loop:
     """A loop table (Latin, two-sided identity at 0) with cached structure.
 
     Its law verdicts (commutativity, automorphic inverses, power
-    associativity), its inverses and its center are each decided on first
-    read and kept: construction validation and every check read them here."""
+    associativity, the circ-variety axioms, left Bruck), its inverses and its
+    center are each decided on first read and kept: construction validation,
+    the variety translations and every check read them here."""
 
     def __init__(self, table: CayleyTable, source: dict | None = None):
         cls = table.classification
@@ -99,6 +101,16 @@ class Loop:
         """(True, None), or (False, x) for the least x generating a nonassociative submagma."""
         return is_power_associative(self)
 
+    @cached_property
+    def gamma_axioms(self) -> GammaVerdict:
+        """The verdict of check_gamma_axioms: the four axioms of the circ variety."""
+        return check_gamma_axioms(self)
+
+    @cached_property
+    def left_bruck(self) -> tuple[bool, object | None]:
+        """The verdict of is_left_bruck: (True, None), or (False, witness)."""
+        return is_left_bruck(self)
+
     def is_associative(self) -> tuple[bool, tuple[int, int, int] | None]:
         """Exhaustive associativity test with least witness triple."""
         w = associativity_witness(self.tbl)
@@ -124,7 +136,8 @@ def mlt_chain(q: Loop) -> StabilizerChain:
     commutative, as then R_x = L_x, and LMlt(Q) otherwise.  The least
     translation that does not sift joins the generators, until all of them
     sift.  L_1 moves 0 (1 * 0 = 1), so b_0 = 0 and the level-1 strong
-    generators of Mlt(Q) generate Stab(0) = Inn(Q)."""
+    generators of Mlt(Q) generate Stab(0) = Inn(Q), which is what its one
+    caller, Loop.inner_generators, keeps of a commutative loop."""
     chain = StabilizerChain(q.n)
     for perm in q.tbl:
         chain.add(perm)

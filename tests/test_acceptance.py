@@ -140,9 +140,9 @@ def test_criterion_06_correspondence_roundtrips(catalog):
     t0 = time.time()
     for spec in ["sd:7:3:2", "heis:3", "wr:3"]:
         g, q = catalog[spec]
-        b = bruck_from_gamma(q, verify=False)
+        b = bruck_from_gamma(q)
         assert (b.tbl == oplus_loop(g).tbl).all(), spec
-        back = gamma_from_bruck(b, verify=False)
+        back = gamma_from_bruck(b)
         assert (back.tbl == q.tbl).all(), spec
     elapsed = _elapsed_under(t0, 60, "criterion 6")
     print(f"\n[criterion 6] PASS: translation roundtrips are the identity and "

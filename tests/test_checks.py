@@ -88,9 +88,10 @@ def test_verify_scans_powers_once_per_loop(monkeypatch):
 
 
 def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
-    # a Loop keeps its commutativity, automorphic-inverse and power-associativity
-    # verdicts, and construction and every check read them there: no table is
-    # scanned twice for one fact, through any binding of the scan
+    # a Loop keeps its commutativity, automorphic-inverse, power-associativity,
+    # axiom-block and left Bruck verdicts, and construction, the translations and
+    # every check read them there: no table is scanned twice for one fact,
+    # through any binding of the scan
     scanned = []  # (fact, table): holding the tables keeps their ids distinct
 
     def spy(fact, real, table_of):
@@ -101,7 +102,8 @@ def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
 
     modules = [m for name, m in sys.modules.items() if name.startswith("gamma_forge")]
     for fact, table_of in (("commutativity_witness", lambda t: t), ("aip_witness", lambda q: q.tbl),
-                           ("is_power_associative", lambda q: q.tbl)):
+                           ("is_power_associative", lambda q: q.tbl), ("check_gamma_axioms", lambda q: q.tbl),
+                           ("is_left_bruck", lambda q: q.tbl)):
         real = getattr(loops, fact)
         counting = spy(fact, real, table_of)
         for m in modules:
@@ -115,21 +117,29 @@ def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
         assert report.consistent and {c.check_id: c.verdict for c in report.checks}[roundtrip_or_quotient] == "pass"
         facts = [(fact, id(t)) for fact, t in scanned]
         assert len(facts) == len(set(facts)), spec
-        # the circ and oplus loops were each scanned, and for wr:3 the commutativity of its order-9 quotient
+        # the circ and oplus loops were each scanned, and for wr:3 the commutativity of its order-9
+        # quotient; the axiom block of circ and the left Bruck verdict of oplus once, roundtrip included
         assert sorted((fact, len(t)) for fact, t in scanned) == sorted(
             [("aip_witness", g.order)] * 2 + [("commutativity_witness", g.order)]
-            + [("is_power_associative", g.order)] * 2 + [("commutativity_witness", 9)] * (spec == "wr:3"))
-    # every reader, called twice on loops built and validated, scans only the two
-    # facts construction leaves open: the oplus loop's commutativity and inverse property
+            + [("is_power_associative", g.order)] * 2 + [("commutativity_witness", 9)] * (spec == "wr:3")
+            + [("check_gamma_axioms", g.order), ("is_left_bruck", g.order)])
+        circ_table = circ_loop(g).tbl
+        assert {fact: (t == circ_table).all() for fact, t in scanned
+                if fact in ("check_gamma_axioms", "is_left_bruck")} == {"check_gamma_axioms": True,
+                                                                         "is_left_bruck": False}
+    # every reader, called twice on loops built and validated, scans only the facts
+    # construction leaves open: the oplus loop's commutativity and inverse property,
+    # and the axiom block and left Bruck verdict of each loop
     circ, oplus = circ_loop(g), oplus_loop(g)
     scanned.clear()
     for _ in range(2):
         for q in (circ, oplus):
-            loops.check_gamma_axioms(q), loops.is_moufang(q), loops.is_left_bruck(q)
+            q.gamma_axioms, loops.is_moufang(q), q.left_bruck
             loops.powers_coincide(g, q), constructions.loop_sqrt_table(q)
         loops.is_automorphic(circ), loops.loop_center(circ)
-    assert sorted((fact, t is oplus.tbl) for fact, t in scanned) == [("aip_witness", True),
-                                                                      ("commutativity_witness", True)]
+    assert sorted((fact, t is oplus.tbl) for fact, t in scanned) == [
+        ("aip_witness", True), ("check_gamma_axioms", False), ("check_gamma_axioms", True),
+        ("commutativity_witness", True), ("is_left_bruck", False), ("is_left_bruck", True)]
 
 
 def test_class3_check_builds_each_central_quotient_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Front-end behavior: exit codes, formats, determinism, file commands."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gamma_forge
-from gamma_forge import tableio
+from gamma_forge import checks, constructions, loops, tableio
 from gamma_forge.cli import main
 from gamma_forge.core import CayleyTable
 from gamma_forge.groups import construct
@@ -265,6 +266,37 @@ def test_convert_rejects_a_latin_table_without_identity(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "not a loop" in err
     assert not (tmp_path / "x.tbl").exists()
+
+
+def test_verify_reads_a_bare_table_path_as_a_file_spec(tmp_path, capsys):
+    path = tmp_path / "g21.tbl"
+    assert run_cli(capsys, "export", "sd:7:3:2", str(path))[0] == 0
+    reports = []
+    for spec in (str(path), f"file:{path}"):
+        code, out, err = run_cli(capsys, "verify", spec, "--format", "json")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        reports.append((report["subject"], [{k: v for k, v in c.items() if k != "timing_ms"} for c in report["checks"]]))
+    assert reports[0] == reports[1] and len(reports[0][1]) == len(checks.CHECK_IDS)
+
+
+@pytest.mark.parametrize("scan,check", [("is_left_bruck", "oplus-left-bruck"),
+                                        ("check_gamma_axioms", "circ-loop-gamma-axioms")])
+def test_a_failed_variety_verdict_fails_the_roundtrip_without_a_traceback(capsys, monkeypatch, scan, check):
+    # each translation refuses a loop outside its variety: the roundtrip
+    # reports the failed verdict the loop keeps as its witness, and translates nothing
+    real = getattr(loops, scan)
+    failing = {"is_left_bruck": lambda q: (False, (1, 2, 3)),
+               "check_gamma_axioms": lambda q: dataclasses.replace(
+                   real(q), p_map_identity=loops.AxiomVerdict(False, (1, 2, 3)))}
+    monkeypatch.setattr(loops, scan, failing[scan])
+    monkeypatch.setattr(constructions, "_gamma_by_orbit_walk", None)
+    code, out, err = run_cli(capsys, "verify", "sd:7:3:2", "--format", "json",
+                             "--checks", f"{check},correspondence-roundtrip")
+    assert code == 1 and err == ""
+    first, roundtrip = json.loads(out)["checks"]
+    assert [first["verdict"], roundtrip["verdict"]] == ["fail", "fail"]
+    assert first["witness"] and roundtrip["witness"] == f"{check} fails: {first['witness']}"
 
 
 def test_table_cap_env(tmp_path, capsys, monkeypatch):

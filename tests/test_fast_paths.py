@@ -7,11 +7,12 @@ the per-cell identity relabeling, run on raw arrays, and the scalar power
 loops; numpy's argsort is the reference for the divisions.  Verdicts and
 witnesses, tables and error messages must agree exactly, so the fast paths
 keep the least witness.  The orbit walk of the translation is checked against
-the pointer doubling it replaced when |LMlt| is odd, and the loops with even
-|LMlt| are pinned to the doubling.  The closed-form L maps compared on
-generators are checked against the comparison of every x.  The stabilizer
-chain of the left translations is checked against the group they generate,
-closed element by element.  The center of a commutative loop is checked
+the walk over every pair, the translation refuses every loop that is not left
+Bruck, and the oplus loops of the catalog have |LMlt| odd, as Glauberman's
+theorem says.  The closed-form L maps compared on generators are checked
+against the comparison of every x.  The stabilizer chain of the left
+translations is checked against the group they generate, closed element by
+element.  The center of a commutative loop is checked
 with and without its sieve, and the quotient by it against the cosets and
 products formed by definition.  Random Latin-square loops check the closure
 lemmas behind the generator tests and include loops in which the operation
@@ -20,6 +21,7 @@ matters, or the sieve keeps a candidate that is not central.
 
 import itertools
 import math
+import re
 import sys
 from functools import lru_cache
 
@@ -107,13 +109,16 @@ def assert_inner_scans_match_references(t):
             is_automorphic(q)
     if len(t) % 2 == 0:
         return
+    # the translation takes left Bruck loops only, and translates each (Glauberman);
+    # the walk alone equals the per-pair scan wherever every commutator has odd order
     table, message = oracles.gamma_from_bruck_scan(t)
-    if message is None:
-        assert (gamma_from_bruck(q, verify=False).tbl == table).all()
+    if oracles.left_bruck_scan(t)[0]:
+        assert message is None and (gamma_from_bruck(q).tbl == table).all()
     else:
-        with pytest.raises(EvenOrderError) as err:
-            gamma_from_bruck(q, verify=False)
-        assert str(err.value) == message
+        with pytest.raises(ConstructionError, match="not a left Bruck loop"):
+            gamma_from_bruck(q)
+    if message is None:
+        assert (constructions._gamma_by_orbit_walk(q) == table).all()
 
 
 def assert_matches_references(t):
@@ -266,8 +271,9 @@ def test_twisted_loops_reach_even_orders():
     assert "has even order 30" in outcomes[5]
 
 
-# left Bruck loops with |LMlt| odd: oplus (the Bruck partner of circ) of the
-# catalog groups up to order 155, and the random cocycle loops of odd order
+# loops whose translation commutators all have odd order: oplus (the left Bruck
+# partner of circ) of the catalog groups up to order 155, and the random cocycle
+# loops of odd order, which are not left Bruck, so only the walk itself takes them
 BRUCK_CASES = [("oplus", spec) for spec in SMALL_SPECS if group(spec).order <= 155]
 BRUCK_CASES += [("cocycle", seed, m, k, odd) for seed, m, k, odd in RANDOM_LOOPS if m * k % 2]
 
@@ -280,13 +286,13 @@ def bruck_case(case):
 
 @pytest.mark.parametrize("case", BRUCK_CASES, ids=str)
 def test_orbit_walk_matches_doubling_and_references(case, monkeypatch):
+    # the walk against the walk over every pair at each size, and against the
+    # per-pair scan up to order 81; the oplus loops through gamma_from_bruck
     t = bruck_case(case)
     q = Loop(CayleyTable(t))
-    assert constructions._lmlt_order_is_odd(q)
-    walked = gamma_from_bruck(q, verify=False).tbl
-    with monkeypatch.context() as m:  # the guard forced to the doubling
-        m.setattr(constructions, "_lmlt_order_is_odd", lambda q: False)
-        assert (gamma_from_bruck(q, verify=False).tbl == walked).all()
+    walk = (lambda q: gamma_from_bruck(q).tbl) if case[0] == "oplus" else constructions._gamma_by_orbit_walk
+    walked = walk(q)
+    assert (walked == oracles.gamma_by_full_orbit_walk(q)).all()
     if len(t) <= 81:
         table, message = oracles.gamma_from_bruck_scan(t)
         assert message is None and (walked == table).all()
@@ -294,42 +300,44 @@ def test_orbit_walk_matches_doubling_and_references(case, monkeypatch):
         assert (walked == circ_loop(group(case[1])).tbl).all()
     # blocks of 3 rows x: orbits closing in several blocks, some blocks of fewer rows
     monkeypatch.setattr(core, "_BLOCK_CELLS", 3 * q.n)
-    assert (gamma_from_bruck(q, verify=False).tbl == walked).all()
+    assert (walk(q) == walked).all()
 
 
-def test_translation_paths_follow_the_parity_of_lmlt(monkeypatch):
-    odd = [oplus_loop(group("sd:7:3:2")).tbl, oplus_loop(group("wr:3")).tbl,
-           cocycle_loop(0, 3, 5), cocycle_loop(1, 5, 3)]
-    even = [twisted_loop(*p) for p in TWISTED_LOOPS]
-    for t in odd + even[:3]:  # the chain's parity against the group closed element by element
-        lmlt = oracles.close([Permutation(row) for row in t])
-        assert constructions._lmlt_order_is_odd(Loop(CayleyTable(t))) == (len(lmlt) % 2 == 1)
-    calls = []
-    for name in ("_gamma_by_orbit_walk", "_gamma_by_doubling"):
-        def spy(q, run=getattr(constructions, name), name=name):
-            calls.append(name)
-            return run(q)
-        monkeypatch.setattr(constructions, name, spy)
-    for t in odd:
-        gamma_from_bruck(Loop(CayleyTable(t)), verify=False)
-    assert calls == ["_gamma_by_orbit_walk"] * len(odd)
-    calls.clear()
-    # every twisted loop has |LMlt| even and takes the doubling: (0, 3, 3)
-    # translates, the others raise the exact messages of the reference scan
-    messages = []
-    for t in even:
-        q = Loop(CayleyTable(t))
-        assert not constructions._lmlt_order_is_odd(q)
-        table, message = oracles.gamma_from_bruck_scan(t)
-        messages.append(message)
-        if message is None:
-            assert (gamma_from_bruck(q, verify=False).tbl == table).all()
-        else:
-            with pytest.raises(EvenOrderError) as err:
-                gamma_from_bruck(q, verify=False)
-            assert str(err.value) == message
-    assert calls == ["_gamma_by_doubling"] * len(even)
-    assert [m is None for m in messages] == [True] + [False] * 5
+def test_left_bruck_loops_of_odd_order_have_lmlt_of_odd_order():
+    # Glauberman's theorem, on which the Bruck -> Gamma walk rests, on every
+    # oplus loop of the catalog up to order 243 and on oplus(ut:4:3): |LMlt| is
+    # the product of the orbit lengths of the chain of the L_x, checked against
+    # the group closed element by element on sd:7:3:2 and wr:3
+    for spec in SMALL_SPECS + ["ut:4:3"]:
+        q = oplus_loop(group(spec))
+        assert q.left_bruck == (True, None), spec
+        order = math.prod(len(level.orbit) for level in loops.mlt_chain(q).levels)
+        assert order % 2 == 1, spec
+        if spec in ("sd:7:3:2", "wr:3"):
+            assert order == len(oracles.close([Permutation(row) for row in q.tbl])), spec
+
+
+def test_the_walk_guard_names_an_even_cycle_and_the_refusal_keeps_other_loops_out(monkeypatch):
+    # with the left Bruck verdict forced to pass, the walk of twisted_loop(4, 3, 3)
+    # meets a cycle of even length, and raises naming its pair
+    t = twisted_loop(4, 3, 3)
+    with monkeypatch.context() as m:
+        m.setattr(Loop, "left_bruck", (True, None))
+        with pytest.raises(GammaForgeError, match="internal inconsistency") as err:
+            gamma_from_bruck(Loop(CayleyTable(t)))
+    x, y = map(int, re.search(r"at \((\d+),(\d+)\)", str(err.value)).groups())
+    lx, ly = Permutation(t[x]), Permutation(t[y])
+    commutator = ly.inverse() * lx.inverse() * ly * lx  # u -> x(y(x\(y\u))): a product applies its left factor first
+    assert len(next(c for c in commutator.cycles() if t[y, x] in c)) % 2 == 0
+    # the walk of twisted_loop(1, 3, 3) ends, though a commutator has even order:
+    # only the refusal of a loop that is not left Bruck keeps its table out
+    t = twisted_loop(1, 3, 3)
+    q = Loop(CayleyTable(t))
+    constructions._gamma_by_orbit_walk(q)
+    assert "even order" in oracles.gamma_from_bruck_scan(t)[1]
+    assert not oracles.left_bruck_scan(t)[0]
+    with pytest.raises(ConstructionError, match="not a left Bruck loop"):
+        gamma_from_bruck(q)
 
 
 @pytest.mark.parametrize("rows", [3, 128])
@@ -337,12 +345,11 @@ def test_orbit_walk_over_pairs_x_le_y_matches_the_full_walk(rows, monkeypatch):
     # the walk takes the pairs x <= y and mirrors each entry to (y, x); against
     # the walk over every pair, at order 381 (uint16 elements) and on the
     # noncommutative cocycle loops, with blocks of 3 rows closing across blocks
-    loops_ = [bruck_from_gamma(circ_loop(group("sd:127:3:19")), verify=False)]
+    loops_ = [bruck_from_gamma(circ_loop(group("sd:127:3:19")))]
     loops_ += [Loop(CayleyTable(bruck_case(case))) for case in BRUCK_CASES if case[0] == "cocycle"]
     assert not all(q.commutativity is None for q in loops_)
     for q in loops_:
         monkeypatch.setattr(core, "_BLOCK_CELLS", rows * q.n)
-        assert constructions._lmlt_order_is_odd(q)
         walked = constructions._gamma_by_orbit_walk(q)
         assert walked.dtype == core.element_dtype(q.n)
         assert (walked == oracles.gamma_by_full_orbit_walk(q)).all()
@@ -350,9 +357,7 @@ def test_orbit_walk_over_pairs_x_le_y_matches_the_full_walk(rows, monkeypatch):
 
 def test_roundtrip_at_order_729():
     circ = circ_loop(group("ut:4:3"))
-    bruck = bruck_from_gamma(circ, verify=False)
-    assert constructions._lmlt_order_is_odd(bruck)
-    assert (gamma_from_bruck(bruck, verify=False).tbl == circ.tbl).all()
+    assert (gamma_from_bruck(bruck_from_gamma(circ)).tbl == circ.tbl).all()
 
 
 def test_hash_collisions_never_skip_a_map(monkeypatch):
