@@ -15,6 +15,7 @@ from pathlib import Path
 from .core import GammaForgeError
 from .groups import AnyGroup, Group, construct, from_file
 from .checks import CheckContext, _witness_str
+from .loops import is_moufang
 from .report import SurveyRow
 
 # each spec with its group order, so a survey slice builds only the groups it keeps
@@ -49,14 +50,14 @@ def survey_row(g: AnyGroup) -> SurveyRow:
     row.two_engel, ew = ctx.two_engel
     row.circ_is_loop = True  # validated at construction
     row.circ_gamma = ctx.circ.gamma_axioms.all_hold
-    row.circ_associative, aw = ctx.circ_associative
-    row.circ_moufang, mw = ctx.circ_moufang
+    row.circ_associative, aw = ctx.circ.is_associative()
+    row.circ_moufang, mw = is_moufang(ctx.circ)
     for key, subject, w in (("two-engel", g, ew), ("associativity", ctx.circ, aw),
                             ("moufang", ctx.circ, mw)):
         if w is not None:
             row.witnesses[key] = _witness_str(subject, w)
 
-    verdict = ctx.automorphic
+    verdict = ctx.circ.automorphic
     row.circ_automorphic = verdict.status
     if not verdict.is_true:
         k, *args = verdict.witness
@@ -75,6 +76,8 @@ def run_survey(lo: int = 3, hi: int = 81,
         subjects: list[tuple[str, AnyGroup | None, str | None]] = [
             (spec, construct(spec), None) for spec, order in CATALOG_SPECS.items()
             if lo <= order <= hi]
+    elif not Path(source_dir).is_dir():
+        raise GammaForgeError(f"survey source {source_dir} is not a directory")
     else:
         subjects = []
         for path in sorted(Path(source_dir).glob("*.tbl")):

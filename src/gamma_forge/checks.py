@@ -26,15 +26,7 @@ from .groups import (
     nilpotency_class,
     upper_central_series,
 )
-from .loops import (
-    AutomorphicVerdict,
-    Loop,
-    _greedy_generators,
-    is_automorphic,
-    is_moufang,
-    loop_nilpotency_class,
-    quotient_loop,
-)
+from .loops import Loop, is_moufang, loop_nilpotency_class, quotient_loop
 from .constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop
 from .sdforms import SdForms
 from .report import CheckResult, Report
@@ -118,7 +110,8 @@ def _witness_str(subject, w) -> str | None:
 
 
 class CheckContext:
-    """The facts about one subject group, each computed on first use and kept.
+    """The facts about one subject group and its two loops, each computed on
+    first use and kept; each loop keeps its own verdicts.
 
     Survey rows and verify checks both read their facts here, so the two
     cannot disagree on a verdict such as the inner-mapping one.
@@ -169,22 +162,6 @@ class CheckContext:
     @cached_property
     def oplus(self) -> Loop:
         return oplus_loop(self.g)
-
-    @cached_property
-    def circ_associative(self) -> tuple[bool, tuple[int, int, int] | None]:
-        return self.circ.is_associative()
-
-    @cached_property
-    def circ_moufang(self) -> tuple[bool, tuple[int, int, int] | None]:
-        return is_moufang(self.circ)
-
-    @cached_property
-    def circ_center(self) -> tuple[int, ...]:
-        return self.circ.center
-
-    @cached_property
-    def automorphic(self) -> AutomorphicVerdict:
-        return is_automorphic(self.circ)
 
 
 # A check returns (verdict, expected, witness); run_check adds its id and claim.
@@ -255,7 +232,7 @@ def _check_power_coincidence(ctx: CheckContext) -> Outcome:
 
 def _check_baer(ctx: CheckContext) -> Outcome:
     cls = ctx.nilpotency_class
-    assoc, w = ctx.circ_associative
+    assoc, w = ctx.circ.is_associative()
     ok = assoc == (cls is not None and cls <= 2)
     witness = None if assoc else f"nonassociative at {_witness_str(ctx.circ, w)}"
     if not ok:
@@ -266,7 +243,7 @@ def _check_baer(ctx: CheckContext) -> Outcome:
 
 def _check_moufang(ctx: CheckContext) -> Outcome:
     engel, ew = ctx.two_engel
-    moufang, mw = ctx.circ_moufang
+    moufang, mw = is_moufang(ctx.circ)
     same_tables = first_false_rows(ctx.g.order, lambda r: ctx.circ.tbl[r] == ctx.oplus.tbl[r]) is None
     parts = []
     if moufang != engel:
@@ -305,7 +282,7 @@ def _check_correspondence(ctx: CheckContext) -> Outcome:
 
 
 def _check_center_containment(ctx: CheckContext) -> Outcome:
-    lc = set(ctx.circ_center)
+    lc = set(ctx.circ.center)
     missing = [a for a in center(ctx.g).members if a not in lc]
     return _predicted(not missing, f"group-central {ctx.g.label(missing[0])} not loop-central"
                       if missing else None)
@@ -314,7 +291,7 @@ def _check_center_containment(ctx: CheckContext) -> Outcome:
 def _check_second_center(ctx: CheckContext) -> Outcome:
     if not ctx.metabelian:
         return _skipped("only predicted for metabelian groups")
-    lc = set(ctx.circ_center)
+    lc = set(ctx.circ.center)
     missing = [a for a in ctx.second_center if a not in lc]
     return _predicted(not missing, f"second-center {ctx.g.label(missing[0])} not loop-central"
                       if missing else None)
@@ -324,7 +301,7 @@ def _check_class3(ctx: CheckContext) -> Outcome:
     cls = ctx.nilpotency_class
     if cls != 3:
         return _skipped(f"nilpotency class is {cls if cls is not None else 'not nilpotent'}")
-    zeta2, lc = ctx.second_center, ctx.circ_center
+    zeta2, lc = ctx.second_center, ctx.circ.center
     if set(zeta2) != set(lc):
         return _predicted(False, f"|second center|={len(zeta2)} but |loop center|={len(lc)}")
     quotient, _ = quotient_loop(ctx.circ)
@@ -339,7 +316,7 @@ def _check_class3(ctx: CheckContext) -> Outcome:
 
 def _check_automorphic(ctx: CheckContext) -> Outcome:
     g = ctx.g
-    verdict = ctx.automorphic
+    verdict = ctx.circ.automorphic
     # predicted by theorem for split extensions by construction, and for
     # class <= 2 where the loop is an abelian group; conjectural otherwise
     cls = ctx.nilpotency_class
@@ -371,7 +348,7 @@ def _check_closed_forms(ctx: CheckContext) -> Outcome:
             if w is not None:
                 return _predicted(False, f"{what} differs at {_witness_str(g, (lo + w[0], w[1]))}")
             del closed
-    w = _lmap_witness(ctx.circ, forms.lxy_table, forms.nH, ctx.automorphic.is_true)
+    w = _lmap_witness(ctx.circ, forms.lxy_table, forms.nH, ctx.circ.automorphic.is_true)
     if w is not None:
         return _predicted(False, f"inner L-map differs at {_witness_str(g, w[:2])} on {g.label(w[2])}")
     return _predicted(True)
@@ -381,17 +358,17 @@ def _lmap_witness(q: Loop, lxy, nH: int, automorphic: bool) -> tuple[int, int, i
     """Least (x, y, u) with lxy(x // nH, y // nH)[y % nH, u] != L_{x,y}(u) in q, or None.
 
     If every inner mapping of q is an automorphism, two L maps that agree on
-    a generating set of q are equal: the points where two automorphisms
-    agree form a subloop.  So the maps of the first x of each block of nH
-    are compared whole, and those of every other x only on the greedy
-    generators of q.  Any difference, or a q that is not automorphic, runs
-    the comparison of every x whole, which gives the least witness.
+    q.generators are equal: the points where two automorphisms agree are
+    closed under products and hold 0, which automorphisms fix, so they hold
+    the closure of 0 under right products with the generators, all of q.
+    So the maps of the first x of each block of nH are compared whole, and
+    those of every other x only on q.generators.  Any difference, or a q
+    that is not automorphic, runs the comparison of every x whole, which
+    gives the least witness.
     """
-    if not automorphic:
-        return _lmap_scan(q, lxy, nH)
-    t = q.tbl
-    gens = np.array([a for a in _greedy_generators(q.n, lambda a, b: t[a, b]) if a], dtype=np.intp)
-    return None if _lmap_scan(q, lxy, nH, gens) is None else _lmap_scan(q, lxy, nH)
+    if automorphic and _lmap_scan(q, lxy, nH, q.generators) is None:
+        return None
+    return _lmap_scan(q, lxy, nH)
 
 
 def _lmap_scan(q: Loop, lxy, nH: int, gens: np.ndarray | None = None) -> tuple[int, int, int] | None:

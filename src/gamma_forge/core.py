@@ -1,9 +1,11 @@
 """Finite magmas as Cayley tables, and permutation groups as stabilizer chains.
 
 Elements are dense indices 0..n-1 throughout.  Tables are materialized numpy
-arrays up to a configurable cap; permutation groups are stabilizer chains
-(a base and strong generating set), which decide membership exactly without
-listing the elements.
+arrays up to a configurable cap.  One closure, of {0} under right products
+with generators picked from a seed, gives every generating set: of a group
+or loop table, of the elements passing a law, and of a subgroup.
+Permutation groups are stabilizer chains (a base and strong generating set),
+which decide membership exactly without listing the elements.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,25 +104,27 @@ def first_false_rows(n: int, block: Callable[[slice], np.ndarray], width: int | 
     return None
 
 
-def subgroup_closure(t: np.ndarray, seed: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(members ascending, generators) of the subgroup generated by ``seed`` in
-    the table t of a group, or of a loop whose seed is central (the center is
-    an abelian group); each seed element outside the subgroup of those before
-    is a generator.  A finite subgroup is the closure of {0} under right
-    products with its generators: the old members are closed under the
-    earlier ones, so they take only the new one, and each newly reached
-    element all of them."""
-    reached, gens = np.arange(len(t)) == 0, []
+def closure(n: int, op: Callable, seed: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(members ascending, generators) of the closure of {0} under c -> op(c, g)
+    for the generators g, with op a product on broadcast index arrays: each
+    seed element not reached yet becomes one.  The old members take only the
+    new generator, and each newly reached element takes all of them.
+
+    The closure lies inside every set that holds 0 and the generators and is
+    closed under op.  So a law whose passing elements form such a set (each
+    caller proves it, and why 0 passes) holds everywhere once it holds on the
+    generators of the seed 0..n-1.  In a group it is the subgroup of the seed."""
+    reached, gens = np.arange(n) == 0, []
     for a in seed:
         if reached[a]:
             continue
         gens.append(int(a))
-        cs, right = np.flatnonzero(reached), gens[-1:]
+        cs, right = np.flatnonzero(reached), np.array(gens[-1:])
         while cs.size:
             was = reached.copy()
             for r in row_blocks(cs.size, len(right)):
-                reached[t[cs[r, None], right]] = True
-            cs, right = np.flatnonzero(reached & ~was), gens
+                reached[op(cs[r, None], right)] = True
+            cs, right = np.flatnonzero(reached & ~was), np.array(gens)
     return tuple(np.flatnonzero(reached).tolist()), tuple(gens)
 
 

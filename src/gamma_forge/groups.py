@@ -24,6 +24,7 @@ from .core import (
     EvenOrderError,
     GammaForgeError,
     build_table,
+    closure,
     distinct_values,
     element_dtype,
     first_false_rows,
@@ -31,7 +32,6 @@ from .core import (
     left_power_walk,
     row_blocks,
     row_zeros,
-    subgroup_closure,
     table_cap,
 )
 from . import tableio
@@ -76,8 +76,10 @@ class Group:
             raise ConstructionError(
                 f"identity must be at index 0, found {cls.identity_index} "
                 f"(normalize on import)")
-        # an associative Latin table with an identity is a group: inverses are two-sided
-        w = associativity_witness(self.tbl)
+        # an associative Latin table with an identity is a group: inverses are two-sided.  Light's
+        # test reads the generators, each the least element outside the subgroup of those before
+        self.generators = np.array(closure(self.order, self.rule, range(self.order))[1], dtype=self.tbl.dtype)
+        w = associativity_witness(self.tbl, self.generators)
         if w is not None:
             x, y, z = (self.label(v) for v in w)
             raise ConstructionError(f"not associative: ({x}*{y})*{z} != {x}*({y}*{z})")
@@ -102,11 +104,6 @@ class Group:
     def commutators(self) -> np.ndarray:
         """The distinct commutators, ascending: they generate G'."""
         return _commutator_seed(self, range(self.order), None)
-
-    @cached_property
-    def generators(self) -> np.ndarray:
-        """A generating set: each the least element outside the subgroup of those before."""
-        return np.array(subgroup_closure(self.tbl, range(self.order))[1], dtype=self.tbl.dtype)
 
     @cached_property
     def squares(self) -> np.ndarray:
@@ -267,10 +264,10 @@ def _descending_series(g: AnyGroup, what: str, seed: Callable) -> list[Subgroup]
     the last); the second is G' in both series, from the shared commutators."""
     g = _require_table(g, what)
     series = [Subgroup(g, tuple(range(g.order)))]
-    nxt = subgroup_closure(g.tbl, g.commutators)[0]
+    nxt = closure(g.order, g.rule, g.commutators)[0]
     while nxt != series[-1].members:
         series.append(Subgroup(g, nxt))
-        nxt = subgroup_closure(g.tbl, seed(nxt))[0]
+        nxt = closure(g.order, g.rule, seed(nxt))[0]
     return series
 
 
@@ -295,7 +292,7 @@ def derived_series(g: AnyGroup) -> list[Subgroup]:
 def derived_subgroup(g: AnyGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(members, generating set) of G'."""
     g = _require_table(g, "derived subgroup")
-    return subgroup_closure(g.tbl, g.commutators)
+    return closure(g.order, g.rule, g.commutators)
 
 
 def is_metabelian(g: AnyGroup) -> bool:
@@ -428,7 +425,7 @@ def sd(q: int, p: int, a: int, source_spec: str | None = None) -> AnyGroup:
     """Z_q x| Z_p where the generator of Z_p acts by h -> a*h mod q; the element
     (h, f) is index f*q+h."""
     _positive(source_spec or f"sd:{q}:{p}:{a}", q, p)
-    if pow(a, p, q) != 1:
+    if pow(a, p, q) != 1 % q:  # every residue mod 1 is 0
         raise ConstructionError(f"invalid action: {a}^{p} = {pow(a, p, q)} != 1 (mod {q})")
     if q % 2 == 0 or p % 2 == 0:
         raise ConstructionError("both factors must have odd order")

@@ -6,11 +6,13 @@ identities, the group generated by the left translations as a stabilizer
 chain, and, for commutative loops, automorphicity of the inner mappings, the
 loop center, central quotients and loop nilpotency.  All scans are
 exhaustive with lexicographically least witnesses.  Associativity, the P-map
-and left Bol identities and the center are tested only on a generating set:
-the elements that pass each are closed under an operation.  A Loop scans
-commutativity, automorphic inverses, power associativity, the axiom block
-and the left Bruck identities once each and keeps the verdicts; central
-quotients are read off the center's cosets.
+and left Bol identities are tested only on a generating set from
+core.closure: the elements that pass each hold 0 and are closed under an
+operation.  A Loop keeps one generating set of its product, which Light's
+test, the center sieve and the closed-form L maps read.  It scans
+commutativity, automorphic inverses, power associativity, the axiom block,
+the left Bruck identities and automorphicity once each and keeps the
+verdicts; central quotients are read off the center's cosets.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core import (
     GammaForgeError,
     StabilizerChain,
     build_table,
-    distinct_values,
+    closure,
     divide_rows,
     element_dtype,
     first_false,
@@ -37,7 +39,6 @@ from .core import (
     left_power_walk,
     row_blocks,
     row_zeros,
-    subgroup_closure,
 )
 
 
@@ -45,9 +46,10 @@ class Loop:
     """A loop table (Latin, two-sided identity at 0) with cached structure.
 
     Its law verdicts (commutativity, automorphic inverses, power
-    associativity, the circ-variety axioms, left Bruck), its inverses and its
-    center are each decided on first read and kept: construction validation,
-    the variety translations and every check read them here."""
+    associativity, the circ-variety axioms, left Bruck, automorphicity), its
+    inverses, generators and center are each decided on first read and kept:
+    construction validation, the variety translations and every check read
+    them here."""
 
     def __init__(self, table: CayleyTable, source: dict | None = None):
         cls = table.classification
@@ -111,9 +113,14 @@ class Loop:
         """The verdict of is_left_bruck: (True, None), or (False, witness)."""
         return is_left_bruck(self)
 
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """The generators of closure(n, product, 0..n-1), in the element dtype."""
+        return np.array(closure(self.n, lambda a, b: self.tbl[a, b], range(self.n))[1], dtype=self.tbl.dtype)
+
     def is_associative(self) -> tuple[bool, tuple[int, int, int] | None]:
         """Exhaustive associativity test with least witness triple."""
-        w = associativity_witness(self.tbl)
+        w = associativity_witness(self.tbl, self.generators)
         return w is None, w
 
     @cached_property
@@ -126,6 +133,10 @@ class Loop:
     @cached_property
     def center(self) -> tuple[int, ...]:
         return loop_center(self)
+
+    @cached_property
+    def automorphic(self) -> AutomorphicVerdict:
+        return is_automorphic(self)
 
     def __repr__(self):
         return f"<Loop {self.name!r} n={self.n}>"
@@ -144,17 +155,19 @@ def mlt_chain(q: Loop) -> StabilizerChain:
     return chain
 
 
-def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
-    """Least (x, y, z) with (xy)z != x(yz) in the table t, or None.
+def associativity_witness(t: np.ndarray, gens: np.ndarray) -> tuple[int, int, int] | None:
+    """Least (x, y, z) with (xy)z != x(yz) in the Latin table t with identity
+    0, or None; gens are the generators of closure(n, product, 0..n-1).
 
     Light's test: the middle nucleus {a : (xa)z = x(az) for all x, z} of any
     magma is closed under products.  If a and b are in it, then
-    (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z).  So the n^2 pairs
-    (x, z) are tested only for the a of a generating set (_closure_witness).
+    (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z).  It holds the
+    identity 0.  So it is the whole table once the n^2 pairs (x, z) pass for
+    each a in gens; a failing one runs the per-x scan for the least witness.
     """
-    return _closure_witness(len(t), lambda x, y: t[x, y],
-                            lambda a, xs: (t[t[xs, a]], t[xs][:, t[a]]),  # (xa)z, x(az)
-                            lambda x, ys: (t[t[x, ys]], t[x][t[ys]]))     # (xy)z, x(yz)
+    n = len(t)
+    passes = _least_block_witness(n, lambda a, xs: (t[t[xs, a]], t[xs][:, t[a]]), gens) is None  # (xa)z, x(az)
+    return None if passes else _least_block_witness(n, lambda x, ys: (t[t[x, ys]], t[x][t[ys]]))  # (xy)z, x(yz)
 
 
 def commutativity_witness(t: np.ndarray) -> tuple[int, int] | None:
@@ -178,40 +191,14 @@ def _least_block_witness(n: int, sides, xs=None) -> tuple[int, int, int] | None:
     return None
 
 
-def _greedy_generators(n: int, op):
-    """Yield the least element a not reached yet, then close the reached set R
-    under op with it, combining each newly reached c as op(c, R) and op(R, c),
-    until every element is reached: each one yielded lies outside the closure
-    of those before, and together they generate."""
-    reached, members, k = np.zeros(n, dtype=bool), np.empty(n, dtype=np.intp), 0
-    while k < n:
-        a = int(np.argmin(reached))
-        yield a
-        reached[a], members[k], todo = True, a, [a]
-        k += 1
-        while todo:  # a block of elements c per step, each combined with the k of R
-            step = next(row_blocks(len(todo), k)).stop
-            cs, todo = np.array(todo[-step:]), todo[:-step]
-            R = members[:k]
-            for X, Y in ((cs[:, None], R), (R[:, None], cs)):
-                fresh = distinct_values(op(X, Y))  # one block of products held at a time
-                fresh = fresh[~reached[fresh]]
-                reached[fresh] = True
-                members[k:k + fresh.size] = fresh
-                k += fresh.size
-                todo += fresh.tolist()
-
-
 def _closure_witness(n: int, op, sides, witness_sides=None) -> tuple[int, int, int] | None:
     """Least witness of an identity whose passing x, those where the arrays
-    sides(x, rows y) agree, are closed under the operation op(X, Y) on
-    broadcast index arrays (the caller proves this).  So greedy generators
-    decide; no element is taken for an identity.  On a failure the per-x
-    scan of witness_sides (default: sides) gives the least."""
-    for a in _greedy_generators(n, op):
-        if _least_block_witness(n, sides, [a]) is not None:
-            return _least_block_witness(n, witness_sides or sides)
-    return None
+    sides(x, rows y) agree, hold 0 and are closed under the operation op(X, Y)
+    on broadcast index arrays (the caller proves both).  So the generators of
+    closure(n, op, 0..n-1) decide; on a failure the per-x scan of
+    witness_sides (default: sides) gives the least."""
+    passes = _least_block_witness(n, sides, closure(n, op, range(n))[1]) is None
+    return None if passes else _least_block_witness(n, witness_sides or sides)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +254,8 @@ def check_gamma_axioms(q: Loop) -> GammaVerdict:
     ux = t if gamma1.holds else t.T
     P = build_table(q.n, lambda x, u: np.take_along_axis(divide_rows(t, inv[x[:, 0]]), ux[x, u], 1)).table
     # P_x P_y P_x against P_{y P_x}.  The passing x are closed under (a, b) -> P_a(b): maps s
-    # with s P_y s = P_{s(y)} for all y are closed under s, r -> s r s; P_a P_b P_a = P_{P_a(b)}
+    # with s P_y s = P_{s(y)} for all y are closed under s, r -> s r s; P_a P_b P_a = P_{P_a(b)}.
+    # 0 passes: P_0 is the identity map
     def p_sides(x, ys):  # rows ys of P_x P_y P_x and of P_{y P_x}
         px = P[x]
         return px.take(P[ys][:, px]), P[px[ys]]
@@ -307,7 +295,8 @@ def _left_bol_witness(t: np.ndarray, witness_sides=None) -> tuple[int, int, int]
     """Least (x, y, z) with x(y(xz)) != (x(yx))z in a loop table (on a failure,
     the least where witness_sides differ if given), or None.  The x with
     L_x L_y L_x = L_{x(yx)} for all y are closed under (a, b) -> c = a(ba):
-    L_c = L_a L_b L_a, so L_c L_y L_c = L_a L_{b((a(ya))b)} L_a is L_{c(yc)}."""
+    L_c = L_a L_b L_a, so L_c L_y L_c = L_a L_{b((a(ya))b)} L_a is L_{c(yc)}.
+    0 passes left Bol, as L_0 is the identity map."""
     return _closure_witness(len(t), lambda x, y: t[x, t[y, x]],
                             lambda x, ys: (t[x][t[ys][:, t[x]]], t[t[x, t[ys, x]]]), witness_sides)
 
@@ -473,21 +462,22 @@ def loop_center(q: Loop) -> tuple[int, ...]:
     is closed under products: for a, b in it, ((ab)x)y = (a(bx))y =
     a((bx)y) = a(b(xy)) = (ab)(xy).  So it is a subloop, an abelian group.
     1. Sieve: a candidate a != 0 is dropped on a failing pair (x, y), for x
-       a greedy generator of Q, all candidates at once, a block per step.
-       Only failing candidates go, so Z(Q) survives.
+       in q.generators, all candidates at once, a block per step.  Only
+       failing candidates go, so Z(Q) survives.
     2. The least survivor not known to be central takes the full n^2 test.
     3. One that passes joins the generators of the known central subgroup
-       K, which is closed under products.  One that fails takes its coset
-       aK with it: ak central for a k in K would make a = (ak)/k central.
+       K, the closure of 0 under right products with them (0 is central).
+       One that fails takes its coset aK with it: ak central for a k in K
+       would make a = (ak)/k central.
     Steps 2 and 3 repeat until every survivor is in K, so K = Z(Q), and
     each generator of Z(Q) costs one n^2 scan.
     """
     _require_commutative(q, "the center")
     t, n = q.tbl, q.n
     alive = np.ones(n, dtype=bool)
-    for x in _greedy_generators(n, lambda a, b: t[a, b]):
+    for x in q.generators:
         cand = np.flatnonzero(alive[1:]) + 1
-        for r in row_blocks(cand.size) if x else ():  # (a0)y = a(0y) for every a
+        for r in row_blocks(cand.size):
             a = cand[r]
             alive[a] = (t[t[a, x]] == t[a][:, t[x]]).all(axis=1)
         if not alive[1:].any():
@@ -497,7 +487,7 @@ def loop_center(q: Loop) -> tuple[int, ...]:
         a = int(rest[0])
         if first_false_rows(n, lambda r: t[t[a, r]] == t[a][t[r]]) is None:  # (ax)y = a(xy), rows x
             gens.append(a)
-            central[list(subgroup_closure(t, gens)[0])] = True
+            central[list(closure(n, lambda x, y: t[x, y], gens)[0])] = True
         else:
             alive[t[a, central]] = False
     return tuple(np.flatnonzero(central).tolist())

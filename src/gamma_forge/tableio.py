@@ -132,8 +132,11 @@ def import_table(path: str | Path) -> ImportResult:
     into one array that the CayleyTable takes without a copy, together with
     the array's one classification: the transposition (0 e) keeps the Latin
     verdict and its witness, and moves the identity to 0."""
-    with open(path) as fh:
-        arr, name, comments = parse_tbl(fh)
+    try:
+        with open(path) as fh:
+            arr, name, comments = parse_tbl(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConstructionError(f"cannot read {path}: {exc}")
     cls = classify(arr)
     _, sigma = normalize_identity(arr, cls.identity_index)
     arr.setflags(write=False)
@@ -166,5 +169,8 @@ def export_table(table: CayleyTable, path: str | Path,
     e = table.classification.identity_index
     if e:  # neither None nor 0
         arr, _ = normalize_identity(arr.copy(), e)
-    with open(path, "w") as fh:
-        fh.writelines(_tbl_chunks(arr, table.name, extra_comments))
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(_tbl_chunks(arr, table.name, extra_comments))
+    except OSError as exc:
+        raise ConstructionError(f"cannot write {path}: {exc}")

@@ -551,17 +551,19 @@ def upper_central_series_scan(t) -> list[tuple[int, ...]]:
         current = nxt
 
 
-def subgroup_closure(g, seed) -> tuple[int, ...]:
-    """Members of the subgroup generated by seed, frontier by frontier: each
-    new element times every generator."""
-    gens = sorted(set(int(s) for s in seed) | {0})
-    members = set(gens)
-    frontier = list(gens)
+def subgroup_closure(mul, seed) -> tuple[int, ...]:
+    """Members of the closure of 0 and seed under right products c -> mul(c, a)
+    with a in seed, for a scalar product mul, frontier by frontier: each new
+    element times every seed element.  In a group it is the subgroup seed
+    generates."""
+    gens = sorted(set(int(s) for s in seed))
+    members = set(gens) | {0}
+    frontier = sorted(members)
     while frontier:
         new = []
         for b in frontier:
             for a in gens:
-                c = g.mul(b, a)
+                c = mul(b, a)
                 if c not in members:
                     members.add(c)
                     new.append(c)
@@ -584,7 +586,7 @@ def normal_closure(g, seed, conj_by):
     under conjugation by conj_by, one product at a time."""
     gens = sorted(set(seed) | {0})
     while True:
-        members = subgroup_closure(g, gens)
+        members = subgroup_closure(g.mul, gens)
         have = set(members)
         conj = [(inverse(g, y), y) for y in conj_by]
         extra = {c for a in members for yi, y in conj if (c := g.mul(g.mul(yi, a), y)) not in have}

@@ -91,8 +91,17 @@ def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
     # a Loop keeps its commutativity, automorphic-inverse, power-associativity,
     # axiom-block and left Bruck verdicts, and construction, the translations and
     # every check read them there: no table is scanned twice for one fact,
-    # through any binding of the scan
+    # through any binding of the scan.  Each group table is closed for its
+    # generators once, by its build, and each Loop.generators is found once
     scanned = []  # (fact, table): holding the tables keeps their ids distinct
+    closed = []  # (group build or Loop.generators, its group or loop)
+    real_closure = core.closure
+
+    def closing(n, op, seed):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name in ("_verify", "generators"):
+            closed.append((caller.f_code.co_name, caller.f_locals["self"]))
+        return real_closure(n, op, seed)
 
     def spy(fact, real, table_of):
         def counting(arg):
@@ -110,11 +119,25 @@ def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
             for name, value in list(vars(m).items()):
                 if value is real:
                     monkeypatch.setattr(m, name, counting)
-    for spec, roundtrip_or_quotient in (("sd:7:3:2", "correspondence-roundtrip"), ("wr:3", "class3-center-equality")):
+    for m in modules:
+        for name, value in list(vars(m).items()):
+            if value is real_closure:
+                monkeypatch.setattr(m, name, closing)
+    # the group and its two factors are built and closed; the circ loop, and for
+    # wr:3 its order-9 quotient, are closed for the associativity test, the
+    # center sieve and (sd:7:3:2) the closed-form L maps
+    for spec, roundtrip_or_quotient, closures in (
+            ("sd:7:3:2", "correspondence-roundtrip", [("_verify", 3), ("_verify", 7), ("_verify", 21), ("generators", 21)]),
+            ("wr:3", "class3-center-equality", [("_verify", 3), ("_verify", 27), ("_verify", 81), ("generators", 9),
+                                                 ("generators", 81)])):
+        closed.clear()
         g = construct(spec)
         scanned.clear()
         report = run_checks(g)
         assert report.consistent and {c.check_id: c.verdict for c in report.checks}[roundtrip_or_quotient] == "pass"
+        assert [c.verdict for c in report.checks if c.check_id == "closed-form-agreement"] == ["pass"]
+        assert sorted((caller, len(owner.tbl)) for caller, owner in closed) == closures, spec
+        assert len({id(owner) for _, owner in closed}) == len(closed), spec
         facts = [(fact, id(t)) for fact, t in scanned]
         assert len(facts) == len(set(facts)), spec
         # the circ and oplus loops were each scanned, and for wr:3 the commutativity of its order-9
@@ -290,7 +313,7 @@ def test_held_arrays_are_narrow_and_flat_indices_intp(spec, monkeypatch):
     tables = {f"ctx.{o}.table.table" for o in ("g", "circ", "oplus")}
     assert tables | {"ctx.g.inverse", "ctx.g.commutators", "ctx.g.generators", "ctx.g.squares", "ctx.g.sqrt_table",
                      "ctx.circ.right_inverses", "ctx.circ.left_inverses", "ctx.circ.inner_generators[0]",
-                     "ctx.oplus.right_inverses"} <= set(held)
+                     "ctx.circ.generators", "ctx.oplus.right_inverses"} <= set(held)
     assert {name: a.dtype for name, a in held.items() if a.dtype != dtype and ".sd_spec." not in name} == {}
     if g.sd_spec is not None:  # H, F and the action: in the element dtype of H or of F
         sd = {a.dtype for name, a in held.items() if ".sd_spec." in name}

@@ -69,6 +69,14 @@ def test_verify_json_format_and_seed_stability(capsys):
     assert strip(out1) == strip(out2)
 
 
+def test_verify_accepts_the_trivial_normal_factor(capsys):
+    # Z_1 x| Z_3: every action is trivial mod 1, as 1 % 1 = 0 = a^p % 1
+    code, out, err = run_cli(capsys, "verify", "sd:1:3:0", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["consistent"] and report["order"] == 3
+    assert {c["id"]: c["verdict"] for c in report["checks"]}["closed-form-agreement"] == "pass"
+
+
 @pytest.mark.parametrize("spec", ["heis:-3", "ut:4:0", "sd:0:3:1", "ut:4:-3"])
 def test_verify_nonpositive_parameters_are_usage_errors(spec):
     # run as a separate process, so an uncaught exception shows as a traceback
@@ -200,6 +208,49 @@ def test_survey_source_dir(tmp_path, capsys):
     assert "not uniquely 2-divisible" in out
     assert "unreadable" in out
     assert "g21.tbl" in out
+
+
+# bytes that are no UTF-8 text, as at the start of an executable file
+NOT_TEXT = b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256))
+
+# each command on a path it cannot read or write, as arguments under a scratch directory D
+BAD_PATHS = [
+    ["import", "D/missing.tbl"],
+    ["verify", "file:D/missing.tbl"],
+    ["verify", "D"],
+    ["export", "cyclic:3", "D/missing/x.tbl"],
+    ["convert", "D/z3.tbl", "--direction", "circ", "--out", "D/missing/x.tbl"],
+    ["import", "D/bin.tbl"],
+    ["verify", "D/bin.tbl"],
+    ["convert", "D/bin.tbl", "--direction", "circ", "--out", "D/x.tbl"],
+    ["survey", "--source", "D/missing"],
+    ["survey", "--source", "D/z3.tbl"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_PATHS, ids=" ".join)
+def test_bad_paths_and_non_text_tables_exit_2(argv, tmp_path):
+    # run as a separate process, so an uncaught exception shows as a traceback
+    tableio.export_table(construct("cyclic:3").table, tmp_path / "z3.tbl")
+    (tmp_path / "bin.tbl").write_bytes(NOT_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(Path(gamma_forge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gamma_forge.cli", *(a.replace("D", str(tmp_path), 1) for a in argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_survey_reads_a_non_text_table_as_one_unreadable_row(tmp_path, capsys):
+    tableio.export_table(construct("sd:7:3:2").table, tmp_path / "g21.tbl")
+    tableio.export_table(construct("cyclic:3").table, tmp_path / "z3.tbl")
+    (tmp_path / "bin.tbl").write_bytes(NOT_TEXT)
+    code, out, err = run_cli(capsys, "survey", "--source", str(tmp_path), "--format", "json")
+    assert code == 0 and err == ""
+    rows = {r["spec"]: r for r in json.loads(out)["rows"]}
+    assert sorted(rows) == ["file:bin.tbl", "file:g21.tbl", "file:z3.tbl"]
+    assert rows["file:bin.tbl"]["skipped"].startswith(f"unreadable: cannot read {tmp_path / 'bin.tbl'}: ")
+    assert rows["file:g21.tbl"]["skipped"] is None and rows["file:z3.tbl"]["skipped"] is None
 
 
 def test_export_import_roundtrip(tmp_path, capsys):
