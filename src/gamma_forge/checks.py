@@ -68,7 +68,7 @@ def _root_witness(g: Group) -> tuple[int, int, int] | None:
     failing triple is the least (x, y) whose c fails, with that c's least z."""
     C, s, cs, xs = g.commutator, g.sqrt_table, g.commutators, np.arange(g.order)
     fails, least_z = np.zeros(g.order, dtype=bool), np.zeros(g.order, dtype=np.intp)
-    for r in row_blocks(len(cs)):
+    for r in row_blocks(len(cs), g.order):
         ok = C(s[cs[r, None]], xs) == s[C(cs[r, None], xs)]
         fails[cs[r]], least_z[cs[r]] = ~ok.all(axis=1), np.argmin(ok, axis=1)
     w = fails.any() and first_false_rows(g.order, lambda r: ~fails[C(xs[r, None], xs)])
@@ -92,7 +92,7 @@ def _rotation_witness(g: Group) -> tuple[int, int, int] | None:
     J = lambda x, y, z: t[t[C(C(x, y), z), C(C(z, x), y)], C(C(y, z), x)]
     if first_false_rows(n, lambda r: J(gens[:, None], xs[r, None, None], gens) == 0, len(gens) ** 2) is None:
         return None
-    p, z = first_false_rows(n * n, lambda r: J(*np.divmod(np.arange(r.start, r.stop)[:, None], n), xs) == 0)
+    p, z = first_false_rows(n * n, lambda r: J(*np.divmod(np.arange(r.start, r.stop)[:, None], n), xs) == 0, n)
     return p // n, p % n, z
 
 
@@ -100,11 +100,10 @@ def _witness_str(subject, w) -> str | None:
     """Format a witness tuple with element labels (works for groups and loops)."""
     if w is None:
         return None
-    size = subject.order if hasattr(subject, "order") else subject.n
     if isinstance(w, tuple):
         return "(" + ",".join(
             subject.label(int(v))
-            if isinstance(v, (int, np.integer)) and 0 <= int(v) < size else str(v)
+            if isinstance(v, (int, np.integer)) and 0 <= int(v) < subject.n else str(v)
             for v in w) + ")"
     return str(w)
 
@@ -344,7 +343,7 @@ def _check_closed_forms(ctx: CheckContext) -> Outcome:
                                 ("circ division", forms.ldiv_table, lambda r, c: t[xs[r, None], c] == xs)):
         for f in range(forms.nF):
             lo, closed = f * forms.nH, table(f)
-            w = first_false_rows(forms.nH, lambda r: agrees(slice(lo + r.start, lo + r.stop), closed[r]))
+            w = first_false_rows(forms.nH, lambda r: agrees(slice(lo + r.start, lo + r.stop), closed[r]), g.order)
             if w is not None:
                 return _predicted(False, f"{what} differs at {_witness_str(g, (lo + w[0], w[1]))}")
             del closed
@@ -384,7 +383,7 @@ def _lmap_scan(q: Loop, lxy, nH: int, gens: np.ndarray | None = None) -> tuple[i
         table = np.empty((q.n, len(us)), dtype=t.dtype)  # columns us of every row
         for lo in range(0, q.n, nH):
             rows = lxy(f, lo // nH)
-            w = first_false_rows(nH, lambda r: agrees(x0, slice(lo + r.start, lo + r.stop), rows[r], xs))
+            w = first_false_rows(nH, lambda r: agrees(x0, slice(lo + r.start, lo + r.stop), rows[r], xs), q.n)
             if w is not None:
                 return x0, lo + w[0], w[1]
             table[lo:lo + nH] = rows[:, us]

@@ -43,7 +43,7 @@ def _load_loop(token: str) -> Loop:
     token = _spec(token)
     if token.startswith("file:"):
         return Loop(tableio.import_table(token[len("file:"):]).table)
-    return Loop(_load_group(token).table)
+    return _load_group(token)
 
 
 def cmd_verify(args) -> int:

@@ -12,15 +12,15 @@ The loop keeps each law verdict it scans, so the checks that read one later
 (the axiom block, Moufang, left Bruck, the center) do not scan it again.
 
 Each translation takes only loops of its variety, by the verdict the Loop
-keeps, and has one path; Bruck -> Gamma is one walk over cycles.
+keeps, and has one path; Bruck -> Gamma is one walk over cycles.  Square
+roots, of the group and of a loop alike, are the Loop's sqrt_table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (CayleyTable, ConstructionError, EvenOrderError, GammaForgeError,
-                   build_table, divide_rows, left_power_walk, row_blocks)
+from .core import CayleyTable, ConstructionError, GammaForgeError, build_table, divide_rows, row_blocks
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
 from .loops import Loop, powers_coincide
 
@@ -66,30 +66,16 @@ def oplus_loop(g: AnyGroup) -> Loop:
 
 
 def _validate_constructed(g: Group, q: Loop, require_commutative: bool):
-    if q.mul(0, 0) != 0:
-        raise ConstructionError("constructed loop lost the source identity")
+    # Loop.__init__ refused any identity but 0, the group's; and in a commutative Latin
+    # table x r = 0 gives r x = 0, so the inverses that the aip test reads are two-sided
     if require_commutative:
         if q.commutativity is not None:
             raise ConstructionError(f"constructed table not commutative at {q.commutativity}")
-        if q.inverse is None:
-            raise ConstructionError("constructed loop lacks two-sided inverses")
         if q.aip is not None:
             raise ConstructionError(f"automorphic inverse property fails at {q.aip}")
     ok, w = powers_coincide(g, q)
     if not ok:
         raise ConstructionError(f"powers disagree with the source group at {w}")
-
-
-def loop_sqrt_table(q: Loop) -> np.ndarray:
-    """Elementwise square roots x^((m+1)/2) in an odd-order power-associative loop."""
-    ok, bad = q.power_associativity
-    if not ok:
-        raise ConstructionError(f"loop is not power-associative at element {q.label(bad)}")
-    orders, roots, _ = left_power_walk(q.tbl)
-    if (orders % 2 == 0).any():
-        x = int(np.argmax(orders % 2 == 0))
-        raise EvenOrderError(f"element {q.label(x)} has no odd order (got {int(orders[x])})")
-    return roots
 
 
 def bruck_from_gamma(q: Loop) -> Loop:
@@ -101,7 +87,7 @@ def bruck_from_gamma(q: Loop) -> Loop:
         raise ConstructionError("translation requires odd order")
     if not q.gamma_axioms.all_hold:
         raise ConstructionError(f"input fails the variety axioms: {q.gamma_axioms}")
-    inv, lsqrt, t = q.inverse, loop_sqrt_table(q), q.tbl  # inverses are two-sided under the axioms
+    inv, lsqrt, t = q.inverse, q.sqrt_table, q.tbl  # inverses are two-sided under the axioms
     sq = t.diagonal()
     # [x, y] -> (x^-1 \ (y^2 x))^(1/2), with the division rows of a block of x^-1 at a time
     table = build_table(q.n, lambda x, y: lsqrt[np.take_along_axis(divide_rows(t, inv[x[:, 0]]), t[sq[y], x], 1)],

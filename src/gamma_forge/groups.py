@@ -3,7 +3,8 @@
 Groups live on dense indices 0..n-1 with identity 0.  Each family has one
 product rule that runs on ints and on broadcast index arrays alike.  Orders
 within the table cap get a Cayley table evaluated from that rule over blocks
-of rows, then associativity-verified; larger constructions are functional
+of rows; a table group is a loops.Loop whose build passes Light's test, and
+keeps only its commutators and squares.  Larger constructions are functional
 groups that call the rule on two ints per product and refuse table-only
 operations with a clear error.
 """
@@ -21,7 +22,6 @@ import numpy as np
 from .core import (
     CayleyTable,
     ConstructionError,
-    EvenOrderError,
     GammaForgeError,
     build_table,
     closure,
@@ -29,13 +29,11 @@ from .core import (
     element_dtype,
     first_false_rows,
     flat,
-    left_power_walk,
     row_blocks,
-    row_zeros,
     table_cap,
 )
 from . import tableio
-from .loops import associativity_witness, commutativity_witness
+from .loops import Loop
 
 
 class TableRequiredError(GammaForgeError):
@@ -50,45 +48,32 @@ class SpecParseError(GammaForgeError):
 # Table-backed groups
 
 
-class Group:
-    """A finite group given by a verified Cayley table with identity 0."""
+class Group(Loop):
+    """A finite group: a loop table with identity 0 that passes Light's test.
+
+    A group is exactly an associative loop (Bruck 1958), so the table, its
+    labels, inverses, generators, commutativity verdict and square roots are
+    the Loop's; a group is power-associative, so no powers are scanned."""
+
+    power_associativity = (True, None)
 
     def __init__(self, table: CayleyTable, source_spec: str | None = None,
                  notes: Sequence[str] = (), gens: Sequence[int] = ()):
-        self.table = table
-        self.tbl = table.table
-        self.order = table.n
-        self.name = table.name
+        super().__init__(table)
+        self.order = self.n
         self.gens = tuple(gens)
         self.source_spec = source_spec
         self.notes = tuple(notes)
         self.sd_spec: "SemidirectSpec | None" = None
         self._verify()
-        # inverse of x is the unique y with x*y = 0; rows are permutations
-        self.inverse = row_zeros(self.tbl)
-        self.inverse.setflags(write=False)
 
     def _verify(self):
-        cls = self.table.classification
-        if not cls.is_latin:
-            raise ConstructionError(f"not a group table: {cls.witness}")
-        if cls.identity_index != 0:
-            raise ConstructionError(
-                f"identity must be at index 0, found {cls.identity_index} "
-                f"(normalize on import)")
-        # an associative Latin table with an identity is a group: inverses are two-sided.  Light's
-        # test reads the generators, each the least element outside the subgroup of those before
-        self.generators = np.array(closure(self.order, self.rule, range(self.order))[1], dtype=self.tbl.dtype)
-        w = associativity_witness(self.tbl, self.generators)
-        if w is not None:
+        # an associative loop is a group: inverses are two-sided.  Light's test
+        # reads Loop.generators, each the least element outside the subgroup of those before
+        ok, w = self.is_associative()
+        if not ok:
             x, y, z = (self.label(v) for v in w)
             raise ConstructionError(f"not associative: ({x}*{y})*{z} != {x}*({y}*{z})")
-
-    def label(self, x: int) -> str:
-        return self.table.label(x)
-
-    def mul(self, x: int, y: int) -> int:
-        return int(self.tbl[x, y])
 
     def rule(self, x, y):
         """The product as an array-capable rule, so rules can be composed."""
@@ -108,22 +93,6 @@ class Group:
     @cached_property
     def squares(self) -> np.ndarray:
         return self.tbl[np.arange(self.order), np.arange(self.order)]
-
-    @cached_property
-    def sqrt_table(self) -> np.ndarray:
-        """s[x] = x^((m+1)/2) with s[x]^2 = x; requires every element order m odd."""
-        orders, s, _ = left_power_walk(self.tbl)
-        if (orders % 2 == 0).any():
-            x = int(np.argmax(orders % 2 == 0))
-            raise EvenOrderError(f"element {self.label(x)} has even order {int(orders[x])}")
-        s.setflags(write=False)
-        return s
-
-    def is_abelian(self) -> bool:
-        return commutativity_witness(self.tbl) is None
-
-    def __repr__(self):
-        return f"<Group {self.name!r} order={self.order}>"
 
 
 class FunctionalGroup:
@@ -341,7 +310,7 @@ class SemidirectSpec:
             raise ConstructionError(f"action must be ({F.order},{H.order}), got {act.shape}")
         if H.order % 2 == 0 or F.order % 2 == 0:
             raise ConstructionError("both factors must have odd order")
-        if not H.is_abelian() or not F.is_abelian():
+        if H.commutativity is not None or F.commutativity is not None:
             raise ConstructionError("both factors must be abelian")
         ref = np.arange(H.order)
         for f in range(F.order):

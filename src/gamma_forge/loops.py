@@ -12,7 +12,8 @@ operation.  A Loop keeps one generating set of its product, which Light's
 test, the center sieve and the closed-form L maps read.  It scans
 commutativity, automorphic inverses, power associativity, the axiom block,
 the left Bruck identities and automorphicity once each and keeps the
-verdicts; central quotients are read off the center's cosets.
+verdicts, its inverses and its square roots; central quotients are read off
+the center's cosets.  A group is the Loop subclass groups.Group.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     DEFAULT_TABLE_CAP,
     CayleyTable,
     ConstructionError,
+    EvenOrderError,
     GammaForgeError,
     StabilizerChain,
     build_table,
@@ -47,9 +49,9 @@ class Loop:
 
     Its law verdicts (commutativity, automorphic inverses, power
     associativity, the circ-variety axioms, left Bruck, automorphicity), its
-    inverses, generators and center are each decided on first read and kept:
-    construction validation, the variety translations and every check read
-    them here."""
+    inverses, generators, square roots and center are each decided on first
+    read and kept: group and loop construction, the variety translations and
+    every check read them here."""
 
     def __init__(self, table: CayleyTable, source: dict | None = None):
         cls = table.classification
@@ -71,8 +73,10 @@ class Loop:
 
     @cached_property
     def right_inverses(self) -> np.ndarray:
-        """The y with x y = 0 for each x: the one 0 of row x of the Latin table."""
-        return row_zeros(self.tbl)
+        """The y with x y = 0 for each x: the one 0 of row x of the Latin table; read-only."""
+        r = row_zeros(self.tbl)
+        r.setflags(write=False)
+        return r
 
     @cached_property
     def left_inverses(self) -> np.ndarray:
@@ -124,6 +128,20 @@ class Loop:
         return w is None, w
 
     @cached_property
+    def sqrt_table(self) -> np.ndarray:
+        """s[x] = x^((m+1)/2), so s[x]^2 = x, in a power-associative loop whose
+        every element order m is odd; read-only."""
+        ok, bad = self.power_associativity
+        if not ok:
+            raise ConstructionError(f"loop is not power-associative at element {self.label(bad)}")
+        orders, s, _ = left_power_walk(self.tbl)
+        if (orders % 2 == 0).any():
+            x = int(np.argmax(orders % 2 == 0))
+            raise EvenOrderError(f"element {self.label(x)} has even order {int(orders[x])}")
+        s.setflags(write=False)
+        return s
+
+    @cached_property
     def inner_generators(self) -> list[np.ndarray]:
         """Generators of Inn(Q) from mlt_chain(Q) for a commutative Q; the chain
         is dropped, with the n coset representatives of n cells each that its
@@ -139,7 +157,7 @@ class Loop:
         return is_automorphic(self)
 
     def __repr__(self):
-        return f"<Loop {self.name!r} n={self.n}>"
+        return f"<{type(self).__name__} {self.name!r} n={self.n}>"
 
 
 def mlt_chain(q: Loop) -> StabilizerChain:
@@ -266,16 +284,14 @@ def check_gamma_axioms(q: Loop) -> GammaVerdict:
 
 
 def is_moufang(q: Loop) -> tuple[bool, tuple[int, int, int] | None]:
-    """xy . zx == x(yz . x) for all triples; least witness on failure.  In a
-    commutative loop left Bol is right Bol, and a loop both left and right
-    Bol is Moufang, while a Moufang loop is left Bol (Bruck 1958; Pflugfelder
-    1990): there the left Bol closure decides, and only a failure is scanned."""
+    """xy . zx == x(yz . x) for all triples of the commutative loop q; least
+    witness on failure.  In a commutative loop left Bol is right Bol, and a
+    loop both left and right Bol is Moufang, while a Moufang loop is left Bol
+    (Bruck 1958; Pflugfelder 1990): so the left Bol closure decides, and only
+    a failure is scanned."""
+    _require_commutative(q, "the Moufang identity")
     t = q.tbl  # [y, z] -> (xy)(zx) against x((yz)x)
-    sides = lambda x, ys: (t[t[x, ys]][:, t[:, x]], t[x][t[t[ys], x]])
-    if q.commutativity is None:
-        w = _left_bol_witness(t, sides)
-    else:
-        w = _least_block_witness(q.n, sides)
+    w = _left_bol_witness(t, lambda x, ys: (t[t[x, ys]][:, t[:, x]], t[x][t[t[ys], x]]))
     return w is None, w
 
 
@@ -477,7 +493,7 @@ def loop_center(q: Loop) -> tuple[int, ...]:
     alive = np.ones(n, dtype=bool)
     for x in q.generators:
         cand = np.flatnonzero(alive[1:]) + 1
-        for r in row_blocks(cand.size):
+        for r in row_blocks(cand.size, n):
             a = cand[r]
             alive[a] = (t[t[a, x]] == t[a][:, t[x]]).all(axis=1)
         if not alive[1:].any():

@@ -12,10 +12,10 @@ import pytest
 
 import oracles
 
-from gamma_forge import checks, constructions, core, loops
+from gamma_forge import checks, cli, constructions, core, loops
 from gamma_forge.checks import CHECK_IDS, CLAIMS, GROUP_ONLY_CHECKS, CheckContext, run_check, run_checks
 from gamma_forge.constructions import circ_loop, oplus_loop
-from gamma_forge.groups import construct, derived_subgroup, nilpotency_class
+from gamma_forge.groups import Group, construct, derived_subgroup, nilpotency_class
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,14 +92,15 @@ def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
     # axiom-block and left Bruck verdicts, and construction, the translations and
     # every check read them there: no table is scanned twice for one fact,
     # through any binding of the scan.  Each group table is closed for its
-    # generators once, by its build, and each Loop.generators is found once
+    # generators once, by the Light's test of its build, and each loop's
+    # Loop.generators is found once
     scanned = []  # (fact, table): holding the tables keeps their ids distinct
-    closed = []  # (group build or Loop.generators, its group or loop)
+    closed = []  # (Loop.generators, its group or loop)
     real_closure = core.closure
 
     def closing(n, op, seed):
         caller = sys._getframe(1)
-        if caller.f_code.co_name in ("_verify", "generators"):
+        if caller.f_code.co_name == "generators":
             closed.append((caller.f_code.co_name, caller.f_locals["self"]))
         return real_closure(n, op, seed)
 
@@ -127,9 +128,10 @@ def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
     # wr:3 its order-9 quotient, are closed for the associativity test, the
     # center sieve and (sd:7:3:2) the closed-form L maps
     for spec, roundtrip_or_quotient, closures in (
-            ("sd:7:3:2", "correspondence-roundtrip", [("_verify", 3), ("_verify", 7), ("_verify", 21), ("generators", 21)]),
-            ("wr:3", "class3-center-equality", [("_verify", 3), ("_verify", 27), ("_verify", 81), ("generators", 9),
-                                                 ("generators", 81)])):
+            ("sd:7:3:2", "correspondence-roundtrip", [("generators", 3), ("generators", 7), ("generators", 21),
+                                                      ("generators", 21)]),
+            ("wr:3", "class3-center-equality", [("generators", 3), ("generators", 9), ("generators", 27),
+                                                 ("generators", 81), ("generators", 81)])):
         closed.clear()
         g = construct(spec)
         scanned.clear()
@@ -157,9 +159,9 @@ def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
     scanned.clear()
     for _ in range(2):
         for q in (circ, oplus):
-            q.gamma_axioms, loops.is_moufang(q), q.left_bruck
-            loops.powers_coincide(g, q), constructions.loop_sqrt_table(q)
-        loops.is_automorphic(circ), loops.loop_center(circ)
+            q.gamma_axioms, q.left_bruck
+            loops.powers_coincide(g, q), q.sqrt_table
+        loops.is_moufang(circ), loops.is_automorphic(circ), loops.loop_center(circ)
     assert sorted((fact, t is oplus.tbl) for fact, t in scanned) == [
         ("aip_witness", True), ("check_gamma_axioms", False), ("check_gamma_axioms", True),
         ("commutativity_witness", True), ("is_left_bruck", False), ("is_left_bruck", True)]
@@ -248,6 +250,53 @@ def test_checks_at_order_729_keep_scratch_to_a_row_block():
     assert {name: round(b / 1e6, 2) for name, b in excess.items() if b > 1.43e6} == {}
 
 
+@pytest.mark.parametrize("spec", ["ut:4:3", "sd:127:3:19"])
+def test_every_scan_block_is_within_the_cell_budget(spec, monkeypatch):
+    # every mask handed to first_false, and every block of the center sieve and
+    # of the root identity (rows n wide, reduced without first_false), holds at
+    # most _BLOCK_CELLS cells unless it is a single row: through the group build
+    # and every check, the roundtrip included
+    masks, blocks = [], []
+    real_first_false, real_row_blocks = core.first_false, core.row_blocks
+
+    def first_false(mask):
+        masks.append(np.shape(mask))
+        return real_first_false(mask)
+
+    def row_blocks(n, width=None):
+        caller = sys._getframe(1)
+        out = list(real_row_blocks(n, width))
+        if caller.f_code.co_name in ("loop_center", "_root_witness"):
+            owner = caller.f_locals["q" if "q" in caller.f_locals else "g"]
+            blocks.extend((caller.f_code.co_name, r.stop - r.start, len(owner.tbl)) for r in out)
+        return iter(out)
+
+    for real, spy in ((real_first_false, first_false), (real_row_blocks, row_blocks)):
+        for m in [m for name, m in sys.modules.items() if name.startswith("gamma_forge")]:
+            for name, value in list(vars(m).items()):
+                if value is real:
+                    monkeypatch.setattr(m, name, spy)
+    report = run_checks(construct(spec), force_exhaustive=True)
+    assert report.consistent and "fail" not in {c.verdict for c in report.checks}
+    budget = core._BLOCK_CELLS
+    assert masks and {caller for caller, _, _ in blocks} == {"loop_center", "_root_witness"}
+    assert [s for s in masks if len(s) > 1 and s[0] > 1 and np.prod(s) > budget] == []
+    assert [b for b in blocks if b[1] > 1 and b[1] * b[2] > budget] == []
+
+
+@pytest.mark.parametrize("spec", ["sd:7:3:2", "ut:4:3"])
+def test_verify_scans_no_group_for_power_associativity(spec, monkeypatch, capsys):
+    # a Group is power-associative by its build, so its square roots read no
+    # scan of cyclic powers; only the circ and oplus loops are scanned
+    scanned = []
+    real = loops.is_power_associative
+    monkeypatch.setattr(loops, "is_power_associative", lambda q: scanned.append(q) or real(q))
+    assert cli.main(["verify", spec]) == 0
+    capsys.readouterr()
+    assert sorted(q.name.split("(")[0] for q in scanned) == ["circ", "oplus"]
+    assert not any(isinstance(q, Group) for q in scanned)
+
+
 class _TakeSpy(np.ndarray):
     """A view of a table whose take() records who gave it which index dtype."""
     calls: list = []
@@ -311,7 +360,7 @@ def test_held_arrays_are_narrow_and_flat_indices_intp(spec, monkeypatch):
     assert dtype == np.uint16
     held = _held_arrays(ctx)
     tables = {f"ctx.{o}.table.table" for o in ("g", "circ", "oplus")}
-    assert tables | {"ctx.g.inverse", "ctx.g.commutators", "ctx.g.generators", "ctx.g.squares", "ctx.g.sqrt_table",
+    assert tables | {"ctx.g.right_inverses", "ctx.g.commutators", "ctx.g.generators", "ctx.g.squares", "ctx.g.sqrt_table",
                      "ctx.circ.right_inverses", "ctx.circ.left_inverses", "ctx.circ.inner_generators[0]",
                      "ctx.circ.generators", "ctx.oplus.right_inverses"} <= set(held)
     assert {name: a.dtype for name, a in held.items() if a.dtype != dtype and ".sd_spec." not in name} == {}

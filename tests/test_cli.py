@@ -241,6 +241,38 @@ def test_bad_paths_and_non_text_tables_exit_2(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+BAD_TABLES = {  # rows of a table refused as a group, and its one error line
+    "nonlatin": ("0 1 2/1 1 0/2 0 1", "not a loop: row 1 is not a permutation"),
+    "noidentity": ("0 2 1/2 1 0/1 0 2", "not a loop: no two-sided identity"),
+    "nonassociative": ("0 1 2 3 4/1 0 3 4 2/2 4 0 1 3/3 2 4 0 1/4 3 1 2 0", "not associative: (1*1)*2 != 1*(1*2)"),
+}
+
+
+def _write_bad_tables(directory):
+    for name, (rows, _) in BAD_TABLES.items():
+        (directory / f"{name}.tbl").write_text(f"{rows.count('/') + 1}\n" + rows.replace("/", "\n") + "\n")
+
+
+@pytest.mark.parametrize("command", [["verify"], ["convert", "--direction", "circ", "--out", "x.tbl"]], ids=" ".join)
+@pytest.mark.parametrize("name", BAD_TABLES)
+def test_tables_that_are_no_group_exit_2_with_one_line(name, command, tmp_path):
+    # the group build refuses through the Loop's refusals, then Light's test
+    _write_bad_tables(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(gamma_forge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gamma_forge.cli", command[0], f"{name}.tbl", *command[1:]],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {BAD_TABLES[name][1]}\n")
+    assert not (tmp_path / "x.tbl").exists()
+
+
+def test_survey_reads_tables_that_are_no_group_as_unreadable_rows(tmp_path, capsys):
+    _write_bad_tables(tmp_path)
+    code, out, err = run_cli(capsys, "survey", "--source", str(tmp_path), "--format", "json")
+    assert code == 0 and err == ""
+    assert {r["spec"]: r["skipped"] for r in json.loads(out)["rows"]} == {
+        f"file:{name}.tbl": f"unreadable: {text}" for name, (_, text) in BAD_TABLES.items()}
+
+
 def test_survey_reads_a_non_text_table_as_one_unreadable_row(tmp_path, capsys):
     tableio.export_table(construct("sd:7:3:2").table, tmp_path / "g21.tbl")
     tableio.export_table(construct("cyclic:3").table, tmp_path / "z3.tbl")

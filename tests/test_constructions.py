@@ -10,7 +10,6 @@ from gamma_forge.constructions import (
     bruck_from_gamma,
     circ_loop,
     gamma_from_bruck,
-    loop_sqrt_table,
     oplus_loop,
 )
 from gamma_forge.loops import Loop, check_gamma_axioms, cyclic_powers, is_left_bruck, powers_coincide
@@ -124,7 +123,7 @@ def test_gamma_from_bruck_verifies_input(q21):
 
 
 def test_loop_sqrt_table(q21):
-    s = loop_sqrt_table(q21)
+    s = q21.sqrt_table
     for x in range(q21.n):
         assert q21.mul(s[x], s[x]) == x
 

@@ -33,7 +33,7 @@ import oracles
 from oracles import Permutation
 from gamma_forge.catalog import CATALOG_SPECS
 from gamma_forge import checks, constructions, core
-from gamma_forge.constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, loop_sqrt_table, oplus_loop
+from gamma_forge.constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop
 from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, GammaForgeError, left_power_walk
 from gamma_forge import loops
 from gamma_forge.groups import Group, construct
@@ -566,16 +566,21 @@ BOL_COMMUTATIVE_LATIN_SEEDS = [11, 23, 38]
 
 def test_moufang_closure_matches_the_scan():
     # a commutative loop is Moufang exactly when it is left Bol: the closure
-    # decides, and the scan gives the least witness of a failure
+    # decides, and the scan gives the least witness of a failure; a
+    # noncommutative loop is refused, and only the oracle scans it
     tables = [cml81()] + [latin_loop(seed, commutative=True)
                           for seed in COMMUTATIVE_LATIN_SEEDS + BOL_COMMUTATIVE_LATIN_SEEDS[1:]]
-    tables += [latin_loop(seed) for seed in LATIN_SEEDS[:20]]  # noncommutative: the scan alone
+    tables += [latin_loop(seed) for seed in LATIN_SEEDS[:20]]
     for spec in SMALL_SPECS:
         tables += [circ_loop(group(spec)).tbl, oplus_loop(group(spec)).tbl]
     verdicts = []
     for t in tables:
-        w = oracles.moufang_scan(t)
-        assert loops.is_moufang(Loop(CayleyTable(t))) == (w is None, w)
+        w, q = oracles.moufang_scan(t), Loop(CayleyTable(t))
+        if q.commutativity is None:
+            assert loops.is_moufang(q) == (w is None, w)
+        else:
+            with pytest.raises(GammaForgeError, match="commutative loops only"):
+                loops.is_moufang(q)
         verdicts.append((bool((t == t.T).all()), w is None, oracles.assoc_scan(t) is None))
     assert verdicts[0] == (True, True, False)  # Moufang, not a group
     assert {(True, False, False), (False, False, False), (True, True, True)} <= set(verdicts)
@@ -773,19 +778,19 @@ def test_walked_loop_powers_match_scalar_powers(spec):
     for q in (circ_loop(group(spec)), oplus_loop(group(spec))):
         orders = [oracles.loop_order_of(q, x) for x in range(q.n)]
         assert left_power_walk(q.tbl)[0].tolist() == orders
-        assert loop_sqrt_table(q).tolist() == [oracles.left_power(q, x, (m + 1) // 2) for x, m in enumerate(orders)]
+        assert q.sqrt_table.tolist() == [oracles.left_power(q, x, (m + 1) // 2) for x, m in enumerate(orders)]
 
 
-def test_even_orders_keep_their_messages():
+def test_even_orders_have_one_message():
+    # a group and a loop take their roots from one walk, with one text for an even order
     g = group("cyclic:12")
-    with pytest.raises(EvenOrderError, match=r"^element 1 has even order 12$"):
-        g.sqrt_table
-    with pytest.raises(EvenOrderError, match=r"^element 1 has no odd order \(got 12\)$"):
-        loop_sqrt_table(Loop(g.table))
+    for q in (g, Loop(g.table)):
+        with pytest.raises(EvenOrderError, match=r"^element 1 has even order 12$"):
+            q.sqrt_table
     g = group("sd:7:3:2")
     t = product_loop(g.tbl, group("cyclic:2").tbl)  # element (a, b) at a + 21 b: (0, 1) has order 2
-    with pytest.raises(EvenOrderError, match=r"^element 21 has no odd order \(got 2\)$"):
-        loop_sqrt_table(Loop(CayleyTable(t)))
+    with pytest.raises(EvenOrderError, match=r"^element 21 has even order 2$"):
+        Loop(CayleyTable(t)).sqrt_table
 
 
 def seeded_loops():

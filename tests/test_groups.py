@@ -35,6 +35,8 @@ from gamma_forge.groups import (
     upper_central_series,
 )
 from gamma_forge.checks import commutator_identities_hold, metabelian_identities_hold, run_checks
+from gamma_forge.constructions import circ_loop
+from gamma_forge.loops import Loop
 
 
 @pytest.fixture(scope="module")
@@ -54,16 +56,28 @@ def test_cyclic_basic():
     assert z7.inverse[2] == 5
 
 
+def test_a_group_is_a_loop_with_read_only_inverses_and_roots():
+    # the inverses a group reads are the Loop's right inverses, and like its
+    # square roots they cannot be written, in a group or a loop
+    g = construct("sd:7:3:2")
+    q = circ_loop(g)
+    assert isinstance(g, Loop)
+    assert g.inverse is g.right_inverses and q.inverse is q.right_inverses
+    assert (g.tbl[np.arange(g.order), g.inverse] == 0).all()
+    for a in (g.inverse, g.right_inverses, g.sqrt_table, q.right_inverses, q.sqrt_table):
+        assert not a.flags.writeable
+
+
 def test_direct_product():
     g = direct([cyclic(3), cyclic(5)])
     assert g.order == 15
-    assert g.is_abelian()
+    assert g.commutativity is None
     assert g.label(0) == "(0,0)"
 
 
 def test_sd_construction_matches_oracle(g21):
     assert g21.order == 21
-    assert not g21.is_abelian()
+    assert g21.commutativity is not None
     for a in oracles.P21:
         for b in oracles.P21:
             got = g21.mul(oracles.idx21(a), oracles.idx21(b))
