@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .core import GammaForgeError
 from .groups import AnyGroup, Group, construct, from_file
-from .checks import CheckContext, _witness_str
-from .loops import is_moufang
+from .checks import CheckContext
+from .loops import is_moufang, witness_str
 from .report import SurveyRow
 
 # each spec with its group order, so a survey slice builds only the groups it keeps
@@ -55,7 +55,7 @@ def survey_row(g: AnyGroup) -> SurveyRow:
     for key, subject, w in (("two-engel", g, ew), ("associativity", ctx.circ, aw),
                             ("moufang", ctx.circ, mw)):
         if w is not None:
-            row.witnesses[key] = _witness_str(subject, w)
+            row.witnesses[key] = witness_str(subject, w)
 
     verdict = ctx.circ.automorphic
     row.circ_automorphic = verdict.status

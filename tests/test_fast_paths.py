@@ -70,30 +70,37 @@ def relabel(t, seed):
     return out
 
 
-def cocycle_loop(seed, m, k, odd=False):
+def cocycle_loop(seed, m, k, odd=False, commutative=False):
     """A seeded random loop on Z_m x Z_k, element (a, b) at index a + m b:
     (a, b)(c, d) = (a + c + f(b, d), b + d) for a random f that vanishes on
     the axes (so (0, 0) is the identity) and on the pairs (b, -b) (so
     inverses are two-sided).  A random f is no 2-cocycle, so the loop is not
     associative.  With odd (m and k odd), f(-b, -d) = -f(b, d), which gives
-    the automorphic inverse property, so the Bruck scan reaches its rows."""
+    the automorphic inverse property, so the Bruck scan reaches its rows.
+    With commutative, f is symmetric, and so is the loop."""
     rng = np.random.default_rng(seed)
     f = rng.integers(0, m, (k, k))
     neg = -np.arange(k) % k
     if odd:
         f = (f - f[np.ix_(neg, neg)]) % m
+    if commutative:
+        f = np.triu(f) + np.triu(f, 1).T
     f[0, :] = f[:, 0] = f[np.arange(k), neg] = 0
     a, b = np.arange(m * k) % m, np.arange(m * k) // m
     return (a[:, None] + a[None, :] + f[b[:, None], b[None, :]]) % m + m * ((b[:, None] + b[None, :]) % k)
 
 
-def twisted_loop(seed, m, k):
+def twisted_loop(seed, m, k, commutative=False):
     """A seeded random loop on Z_m x Z_k: (a, b)(c, d) = (phi_bd(a + c), b + d)
     for random permutations phi_bd of Z_m, the identity when b or d is 0.
-    Unlike cocycle_loop its translation commutators need not have odd order."""
+    Unlike cocycle_loop its translation commutators need not have odd order.
+    With commutative, phi_db = phi_bd, and the loop is commutative."""
     rng = np.random.default_rng(seed)
     phi = np.array([[rng.permutation(m) for _ in range(k)] for _ in range(k)])
     phi[0, :] = phi[:, 0] = np.arange(m)
+    if commutative:
+        lower, upper = np.triu_indices(k, 1)
+        phi[upper, lower] = phi[lower, upper]
     a, b = np.arange(m * k) % m, np.arange(m * k) // m
     return phi[b[:, None], b[None, :], (a[:, None] + a[None, :]) % m] + m * ((b[:, None] + b[None, :]) % k)
 
@@ -312,7 +319,7 @@ def test_left_bruck_loops_of_odd_order_have_lmlt_of_odd_order():
     for spec in SMALL_SPECS + ["ut:4:3"]:
         q = oplus_loop(group(spec))
         assert q.left_bruck == (True, None), spec
-        order = math.prod(len(level.orbit) for level in loops.mlt_chain(q).levels)
+        order = math.prod(len(level.orbit) for level in oracles.mlt_chain(q.tbl).levels)
         assert order % 2 == 1, spec
         if spec in ("sd:7:3:2", "wr:3"):
             assert order == len(oracles.close([Permutation(row) for row in q.tbl])), spec
@@ -376,6 +383,51 @@ def test_hash_collisions_never_skip_a_map(monkeypatch):
     assert witnesses[3] is None and witnesses[4][1] == witnesses[5][1] == 21
 
 
+@pytest.mark.parametrize("family", [cocycle_loop, twisted_loop], ids=lambda f: f.__name__)
+def test_generator_inner_maps_decide_commutative_random_loops(family):
+    # the lemma of is_automorphic (every (gp) \ (g(pu)) for the generators g
+    # an automorphism) against the scan of every L_{x,y}, in verdict and
+    # witness, on seeded commutative loops of orders 8 to 21; each family has
+    # automorphic and other members, and at (4, 2) seeds 11 and 13 of the
+    # twisted family are automorphic loops that are not groups
+    verdicts = set()
+    for (m, k), seed in itertools.product([(4, 2), (2, 4), (3, 3), (4, 3), (3, 5), (7, 3)], range(16)):
+        t = family(seed, m, k, commutative=True)
+        assert (t == t.T).all()
+        w = oracles.automorphic_scan(t)
+        assert is_automorphic(Loop(CayleyTable(t))) == AutomorphicVerdict("true" if w is None else "false", w)
+        verdicts.add((w is None, oracles.assoc_scan(t) is None))
+    assert (True, True) in verdicts and (False, False) in verdicts
+    assert ((True, False) in verdicts) == (family is twisted_loop)
+
+
+@pytest.mark.parametrize("spec", ["sd:31:5:2", "ut:4:3"])
+def test_automorphic_tests_only_the_maps_that_do_not_sift(spec, monkeypatch):
+    # no chain level has base point 0, as no chain holds a translation, and
+    # a map takes the n^2 test only when the chain of the maps tested
+    # before does not hold it
+    chains, unsifted, tests = [], [], []
+
+    class Chain(core.StabilizerChain):
+        def __init__(self, n):
+            super().__init__(n)
+            chains.append(self)
+
+        def sift(self, g, start=0):
+            h, level = super().sift(g, start)
+            if sys._getframe(1).f_code.co_name == "is_automorphic" and (h != self.identity).any():
+                unsifted.append(g)
+            return h, level
+
+    real = loops._automorphism_witness
+    monkeypatch.setattr(loops, "StabilizerChain", Chain)
+    monkeypatch.setattr(loops, "_automorphism_witness", lambda t, phi: tests.append(phi) or real(t, phi))
+    assert is_automorphic(circ_loop(group(spec))).is_true
+    assert len(chains) == 1 and chains[0].levels
+    assert [level.point for level in chains[0].levels if level.point == 0] == []
+    assert 0 < len(tests) <= len(unsifted)
+
+
 @pytest.mark.parametrize("spec,witness", [("sd:7:3:2", ("R", 1, 7, 7, 7)), ("wr:3", ("T", 1, -1, 27, 27))])
 def test_oplus_inner_map_witnesses(spec, witness):
     # R and T witnesses need a noncommutative loop: the oracle finds them,
@@ -412,10 +464,10 @@ def test_mlt_chain_matches_extensional_closure(case):
         assert lmlt == oracles.multiplication_group(t)
     if case in LMLT_PROPER:
         assert len(lmlt) < len(oracles.multiplication_group(t))
-    chain = loops.mlt_chain(q)
+    chain = oracles.mlt_chain(t)
     assert chain.levels[0].point == 0
     assert math.prod(len(level.orbit) for level in chain.levels) == len(lmlt)
-    stab_gens = [Permutation(p) for p in chain.generators(1)]
+    stab_gens = [Permutation(p) for p in (chain.levels[1].gens if len(chain.levels) > 1 else [])]
     assert all(p.images[0] == 0 for p in stab_gens)
     assert oracles.close(stab_gens or [Permutation.identity(q.n)]) == oracles.stabilizer_of(lmlt, 0)
     # every left translation sifts to the identity; a permutation outside LMlt does not
@@ -588,19 +640,22 @@ def test_moufang_closure_matches_the_scan():
         assert loops._left_bol_witness(latin_loop(seed, commutative=True)) is None
 
 
-def test_random_loops_are_decided_without_their_chain():
-    # the first inner maps refute these loops, so the chain of Mlt(Q), all of
-    # S_n for most random loops, is never built (for a random loop of order
-    # 64 it takes about 5 s); no center builds it
+def test_random_loops_are_decided_without_their_chain(monkeypatch):
+    # the first map that does not sift refutes these loops after one n^2
+    # test, so no chain of Mlt(Q), all of S_n for most random loops, is built
+    # (for a random loop of order 64 it took about 5 s); no center builds one
+    tests, real = [], loops._automorphism_witness
+    monkeypatch.setattr(loops, "_automorphism_witness",
+                        lambda t, phi: tests.append(sys._getframe(1).f_code.co_name) or real(t, phi))
     for t in (latin_loop(0, commutative=True), latin_loop(13, commutative=True)):
         q = Loop(CayleyTable(t))
+        tests.clear()
         assert is_automorphic(q).witness == oracles.automorphic_scan(t)
+        assert tests.count("is_automorphic") == 1
         assert loop_center(q) == oracles.center_scan(t)[2]
-        assert "inner_generators" not in q.__dict__
+    assert not hasattr(Loop, "inner_generators")
     for spec, size in (("ut:4:3", 27), ("sd:997:3:304", 1)):
-        q = circ_loop(group(spec))
-        assert len(loop_center(q)) == size
-        assert "inner_generators" not in q.__dict__
+        assert len(loop_center(circ_loop(group(spec)))) == size
 
 
 def center_full_tests(q, monkeypatch):
