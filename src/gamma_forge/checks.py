@@ -15,11 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GammaForgeError, first_false, first_false_rows, flat, row_blocks
+from .core import GammaForgeError, first_false_rows, row_blocks
 from .groups import (
     AnyGroup,
     Group,
-    center,
     is_metabelian,
     is_two_engel,
     is_uniquely_2_divisible,
@@ -44,8 +43,7 @@ def commutator_identities_hold(g: Group) -> tuple[bool, str | None]:
     both sides to the same word in x, y, z.  So all hold at every triple once
     g.commutator agrees with the definition at every pair; else the least
     pair where it does not is the witness."""
-    t, inv, n, xs = g.tbl.ravel(), g.inverse, g.order, np.arange(g.order)
-    times = lambda a, b: t.take(flat(n, a, b))
+    times, inv, n, xs = g.rule, g.inverse, g.order, np.arange(g.order)
     w = first_false_rows(n, lambda r: g.commutator(xs[r, None], xs)
                          == times(times(times(inv[r, None], inv), xs[r, None]), xs))
     return w is None, None if w is None else f"commutator definition fails at {witness_str(g, w)}"
@@ -69,9 +67,9 @@ def _root_witness(g: Group) -> tuple[int, int, int] | None:
     C, s, cs, xs = g.commutator, g.sqrt_table, g.commutators, np.arange(g.order)
     fails, least_z = np.zeros(g.order, dtype=bool), np.zeros(g.order, dtype=np.intp)
     for r in row_blocks(len(cs), g.order):
-        ok = C(s[cs[r, None]], xs) == s[C(cs[r, None], xs)]
+        ok = C(s.take(cs[r, None]), xs) == s.take(C(cs[r, None], xs))
         fails[cs[r]], least_z[cs[r]] = ~ok.all(axis=1), np.argmin(ok, axis=1)
-    w = fails.any() and first_false_rows(g.order, lambda r: ~fails[C(xs[r, None], xs)])
+    w = fails.any() and first_false_rows(g.order, lambda r: ~fails.take(C(xs[r, None], xs)))
     return (*w, int(least_z[C(*w)])) if w else None
 
 
@@ -88,8 +86,8 @@ def _rotation_witness(g: Group) -> tuple[int, int, int] | None:
     n k^2 triples.  If one fails, the triples are scanned in order, a block of
     pairs (x, y) at a time, up to the first failure.
     """
-    t, C, n, xs, gens = g.tbl, g.commutator, g.order, np.arange(g.order), g.generators
-    J = lambda x, y, z: t[t[C(C(x, y), z), C(C(z, x), y)], C(C(y, z), x)]
+    t, C, n, xs, gens = g.rule, g.commutator, g.order, np.arange(g.order), g.generators
+    J = lambda x, y, z: t(t(C(C(x, y), z), C(C(z, x), y)), C(C(y, z), x))
     if first_false_rows(n, lambda r: J(gens[:, None], xs[r, None, None], gens) == 0, len(gens) ** 2) is None:
         return None
     p, z = first_false_rows(n * n, lambda r: J(*np.divmod(np.arange(r.start, r.stop)[:, None], n), xs) == 0, n)
@@ -134,9 +132,9 @@ class CheckContext:
         return is_two_engel(self.g)
 
     @cached_property
-    def second_center(self) -> tuple[int, ...]:
+    def upper_centers(self) -> list[tuple[int, ...]]:  # zeta^0, zeta^1, zeta^2 from one series
         series = upper_central_series(self.g)
-        return series[2].members if len(series) > 2 else series[-1].members
+        return [series[min(i, len(series) - 1)].members for i in range(3)]
 
     @cached_property
     def commutator_identities(self) -> tuple[bool, str | None]:
@@ -250,39 +248,32 @@ def _check_correspondence(ctx: CheckContext) -> Outcome:
                if verdict == "fail"]
     if refused:
         return _predicted(False, "; ".join(refused))
-    # oplus equals the forward image, so it goes back: both loops keep their verdicts
-    bruck = bruck_from_gamma(ctx.circ)
-    if not (bruck.tbl == ctx.oplus.tbl).all():
-        w = first_false(bruck.tbl == ctx.oplus.tbl)
-        return _predicted(False, f"forward image differs from oplus at {w}")
-    back = gamma_from_bruck(ctx.oplus)
-    if not (back.tbl == ctx.circ.tbl).all():
-        w = first_false(back.tbl == ctx.circ.tbl)
-        return _predicted(False, f"roundtrip differs from circ at {w}")
+    # oplus equals the forward image, so it goes back; a table equal to a validated loop's is that loop
+    for translate, q, target, what in ((bruck_from_gamma, ctx.circ, ctx.oplus, "forward image differs from oplus"),
+                                       (gamma_from_bruck, ctx.oplus, ctx.circ, "roundtrip differs from circ")):
+        image = translate(q)
+        if (w := first_false_rows(q.n, lambda r: image[r] == target.tbl[r])) is not None:
+            return _predicted(False, f"{what} at {w}")
     return _predicted(True)
 
 
-def _check_center_containment(ctx: CheckContext) -> Outcome:
+def _check_center_containment(ctx: CheckContext, i: int = 1, what: str = "group-central") -> Outcome:
     lc = set(ctx.circ.center)
-    missing = [a for a in center(ctx.g).members if a not in lc]
-    return _predicted(not missing, f"group-central {ctx.g.label(missing[0])} not loop-central"
-                      if missing else None)
+    missing = [a for a in ctx.upper_centers[i] if a not in lc]
+    return _predicted(not missing, f"{what} {ctx.g.label(missing[0])} not loop-central" if missing else None)
 
 
 def _check_second_center(ctx: CheckContext) -> Outcome:
     if not ctx.metabelian:
         return _skipped("only predicted for metabelian groups")
-    lc = set(ctx.circ.center)
-    missing = [a for a in ctx.second_center if a not in lc]
-    return _predicted(not missing, f"second-center {ctx.g.label(missing[0])} not loop-central"
-                      if missing else None)
+    return _check_center_containment(ctx, 2, "second-center")
 
 
 def _check_class3(ctx: CheckContext) -> Outcome:
     cls = ctx.nilpotency_class
     if cls != 3:
         return _skipped(f"nilpotency class is {cls if cls is not None else 'not nilpotent'}")
-    zeta2, lc = ctx.second_center, ctx.circ.center
+    zeta2, lc = ctx.upper_centers[2], ctx.circ.center
     if set(zeta2) != set(lc):
         return _predicted(False, f"|second center|={len(zeta2)} but |loop center|={len(lc)}")
     quotient, _ = quotient_loop(ctx.circ)
@@ -322,7 +313,7 @@ def _check_closed_forms(ctx: CheckContext) -> Outcome:
     # before the next is built; a closed-form entry c at (x, y) is x \ y exactly when x o c = y
     for what, table, agrees in (("commutator", forms.commutator_table, lambda r, c: c == g.commutator(xs[r, None], xs)),
                                 ("circ product", forms.circ_table, lambda r, c: c == t[r]),
-                                ("circ division", forms.ldiv_table, lambda r, c: t[xs[r, None], c] == xs)):
+                                ("circ division", forms.ldiv_table, lambda r, c: ctx.circ.rule(xs[r, None], c) == xs)):
         for f in range(forms.nF):
             lo, closed = f * forms.nH, table(f)
             w = first_false_rows(forms.nH, lambda r: agrees(slice(lo + r.start, lo + r.stop), closed[r]), g.order)
@@ -359,7 +350,7 @@ def _lmap_scan(q: Loop, lxy, nH: int, gens: np.ndarray | None = None) -> tuple[i
     one block of rows of y at a time, the other x their columns us.  An image
     v is L_{x,y}(u) exactly when (yx) v = y (xu), so no division is formed."""
     t, xs = q.tbl, np.arange(q.n)
-    agrees = lambda x, r, images, us: t[t[r, x][:, None], images] == t[xs[r, None], t[x, us]]  # images of us
+    agrees = lambda x, r, images, us: q.rule(t[r, x, None], images) == q.rule(xs[r, None], t[x].take(us))
     for f in range(q.n // nH):
         x0, us = f * nH, xs if gens is None else gens
         table = np.empty((q.n, len(us)), dtype=t.dtype)  # columns us of every row

@@ -19,7 +19,7 @@ from . import tableio
 from .catalog import run_survey
 from .checks import run_checks
 from .constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop
-from .core import GammaForgeError, table_cap
+from .core import CayleyTable, GammaForgeError, table_cap
 from .groups import Group, construct, is_uniquely_2_divisible
 from .loops import Loop
 from .report import survey_to_json, survey_to_text
@@ -88,10 +88,10 @@ def cmd_convert(args) -> int:
     if direction in ("circ", "oplus"):
         g = _load_group(args.input)
         q = circ_loop(g) if direction == "circ" else oplus_loop(g)
-    elif direction == "gamma-to-bruck":
-        q = bruck_from_gamma(_load_loop(args.input))
-    elif direction == "bruck-to-gamma":
-        q = gamma_from_bruck(_load_loop(args.input))
+    elif direction in ("gamma-to-bruck", "bruck-to-gamma"):  # the translated table, validated as a Loop
+        p, name = _load_loop(args.input), direction.split("-")[-1]
+        translated = (bruck_from_gamma if name == "bruck" else gamma_from_bruck)(p)
+        q = Loop(CayleyTable(translated, name=f"{name}({p.name})", element_names=p.table.element_names))
     else:
         raise GammaForgeError(f"unknown direction {direction!r}")
     comments = [f"source: {args.input}, construction: {direction}"]

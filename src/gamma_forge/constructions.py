@@ -11,16 +11,16 @@ automorphic inverse property, and power coincidence with the source group.
 The loop keeps each law verdict it scans, so the checks that read one later
 (the axiom block, Moufang, left Bruck, the center) do not scan it again.
 
-Each translation takes only loops of its variety, by the verdict the Loop
-keeps, and has one path; Bruck -> Gamma is one walk over cycles.  Square
-roots, of the group and of a loop alike, are the Loop's sqrt_table.
+Each translation takes only loops of its variety, by the verdict the Loop keeps, has
+one path and returns the table; Bruck -> Gamma is one walk over cycles.  Square roots,
+of the group and of a loop alike, are the Loop's sqrt_table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import CayleyTable, ConstructionError, GammaForgeError, build_table, divide_rows, row_blocks
+from .core import ConstructionError, GammaForgeError, build_table, divide_rows, row_blocks, take_rows
 from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
 from .loops import Loop, powers_coincide, witness_str
 
@@ -40,8 +40,8 @@ def circ_loop(g: AnyGroup) -> Loop:
     g = _require_table(g, "circ construction")
     if not is_uniquely_2_divisible(g):
         raise ConstructionError(f"{g.name} is not uniquely 2-divisible")
-    t, s = g.tbl, g.sqrt_table
-    table = build_table(g.order, lambda x, y: t[t[x, y], s[g.commutator(y, x)]],
+    t, s = g.rule, g.sqrt_table
+    table = build_table(g.order, lambda x, y: t(t(x, y), s.take(g.commutator(y, x))),
                         name=f"circ({g.name})", element_names=g.table.element_names)
     q = Loop(table, source=_provenance(g, "circ"))
     _validate_constructed(g, q, require_commutative=True)
@@ -57,8 +57,8 @@ def oplus_loop(g: AnyGroup) -> Loop:
     g = _require_table(g, "oplus construction")
     if not is_uniquely_2_divisible(g):
         raise ConstructionError(f"{g.name} is not uniquely 2-divisible")
-    t, s, sq = g.tbl, g.sqrt_table, g.squares
-    table = build_table(g.order, lambda x, y: s[t[t[x, sq[y]], x]],  # sqrt((x y^2) x)
+    t, s, sq = g.rule, g.sqrt_table, g.squares
+    table = build_table(g.order, lambda x, y: s.take(t(t(x, sq.take(y)), x)),  # sqrt((x y^2) x)
                         name=f"oplus({g.name})", element_names=g.table.element_names)
     q = Loop(table, source=_provenance(g, "oplus"))
     _validate_constructed(g, q, require_commutative=False)
@@ -78,25 +78,24 @@ def _validate_constructed(g: Group, q: Loop, require_commutative: bool):
         raise ConstructionError(f"powers disagree with the source group at {w}")
 
 
-def bruck_from_gamma(q: Loop) -> Loop:
+def bruck_from_gamma(q: Loop) -> np.ndarray:
     """Translate a loop of odd order in the source variety (the four axioms of
-    check_gamma_axioms) to its left Bruck partner:
+    check_gamma_axioms) to the table of its left Bruck partner:
     x (+) y = (x^-1 \\ (y^2 x))^(1/2), everything computed in q.  Any other
     loop is refused."""
     if q.n % 2 == 0:
         raise ConstructionError("translation requires odd order")
     if not q.gamma_axioms.all_hold:
         raise ConstructionError(f"input fails the variety axioms: {q.gamma_axioms.failures(q)}")
-    inv, lsqrt, t = q.inverse, q.sqrt_table, q.tbl  # inverses are two-sided under the axioms
+    inv, lsqrt, t, n = q.inverse, q.sqrt_table, q.tbl, q.n  # inverses are two-sided under the axioms
     sq = t.diagonal()
     # [x, y] -> (x^-1 \ (y^2 x))^(1/2), with the division rows of a block of x^-1 at a time
-    table = build_table(q.n, lambda x, y: lsqrt[np.take_along_axis(divide_rows(t, inv[x[:, 0]]), t[sq[y], x], 1)],
-                        name=f"bruck({q.name})", element_names=q.table.element_names)
-    return Loop(table, source={**q.source, "construction": "gamma->bruck"})
+    return build_table(n, lambda x, y: lsqrt.take(take_rows(divide_rows(t, inv[x[:, 0]]),
+                                                            q.rule(sq.take(y), x)))).table
 
 
-def gamma_from_bruck(q: Loop) -> Loop:
-    """Translate a left Bruck loop of odd order back: the product of x and y is
+def gamma_from_bruck(q: Loop) -> np.ndarray:
+    """Translate a left Bruck loop of odd order back to a table: the product of x and y is
     the image of the identity under L_x L_y [L_y, L_x]^(1/2).  Any other loop
     is refused.
 
@@ -116,8 +115,7 @@ def gamma_from_bruck(q: Loop) -> Loop:
             w = (f"automorphic inverse property fails at {witness_str(q, w[1:])}" if w[0] == "aip"
                  else f"left Bol identity x(y(xz)) = (x(yx))z fails at {witness_str(q, w)}")
         raise ConstructionError(f"input is not a left Bruck loop: {w}")
-    table = CayleyTable(_gamma_by_orbit_walk(q), name=f"gamma({q.name})", element_names=q.table.element_names)
-    return Loop(table, source={**q.source, "construction": "bruck->gamma"})
+    return _gamma_by_orbit_walk(q)
 
 
 def _gamma_by_orbit_walk(q: Loop) -> np.ndarray:

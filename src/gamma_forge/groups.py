@@ -28,7 +28,6 @@ from .core import (
     distinct_values,
     element_dtype,
     first_false_rows,
-    flat,
     row_blocks,
     table_cap,
 )
@@ -75,15 +74,9 @@ class Group(Loop):
             x, y, z = (self.label(v) for v in w)
             raise ConstructionError(f"not associative: ({x}*{y})*{z} != {x}*({y}*{z})")
 
-    def rule(self, x, y):
-        """The product as an array-capable rule, so rules can be composed."""
-        return self.tbl[x, y]
-
     def commutator(self, x, y):
-        """[x, y] = x^-1 y^-1 x y = (yx)^-1 (xy), on ints or broadcast index arrays;
-        flat .take gathers are about twice as fast as [] with 2-D indices."""
-        t, n = self.tbl.ravel(), self.order
-        return t.take(flat(n, self.inverse[t.take(flat(n, y, x))], t.take(flat(n, x, y))))
+        """[x, y] = x^-1 y^-1 x y = (yx)^-1 (xy), on ints or broadcast index arrays."""
+        return self.rule(self.inverse.take(self.rule(y, x)), self.rule(x, y))
 
     @cached_property
     def commutators(self) -> np.ndarray:
@@ -92,7 +85,7 @@ class Group(Loop):
 
     @cached_property
     def squares(self) -> np.ndarray:
-        return self.tbl[np.arange(self.order), np.arange(self.order)]
+        return self.tbl.diagonal().copy()
 
 
 class FunctionalGroup:
@@ -154,7 +147,7 @@ class Subgroup:
         if not mask[g.inverse[idx]].all():
             a = int(idx[np.argmin(mask[g.inverse[idx]])])
             raise ConstructionError(f"subgroup not closed under inverse at {g.label(a)}")
-        w = first_false_rows(len(idx), lambda r: mask[g.tbl[idx[r, None], idx]])
+        w = first_false_rows(len(idx), lambda r: mask.take(g.rule(idx[r, None], idx)))
         if w is not None:
             i, j = w
             raise ConstructionError(
@@ -211,7 +204,7 @@ def upper_central_series(g: AnyGroup) -> list[Subgroup]:
     xs, gens = np.arange(g.order), g.generators
     series, current = [Subgroup(g, (0,))], xs == 0
     while True:
-        nxt = np.concatenate([current[g.commutator(xs[r, None], gens)].all(axis=1)
+        nxt = np.concatenate([current.take(g.commutator(xs[r, None], gens)).all(axis=1)
                               for r in row_blocks(g.order, len(gens))])
         if (nxt == current).all():
             return series
@@ -266,12 +259,9 @@ def derived_subgroup(g: AnyGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def is_metabelian(g: AnyGroup) -> bool:
     """G'' = 1, cross-asserted against 'all commutators commute pairwise'."""
-    idx = np.asarray(derived_subgroup(g)[0])
-    sub = g.tbl[np.ix_(idx, idx)]
-    abelian = bool((sub == sub.T).all())
-    # cross-check on the raw commutator set, which generates G'
-    sub2 = g.tbl[np.ix_(g.commutators, g.commutators)]
-    if abelian != bool((sub2 == sub2.T).all()):
+    commute = lambda s: first_false_rows(len(s), lambda r: g.rule(s[r, None], s) == g.rule(s, s[r, None])) is None
+    abelian = commute(np.asarray(derived_subgroup(g)[0]))
+    if abelian != commute(g.commutators):  # cross-check on the raw commutator set, which generates G'
         raise GammaForgeError("internal inconsistency in metabelian check")
     return abelian
 
@@ -317,7 +307,7 @@ class SemidirectSpec:
             a = act[f]
             if not (np.sort(a) == ref).all():
                 raise ConstructionError(f"action of F-element {f} is not a bijection")
-            if not (a[H.tbl] == H.tbl[np.ix_(a, a)]).all():
+            if first_false_rows(H.order, lambda r: a.take(H.tbl[r]) == H.rule(a[r, None], a)) is not None:
                 raise ConstructionError(f"action of F-element {f} is not a homomorphism of H")
         # F -> Aut(H) must be a homomorphism: h^(f1 f2) = (h^f1)^f2
         for f1 in range(F.order):

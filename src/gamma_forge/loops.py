@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import core
 from .core import (
     DEFAULT_TABLE_CAP,
     CayleyTable,
@@ -40,7 +41,7 @@ from .core import (
     flat,
     left_power_walk,
     row_blocks,
-    row_zeros,
+    take_rows,
 )
 
 
@@ -71,10 +72,14 @@ class Loop:
     def mul(self, x: int, y: int) -> int:
         return int(self.tbl[x, y])
 
+    def rule(self, x, y):
+        """The product on ints or broadcast index arrays, one flat gather, so rules can be composed."""
+        return self.tbl.ravel().take(flat(self.n, x, y))
+
     @cached_property
     def right_inverses(self) -> np.ndarray:
-        """The y with x y = 0 for each x: the one 0 of row x of the Latin table; read-only."""
-        r = row_zeros(self.tbl)
+        """The y with x y = 0 for each x: the one 0 of row x of the Latin table, a block of rows per step; read-only."""
+        r = np.concatenate([np.argmin(self.tbl[b] != 0, axis=1) for b in row_blocks(self.n)]).astype(self.tbl.dtype)
         r.setflags(write=False)
         return r
 
@@ -88,9 +93,7 @@ class Loop:
     @cached_property
     def inverse(self) -> np.ndarray | None:
         """Two-sided inverse array, or None if some element lacks one."""
-        if (self.right_inverses == self.left_inverses).all():
-            return self.right_inverses
-        return None
+        return self.right_inverses if (self.right_inverses == self.left_inverses).all() else None
 
     @cached_property
     def commutativity(self) -> tuple[int, int] | None:
@@ -120,7 +123,7 @@ class Loop:
     @cached_property
     def generators(self) -> np.ndarray:
         """The generators of closure(n, product, 0..n-1), in the element dtype."""
-        return np.array(closure(self.n, lambda a, b: self.tbl[a, b], range(self.n))[1], dtype=self.tbl.dtype)
+        return np.array(closure(self.n, self.rule, range(self.n))[1], dtype=self.tbl.dtype)
 
     def is_associative(self) -> tuple[bool, tuple[int, int, int] | None]:
         """Exhaustive associativity test with least witness triple."""
@@ -174,7 +177,7 @@ def associativity_witness(t: np.ndarray, gens: np.ndarray) -> tuple[int, int, in
     """
     n = len(t)
     passes = _least_block_witness(n, lambda a, xs: (t[t[xs, a]], t[xs][:, t[a]]), gens) is None  # (xa)z, x(az)
-    return None if passes else _least_block_witness(n, lambda x, ys: (t[t[x, ys]], t[x][t[ys]]))  # (xy)z, x(yz)
+    return None if passes else _least_block_witness(n, lambda x, ys: (t[t[x, ys]], t[x].take(t[ys])))  # (xy)z, x(yz)
 
 
 def commutativity_witness(t: np.ndarray) -> tuple[int, int] | None:
@@ -185,7 +188,7 @@ def commutativity_witness(t: np.ndarray) -> tuple[int, int] | None:
 def aip_witness(q: Loop) -> tuple[int, int] | None:
     """Least (x, y) with (xy)^-1 != x^-1 y^-1 in a loop with two-sided inverses, or None."""
     t, inv = q.tbl, q.inverse
-    return first_false_rows(q.n, lambda r: inv[t[r]] == t[inv[r, None], inv])
+    return first_false_rows(q.n, lambda r: inv.take(t[r]) == q.rule(inv[r, None], inv))
 
 
 def _least_block_witness(n: int, sides, xs=None) -> tuple[int, int, int] | None:
@@ -247,7 +250,7 @@ def check_gamma_axioms(q: Loop) -> GammaVerdict:
     P_x = R_x L_{x^-1}^{-1}.  When commutativity holds, P is read in the equal
     form P_x = L_x L_{x^-1}^{-1}.  The first two are the loop's cached verdicts.
     """
-    t = q.tbl
+    t, n = q.tbl, q.n
     gamma1 = AxiomVerdict(q.commutativity is None, q.commutativity)
 
     inv = q.inverse
@@ -260,13 +263,13 @@ def check_gamma_axioms(q: Loop) -> GammaVerdict:
     gamma2 = AxiomVerdict(q.aip is None, q.aip)
 
     # [x, u] -> x^-1 (x u) against x (x^-1 u)
-    w = first_false_rows(q.n, lambda r: t[inv[r, None], t[r]] == np.take_along_axis(t[r], t[inv[r]], 1))
+    w = first_false_rows(n, lambda r: q.rule(inv[r, None], t[r]) == take_rows(t[r], t[inv[r]]))
     gamma3 = AxiomVerdict(w is None, w)
 
     # P_x = R_x L_{x^-1}^{-1}: P(x, u) = x^-1 \ (u x), held as a table during the closure (one
     # gather per read), built as x^-1 \ (x u) in a commutative loop (rows read faster than columns)
-    ux = t if gamma1.holds else t.T
-    P = build_table(q.n, lambda x, u: np.take_along_axis(divide_rows(t, inv[x[:, 0]]), ux[x, u], 1)).table
+    ux = q.rule if gamma1.holds else lambda x, u: q.rule(u, x)
+    P = build_table(n, lambda x, u: take_rows(divide_rows(t, inv[x[:, 0]]), ux(x, u))).table
     # P_x P_y P_x against P_{y P_x}.  The passing x are closed under (a, b) -> P_a(b): maps s
     # with s P_y s = P_{s(y)} for all y are closed under s, r -> s r s; P_a P_b P_a = P_{P_a(b)}.
     # 0 passes: P_0 is the identity map
@@ -274,7 +277,7 @@ def check_gamma_axioms(q: Loop) -> GammaVerdict:
         px = P[x]
         return px.take(P[ys][:, px]), P[px[ys]]
 
-    w = _closure_witness(q.n, lambda x, u: P[x, u], p_sides)
+    w = _closure_witness(n, lambda x, u: P.ravel().take(flat(n, x, u)), p_sides)
     gamma4 = AxiomVerdict(w is None, w)
     return GammaVerdict(gamma1, gamma2, gamma3, gamma4)
 
@@ -287,7 +290,7 @@ def is_moufang(q: Loop) -> tuple[bool, tuple[int, int, int] | None]:
     a failure is scanned."""
     _require_commutative(q, "the Moufang identity")
     t = q.tbl  # [y, z] -> (xy)(zx) against x((yz)x)
-    w = _left_bol_witness(t, lambda x, ys: (t[t[x, ys]][:, t[:, x]], t[x][t[t[ys], x]]))
+    w = _left_bol_witness(t, lambda x, ys: (t[t[x, ys]][:, t[:, x]], t[x].take(t[:, x].take(t[ys]))))
     return w is None, w
 
 
@@ -309,38 +312,49 @@ def _left_bol_witness(t: np.ndarray, witness_sides=None) -> tuple[int, int, int]
     L_x L_y L_x = L_{x(yx)} for all y are closed under (a, b) -> c = a(ba):
     L_c = L_a L_b L_a, so L_c L_y L_c = L_a L_{b((a(ya))b)} L_a is L_{c(yc)}.
     0 passes left Bol, as L_0 is the identity map."""
-    return _closure_witness(len(t), lambda x, y: t[x, t[y, x]],
-                            lambda x, ys: (t[x][t[ys][:, t[x]]], t[t[x, t[ys, x]]]), witness_sides)
+    n, tf = len(t), t.ravel()
+    return _closure_witness(n, lambda x, y: tf.take(flat(n, x, tf.take(flat(n, y, x)))),
+                            lambda x, ys: (t[x].take(t[ys][:, t[x]]), t[t[x].take(t[ys, x])]), witness_sides)
 
 
 def is_power_associative(q: Loop) -> tuple[bool, int | None]:
-    """Each single-generated submagma is associative; witness element if not.
-    The members of an associative one generate associative ones: not retested."""
-    covered = np.zeros(q.n, dtype=bool)
-    for x in range(q.n):
-        if not covered[x]:
-            members = cyclic_powers(q.tbl, x)
-            if members is None:
-                return False, x
-            covered[members] = True
+    """(True, None) if each single-generated submagma is associative, else (False, x) for the least x
+    whose <x> is not.  One pass collects the left powers x^0..x^(m-1) (x^k = x^(k-1) x, the cycle of 0
+    under R_x) of each x that is no power of an x collected before.  <x> is associative iff x^i x^j =
+    x^((i+j) mod m) for all i, j < m: then the powers are closed, hold x and form Z_m, so they are <x>;
+    an associative <x> is a cancellative semigroup, so a group, cyclic on these powers, and its
+    members generate associative ones.  The x of one length m are tested together once the batches
+    reach _BLOCK_CELLS cells and at the end; the x before the least failing one pass, so it and the x
+    collected up to it are those of a scan one x at a time."""
+    t, n = q.tbl, q.n
+    covered, cycles, cells = np.arange(n) == 0, {}, 0  # <0> = {0}
+    for x in range(1, n + 1):
+        if x < n and not covered[x]:
+            powers, p = [0], x
+            while p:
+                powers.append(p)
+                p = t.item(p, x)
+            covered[powers] = True
+            cycles.setdefault(len(powers), []).append(powers)
+            cells += len(powers) ** 2
+        if cells and (cells >= core._BLOCK_CELLS or x == n):
+            failing = [_least_failing_cycle(q, np.array(pw, dtype=t.dtype)) for pw in cycles.values()]
+            if any(failing):
+                return False, min(filter(None, failing))
+            cycles, cells = {}, 0
     return True, None
 
 
-def cyclic_powers(t: np.ndarray, x: int) -> np.ndarray | None:
-    """The left powers x^0, ..., x^(m-1) of x in a loop table t, returning to
-    0 first at x^m, if the submagma <x> is associative; else None.  If
-    x^i x^j = x^((i+j) mod m) for all i, j < m (a block of rows i per step),
-    the powers are closed, hold x and form Z_m, so they are <x>.  Conversely
-    an associative <x> is a finite cancellative semigroup, so a group, whose
-    idempotent is the loop's 0: it is cyclic on these powers and passes.
-    """
-    powers, p = [0], t.item(0, x)
-    while p:  # x^k = x^(k-1) x, a step of the cycle of 0 under R_x
-        powers.append(p)
-        p = t.item(p, x)
-    pw, m = np.array(powers), len(powers)
-    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate((pw, pw[:-1])), m)  # row i: x^(i+j)
-    return pw if first_false_rows(m, lambda r: t[pw[r, None], pw] == shifted[r]) is None else None
+def _least_failing_cycle(q: Loop, pw: np.ndarray) -> int | None:
+    """The least x = pw[c, 1] whose row pw[c] = x^0..x^(m-1) fails x^i x^j = x^((i+j) mod m), or None."""
+    m = pw.shape[1]
+    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate((pw, pw[:, :-1]), axis=1), m, axis=1)
+    for cs in row_blocks(len(pw), m * m):  # [c, i, j]: x_c^(i+j), one x per step if m^2 cells exceed the budget
+        for r in row_blocks(m):
+            ok = (q.rule(pw[cs, r, None], pw[cs, None]) == shifted[cs, r]).all(axis=(1, 2))
+            if not ok.all():
+                return int(pw[cs.start + np.argmin(ok), 1])
+    return None
 
 
 def powers_coincide(g, q: Loop) -> tuple[bool, tuple[int, int] | None]:
@@ -467,8 +481,8 @@ def is_automorphic(q: Loop) -> AutomorphicVerdict:
 def _least_inner_witness(q: Loop) -> tuple | None:
     """Least ("L", x, y, u, v) at which an L_{x,y} is no automorphism, or None.
 
-    The scan builds the n maps of one x at once and runs the n^2
-    automorphism test only on maps not met before, in (x, y) order.  Whether
+    The scan builds the maps of one x a row block of y at a time and runs
+    the n^2 automorphism test only on maps not met before, in (x, y) order.  Whether
     a map is an automorphism, and its least failing (u, v), depend only on
     the map.  So the least failing (x, y) is the first occurrence of its
     map, and as every first occurrence is tested, the full scan's witness.
@@ -476,11 +490,12 @@ def _least_inner_witness(q: Loop) -> tuple | None:
     t, n, seen, ys = q.tbl, q.n, {}, np.arange(q.n)
     div = divide_rows(t, ys)  # held for this call only
     for x in range(n):
-        maps = _inner_maps(t, x, ys[:, None], div, t[:, x, None])
-        for y in _unseen_rows(maps, seen, q.generators).tolist():
-            w = _automorphism_witness(t, maps[y])
-            if w is not None:
-                return ("L", x, y, *w)
+        for r in row_blocks(n):
+            maps = _inner_maps(t, x, ys[r, None], div, t[r, x, None])
+            for y in _unseen_rows(maps, seen, q.generators).tolist():
+                w = _automorphism_witness(t, maps[y])
+                if w is not None:
+                    return ("L", x, r.start + y, *w)
     return None
 
 
@@ -520,9 +535,9 @@ def loop_center(q: Loop) -> tuple[int, ...]:
     central, gens = np.arange(n) == 0, []
     while (rest := np.flatnonzero(alive & ~central)).size:
         a = int(rest[0])
-        if first_false_rows(n, lambda r: t[t[a, r]] == t[a][t[r]]) is None:  # (ax)y = a(xy), rows x
+        if first_false_rows(n, lambda r: t[t[a, r]] == t[a].take(t[r])) is None:  # (ax)y = a(xy), rows x
             gens.append(a)
-            central[list(closure(n, lambda x, y: t[x, y], gens)[0])] = True
+            central[list(closure(n, q.rule, gens)[0])] = True
         else:
             alive[t[a, central]] = False
     return tuple(np.flatnonzero(central).tolist())
@@ -546,8 +561,8 @@ def quotient_loop(q: Loop) -> tuple[Loop, np.ndarray]:
     if m * len(z) != n or (np.bincount(least)[reps] != len(z)).any():
         raise GammaForgeError("internal inconsistency: the cosets of the center do not partition the loop")
     block_of = np.searchsorted(reps, least).astype(np.int32)
-    qt = block_of[t[reps[:, None], reps]].astype(element_dtype(m))
-    w = first_false_rows(n, lambda r: block_of[t[r]] == qt[block_of[r, None], block_of])
+    qt = block_of.take(q.rule(reps[:, None], reps)).astype(element_dtype(m))
+    w = first_false_rows(n, lambda r: block_of.take(t[r]) == qt.ravel().take(flat(m, block_of[r, None], block_of)))
     if w is not None:
         raise GammaForgeError(f"internal inconsistency: the quotient by the center is not "
                               f"well defined at ({q.label(w[0])},{q.label(w[1])})")

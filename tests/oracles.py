@@ -4,10 +4,11 @@ Everything here works on labeled pairs/tuples with direct modular arithmetic
 and brute-force searches, never through the library's group or loop engines,
 so the two sides of every comparison stay independent.  The exception is a
 section of former library API that only tests used (permutations,
-translations, divisions, loop powers, inverses and nested commutators, the
-frontier subgroup closure, the normal-closure series of functional groups,
-the isomorphism search, the sorting Latin test and the stabilizer chain of
-the left translations), kept to test against.
+translations, divisions, loop powers, the power-associativity scan one
+element at a time, inverses and nested commutators, the frontier subgroup
+closure, the normal-closure series of functional groups, the isomorphism
+search, the sorting Latin test and the stabilizer chain of the left
+translations), kept to test against.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from gamma_forge.core import ConstructionError, EvenOrderError, GammaForgeError, StabilizerChain
+from gamma_forge.core import ConstructionError, EvenOrderError, GammaForgeError, StabilizerChain, first_false_rows
 
 # --- the order-21 split extension: pairs (h, k), h mod 7, k mod 3,
 #     generator of the cyclic part acting by h -> 2h
@@ -616,6 +617,36 @@ def left_power(q: Loop, x: int, k: int) -> int:
     for _ in range(k):
         acc = int(q.tbl[acc, x])
     return acc
+
+
+def cyclic_powers(t: np.ndarray, x: int) -> np.ndarray | None:
+    """The left powers x^0, ..., x^(m-1) of x in a loop table t, returning to
+    0 first at x^m, if the submagma <x> is associative; else None.  If
+    x^i x^j = x^((i+j) mod m) for all i, j < m (a block of rows i per step),
+    the powers are closed, hold x and form Z_m, so they are <x>.  Conversely
+    an associative <x> is a finite cancellative semigroup, so a group, whose
+    idempotent is the loop's 0: it is cyclic on these powers and passes.
+    """
+    powers, p = [0], t.item(0, x)
+    while p:  # x^k = x^(k-1) x, a step of the cycle of 0 under R_x
+        powers.append(p)
+        p = t.item(p, x)
+    pw, m = np.array(powers), len(powers)
+    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate((pw, pw[:-1])), m)  # row i: x^(i+j)
+    return pw if first_false_rows(m, lambda r: t[pw[r, None], pw] == shifted[r]) is None else None
+
+
+def power_associative_by_element(t: np.ndarray) -> tuple[bool, int | None]:
+    """is_power_associative one x at a time: cyclic_powers of each x that is
+    no power of an associative <x> before it."""
+    covered = np.zeros(len(t), dtype=bool)
+    for x in range(len(t)):
+        if not covered[x]:
+            members = cyclic_powers(t, x)
+            if members is None:
+                return False, x
+            covered[members] = True
+    return True, None
 
 
 def loop_order_of(q: Loop, x: int) -> int:

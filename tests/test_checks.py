@@ -301,11 +301,13 @@ def test_verify_scans_no_group_for_power_associativity(spec, monkeypatch, capsys
 
 
 class _TakeSpy(np.ndarray):
-    """A view of a table whose take() records who gave it which index dtype."""
+    """A view of a table whose take() records who gave it which index dtype,
+    and the cells of the array taken from: a row, or the flat table or a
+    flat block of its rows."""
     calls: list = []
 
     def take(self, indices, *args, **kwargs):
-        _TakeSpy.calls.append((sys._getframe(1).f_code.co_name, np.asarray(indices).dtype))
+        _TakeSpy.calls.append((sys._getframe(1).f_code.co_name, np.asarray(indices).dtype, self.size))
         return np.asarray(self).take(indices, *args, **kwargs)
 
 
@@ -349,7 +351,8 @@ def test_held_arrays_are_narrow_and_flat_indices_intp(spec, monkeypatch):
     # no commutator or division table is kept, and no owner holds n^2 cells
     # in smaller arrays either, as the n coset representatives of a chain of
     # Mlt(Q) would be; every flat index handed to take() is intp, as n * a in
-    # a narrow dtype wraps (381 * 173 > 65535)
+    # a narrow dtype wraps (381 * 173 > 65535); a take from a single row may
+    # have narrow indices, which are below n and cannot wrap
     g = construct(spec)
     g.tbl = g.tbl.view(_TakeSpy)
     ctx = CheckContext(g, force_exhaustive=True)
@@ -379,6 +382,9 @@ def test_held_arrays_are_narrow_and_flat_indices_intp(spec, monkeypatch):
             owner = name.split(".")[1].split("[")[0]
             owners[owner] = owners.get(owner, 0) + a.size
     assert {o: cells for o, cells in owners.items() if cells >= g.order ** 2} == {}
-    callers = {name for name, _ in _TakeSpy.calls}
-    assert {"left_power_walk", "_inner_maps", "_gamma_by_orbit_walk"} <= callers
-    assert {d for _, d in _TakeSpy.calls} == {np.dtype(np.intp)}
+    flat_takes = [(name, d) for name, d, cells in _TakeSpy.calls if cells > g.order]
+    row_takes = [(name, d) for name, d, cells in _TakeSpy.calls if cells <= g.order]
+    assert {"left_power_walk", "_inner_maps", "_gamma_by_orbit_walk", "take_rows", "rule"} <= {
+        name for name, _ in flat_takes}
+    assert {d for _, d in flat_takes} == {np.dtype(np.intp)}
+    assert row_takes and {d for _, d in row_takes} <= {dtype, np.dtype(np.int32), np.dtype(np.intp)}

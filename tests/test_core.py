@@ -1,15 +1,17 @@
 """Tables, permutations, closure, and the .tbl format."""
 
+import ast
 import itertools
 import math
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gamma_forge.core import (CayleyTable, ConstructionError, EvenOrderError, StabilizerChain, build_table, classify,
-                              row_blocks)
+                              row_blocks, take_rows)
 from gamma_forge import core, tableio
 from oracles import (
     CapExceededError,
@@ -96,6 +98,31 @@ def test_build_table_row_blocks():
     t = build_table(n, lambda x, y: (x * 7 + y) % n)
     r = np.arange(n)
     assert (t.table == (r[:, None] * 7 + r[None, :]) % n).all()
+
+
+def test_build_table_hands_rules_int32_indices():
+    seen = []
+    build_table(300, lambda x, y: seen.append((x.dtype, y.dtype, x.shape[1], y.shape[0])) or (x + y) % 300)
+    assert {s[:2] for s in seen} == {(np.dtype(np.int32), np.dtype(np.int32))} and {s[2:] for s in seen} == {(1, 1)}
+
+
+def test_take_rows_is_take_along_axis():
+    rng = np.random.default_rng(5)
+    for rows, n in ((1, 1), (3, 7), (22, 729)):
+        a = rng.integers(0, n, (rows, n)).astype(core.element_dtype(n))
+        cols = rng.integers(0, n, (rows, n)).astype(core.element_dtype(n))
+        assert (take_rows(a, cols) == np.take_along_axis(a, cols.astype(np.intp), 1)).all()
+
+
+def test_src_calls_no_along_axis_gather():
+    # the gather rule: a scan reads cells with 1-D takes, never take_along_axis
+    # or put_along_axis, which cost about twice as much per cell
+    src = Path(core.__file__).parent
+    calls = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("take_along_axis", "put_along_axis")]
+    assert len(list(src.glob("*.py"))) > 5 and calls == []
 
 
 def test_row_blocks_cover_every_row_once_within_the_budget():

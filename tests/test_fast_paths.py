@@ -24,6 +24,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +45,6 @@ from gamma_forge.loops import (
     check_gamma_axioms,
     is_automorphic,
     is_left_bruck,
-    cyclic_powers,
     is_power_associative,
     loop_center,
     powers_coincide,
@@ -121,7 +121,7 @@ def assert_inner_scans_match_references(t):
     # the walk alone equals the per-pair scan wherever every commutator has odd order
     table, message = oracles.gamma_from_bruck_scan(t)
     if oracles.left_bruck_scan(t)[0]:
-        assert message is None and (gamma_from_bruck(q).tbl == table).all()
+        assert message is None and (gamma_from_bruck(q) == table).all()
     else:
         with pytest.raises(ConstructionError, match="not a left Bruck loop"):
             gamma_from_bruck(q)
@@ -298,7 +298,7 @@ def test_orbit_walk_matches_doubling_and_references(case, monkeypatch):
     # per-pair scan up to order 81; the oplus loops through gamma_from_bruck
     t = bruck_case(case)
     q = Loop(CayleyTable(t))
-    walk = (lambda q: gamma_from_bruck(q).tbl) if case[0] == "oplus" else constructions._gamma_by_orbit_walk
+    walk = gamma_from_bruck if case[0] == "oplus" else constructions._gamma_by_orbit_walk
     walked = walk(q)
     assert (walked == oracles.gamma_by_full_orbit_walk(q)).all()
     if len(t) <= 81:
@@ -353,7 +353,7 @@ def test_orbit_walk_over_pairs_x_le_y_matches_the_full_walk(rows, monkeypatch):
     # the walk takes the pairs x <= y and mirrors each entry to (y, x); against
     # the walk over every pair, at order 381 (uint16 elements) and on the
     # noncommutative cocycle loops, with blocks of 3 rows closing across blocks
-    loops_ = [bruck_from_gamma(circ_loop(group("sd:127:3:19")))]
+    loops_ = [Loop(CayleyTable(bruck_from_gamma(circ_loop(group("sd:127:3:19")))))]
     loops_ += [Loop(CayleyTable(bruck_case(case))) for case in BRUCK_CASES if case[0] == "cocycle"]
     assert not all(q.commutativity is None for q in loops_)
     for q in loops_:
@@ -365,7 +365,7 @@ def test_orbit_walk_over_pairs_x_le_y_matches_the_full_walk(rows, monkeypatch):
 
 def test_roundtrip_at_order_729():
     circ = circ_loop(group("ut:4:3"))
-    assert (gamma_from_bruck(bruck_from_gamma(circ)).tbl == circ.tbl).all()
+    assert (gamma_from_bruck(Loop(CayleyTable(bruck_from_gamma(circ)))) == circ.tbl).all()
 
 
 def test_hash_collisions_never_skip_a_map(monkeypatch):
@@ -399,6 +399,24 @@ def test_generator_inner_maps_decide_commutative_random_loops(family):
         verdicts.add((w is None, oracles.assoc_scan(t) is None))
     assert (True, True) in verdicts and (False, False) in verdicts
     assert ((True, False) in verdicts) == (family is twisted_loop)
+
+
+def test_least_inner_witness_builds_the_maps_of_one_x_a_block_at_a_time():
+    # a non-automorphic commutative loop of order 1240: the maps of one x
+    # built whole held n^2 intp flat indices, 12.3 MB of a 21.8 MB peak; a
+    # block of y per step keeps the peak near the division table it holds
+    # (3.1 MB), and the (x, y) order, so the witness is the whole-x scan's
+    q = Loop(CayleyTable(product_loop(cocycle_loop(0, 2, 4, commutative=True), circ_loop(group("sd:31:5:2")).tbl)))
+    assert q.n == 1240 and q.commutativity is None
+    q.generators
+    tracemalloc.start()
+    try:
+        verdict = is_automorphic(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == AutomorphicVerdict("false", ("L", 2, 2, 2, 4))
+    assert peak < 6e6
 
 
 @pytest.mark.parametrize("spec", ["sd:31:5:2", "ut:4:3"])
@@ -876,13 +894,70 @@ def test_power_associativity_matches_references_on_seeded_loops(rows, monkeypatc
     assert len(witnesses) >= 28 and sum(w > 1 for w in witnesses) >= 16 and max(witnesses) >= 63
 
 
+@pytest.mark.parametrize("spec", SMALL_SPECS + ["ut:4:3", "cyclic:2187"])
+def test_batched_power_associativity_matches_the_scan_one_x_at_a_time(spec):
+    # every catalog circ and oplus loop up to 243, circ(ut:4:3) and the
+    # group cyclic:2187 (its own circ loop), whose one cycle of 2187 powers
+    # takes several row blocks of one x
+    g = group(spec)
+    for t in ((g.tbl,) if spec == "cyclic:2187" else (circ_loop(g).tbl, oplus_loop(g).tbl)):
+        assert is_power_associative(Loop(CayleyTable(t))) == oracles.power_associative_by_element(t) == (True, None)
+
+
+def _collected_cycles(t):
+    """(x, m, passes) for each x, ascending, that is no power of an x before
+    it: the length m of its cycle of left powers, and whether <x> is associative."""
+    q, covered, out = Loop(CayleyTable(t)), np.arange(len(t)) == 0, []
+    for x in range(1, len(t)):
+        if not covered[x]:
+            m = oracles.loop_order_of(q, x)
+            covered[[oracles.left_power(q, x, k) for k in range(m)]] = True
+            out.append((x, m, oracles.cyclic_powers(t, x) is not None))
+    return out
+
+
+def test_power_associativity_witness_in_a_later_length_batch():
+    # the least witness lies in a batch of another length than the first x's,
+    # and in the two twisted loops a larger x fails in a length batch opened
+    # before the witness's: the witness is the least failing x over all batches
+    later = 0
+    for t in seeded_loops() + [twisted_loop(72, 5, 3), twisted_loop(281, 5, 3)]:
+        verdict = is_power_associative(Loop(CayleyTable(t)))
+        assert verdict == oracles.power_associative_by_element(t)
+        if not verdict[0]:
+            cycles = _collected_cycles(t)
+            w, m = next((x, m) for x, m, ok in cycles if not ok)
+            assert verdict == (False, w)
+            later += m != cycles[0][1]
+    assert later >= 10
+    for t, witness, batches in ((twisted_loop(72, 5, 3), 6, [5, 3, 9, 6]), (twisted_loop(281, 5, 3), 6, [5, 3, 12, 15])):
+        cycles = _collected_cycles(t)
+        assert list(dict.fromkeys(m for _, m, _ in cycles)) == batches
+        m = next(m for x, m, _ in cycles if x == witness)
+        assert any(x > witness and not ok and batches.index(mx) < batches.index(m) for x, mx, ok in cycles)
+
+
+def test_power_associativity_keeps_each_block_within_the_budget():
+    # the one cycle of cyclic:2187 holds 2187^2 cells, 38 MB of intp flat
+    # indices if gathered whole; a block of rows of that cycle per step stays
+    # near the budget
+    q = Loop(group("cyclic:2187").table)
+    tracemalloc.start()
+    try:
+        assert is_power_associative(q) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_cyclic_powers_decide_each_generated_submagma():
     # a closure test of <x>, then its left powers, which close at the order of x
     small = [t for t in seeded_loops() if len(t) == 15]
     for t in small + [circ_loop(group("sd:7:3:2")).tbl, cocycle_loop(3, 5, 3, odd=True)]:
         q = Loop(CayleyTable(t))
         for x in range(len(t)):
-            pw = cyclic_powers(t, x)
+            pw = oracles.cyclic_powers(t, x)
             assert (pw is not None) == oracles.submagma_is_associative(t, x)
             if pw is not None:
                 assert pw.tolist() == [oracles.left_power(q, x, k) for k in range(len(pw))]
