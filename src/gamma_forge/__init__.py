@@ -9,7 +9,6 @@ from .core import (
     classify,
 )
 from .groups import (
-    FunctionalGroup,
     Group,
     SemidirectSpec,
     Subgroup,

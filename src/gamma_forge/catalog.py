@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .core import GammaForgeError
-from .groups import AnyGroup, Group, construct, from_file
+from .groups import Group, construct, from_file
 from .checks import CheckContext
 from .loops import is_moufang, witness_str
 from .report import SurveyRow
@@ -37,12 +37,11 @@ CATALOG_SPECS: dict[str, int] = {
 }
 
 
-def survey_row(g: AnyGroup) -> SurveyRow:
-    """One survey row; loop columns are filled only for odd-order table groups."""
+def survey_row(g: Group) -> SurveyRow:
+    """One survey row; loop columns are filled only for odd-order groups."""
     ctx = CheckContext(g)
     row = SurveyRow(spec=g.source_spec or g.name, order=g.order, skipped=ctx.skip_reason)
-    if isinstance(g, Group):
-        row.uniquely_2_divisible = ctx.uniquely_2_divisible
+    row.uniquely_2_divisible = ctx.uniquely_2_divisible
     if row.skipped:
         return row
     row.nilpotency_class = ctx.nilpotency_class
@@ -73,7 +72,7 @@ def run_survey(lo: int = 3, hi: int = 81,
     """Survey rows over the builtin slice or a directory of .tbl files."""
     rows: list[SurveyRow] = []
     if source_dir is None:
-        subjects: list[tuple[str, AnyGroup | None, str | None]] = [
+        subjects: list[tuple[str, Group | None, str | None]] = [
             (spec, construct(spec), None) for spec, order in CATALOG_SPECS.items()
             if lo <= order <= hi]
     elif not Path(source_dir).is_dir():

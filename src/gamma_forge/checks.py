@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import GammaForgeError, first_false_rows, row_blocks
 from .groups import (
-    AnyGroup,
     Group,
     is_metabelian,
     is_two_engel,
@@ -102,18 +101,14 @@ class CheckContext:
     cannot disagree on a verdict such as the inner-mapping one.
     """
 
-    def __init__(self, g: AnyGroup, force_exhaustive: bool = False):
+    def __init__(self, g: Group, force_exhaustive: bool = False):
         self.g = g
         self.force_exhaustive = force_exhaustive
 
     @cached_property
     def skip_reason(self) -> str | None:
         """Why no circ loop can be built on the subject, or None if it can."""
-        if not isinstance(self.g, Group):
-            return "functional group: loop construction needs a table"
-        if not self.uniquely_2_divisible:
-            return "not uniquely 2-divisible"
-        return None
+        return None if self.uniquely_2_divisible else "not uniquely 2-divisible"
 
     @cached_property
     def uniquely_2_divisible(self) -> bool:
@@ -152,8 +147,6 @@ class CheckContext:
 # A check returns (verdict, expected, witness); run_check adds its id and claim.
 Outcome = tuple[str, str | None, str | None]
 
-_NO_TABLE_SCANS = "functional group: table scans unavailable"
-
 
 def _predicted(ok: bool, witness: str | None = None) -> Outcome:
     """The verdict of a check whose theorem predicts a pass."""
@@ -172,9 +165,7 @@ def run_check(ctx: CheckContext, check_id: str) -> CheckResult:
 
 
 def _check_group_laws(ctx: CheckContext) -> Outcome:
-    # verified at construction for table groups
-    if not isinstance(ctx.g, Group):
-        return _skipped("functional group: the product rule is not scanned")
+    # verified at construction: a Group's build runs Light's test
     return _predicted(True)
 
 
@@ -183,14 +174,10 @@ def _check_u2d(ctx: CheckContext) -> Outcome:
 
 
 def _check_commutator_identities(ctx: CheckContext) -> Outcome:
-    if not isinstance(ctx.g, Group):
-        return _skipped(_NO_TABLE_SCANS)
     return _predicted(*ctx.commutator_identities)
 
 
 def _check_metabelian_identities(ctx: CheckContext) -> Outcome:
-    if not isinstance(ctx.g, Group):
-        return _skipped(_NO_TABLE_SCANS)
     if not ctx.uniquely_2_divisible or not ctx.metabelian:
         return _skipped("only applies to uniquely 2-divisible metabelian groups")
     # both reductions assume the group's own bracket: a wrong one fails here with its witness
@@ -289,11 +276,12 @@ def _check_class3(ctx: CheckContext) -> Outcome:
 def _check_automorphic(ctx: CheckContext) -> Outcome:
     g = ctx.g
     verdict = ctx.circ.automorphic
-    # predicted by theorem for split extensions by construction, and for
-    # class <= 2 where the loop is an abelian group; conjectural otherwise
+    # predicted by the paper's theorem for split metabelian groups: an sd_spec
+    # is one, as SemidirectSpec refuses a non-abelian H or F, so G' <= H is
+    # abelian; and for class <= 2, where the loop is an abelian group.
+    # Conjectural otherwise, whatever the subject's spec string says
     cls = ctx.nilpotency_class
-    split = g.sd_spec is not None or (g.source_spec or "").startswith(("sd:", "wr:"))
-    expected = "pass" if (split or (cls is not None and cls <= 2)) else None
+    expected = "pass" if (g.sd_spec is not None or (cls is not None and cls <= 2)) else None
     if verdict.is_true:
         return "pass", expected, None
     return "fail", expected, witness_str(ctx.circ, verdict.witness)
@@ -431,7 +419,7 @@ GROUP_ONLY_CHECKS = tuple(cid for cid, _, group_only, _ in _CHECKS if group_only
 _CHECK_FUNCS = {cid: fn for cid, _, _, fn in _CHECKS}
 
 
-def run_checks(g: AnyGroup, selected: list[str] | None = None,
+def run_checks(g: Group, selected: list[str] | None = None,
                force_exhaustive: bool = False, env: dict | None = None) -> Report:
     """Run the selected (default: all applicable) checks and build a report."""
     ids = selected or CHECK_IDS

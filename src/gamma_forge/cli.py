@@ -20,7 +20,7 @@ from .catalog import run_survey
 from .checks import run_checks
 from .constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop
 from .core import CayleyTable, GammaForgeError, table_cap
-from .groups import Group, construct, is_uniquely_2_divisible
+from .groups import construct, is_uniquely_2_divisible
 from .loops import Loop
 from .report import survey_to_json, survey_to_text
 
@@ -30,25 +30,16 @@ def _spec(token: str) -> str:
     return f"file:{token}" if Path(token).exists() else token
 
 
-def _load_group(token: str) -> Group:
-    token = _spec(token)
-    g = construct(token)
-    if not isinstance(g, Group):
-        raise GammaForgeError(f"{token} is functional (order {g.order}); "
-                              "this command needs a table group")
-    return g
-
-
 def _load_loop(token: str) -> Loop:
     token = _spec(token)
     if token.startswith("file:"):
         return Loop(tableio.import_table(token[len("file:"):]).table)
-    return _load_group(token)
+    return construct(token)
 
 
 def cmd_verify(args) -> int:
     g = construct(_spec(args.spec))
-    if isinstance(g, Group) and not is_uniquely_2_divisible(g):
+    if not is_uniquely_2_divisible(g):
         print(f"error: {args.spec} is not uniquely 2-divisible "
               f"(order {g.order})", file=sys.stderr)
         return 2
@@ -86,7 +77,7 @@ def cmd_survey(args) -> int:
 def cmd_convert(args) -> int:
     direction = args.direction
     if direction in ("circ", "oplus"):
-        g = _load_group(args.input)
+        g = construct(_spec(args.input))
         q = circ_loop(g) if direction == "circ" else oplus_loop(g)
     elif direction in ("gamma-to-bruck", "bruck-to-gamma"):  # the translated table, validated as a Loop
         p, name = _load_loop(args.input), direction.split("-")[-1]
@@ -101,7 +92,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_export(args) -> int:
-    g = _load_group(args.spec)
+    g = construct(_spec(args.spec))
     tableio.export_table(g.table, args.out)
     print(f"wrote {args.out} (order {g.order})")
     return 0

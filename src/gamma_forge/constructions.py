@@ -21,15 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ConstructionError, GammaForgeError, build_table, divide_rows, row_blocks, take_rows
-from .groups import AnyGroup, Group, is_uniquely_2_divisible, _require_table
+from .groups import Group, is_uniquely_2_divisible
 from .loops import Loop, powers_coincide, witness_str
 
 
-def _provenance(g: AnyGroup, construction: str) -> dict:
+def _provenance(g: Group, construction: str) -> dict:
     return {"source": g.source_spec or g.name, "construction": construction}
 
 
-def circ_loop(g: AnyGroup) -> Loop:
+def circ_loop(g: Group) -> Loop:
     """The commutative loop with product x*y*sqrt([y,x]) on a uniquely
     2-divisible group.
 
@@ -37,7 +37,6 @@ def circ_loop(g: AnyGroup) -> Loop:
     it is commutative, it has the automorphic inverse property, and powers
     coincide with group powers.
     """
-    g = _require_table(g, "circ construction")
     if not is_uniquely_2_divisible(g):
         raise ConstructionError(f"{g.name} is not uniquely 2-divisible")
     t, s = g.rule, g.sqrt_table
@@ -48,13 +47,12 @@ def circ_loop(g: AnyGroup) -> Loop:
     return q
 
 
-def oplus_loop(g: AnyGroup) -> Loop:
+def oplus_loop(g: Group) -> Loop:
     """The loop with product sqrt(x*y^2*x) on a uniquely 2-divisible group.
 
     The left Bruck identity is a property check left to callers; construction
     validates loop-ness and power coincidence.
     """
-    g = _require_table(g, "oplus construction")
     if not is_uniquely_2_divisible(g):
         raise ConstructionError(f"{g.name} is not uniquely 2-divisible")
     t, s, sq = g.rule, g.sqrt_table, g.squares

@@ -1,12 +1,10 @@
 """Finite group construction and structural analysis.
 
 Groups live on dense indices 0..n-1 with identity 0.  Each family has one
-product rule that runs on ints and on broadcast index arrays alike.  Orders
-within the table cap get a Cayley table evaluated from that rule over blocks
-of rows; a table group is a loops.Loop whose build passes Light's test, and
-keeps only its commutators and squares.  Larger constructions are functional
-groups that call the rule on two ints per product and refuse table-only
-operations with a clear error.
+product rule that runs on ints and on broadcast index arrays alike, and a
+group is that rule's Cayley table, evaluated over blocks of rows: a
+loops.Loop whose build passes Light's test, keeping only its commutators and
+squares.  An order above the table cap is refused when the group is built.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from .core import (
     CayleyTable,
     ConstructionError,
     GammaForgeError,
+    TABLE_CAP_ENV,
     build_table,
     closure,
     distinct_values,
@@ -35,16 +34,12 @@ from . import tableio
 from .loops import Loop
 
 
-class TableRequiredError(GammaForgeError):
-    """Operation needs a materialized table but the group is functional."""
-
-
 class SpecParseError(GammaForgeError):
     """A group-spec string could not be parsed."""
 
 
 # ---------------------------------------------------------------------------
-# Table-backed groups
+# Groups
 
 
 class Group(Loop):
@@ -88,59 +83,19 @@ class Group(Loop):
         return self.tbl.diagonal().copy()
 
 
-class FunctionalGroup:
-    """A finite group held as a product rule instead of a table.
-
-    Permits streamed scans (element enumeration, rule products) but refuses
-    operations that need the full table.
-    """
-
-    def __init__(self, order: int, rule: Callable, name: str,
-                 gens: Sequence[int] = (), source_spec: str | None = None,
-                 notes: Sequence[str] = ()):
-        self.order = order
-        self.rule = rule
-        self.name = name
-        self.gens = tuple(gens)
-        self.source_spec = source_spec
-        self.notes = tuple(notes)
-        self.sd_spec = None
-        if self.mul(0, 0) != 0:
-            raise ConstructionError("identity must be index 0")
-
-    def label(self, x: int) -> str:
-        return str(x)
-
-    def mul(self, x: int, y: int) -> int:
-        return int(self.rule(x, y))
-
-    def __repr__(self):
-        return f"<FunctionalGroup {self.name!r} order={self.order}>"
-
-
-AnyGroup = Group | FunctionalGroup
-
-
-def _require_table(g: AnyGroup, what: str) -> Group:
-    if isinstance(g, Group):
-        return g
-    raise TableRequiredError(
-        f"{what} needs a materialized table; {g.name} (order {g.order}) is functional")
-
-
 # ---------------------------------------------------------------------------
 # Subgroups
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    parent: AnyGroup
+    parent: Group
     members: tuple[int, ...]
 
     def __post_init__(self):
         if 0 not in self.members:
             raise ConstructionError("subgroup must contain the identity")
-        g = _require_table(self.parent, "subgroup validation")
+        g = self.parent
         idx = np.asarray(self.members)
         mask = np.zeros(g.order, dtype=bool)
         mask[idx] = True
@@ -163,36 +118,22 @@ class Subgroup:
 # Commutators and predicates
 
 
-def is_uniquely_2_divisible(g: AnyGroup) -> bool:
+def is_uniquely_2_divisible(g: Group) -> bool:
     """True iff squaring is a bijection; cross-asserted against odd order."""
     odd = g.order % 2 == 1
-    if isinstance(g, Group):
-        injective = len(distinct_values(g.squares)) == g.order
-    else:  # each square s adds bit s % 8 to byte s // 8 of n/8 bytes, a block per step
-        n = g.order
-        sums = np.zeros((n + 7) // 8, dtype=np.uint8)
-        for r in row_blocks(n, 1):
-            xs = np.arange(r.start, r.stop)
-            s = g.rule(xs, xs)
-            np.add.at(sums, s >> 3, np.left_shift(np.uint8(1), (s & 7).astype(np.uint8)))
-        # k powers of two sum to at most k set bits, so a byte reading r set
-        # bits (mod 256 too) took at least r squares; as the n squares fill
-        # every byte, each took exactly its r bits once, and a square hit
-        # twice leaves some byte short
-        last = (1 << (n - 8 * len(sums) + 8)) - 1
-        injective = bool(sums[:-1].min(initial=255) == 255 and sums[-1] == last)
+    injective = len(distinct_values(g.squares)) == g.order
     if injective != odd:
         raise GammaForgeError(
             f"internal inconsistency: squaring injective={injective} but order parity says {odd}")
     return injective
 
 
-def center(g: AnyGroup) -> Subgroup:
-    series = upper_central_series(_require_table(g, "center"))
+def center(g: Group) -> Subgroup:
+    series = upper_central_series(g)
     return series[min(1, len(series) - 1)]
 
 
-def upper_central_series(g: AnyGroup) -> list[Subgroup]:
+def upper_central_series(g: Group) -> list[Subgroup]:
     """[zeta^0, zeta^1, ...] ascending until stable.
 
     zeta^{i+1} = {x : [x,y] in zeta^i for all y}, which matches the
@@ -200,7 +141,6 @@ def upper_central_series(g: AnyGroup) -> list[Subgroup]:
     g.generators are tested: for fixed x the y with [x, y] in the normal
     zeta^i form a subgroup, as [x, yz] = [x, z] [x, y]^z.
     """
-    g = _require_table(g, "upper central series")
     xs, gens = np.arange(g.order), g.generators
     series, current = [Subgroup(g, (0,))], xs == 0
     while True:
@@ -221,10 +161,9 @@ def _commutator_seed(g: Group, members_a: Sequence[int], members_b: Sequence[int
     return np.flatnonzero(seen).astype(g.tbl.dtype)
 
 
-def _descending_series(g: AnyGroup, what: str, seed: Callable) -> list[Subgroup]:
+def _descending_series(g: Group, seed: Callable) -> list[Subgroup]:
     """[G, G', ...] until stable, each later term generated by seed(members of
     the last); the second is G' in both series, from the shared commutators."""
-    g = _require_table(g, what)
     series = [Subgroup(g, tuple(range(g.order)))]
     nxt = closure(g.order, g.rule, g.commutators)[0]
     while nxt != series[-1].members:
@@ -233,12 +172,12 @@ def _descending_series(g: AnyGroup, what: str, seed: Callable) -> list[Subgroup]
     return series
 
 
-def lower_central_series(g: AnyGroup) -> list[Subgroup]:
+def lower_central_series(g: Group) -> list[Subgroup]:
     """[gamma_1, gamma_2, ...] descending until stable."""
-    return _descending_series(g, "lower central series", lambda h: _commutator_seed(g, h, None))
+    return _descending_series(g, lambda h: _commutator_seed(g, h, None))
 
 
-def nilpotency_class(g: AnyGroup) -> int | None:
+def nilpotency_class(g: Group) -> int | None:
     """Nilpotency class, or None when the lower series stabilizes above 1."""
     series = lower_central_series(g)
     if series[-1].order != 1:
@@ -246,18 +185,17 @@ def nilpotency_class(g: AnyGroup) -> int | None:
     return len(series) - 1
 
 
-def derived_series(g: AnyGroup) -> list[Subgroup]:
+def derived_series(g: Group) -> list[Subgroup]:
     """[G, G', G'', ...] until stable."""
-    return _descending_series(g, "derived series", lambda h: _commutator_seed(g, h, h))
+    return _descending_series(g, lambda h: _commutator_seed(g, h, h))
 
 
-def derived_subgroup(g: AnyGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def derived_subgroup(g: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(members, generating set) of G'."""
-    g = _require_table(g, "derived subgroup")
     return closure(g.order, g.rule, g.commutators)
 
 
-def is_metabelian(g: AnyGroup) -> bool:
+def is_metabelian(g: Group) -> bool:
     """G'' = 1, cross-asserted against 'all commutators commute pairwise'."""
     commute = lambda s: first_false_rows(len(s), lambda r: g.rule(s[r, None], s) == g.rule(s, s[r, None])) is None
     abelian = commute(np.asarray(derived_subgroup(g)[0]))
@@ -266,11 +204,11 @@ def is_metabelian(g: AnyGroup) -> bool:
     return abelian
 
 
-def is_two_engel(g: AnyGroup) -> tuple[bool, tuple[int, int] | None]:
+def is_two_engel(g: Group) -> tuple[bool, tuple[int, int] | None]:
     """[x,y,y] = 1 for all pairs; on failure the lexicographically least witness.
     A nested commutator holds about twice the scratch of one gather, so each
     row counts as 2n cells of a block."""
-    C, xs = _require_table(g, "2-Engel test").commutator, np.arange(g.order)
+    C, xs = g.commutator, np.arange(g.order)
     w = first_false_rows(g.order, lambda r: C(C(xs[r, None], xs), xs) == 0, 2 * g.order)
     return (w is None), w
 
@@ -319,8 +257,8 @@ class SemidirectSpec:
 
 # ---------------------------------------------------------------------------
 # Constructors: one product rule per family.  A rule uses only integer
-# arithmetic and indexing into small arrays, so it runs on ints (the
-# FunctionalGroup product) and on broadcast index arrays (build_table) alike.
+# arithmetic and indexing into small arrays, so it runs on ints and on
+# broadcast index arrays (build_table) alike.
 
 
 def _positive(spec: str, *params: int) -> None:
@@ -330,18 +268,18 @@ def _positive(spec: str, *params: int) -> None:
 
 def _from_rule(n: int, rule: Callable, name: str, gens: Sequence[int] = (),
                label: Callable[[int], str] | None = None, split: Callable | None = None,
-               source_spec: str | None = None) -> AnyGroup:
-    """The group of a product rule: a verified table up to the table cap, a
-    FunctionalGroup calling the rule on ints above it.
+               source_spec: str | None = None) -> Group:
+    """The group of a product rule: its table, verified, or a ConstructionError
+    for an order above the table cap, which no table is built for.
 
     ``split()`` gives (H, F) of a split extension whose element (h, f) is
     index f*|H|+h; its action is read off the rule, as (0, f)(h, 0) = (h^f, f).
     """
     if n >= 2 ** 31:  # rules compute in int32 and int64 numpy arithmetic
         raise ConstructionError(f"order {n} of {name} is too large: indices must stay below 2^31")
-    notes = ("even order",) if n % 2 == 0 else ()
-    if n > table_cap():
-        return FunctionalGroup(n, rule, name, gens=gens, source_spec=source_spec, notes=notes)
+    if n > (cap := table_cap()):
+        raise ConstructionError(f"order {n} of {name} is above the table cap {cap}; "
+                                f"{TABLE_CAP_ENV} raises the cap")
     spec = None
     if split is not None:
         H, F = split()
@@ -349,18 +287,18 @@ def _from_rule(n: int, rule: Callable, name: str, gens: Sequence[int] = (),
         spec = SemidirectSpec(H, F, rule(f * H.order, h) % H.order, name=name)
     names = None if label is None else [label(x) for x in range(n)]
     g = Group(build_table(n, rule, name=name, element_names=names), gens=gens,
-              source_spec=source_spec, notes=notes)
+              source_spec=source_spec, notes=("even order",) if n % 2 == 0 else ())
     g.sd_spec = spec
     return g
 
 
-def cyclic(m: int, source_spec: str | None = None) -> AnyGroup:
+def cyclic(m: int, source_spec: str | None = None) -> Group:
     if m < 1:
         raise ConstructionError(f"cyclic order must be >= 1, got {m}")
     return _from_rule(m, lambda x, y: (x + y) % m, f"Z{m}", gens=(1,), source_spec=source_spec)
 
 
-def direct(factors: Sequence[AnyGroup], source_spec: str | None = None) -> AnyGroup:
+def direct(factors: Sequence[Group], source_spec: str | None = None) -> Group:
     """Direct product, folding pairwise; index of (a, b) is a*|B|+b."""
     if not factors:
         raise ConstructionError("direct product needs at least one factor")
@@ -380,7 +318,7 @@ def direct(factors: Sequence[AnyGroup], source_spec: str | None = None) -> AnyGr
                       label=label, source_spec=source_spec)
 
 
-def sd(q: int, p: int, a: int, source_spec: str | None = None) -> AnyGroup:
+def sd(q: int, p: int, a: int, source_spec: str | None = None) -> Group:
     """Z_q x| Z_p where the generator of Z_p acts by h -> a*h mod q; the element
     (h, f) is index f*q+h."""
     _positive(source_spec or f"sd:{q}:{p}:{a}", q, p)
@@ -398,7 +336,7 @@ def sd(q: int, p: int, a: int, source_spec: str | None = None) -> AnyGroup:
                       split=lambda: (cyclic(q), cyclic(p)), source_spec=source_spec)
 
 
-def heisenberg(p: int, source_spec: str | None = None) -> AnyGroup:
+def heisenberg(p: int, source_spec: str | None = None) -> Group:
     """Order p^3 with triples (a,b,c) at index (a*p+b)*p+c: the product adds
     coordinates plus a1*b2 into c."""
     _positive(source_spec or f"heis:{p}", p)
@@ -413,7 +351,7 @@ def heisenberg(p: int, source_spec: str | None = None) -> AnyGroup:
                       source_spec=source_spec)
 
 
-def unitriangular(k: int, p: int, source_spec: str | None = None) -> AnyGroup:
+def unitriangular(k: int, p: int, source_spec: str | None = None) -> Group:
     """k x k upper unitriangular matrices over the p-element field.
 
     Indices pack the strictly-upper entries base p in row-major position
@@ -441,7 +379,7 @@ def unitriangular(k: int, p: int, source_spec: str | None = None) -> AnyGroup:
                       gens=[weights[at[i, i + 1]] for i in range(k - 1)], source_spec=source_spec)
 
 
-def wreath_cyclic(p: int, source_spec: str | None = None) -> AnyGroup:
+def wreath_cyclic(p: int, source_spec: str | None = None) -> Group:
     """Z_p wr Z_p: the p-fold direct power of Z_p acted on by coordinate shift.
 
     The element (v, k) is index k*p^p+v, with the coordinates of v packed
@@ -495,7 +433,7 @@ def _int_token(tok: str, spec: str) -> int:
         raise SpecParseError(f"bad token {tok!r} in group spec {spec!r}")
 
 
-def construct(spec: str) -> AnyGroup:
+def construct(spec: str) -> Group:
     """Build a group from its spec string."""
     spec = spec.strip()
     head, _, rest = spec.partition(":")

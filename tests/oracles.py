@@ -6,9 +6,11 @@ so the two sides of every comparison stay independent.  The exception is a
 section of former library API that only tests used (permutations,
 translations, divisions, loop powers, the power-associativity scan one
 element at a time, inverses and nested commutators, the frontier subgroup
-closure, the normal-closure series of functional groups, the isomorphism
-search, the sorting Latin test and the stabilizer chain of the left
-translations), kept to test against.
+closure, the normal-closure series of a group read one product at a time,
+the isomorphism search, the sorting Latin test and the stabilizer chain of
+the left translations), kept to test against; and rule_group, which holds a
+family's product rule without its table, so groups above the table cap such
+as ut:5:3 can be tested.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from gamma_forge import groups
 from gamma_forge.core import ConstructionError, EvenOrderError, GammaForgeError, StabilizerChain, first_false_rows
 
 # --- the order-21 split extension: pairs (h, k), h mod 7, k mod 3,
@@ -595,6 +598,31 @@ def normal_closure(g, seed, conj_by):
         if not extra:
             return members, tuple(gens)
         gens = sorted(set(gens) | extra)
+
+
+@dataclass(frozen=True)
+class RuleGroup:
+    """A group family's product rule as groups._from_rule receives it, with no table."""
+    order: int
+    rule: Callable
+    name: str
+    gens: tuple[int, ...]
+
+    def mul(self, x: int, y: int) -> int:
+        return int(self.rule(x, y))
+
+
+def rule_group(family: str, *args) -> RuleGroup:
+    """What groups.<family>(*args) would build, as its rule: groups._from_rule
+    is replaced, for the call, by a capture of (n, rule, name, gens), so no
+    table is built and the table cap does not apply.  A dp spec's factors are
+    captured too, and its rule calls theirs."""
+    built = groups._from_rule
+    groups._from_rule = lambda n, rule, name, gens=(), **_: RuleGroup(n, rule, name, tuple(gens))
+    try:
+        return getattr(groups, family)(*args)
+    finally:
+        groups._from_rule = built
 
 
 def functional_series(g, derived: bool):

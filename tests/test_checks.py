@@ -12,10 +12,10 @@ import pytest
 
 import oracles
 
-from gamma_forge import checks, cli, constructions, core, loops
+from gamma_forge import checks, cli, constructions, core, loops, tableio
 from gamma_forge.checks import CHECK_IDS, CLAIMS, GROUP_ONLY_CHECKS, CheckContext, run_check, run_checks
 from gamma_forge.constructions import circ_loop, oplus_loop
-from gamma_forge.groups import Group, construct, derived_subgroup, nilpotency_class
+from gamma_forge.groups import Group, construct, derived_subgroup, from_file, nilpotency_class
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,6 +36,17 @@ def test_each_check_reports_its_one_claim():
     unbuilt = [c.check_id for c in reports["cyclic:4"].checks
                if (c.verdict, c.witness) == ("skipped", "not uniquely 2-divisible")]
     assert unbuilt == [cid for cid in CHECK_IDS if cid not in GROUP_ONLY_CHECKS]
+
+
+def test_automorphic_prediction_reads_the_split_spec_only(tmp_path):
+    # a group built as a split extension has an sd_spec, so the theorem
+    # predicts a pass; the same table read from a file under the spec string
+    # has none, and sd:7:3:2 is not nilpotent, so no theorem predicts its verdict
+    path = tmp_path / "sd.tbl"
+    tableio.export_table(construct("sd:7:3:2").table, path)
+    expected = lambda g: run_checks(g, ["automorphic-inner-mappings"]).checks[0].expected
+    assert expected(from_file(path, source_spec="sd:7:3:2")) is None
+    assert expected(construct("sd:7:3:2")) == "pass"
 
 
 def _traced_layers(tmp_path, *cli_args) -> set[str]:
@@ -211,14 +222,6 @@ def test_check_pins_the_bracket_convention():
         ok, witness = checks.commutator_identities_hold(g)
         assert not ok and witness.startswith("commutator definition fails at (")
         assert witness == oracles.commutator_identities_scan(g)
-
-
-def test_functional_group_laws_are_skipped():
-    # a functional group's product rule is not scanned, so no pass is claimed
-    report = run_checks(construct("ut:5:3"), ["group-laws", "uniquely-2-divisible"])
-    assert [(c.verdict, c.witness) for c in report.checks] == [
-        ("skipped", "functional group: the product rule is not scanned"), ("pass", None)]
-    assert run_checks(construct("sd:7:3:2"), ["group-laws"]).checks[0].verdict == "pass"
 
 
 def test_checks_at_order_729_keep_scratch_to_a_row_block():

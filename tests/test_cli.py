@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gamma_forge
-from gamma_forge import checks, constructions, loops, tableio
+from gamma_forge import checks, constructions, groups, loops, tableio
 from gamma_forge.cli import main
 from gamma_forge.core import CayleyTable
 from gamma_forge.groups import construct
@@ -89,7 +89,8 @@ def test_verify_nonpositive_parameters_are_usage_errors(spec):
 
 
 # exit code and SHA-256 of `verify SPEC --format json` with timings zeroed
-# (ut:5:3 is functional): a changed verdict, witness or label changes an entry
+# (ut:5:3 is above the table cap, so it exits 2 with empty stdout, like
+# cyclic:4): a changed verdict, witness or label changes an entry
 PINNED_VERIFY = [
     ("cyclic:3", 0, "1a191905b5ef09a120ec01ade3f8f1be0a89d44b5ed2aeaefbecf6df742cfffe"),
     ("cyclic:27", 0, "dcf92ea9581ab2d57c3bb070639ba41dde8bf1ab1febfef040085da28bb85d45"),
@@ -106,7 +107,7 @@ PINNED_VERIFY = [
     ("ut:4:3", 0, "cebd7ff340063da41f89ae6fe54d38d938dc19015bcff54ae929207602766a97"),
     ("sd:31:5:2", 0, "c7015790b43625210e81a822df756004bb523d1cfc0f57a34f818410c55f739b"),
     ("cyclic:4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("ut:5:3", 0, "b8657c40d27dc98404c320616a44669b7db5e2abc0b5fd032efc565a6cb2ac00"),
+    ("ut:5:3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # order 381, above the uint8 elements of order 256: every check runs, the roundtrip and closed forms too
     ("sd:127:3:19 --exhaustive", 0, "15e372994eaa020211ad3bc10935bfea8357a6fae59a084fd9b5f74517af6cfc"),
 ]
@@ -122,15 +123,21 @@ def test_verify_json_outputs_pinned(capsys, monkeypatch):
     assert got == PINNED_VERIFY
 
 
-def test_verify_large_functional_group_ends():
-    # squaring 20 million elements one product at a time took minutes
+def test_verify_large_functional_group_ends(capsys, monkeypatch):
+    # an order above the table cap is refused before any table is built
     env = dict(os.environ, PYTHONPATH=str(Path(gamma_forge.__file__).parents[1]))
     env.pop("GAMMA_FORGE_TABLE_CAP", None)
     proc = subprocess.run([sys.executable, "-m", "gamma_forge.cli", "verify", "cyclic:20000001",
                            "--checks", "uniquely-2-divisible"],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "[ok  ] uniquely-2-divisible" in proc.stdout
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: order 20000001 of Z20000001 is above the table cap 3000; GAMMA_FORGE_TABLE_CAP raises the cap"]
+    monkeypatch.delenv("GAMMA_FORGE_TABLE_CAP", raising=False)
+    built = []
+    monkeypatch.setattr(groups, "build_table", lambda *a, **k: built.append(a[0]))
+    assert run_cli(capsys, "verify", "cyclic:20000001")[0] == 2
+    assert built == []
 
 
 def test_runs_leave_numpy_ma_unloaded(tmp_path):
@@ -150,20 +157,13 @@ def test_runs_leave_numpy_ma_unloaded(tmp_path):
         assert proc.stdout.splitlines()[-1] == "0 False False", argv
 
 
-def test_verify_functional_group_skips_loop_checks(capsys):
-    code, out, err = run_cli(capsys, "verify", "ut:5:3",
-                             "--checks", "uniquely-2-divisible,circ-loop-gamma-axioms")
-    assert code == 0
-    assert "functional" in out
-
-
 def test_verify_nothing_verified_is_not_consistent(capsys):
-    # a functional group skips every loop check, so this run has no verdict
-    code, out, err = run_cli(capsys, "verify", "ut:5:3", "--checks", "circ-loop-gamma-axioms")
+    # cyclic:27 was not built as a split extension, so its closed forms are skipped and this run has no verdict
+    code, out, err = run_cli(capsys, "verify", "cyclic:27", "--checks", "closed-form-agreement")
     assert code == 1
     assert out.endswith("\nnothing verified: every selected check was skipped\n")
     assert "consistent" not in out
-    code, out, err = run_cli(capsys, "verify", "ut:5:3", "--checks", "circ-loop-gamma-axioms",
+    code, out, err = run_cli(capsys, "verify", "cyclic:27", "--checks", "closed-form-agreement",
                              "--format", "json")
     assert code == 1
     assert json.loads(out)["consistent"] is False
@@ -397,10 +397,12 @@ def test_a_failed_variety_verdict_fails_the_roundtrip_without_a_traceback(capsys
 
 def test_table_cap_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GAMMA_FORGE_TABLE_CAP", "100")
-    import gamma_forge.groups as groups_mod
-    u = groups_mod.unitriangular(4, 3)  # order 729 > 100 now stays functional
-    from gamma_forge.groups import FunctionalGroup
-    assert isinstance(u, FunctionalGroup)
+    code, out, err = run_cli(capsys, "verify", "ut:4:3")  # order 729 > 100 is refused
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "729" in err and "100" in err and len(err.splitlines()) == 1
+    monkeypatch.setenv("GAMMA_FORGE_TABLE_CAP", "3001")  # a raised cap builds the group
+    code, out, err = run_cli(capsys, "verify", "cyclic:3001", "--checks", "uniquely-2-divisible")
+    assert code == 0 and out.endswith("\nconsistent\n")
     monkeypatch.delenv("GAMMA_FORGE_TABLE_CAP")
     for bad in ("-1", "0"):
         monkeypatch.setenv("GAMMA_FORGE_TABLE_CAP", bad)

@@ -11,12 +11,10 @@ from gamma_forge import checks, core, groups, tableio
 from gamma_forge.catalog import CATALOG_SPECS
 from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, build_table, closure, left_power_walk
 from gamma_forge.groups import (
-    FunctionalGroup,
     Group,
     SemidirectSpec,
     SpecParseError,
     Subgroup,
-    TableRequiredError,
     center,
     construct,
     cyclic,
@@ -135,21 +133,21 @@ def test_unitriangular_table_group():
     assert nilpotency_class(u) == 2
 
 
-def test_unitriangular_functional():
-    u = unitriangular(5, 3)
-    assert isinstance(u, FunctionalGroup)
+def test_unitriangular_functional(monkeypatch):
+    # ut:5:3 is above the table cap, so the library refuses it; its rule,
+    # held by the oracle shim, gives the series from the normal closures of
+    # the generators' commutators
+    monkeypatch.delenv("GAMMA_FORGE_TABLE_CAP", raising=False)
+    with pytest.raises(ConstructionError, match="order 59049 of UT\\(5,3\\) is above the table cap 3000"):
+        unitriangular(5, 3)
+    u = oracles.rule_group("unitriangular", 5, 3)
     assert u.order == 3 ** 10
     # generators have order 3
     for g0 in u.gens:
         assert g0 != 0 and u.mul(u.mul(g0, g0), g0) == 0
-    # the series come from normal closures of the generators' commutators,
-    # kept in the oracles; the library refuses them without a table
     assert [len(s) for s in oracles.functional_series(u, True)] == [3 ** 10, 729, 3, 1]  # not metabelian
     lower = oracles.functional_series(u, False)
     assert len(lower) - 1 == 4 and lower[-1] == (0,)  # class 4
-    for predicate in (is_metabelian, derived_series, nilpotency_class, is_two_engel):
-        with pytest.raises(TableRequiredError):
-            predicate(u)
 
 
 def test_ut43_metabelian_class3():
@@ -175,18 +173,12 @@ def test_u2d_examples(g21):
     assert is_uniquely_2_divisible(g21)
 
 
-@pytest.mark.parametrize("spec,cap", [("ut:5:3", None), ("cyclic:27", "26"), ("cyclic:28", "27"),
-                                      ("dp:cyclic:3,cyclic:4", "11")])
-def test_functional_u2d_matches_product_scan(spec, cap, monkeypatch):
-    # squares are taken a block of elements at a time; blocks of 5 leave a partial last block
-    if cap is not None:
-        monkeypatch.setenv("GAMMA_FORGE_TABLE_CAP", cap)
+@pytest.mark.parametrize("spec", ["cyclic:27", "cyclic:28", "dp:cyclic:3,cyclic:4"])
+def test_u2d_matches_product_scan(spec):
+    # the distinct squares of the table against one product at a time, at odd and even orders
     g = construct(spec)
-    assert isinstance(g, FunctionalGroup)
     expected = oracles.uniquely_2_divisible_scan(g)
     assert expected == (g.order % 2 == 1)
-    assert is_uniquely_2_divisible(g) == expected
-    monkeypatch.setattr(core, "_BLOCK_CELLS", 5)
     assert is_uniquely_2_divisible(g) == expected
 
 
@@ -427,16 +419,13 @@ def test_from_file_roundtrip(tmp_path, g21):
 
 @pytest.mark.parametrize("spec", ["cyclic:27", "dp:cyclic:3,cyclic:9", "sd:31:5:2",
                                   "heis:5", "ut:4:3", "wr:3"])
-def test_table_and_functional_modes_agree(spec, monkeypatch):
-    monkeypatch.delenv("GAMMA_FORGE_TABLE_CAP", raising=False)
-    table = construct(spec)
-    assert isinstance(table, Group)
+def test_table_and_functional_modes_agree(spec):
+    # the family's rule on two ints, as the oracle shim holds it, equals the table
+    table, fun = construct(spec), oracles.rule_group("construct", spec)
     n = table.order
-    monkeypatch.setenv("GAMMA_FORGE_TABLE_CAP", str(n - 1))
-    fun = construct(spec)
-    assert isinstance(fun, FunctionalGroup)
+    assert fun.order == n
     assert np.array_equal([[fun.mul(x, y) for y in range(n)] for x in range(n)], table.tbl)
-    assert (fun.name, fun.gens, fun.notes) == (table.name, table.gens, table.notes)
+    assert (fun.name, fun.gens) == (table.name, table.gens)
 
 
 @pytest.mark.parametrize("spec", ["sd:7:3:2", "sd:7:3:4", "sd:13:3:3", "sd:11:5:3",
@@ -459,11 +448,14 @@ def test_split_tables_match_semidirect_formula(spec):
 
 
 def test_orders_beyond_int32_are_refused():
-    # a table factor's int32 entries times a stride would overflow past 2^31
-    for spec in ("dp:cyclic:3,cyclic:1000000000", "sd:3000000017:1:1", "wr:16"):
+    # a table factor's int32 entries times a stride would overflow past 2^31, so
+    # such an order is refused before the cap is read: twenty factors Z3 reach
+    # 3^20 > 2^31, while nineteen (3^19 < 2^31) meet only the table cap
+    for spec in ("dp:" + ",".join(["cyclic:3"] * 20), "sd:3000000017:1:1", "wr:16"):
         with pytest.raises(ConstructionError, match="too large"):
             construct(spec)
-    assert construct("dp:cyclic:3,cyclic:700000000").order < 2 ** 31
+    with pytest.raises(ConstructionError, match="above the table cap"):
+        construct("dp:" + ",".join(["cyclic:3"] * 19))
 
 
 def test_direct_products_widen_narrow_factor_tables():
