@@ -56,13 +56,13 @@ def survey_row(g: Group) -> SurveyRow:
         if w is not None:
             row.witnesses[key] = witness_str(subject, w)
 
-    verdict = ctx.circ.automorphic
-    row.circ_automorphic = verdict.status
-    if not verdict.is_true:
-        k, *args = verdict.witness
+    automorphic, w = ctx.circ.automorphic
+    row.circ_automorphic = "true" if automorphic else "false"
+    if not automorphic:
+        k, *args = w
         labels = ",".join(ctx.circ.label(v) if v >= 0 else "-" for v in args)
         row.witnesses["automorphic"] = f"{k}({labels})"
-    if row.metabelian != verdict.is_true:
+    if row.metabelian != automorphic:
         row.flag = "CONJECTURE-COUNTEREXAMPLE"
     return row
 

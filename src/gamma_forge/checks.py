@@ -275,16 +275,14 @@ def _check_class3(ctx: CheckContext) -> Outcome:
 
 def _check_automorphic(ctx: CheckContext) -> Outcome:
     g = ctx.g
-    verdict = ctx.circ.automorphic
+    automorphic, w = ctx.circ.automorphic
     # predicted by the paper's theorem for split metabelian groups: an sd_spec
     # is one, as SemidirectSpec refuses a non-abelian H or F, so G' <= H is
     # abelian; and for class <= 2, where the loop is an abelian group.
     # Conjectural otherwise, whatever the subject's spec string says
     cls = ctx.nilpotency_class
     expected = "pass" if (g.sd_spec is not None or (cls is not None and cls <= 2)) else None
-    if verdict.is_true:
-        return "pass", expected, None
-    return "fail", expected, witness_str(ctx.circ, verdict.witness)
+    return ("pass" if automorphic else "fail"), expected, witness_str(ctx.circ, w)
 
 
 def _check_closed_forms(ctx: CheckContext) -> Outcome:
@@ -308,7 +306,7 @@ def _check_closed_forms(ctx: CheckContext) -> Outcome:
             if w is not None:
                 return _predicted(False, f"{what} differs at {witness_str(g, (lo + w[0], w[1]))}")
             del closed
-    w = _lmap_witness(ctx.circ, forms.lxy_table, forms.nH, ctx.circ.automorphic.is_true)
+    w = _lmap_witness(ctx.circ, forms.lxy_table, forms.nH, ctx.circ.automorphic[0])
     if w is not None:
         return _predicted(False, f"inner L-map differs at {witness_str(g, w[:2])} on {g.label(w[2])}")
     return _predicted(True)

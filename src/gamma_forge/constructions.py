@@ -25,10 +25,6 @@ from .groups import Group, is_uniquely_2_divisible
 from .loops import Loop, powers_coincide, witness_str
 
 
-def _provenance(g: Group, construction: str) -> dict:
-    return {"source": g.source_spec or g.name, "construction": construction}
-
-
 def circ_loop(g: Group) -> Loop:
     """The commutative loop with product x*y*sqrt([y,x]) on a uniquely
     2-divisible group.
@@ -42,7 +38,7 @@ def circ_loop(g: Group) -> Loop:
     t, s = g.rule, g.sqrt_table
     table = build_table(g.order, lambda x, y: t(t(x, y), s.take(g.commutator(y, x))),
                         name=f"circ({g.name})", element_names=g.table.element_names)
-    q = Loop(table, source=_provenance(g, "circ"))
+    q = Loop(table)
     _validate_constructed(g, q, require_commutative=True)
     return q
 
@@ -58,7 +54,7 @@ def oplus_loop(g: Group) -> Loop:
     t, s, sq = g.rule, g.sqrt_table, g.squares
     table = build_table(g.order, lambda x, y: s.take(t(t(x, sq.take(y)), x)),  # sqrt((x y^2) x)
                         name=f"oplus({g.name})", element_names=g.table.element_names)
-    q = Loop(table, source=_provenance(g, "oplus"))
+    q = Loop(table)
     _validate_constructed(g, q, require_commutative=False)
     return q
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -133,7 +133,6 @@ def closure(n: int, op: Callable, seed: Iterable[int]) -> tuple[tuple[int, ...],
 @dataclass(frozen=True)
 class ClassifyResult:
     is_latin: bool
-    has_identity: bool
     is_loop: bool
     identity_index: int | None
     witness: str | None
@@ -146,7 +145,7 @@ class CayleyTable:
     ``classification`` handed in is taken as the table's own, unchecked.
     """
 
-    def __init__(self, table, name: str = "", element_names: Sequence[str] | None = None,
+    def __init__(self, table, name: str = "", element_names: Iterable[str] | None = None,
                  classification: ClassifyResult | None = None):
         raw = np.asarray(table)
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
@@ -218,7 +217,7 @@ def build_table(
     n: int,
     rule: Callable,
     name: str = "",
-    element_names: Sequence[str] | None = None,
+    element_names: Iterable[str] | None = None,
 ) -> CayleyTable:
     """Materialize the table of a product rule that accepts broadcast index
     arrays: rule(X, Y) for an int32 column X of row indices and the int32 row
@@ -253,13 +252,13 @@ def classify(t: CayleyTable | np.ndarray) -> ClassifyResult:
             marks.ravel()[np.arange(0, block.size, n)[:, None] + block] = True
             if not marks.all():
                 bad = r.start + int(np.argmin(marks.all(axis=1)))
-                return ClassifyResult(False, False, False, None, f"{what} {bad} is not a permutation")
+                return ClassifyResult(False, False, None, f"{what} {bad} is not a permutation")
     # two-sided identity: a row equal to 0..n-1 whose matching column also is;
     # it maps 0 to 0, and in a Latin table only one row e has e * 0 = 0
     e = int(np.argmin(arr[:, 0] != 0))
     if (arr[e] == ref).all() and (arr[:, e] == ref).all():
-        return ClassifyResult(True, True, True, e, None)
-    return ClassifyResult(True, False, False, None, "no two-sided identity")
+        return ClassifyResult(True, True, e, None)
+    return ClassifyResult(True, False, None, "no two-sided identity")
 
 
 def left_power_walk(t: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

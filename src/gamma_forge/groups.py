@@ -4,7 +4,10 @@ Groups live on dense indices 0..n-1 with identity 0.  Each family has one
 product rule that runs on ints and on broadcast index arrays alike, and a
 group is that rule's Cayley table, evaluated over blocks of rows: a
 loops.Loop whose build passes Light's test, keeping only its commutators and
-squares.  An order above the table cap is refused when the group is built.
+squares.  The family's declared generators head the seed of the closure that
+gives the group's one generating set, which Light's test, the upper central
+series and the rotation witness scan read; a table read from a file declares
+none.  An order above the table cap is refused when the group is built.
 """
 
 from __future__ import annotations
@@ -46,24 +49,23 @@ class Group(Loop):
     """A finite group: a loop table with identity 0 that passes Light's test.
 
     A group is exactly an associative loop (Bruck 1958), so the table, its
-    labels, inverses, generators, commutativity verdict and square roots are
-    the Loop's; a group is power-associative, so no powers are scanned."""
+    labels, inverses, commutativity verdict and square roots are the Loop's,
+    and its generators the Loop's closure with the declared gens at the head
+    of the seed; a group is power-associative, so no powers are scanned."""
 
     power_associativity = (True, None)
 
-    def __init__(self, table: CayleyTable, source_spec: str | None = None,
-                 notes: Sequence[str] = (), gens: Sequence[int] = ()):
+    def __init__(self, table: CayleyTable, source_spec: str | None = None, gens: Sequence[int] = ()):
         super().__init__(table)
         self.order = self.n
-        self.gens = tuple(gens)
         self.source_spec = source_spec
-        self.notes = tuple(notes)
         self.sd_spec: "SemidirectSpec | None" = None
+        # the family's declared generators head the seed of the one generating set, then 0..n-1
+        self.generators = np.array(closure(self.n, self.rule, [*gens, *range(self.n)])[1], dtype=self.tbl.dtype)
         self._verify()
 
     def _verify(self):
-        # an associative loop is a group: inverses are two-sided.  Light's test
-        # reads Loop.generators, each the least element outside the subgroup of those before
+        # an associative loop is a group: inverses are two-sided.  Light's test reads generators
         ok, w = self.is_associative()
         if not ok:
             x, y, z = (self.label(v) for v in w)
@@ -285,9 +287,10 @@ def _from_rule(n: int, rule: Callable, name: str, gens: Sequence[int] = (),
         H, F = split()
         f, h = np.ogrid[:F.order, :H.order]
         spec = SemidirectSpec(H, F, rule(f * H.order, h) % H.order, name=name)
-    names = None if label is None else [label(x) for x in range(n)]
-    g = Group(build_table(n, rule, name=name, element_names=names), gens=gens,
-              source_spec=source_spec, notes=("even order",) if n % 2 == 0 else ())
+    names = None if label is None else map(label, range(n))  # made only once the table is built
+    # a declared generator of a factor of order 1 (p = 1) is at index n, which is 0
+    g = Group(build_table(n, rule, name=name, element_names=names), source_spec=source_spec,
+              gens=[a % n for a in gens])
     g.sd_spec = spec
     return g
 
@@ -315,6 +318,7 @@ def direct(factors: Sequence[Group], source_spec: str | None = None) -> Group:
         return out
 
     return _from_rule(strides[0] * factors[0].order, rule, "x".join(f.name for f in factors),
+                      gens=[a * s for f, s in zip(factors, strides) for a in f.generators.tolist()],
                       label=label, source_spec=source_spec)
 
 
@@ -411,14 +415,9 @@ def wreath_cyclic(p: int, source_spec: str | None = None) -> Group:
 
 
 def from_file(path: str | Path, source_spec: str | None = None) -> Group:
-    """Import a .tbl file as a group (identity normalized, laws verified)."""
-    res = tableio.import_table(path)
-    notes = []
-    if res.relabeling is not None:
-        notes.append("identity relabeled to index 0 on import")
-    if res.table.n % 2 == 0:
-        notes.append("even order")
-    return Group(res.table, source_spec=source_spec or f"file:{path}", notes=notes)
+    """Import a .tbl file as a group (identity normalized, laws verified); it
+    declares no generators, so its generating set is the greedy one."""
+    return Group(tableio.import_table(path).table, source_spec=source_spec or f"file:{path}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Loop keeps one generating set of its product, which Light's test, the center
 sieve, the inner maps and the closed-form L maps read.  It scans
 commutativity, automorphic inverses, power associativity, the axiom block,
 the left Bruck identities and automorphicity once each and keeps the
-verdicts, its inverses and its square roots; central quotients are read off
+verdicts, its inverses and its square roots; is_moufang, is_left_bruck and
+is_automorphic each return (holds, witness).  Central quotients are read off
 the center's cosets.  A group is the Loop subclass groups.Group.
 """
 
@@ -54,7 +55,7 @@ class Loop:
     read and kept: group and loop construction, the variety translations and
     every check read them here."""
 
-    def __init__(self, table: CayleyTable, source: dict | None = None):
+    def __init__(self, table: CayleyTable):
         cls = table.classification
         if not cls.is_loop:
             raise ConstructionError(f"not a loop: {cls.witness}")
@@ -64,7 +65,6 @@ class Loop:
         self.tbl = table.table
         self.n = table.n
         self.name = table.name
-        self.source = source or {}
 
     def label(self, x: int) -> str:
         return self.table.label(x)
@@ -122,7 +122,8 @@ class Loop:
 
     @cached_property
     def generators(self) -> np.ndarray:
-        """The generators of closure(n, product, 0..n-1), in the element dtype."""
+        """The generators of closure(n, product, 0..n-1), in the element dtype
+        (a groups.Group puts its declared generators at the head of the seed)."""
         return np.array(closure(self.n, self.rule, range(self.n))[1], dtype=self.tbl.dtype)
 
     def is_associative(self) -> tuple[bool, tuple[int, int, int] | None]:
@@ -149,7 +150,8 @@ class Loop:
         return loop_center(self)
 
     @cached_property
-    def automorphic(self) -> AutomorphicVerdict:
+    def automorphic(self) -> tuple[bool, tuple | None]:
+        """The verdict of is_automorphic: (True, None), or (False, witness)."""
         return is_automorphic(self)
 
     def __repr__(self):
@@ -414,24 +416,15 @@ def _unseen_rows(maps: np.ndarray, seen: dict[int, np.ndarray], cols: np.ndarray
     return np.flatnonzero(unseen)
 
 
-@dataclass(frozen=True)
-class AutomorphicVerdict:
-    status: str  # "true" | "false"
-    witness: tuple | None = None  # ("L", x, y, u, v)
-
-    @property
-    def is_true(self) -> bool:
-        return self.status == "true"
-
-
 def _require_commutative(q: Loop, what: str) -> None:
     if q.commutativity is not None:
         raise GammaForgeError(f"{what} is decided for commutative loops only; {q.name} is not commutative")
 
 
-def is_automorphic(q: Loop) -> AutomorphicVerdict:
-    """Whether every inner mapping of the commutative loop q is an
-    automorphism of q; exhaustive.
+def is_automorphic(q: Loop) -> tuple[bool, tuple | None]:
+    """(True, None) if every inner mapping of the commutative loop q is an
+    automorphism of q, else (False, ("L", x, y, u, v)) for the least L_{x,y}
+    and its least failing (u, v); exhaustive.
 
     Lemma: a commutative loop Q is automorphic iff every map
     phi_{g,p}: u -> (gp) \\ (g(pu)), for g in q.generators and p in Q, is an
@@ -473,9 +466,9 @@ def is_automorphic(q: Loop) -> AutomorphicVerdict:
                     if (w := _least_inner_witness(q)) is None:
                         raise GammaForgeError("internal inconsistency: an inner mapping is no automorphism "
                                               "but every inner mapping of the scan is one")
-                    return AutomorphicVerdict("false", w)
+                    return False, w
                 chain.add(phi)
-    return AutomorphicVerdict("true")
+    return True, None
 
 
 def _least_inner_witness(q: Loop) -> tuple | None:
@@ -567,7 +560,7 @@ def quotient_loop(q: Loop) -> tuple[Loop, np.ndarray]:
         raise GammaForgeError(f"internal inconsistency: the quotient by the center is not "
                               f"well defined at ({q.label(w[0])},{q.label(w[1])})")
     table = CayleyTable(qt, name=f"{q.name}/S", element_names=[q.label(a) + "*S" for a in reps.tolist()])
-    return Loop(table, source={"construction": "quotient", "of": q.name}), block_of
+    return Loop(table), block_of
 
 
 def loop_nilpotency_class(q: Loop) -> int | None:

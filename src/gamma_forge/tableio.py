@@ -2,20 +2,22 @@
 
 Format: optional '#' comment lines, then a line holding n, then n lines of n
 whitespace-separated integers in 0..n-1 (row x, column y holds x*y); only
-blank and '#' lines may follow the last row.  Import normalizes the identity
-to index 0 and reports the relabeling applied; export always writes
+blank and '#' lines may follow the last row.  Of the comments only a
+'# name:' line is read.  An n above the table cap is refused at its line,
+before the table is allocated, as a spec's order is.  Import normalizes the
+identity to index 0 and reports the relabeling applied; export always writes
 normalized tables with a '# name:' header.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .core import CayleyTable, ConstructionError, classify, element_dtype, row_blocks
+from .core import TABLE_CAP_ENV, CayleyTable, ConstructionError, classify, element_dtype, row_blocks, table_cap
 
 
 @dataclass
@@ -23,12 +25,12 @@ class ImportResult:
     table: CayleyTable
     relabeling: list[int] | None  # old index -> new index, None if untouched
     name: str | None
-    comments: list[str] = field(default_factory=list)
 
 
-def parse_tbl(source: str | Iterable[str]) -> tuple[np.ndarray, str | None, list[str]]:
+def parse_tbl(source: str | Iterable[str]) -> tuple[np.ndarray, str | None]:
     """Parse .tbl text, or the lines of an open .tbl file as they are read, into
-    (raw array, declared name, comment lines).  Each row is range-checked as
+    (raw array, declared name).  An element count above table_cap() is
+    refused before any row is read.  Each row is range-checked as
     read, then stored in one array of the element dtype, allocated at the
     first row: numpy reads a clean row (_clean_row), the line parser
     (_parsed_row) any other."""
@@ -37,14 +39,13 @@ def parse_tbl(source: str | Iterable[str]) -> tuple[np.ndarray, str | None, list
     else:  # split as str.splitlines splits the whole text
         lines = (part for line in source for part in line.splitlines())
     name = arr = n = None
-    comments, k = [], 0  # k: rows read
+    k = 0  # rows read
     numbered = enumerate(lines, start=1)
     for lineno, line in numbered:
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
-            comments.append(stripped)
             body = stripped[1:].strip()
             if body.startswith("name:"):
                 name = body[len("name:"):].strip()
@@ -56,6 +57,9 @@ def parse_tbl(source: str | Iterable[str]) -> tuple[np.ndarray, str | None, list
                 raise ConstructionError(f"line {lineno}: expected element count, got {stripped!r}")
             if n < 1:
                 raise ConstructionError(f"line {lineno}: element count must be >= 1")
+            if n > (cap := table_cap()):
+                raise ConstructionError(f"line {lineno}: order {n} is above the table cap {cap}; "
+                                        f"{TABLE_CAP_ENV} raises the cap")
             continue
         row = _clean_row(stripped, n)
         if row is None:
@@ -77,7 +81,7 @@ def parse_tbl(source: str | Iterable[str]) -> tuple[np.ndarray, str | None, list
         raise ConstructionError("no element count found")
     if k != n:
         raise ConstructionError(f"expected {n} rows, found {k}")
-    return arr, name, comments
+    return arr, name
 
 
 def _clean_row(line: str, n: int) -> np.ndarray | None:
@@ -134,7 +138,7 @@ def import_table(path: str | Path) -> ImportResult:
     verdict and its witness, and moves the identity to 0."""
     try:
         with open(path) as fh:
-            arr, name, comments = parse_tbl(fh)
+            arr, name = parse_tbl(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConstructionError(f"cannot read {path}: {exc}")
     cls = classify(arr)
@@ -143,7 +147,7 @@ def import_table(path: str | Path) -> ImportResult:
     if sigma is not None:
         cls = replace(cls, identity_index=0)
     table = CayleyTable(arr, name=name or Path(path).stem, classification=cls)
-    return ImportResult(table=table, relabeling=sigma, name=name, comments=comments)
+    return ImportResult(table=table, relabeling=sigma, name=name)
 
 
 def _tbl_chunks(arr: np.ndarray, name: str, extra_comments: list[str] | None):

@@ -611,6 +611,11 @@ class RuleGroup:
     def mul(self, x: int, y: int) -> int:
         return int(self.rule(x, y))
 
+    @property
+    def generators(self) -> np.ndarray:
+        """The declared generators, as groups.direct reads them off a factor."""
+        return np.array(self.gens, dtype=np.int64)
+
 
 def rule_group(family: str, *args) -> RuleGroup:
     """What groups.<family>(*args) would build, as its rule: groups._from_rule

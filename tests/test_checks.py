@@ -103,16 +103,16 @@ def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
     # axiom-block and left Bruck verdicts, and construction, the translations and
     # every check read them there: no table is scanned twice for one fact,
     # through any binding of the scan.  Each group table is closed for its
-    # generators once, by the Light's test of its build, and each loop's
+    # generators once, by its build (Group.__init__), and each loop's
     # Loop.generators is found once
     scanned = []  # (fact, table): holding the tables keeps their ids distinct
-    closed = []  # (Loop.generators, its group or loop)
+    closed = []  # ("generators", its group or loop)
     real_closure = core.closure
 
     def closing(n, op, seed):
         caller = sys._getframe(1)
-        if caller.f_code.co_name == "generators":
-            closed.append((caller.f_code.co_name, caller.f_locals["self"]))
+        if caller.f_code.co_name in ("generators", "__init__"):
+            closed.append(("generators", caller.f_locals["self"]))
         return real_closure(n, op, seed)
 
     def spy(fact, real, table_of):

@@ -314,7 +314,7 @@ def test_convert_circ_matches_library(tmp_path, capsys):
     res = tableio.import_table(out_path)
     q = circ_loop(construct("sd:7:3:2"))
     assert (res.table.table == q.tbl).all()
-    assert any("construction: circ" in c for c in res.comments)
+    assert "# source: sd:7:3:2, construction: circ" in out_path.read_text().splitlines()
 
 
 def test_convert_roundtrip_table_identical(tmp_path, capsys):
@@ -393,6 +393,25 @@ def test_a_failed_variety_verdict_fails_the_roundtrip_without_a_traceback(capsys
     first, roundtrip = json.loads(out)["checks"]
     assert [first["verdict"], roundtrip["verdict"]] == ["fail", "fail"]
     assert first["witness"] and roundtrip["witness"] == f"{check} fails: {first['witness']}"
+
+
+def test_table_cap_binds_tables_read_from_files(tmp_path, capsys, monkeypatch):
+    # an order-155 table is refused at its count line under a cap of 100, as
+    # the spec sd:31:5:2 is, by every command that reads a .tbl file
+    monkeypatch.delenv("GAMMA_FORGE_TABLE_CAP", raising=False)
+    path, out_path = tmp_path / "g155.tbl", tmp_path / "out" / "x.tbl"
+    assert run_cli(capsys, "export", "sd:31:5:2", str(path))[0] == 0
+    out_path.parent.mkdir()
+    monkeypatch.setenv("GAMMA_FORGE_TABLE_CAP", "100")
+    refusal = "line 2: order 155 is above the table cap 100; GAMMA_FORGE_TABLE_CAP raises the cap"
+    for argv in (["verify", str(path)], ["import", str(path)],
+                 ["convert", str(path), "--direction", "circ", "--out", str(out_path)],
+                 ["convert", str(path), "--direction", "gamma-to-bruck", "--out", str(out_path)]):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {refusal}\n"), argv
+    assert not out_path.exists()
+    code, out, err = run_cli(capsys, "survey", "--source", str(tmp_path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert [(r["spec"], r["skipped"]) for r in json.loads(out)["rows"]] == [("file:g155.tbl", f"unreadable: {refusal}")]
 
 
 def test_table_cap_env(tmp_path, capsys, monkeypatch):

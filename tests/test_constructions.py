@@ -154,10 +154,5 @@ def test_powers_coincide(g21, q21):
     assert powers_coincide(z, Loop(z.table))[0]
 
 
-def test_constructed_loop_provenance(q21):
-    assert q21.source["construction"] == "circ"
-    assert q21.source["source"] == "sd:7:3:2"
-
-
 def test_circ_loop_gamma_axioms_hold(q21):
     assert check_gamma_axioms(q21).all_hold

@@ -425,7 +425,7 @@ def test_table_and_functional_modes_agree(spec):
     n = table.order
     assert fun.order == n
     assert np.array_equal([[fun.mul(x, y) for y in range(n)] for x in range(n)], table.tbl)
-    assert (fun.name, fun.gens) == (table.name, table.gens)
+    assert fun.name == table.name and fun.gens == tuple(table.generators[:len(fun.gens)].tolist())
 
 
 @pytest.mark.parametrize("spec", ["sd:7:3:2", "sd:7:3:4", "sd:13:3:3", "sd:11:5:3",
@@ -479,7 +479,7 @@ def test_power_walk_stops_on_a_table_that_is_not_a_group():
 
 def test_even_order_flagged():
     g = cyclic(4)
-    assert "even order" in g.notes
+    assert g.order % 2 == 0
     assert not is_uniquely_2_divisible(g)
 
 
@@ -516,28 +516,40 @@ def _relabeled_file_group(g, seed, tmp_path):
     return from_file(path)
 
 
+@pytest.mark.parametrize("spec", [*CATALOG_SPECS, "dp:ut:4:3,cyclic:3"])
+def test_generators_start_with_the_declared_ones(spec):
+    # the family's declared generators (a direct product's are its factors')
+    # head the seed of the one generating set, and generate the group
+    g, declared = construct(spec), oracles.rule_group("construct", spec).gens
+    assert tuple(g.generators[:len(declared)].tolist()) == declared
+    assert oracles.subgroup_closure(g.mul, declared) == tuple(range(g.order))
+    if spec in ("ut:4:3", "dp:ut:4:3,cyclic:3"):  # UT(4,3) needs 3, where the greedy closure over 0..n-1 took 6
+        assert g.generators.tolist() == {"ut:4:3": [1, 27, 243], "dp:ut:4:3,cyclic:3": [3, 81, 729, 1]}[spec]
+
+
 @pytest.mark.parametrize("spec", [s for s, order in CATALOG_SPECS.items() if order <= 243])
 def test_generator_center_and_series_match_the_pairwise_scan(spec, tmp_path):
-    # [x, s] for s in a generating set found by the closure, against [x, y]
-    # for every y; file groups carry no catalog generators.  The generators are
-    # those of the build's associativity test, each the least element outside
-    # the subgroup of those before
+    # [x, s] for s in the generating set of the build's associativity test,
+    # against [x, y] for every y.  A catalog group's set is its family's
+    # declared generators, each outside the subgroup of those before; file
+    # groups declare none, so each of theirs is the least element outside it
     g = construct(spec)
     for h in (g, _relabeled_file_group(g, 1, tmp_path), _relabeled_file_group(g, 2, tmp_path)):
-        assert h.gens == () or h is g
         gens = h.generators.tolist()
         for i, a in enumerate(gens):
-            assert a == min(set(range(h.order)) - set(oracles.subgroup_closure(h.mul, gens[:i])))
+            outside = set(range(h.order)) - set(oracles.subgroup_closure(h.mul, gens[:i]))
+            assert a in outside and (h is g or a == min(outside))
         assert oracles.subgroup_closure(h.mul, gens) == tuple(range(h.order))
         series = oracles.upper_central_series_scan(np.asarray(h.tbl))
         assert [s.members for s in upper_central_series(h)] == series
         assert center(h).members == (series[1] if len(series) > 1 else (0,))
 
 
-@pytest.mark.parametrize("spec", [s for s, order in CATALOG_SPECS.items() if order <= 81 and not s.startswith("dp:")])
+@pytest.mark.parametrize("spec", [s for s, order in CATALOG_SPECS.items() if order <= 81])
 def test_series_match_the_normal_closures_of_the_declared_generators(spec):
     # both series start from the shared commutator set; wr:3 (class 3,
-    # metabelian) tells the derived series from the lower central one
-    g = construct(spec)
-    assert [s.members for s in derived_series(g)] == oracles.functional_series(g, True)
-    assert [s.members for s in lower_central_series(g)] == oracles.functional_series(g, False)
+    # metabelian) tells the derived series from the lower central one.  The
+    # oracle reads the family's rule and declared generators, not the table
+    g, rule = construct(spec), oracles.rule_group("construct", spec)
+    assert [s.members for s in derived_series(g)] == oracles.functional_series(rule, True)
+    assert [s.members for s in lower_central_series(g)] == oracles.functional_series(rule, False)

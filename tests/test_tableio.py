@@ -5,7 +5,7 @@ code they replace.
 ``parse_tbl`` reads each clean row line with numpy (``_clean_row``) and hands
 every other row to its line parser (``_parsed_row``).  Forcing the line
 parser (by making ``_clean_row`` decline) gives the reference: on every text
-the two must return the same array, name and comments, or raise the same
+the two must return the same array and name, or raise the same
 error text.  ``format_tbl`` must write the bytes of the per-cell formatter
 kept in ``oracles``.
 """
@@ -34,17 +34,17 @@ def relabel(t, seed):
 
 
 def outcome(text, line_parser=False):
-    """parse_tbl's (array, name, comments) or ("error", message), with the
+    """parse_tbl's (array, name) or ("error", message), with the
     line parser forced for every row when line_parser is set."""
     with pytest.MonkeyPatch.context() as mp:
         if line_parser:
             mp.setattr(tableio, "_clean_row", lambda line, n: None)
         try:
-            arr, name, comments = tableio.parse_tbl(text)
+            arr, name = tableio.parse_tbl(text)
         except ConstructionError as err:
             return "error", str(err)
     assert arr.dtype == core.element_dtype(len(arr))
-    return arr.tolist(), name, comments
+    return arr.tolist(), name
 
 
 def row_paths(text):
@@ -87,9 +87,8 @@ def assert_same_as_line_parser(text):
 def test_relabeled_catalog_tables_read_whole(spec):
     t = relabel(construct(spec).tbl, len(spec))
     text = oracles.format_tbl_per_cell(CayleyTable(t, name=spec), ["relabeled", "seeded"])
-    arr, name, comments = assert_same_as_line_parser(text)
+    arr, name = assert_same_as_line_parser(text)
     assert (np.array(arr) == t).all() and name == spec
-    assert comments == [f"# name: {spec}", "# relabeled", "# seeded"]
     assert whole_read(text, len(t))
 
 
@@ -202,7 +201,7 @@ def test_file_lines_split_as_the_text_does(tmp_path):
         with open(path) as fh:
             try:
                 got = tableio.parse_tbl(fh)
-                got = got[0].tolist(), got[1], got[2]
+                got = got[0].tolist(), got[1]
             except ConstructionError as err:
                 got = "error", str(err)
         assert got == outcome(text)
@@ -265,6 +264,23 @@ def test_a_table_too_large_for_memory_is_an_error(monkeypatch):
 
     monkeypatch.setattr(tableio.np, "empty", empty)
     assert outcome("5\n# a first row\n0 1 2 3 4\n") == ("error", "line 3: a table of 5 rows does not fit in memory")
+
+
+def test_an_element_count_above_the_table_cap_is_refused_at_its_line(monkeypatch):
+    # before any row is read or the n x n array is allocated: a count of 10^6
+    # would ask for 2 TB of uint16 cells
+    allocated, real = [], np.empty
+    monkeypatch.setattr(tableio.np, "empty", lambda shape, dtype=float: allocated.append(shape) or real(shape, dtype))
+    monkeypatch.delenv(core.TABLE_CAP_ENV, raising=False)
+    assert outcome("# name: big\n1000000\n0\n") == (
+        "error", "line 2: order 1000000 is above the table cap 3000; GAMMA_FORGE_TABLE_CAP raises the cap")
+    rows = [" ".join(map(str, row)) for row in Z4]
+    monkeypatch.setenv(core.TABLE_CAP_ENV, "3")
+    assert outcome(z4_text(rows)) == (
+        "error", "line 1: order 4 is above the table cap 3; GAMMA_FORGE_TABLE_CAP raises the cap")
+    monkeypatch.setenv(core.TABLE_CAP_ENV, "4")
+    assert outcome(z4_text(rows)) == (Z4, None)
+    assert allocated == [(4, 4)]
 
 
 def spy_classify(monkeypatch):
