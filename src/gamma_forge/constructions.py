@@ -13,7 +13,10 @@ The loop keeps each law verdict it scans, so the checks that read one later
 
 Each translation takes only loops of its variety, by the verdict the Loop keeps, has
 one path and returns the table; Bruck -> Gamma is one walk over cycles.  Square roots,
-of the group and of a loop alike, are the Loop's sqrt_table.
+of the group and of a loop alike, are the Loop's sqrt_table.  Each table's powers are
+walked once, by Loop.power_cycles: the group's for its roots, and each loop's for its
+power-associativity test, beside which powers_coincide reads the group's powers of the
+loop's heads only.
 """
 
 from __future__ import annotations

@@ -261,38 +261,6 @@ def classify(t: CayleyTable | np.ndarray) -> ClassifyResult:
     return ClassifyResult(True, False, None, "no two-sided identity")
 
 
-def left_power_walk(t: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left powers x^k = x^(k-1) x of every x at once in a Latin table t with
-    identity 0, and side by side in the table u if given.  R_x permutes the
-    elements, so the powers of x first return to 0 at its order m_x <= n.  A
-    second pointer steps on odd steps only, so it holds x^ceil(k/2).  Returns
-    (orders, halves, differ): m_x, x^ceil(m_x/2), and the least k at which
-    the powers in u and t differ (0 if none).  Closed x leave the arrays, and
-    so does x at its first difference, keeping 0 in orders and halves.
-    """
-    n = len(t)
-    orders, halves, differ = (np.zeros(n, dtype=d) for d in (np.int32, t.dtype, np.int32))
-    tf, uf = t.ravel(), (t if u is None else u).ravel()
-    xs = np.arange(n)
-    cur = half = other = xs  # x^1 = 0 x
-    for k in range(1, n + 1):
-        gone = other != cur
-        differ[xs[gone]] = k
-        closed = (cur == 0) & ~gone
-        orders[xs[closed]], halves[xs[closed]] = k, half[closed]
-        gone |= closed
-        if gone.any():
-            keep = ~gone
-            xs, cur, half, other = xs[keep], cur[keep], half[keep], other[keep]
-            if not xs.size:
-                return orders, halves, differ
-        cur = tf.take(flat(n, cur, xs))
-        other = cur if u is None else uf.take(flat(n, other, xs))
-        if k % 2 == 0:
-            half = tf.take(flat(n, half, xs))
-    raise ConstructionError(f"element {int(xs[0])} has no power equal to the identity within {n} steps")
-
-
 # ---------------------------------------------------------------------------
 # Permutation groups as stabilizer chains
 

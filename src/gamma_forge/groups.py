@@ -51,7 +51,8 @@ class Group(Loop):
     A group is exactly an associative loop (Bruck 1958), so the table, its
     labels, inverses, commutativity verdict and square roots are the Loop's,
     and its generators the Loop's closure with the declared gens at the head
-    of the seed; a group is power-associative, so no powers are scanned."""
+    of the seed; a group is power-associative, so its power cycles are walked
+    for its roots only, and never tested."""
 
     power_associativity = (True, None)
 

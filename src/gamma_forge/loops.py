@@ -9,11 +9,12 @@ P-map and left Bol identities are tested only on a generating set from
 core.closure: the elements that pass each hold 0 and are closed under an
 operation; automorphicity reads the inner maps of those generators only.  A
 Loop keeps one generating set of its product, which Light's test, the center
-sieve, the inner maps and the closed-form L maps read.  It scans
-commutativity, automorphic inverses, power associativity, the axiom block,
-the left Bruck identities and automorphicity once each and keeps the
-verdicts, its inverses and its square roots; is_moufang, is_left_bruck and
-is_automorphic each return (holds, witness).  Central quotients are read off
+sieve, the inner maps and the closed-form L maps read.  It walks its left
+powers once, in cycles that give power associativity, its square roots and
+power coincidence with a group.  It scans commutativity, automorphic
+inverses, the axiom block, the left Bruck identities and automorphicity
+once each and keeps the verdicts and its inverses; is_moufang,
+is_left_bruck and is_automorphic each return (holds, witness).  Central quotients are read off
 the center's cosets.  A group is the Loop subclass groups.Group.
 """
 
@@ -25,7 +26,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import core
 from .core import (
     DEFAULT_TABLE_CAP,
     CayleyTable,
@@ -40,7 +40,6 @@ from .core import (
     first_false,
     first_false_rows,
     flat,
-    left_power_walk,
     row_blocks,
     take_rows,
 )
@@ -51,9 +50,9 @@ class Loop:
 
     Its law verdicts (commutativity, automorphic inverses, power
     associativity, the circ-variety axioms, left Bruck, automorphicity), its
-    inverses, generators, square roots and center are each decided on first
-    read and kept: group and loop construction, the variety translations and
-    every check read them here."""
+    inverses, generators, power cycles, square roots and center are each
+    decided on first read and kept: group and loop construction, the variety
+    translations and every check read them here."""
 
     def __init__(self, table: CayleyTable):
         cls = table.classification
@@ -132,13 +131,45 @@ class Loop:
         return w is None, w
 
     @cached_property
+    def power_cycles(self) -> dict[int, np.ndarray]:
+        """The one walk of the left powers: for each cycle length m, a read-only
+        array whose rows are the cycles x^0..x^(m-1) of 0 under R_x (x^k =
+        x^(k-1) x), x = row[1], of the heads x: each x, ascending, that is no
+        power of a head before it.  The walk takes n steps per head at most, so
+        a table that is no loop, though classified as one, is refused."""
+        t, n = self.tbl, self.n
+        covered, cycles = np.arange(n) == 0, {}  # <0> = {0}
+        for x in range(1, n):
+            if covered[x]:
+                continue
+            powers, p = [0], x
+            while p:
+                if len(powers) == n:
+                    raise ConstructionError(f"element {x} has no power equal to the identity within {n} steps")
+                powers.append(p)
+                p = t.item(p, x)
+            covered[powers] = True
+            cycles.setdefault(len(powers), []).append(powers)
+        cycles = {m: np.array(pw, dtype=t.dtype) for m, pw in cycles.items()}
+        for pw in cycles.values():
+            pw.setflags(write=False)
+        return cycles
+
+    @cached_property
     def sqrt_table(self) -> np.ndarray:
         """s[x] = x^((m+1)/2), so s[x]^2 = x, in a power-associative loop whose
-        every element order m is odd; read-only."""
+        every element order m is odd; read-only.  Read off power_cycles: each x
+        is a power h^j of a head h, and in the cyclic <h> of order m, h^j has
+        order m/gcd(j, m) and, m odd, the root h^(j(m+1)/2 mod m), whose square
+        is h^(j(m+1)) = h^j."""
         ok, bad = self.power_associativity
         if not ok:
             raise ConstructionError(f"loop is not power-associative at element {self.label(bad)}")
-        orders, s, _ = left_power_walk(self.tbl)
+        orders, s = np.ones(self.n, dtype=np.int32), np.zeros(self.n, dtype=self.tbl.dtype)
+        for m, pw in self.power_cycles.items():
+            j = np.arange(m)
+            orders[pw] = m // np.gcd(j, m)
+            s[pw] = pw[:, j * ((m + 1) // 2) % m]
         if (orders % 2 == 0).any():
             x = int(np.argmax(orders % 2 == 0))
             raise EvenOrderError(f"element {self.label(x)} has even order {int(orders[x])}")
@@ -321,30 +352,14 @@ def _left_bol_witness(t: np.ndarray, witness_sides=None) -> tuple[int, int, int]
 
 def is_power_associative(q: Loop) -> tuple[bool, int | None]:
     """(True, None) if each single-generated submagma is associative, else (False, x) for the least x
-    whose <x> is not.  One pass collects the left powers x^0..x^(m-1) (x^k = x^(k-1) x, the cycle of 0
-    under R_x) of each x that is no power of an x collected before.  <x> is associative iff x^i x^j =
-    x^((i+j) mod m) for all i, j < m: then the powers are closed, hold x and form Z_m, so they are <x>;
-    an associative <x> is a cancellative semigroup, so a group, cyclic on these powers, and its
-    members generate associative ones.  The x of one length m are tested together once the batches
-    reach _BLOCK_CELLS cells and at the end; the x before the least failing one pass, so it and the x
-    collected up to it are those of a scan one x at a time."""
-    t, n = q.tbl, q.n
-    covered, cycles, cells = np.arange(n) == 0, {}, 0  # <0> = {0}
-    for x in range(1, n + 1):
-        if x < n and not covered[x]:
-            powers, p = [0], x
-            while p:
-                powers.append(p)
-                p = t.item(p, x)
-            covered[powers] = True
-            cycles.setdefault(len(powers), []).append(powers)
-            cells += len(powers) ** 2
-        if cells and (cells >= core._BLOCK_CELLS or x == n):
-            failing = [_least_failing_cycle(q, np.array(pw, dtype=t.dtype)) for pw in cycles.values()]
-            if any(failing):
-                return False, min(filter(None, failing))
-            cycles, cells = {}, 0
-    return True, None
+    whose <x> is not.  <x> is associative iff x^i x^j = x^((i+j) mod m) for all i, j < m, on its
+    cycle x^0..x^(m-1) of left powers: then the powers are closed, hold x and form Z_m, so they are
+    <x>; an associative <x> is a cancellative semigroup, so a group, cyclic on these powers, and its
+    members generate associative ones.  So the least failing x is a head of q.power_cycles: any
+    other x is a power of a head h < x, and <x> lies in <h> if <h> is associative.  The heads of
+    one cycle length are tested together."""
+    failing = [w for pw in q.power_cycles.values() if (w := _least_failing_cycle(q, pw)) is not None]
+    return (False, min(failing)) if failing else (True, None)
 
 
 def _least_failing_cycle(q: Loop, pw: np.ndarray) -> int | None:
@@ -363,17 +378,25 @@ def powers_coincide(g, q: Loop) -> tuple[bool, tuple[int, int] | None]:
     """Group powers equal loop powers for every element and exponent.
 
     Witness is (element, k) at the first disagreement: the least x, then its
-    least k up to the order of x in g, from one walk of both tables.  Also
-    insists the loop side is power-associative so its powers are unambiguous.
+    least k up to the order of x in g.  Also insists the loop side is
+    power-associative so its powers are unambiguous.
+
+    Only the heads of q.power_cycles are walked in g.  Any other x is a power
+    h^j of a head h < x.  If h's powers agree, <h> is one cyclic group in both
+    tables, in which x^k = h^(jk); so x agrees too, and the least x that
+    differs is a head.  A head h with the cycle h^0..h^(m-1) in q agrees up to
+    the least k with g(h^(k-1), h) != h^(k mod m): every g-power before k is
+    the cycle's, not 0 before k = m, so g's walk has not returned to 0; at
+    k = m both are 0.  One gather per cycle length tests every step at once.
     """
     if g.order != q.n:
         raise ValueError("group and loop must share one element set")
     ok, bad = q.power_associativity
     if not ok:
         return False, (bad, -1)
-    differ = left_power_walk(g.tbl, q.tbl)[2]
-    x = int(np.argmax(differ > 0))  # the least x whose powers differ, if any
-    return (False, (x, int(differ[x]))) if differ[x] else (True, None)
+    differ = [(int(pw[w[0], 1]), w[1] + 1) for pw in q.power_cycles.values()  # [c, k - 1]: x^k of x = pw[c, 1]
+              if (w := first_false(g.rule(pw, pw[:, 1:2]) == np.roll(pw, -1, axis=1))) is not None]
+    return (False, min(differ)) if differ else (True, None)
 
 
 # ---------------------------------------------------------------------------

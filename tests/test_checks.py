@@ -1,5 +1,6 @@
 """The check registry, and the names the traced benchmark relies on."""
 
+import functools
 import json
 import os
 import subprocess
@@ -96,6 +97,28 @@ def test_verify_scans_powers_once_per_loop(monkeypatch):
     report = run_checks(construct("sd:7:3:2"))
     assert {c.check_id: c.verdict for c in report.checks}["power-coincidence"] == "pass"
     assert sorted(calls) == ["circ(Z7:|Z3(a=2))", "oplus(Z7:|Z3(a=2))"]
+
+
+def test_verify_walks_the_powers_of_each_table_once(monkeypatch):
+    # the group's roots, the power-associativity test of each loop and both power
+    # coincidences read one walk per table, Loop.power_cycles: the group, circ and
+    # oplus are walked once each, and the factors Z7 and Z3 once each for the
+    # roots the closed forms read
+    walked = []
+    real = loops.Loop.power_cycles.func
+
+    def counting(q):
+        walked.append(q)
+        return real(q)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(loops.Loop, "power_cycles")
+    monkeypatch.setattr(loops.Loop, "power_cycles", spy)
+    g = construct("sd:7:3:2")
+    report = run_checks(g)
+    assert report.consistent and {c.check_id: c.verdict for c in report.checks}["power-coincidence"] == "pass"
+    assert sorted(q.name for q in walked) == sorted([g.name, f"circ({g.name})", f"oplus({g.name})", "Z7", "Z3"])
+    assert len({id(q) for q in walked}) == 5 and any(q is g for q in walked)
 
 
 def test_verify_decides_each_loop_law_once_per_table(monkeypatch):
@@ -387,7 +410,7 @@ def test_held_arrays_are_narrow_and_flat_indices_intp(spec, monkeypatch):
     assert {o: cells for o, cells in owners.items() if cells >= g.order ** 2} == {}
     flat_takes = [(name, d) for name, d, cells in _TakeSpy.calls if cells > g.order]
     row_takes = [(name, d) for name, d, cells in _TakeSpy.calls if cells <= g.order]
-    assert {"left_power_walk", "_inner_maps", "_gamma_by_orbit_walk", "take_rows", "rule"} <= {
+    assert {"_inner_maps", "_gamma_by_orbit_walk", "take_rows", "rule"} <= {
         name for name, _ in flat_takes}
     assert {d for _, d in flat_takes} == {np.dtype(np.intp)}
     assert row_takes and {d for _, d in row_takes} <= {dtype, np.dtype(np.int32), np.dtype(np.intp)}

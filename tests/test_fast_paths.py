@@ -35,7 +35,7 @@ from oracles import Permutation
 from gamma_forge.catalog import CATALOG_SPECS
 from gamma_forge import checks, constructions, core
 from gamma_forge.constructions import bruck_from_gamma, circ_loop, gamma_from_bruck, oplus_loop
-from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, GammaForgeError, left_power_walk
+from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, GammaForgeError
 from gamma_forge import loops
 from gamma_forge.groups import Group, construct
 from gamma_forge.loops import (
@@ -830,27 +830,42 @@ def test_product_loops_reach_late_witnesses():
     assert sum(w[0] > 1 for w in witnesses) >= 12
 
 
-# --- element powers: the walk over all elements against scalar powers
+# --- element powers: the power cycles against scalar powers
+
+
+def assert_power_cycles_match_scalar_powers(q):
+    """q.power_cycles holds, for each x in ascending order that is no power of
+    an x before it, the cycle of its left powers, of the length given by
+    oracles.loop_order_of; sqrt_table is x^((m+1)/2) for the order m of each
+    x, or raises with the least x of even order."""
+    orders = [oracles.loop_order_of(q, x) for x in range(q.n)]
+    heads, covered = [], np.arange(q.n) == 0
+    for m, pw in q.power_cycles.items():
+        assert pw.dtype == q.tbl.dtype and pw.shape[1] == m and not pw.flags.writeable
+        assert (pw[:, 0] == 0).all() and (pw[:, 1:] == q.tbl[pw[:, :-1], pw[:, 1:2]]).all()  # x^k = x^(k-1) x
+        assert (q.tbl[pw[:, -1], pw[:, 1]] == 0).all() and pw[:, 1].tolist() == sorted(pw[:, 1].tolist())
+        heads += [(x, m, row) for x, row in zip(pw[:, 1].tolist(), pw)]
+    for x, m, row in sorted(heads, key=lambda h: h[0]):
+        assert not covered[x] and m == orders[x]
+        covered[row] = True
+    assert covered.all()
+    even = [x for x, m in enumerate(orders) if m % 2 == 0]
+    if even:
+        with pytest.raises(EvenOrderError, match=rf"^element {re.escape(q.label(even[0]))} has even order {orders[even[0]]}$"):
+            q.sqrt_table
+    else:
+        assert q.sqrt_table.tolist() == [oracles.left_power(q, x, (m + 1) // 2) for x, m in enumerate(orders)]
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS + ["ut:4:3", "cyclic:2187", "cyclic:12", "dp:sd:7:3:2,cyclic:4"])
 def test_walked_group_powers_match_scalar_powers(spec):
-    g = group(spec)
-    orders, halves, differ = left_power_walk(g.tbl)
-    q = Loop(g.table)
-    assert orders.tolist() == [oracles.loop_order_of(q, x) for x in range(g.order)]
-    assert halves.tolist() == [oracles.left_power(q, x, (m + 1) // 2) for x, m in enumerate(orders.tolist())]
-    assert not differ.any()
-    if g.order % 2:
-        assert (g.sqrt_table == halves).all()
+    assert_power_cycles_match_scalar_powers(group(spec))
 
 
 @pytest.mark.parametrize("spec", [s for s in SMALL_SPECS if group(s).order <= 81])
 def test_walked_loop_powers_match_scalar_powers(spec):
     for q in (circ_loop(group(spec)), oplus_loop(group(spec))):
-        orders = [oracles.loop_order_of(q, x) for x in range(q.n)]
-        assert left_power_walk(q.tbl)[0].tolist() == orders
-        assert q.sqrt_table.tolist() == [oracles.left_power(q, x, (m + 1) // 2) for x, m in enumerate(orders)]
+        assert_power_cycles_match_scalar_powers(q)
 
 
 def test_even_orders_have_one_message():
@@ -980,6 +995,20 @@ def test_powers_coincide_witnesses_reach_late_exponents():
             assert got == oracles.powers_coincide_scan(g.tbl, t)
             ks.add(got[1][1])
     assert max(ks) > 2
+
+
+def test_powers_coincide_witness_may_be_a_later_head_of_its_length():
+    # every head of Z3 x Z3 has a cycle of 3 powers; relabelled by the swap of
+    # 4 and 5, the powers of 1 and 3 still agree, and the least x whose powers
+    # differ is a head after the first two of that one length
+    g = group("dp:cyclic:3,cyclic:3")
+    pi = np.arange(9)
+    pi[[4, 5]] = [5, 4]
+    t = pi[g.tbl[pi[:, None], pi]]  # the swap is its own inverse
+    q = Loop(CayleyTable(t))
+    got = powers_coincide(g, q)
+    assert got == oracles.powers_coincide_scan(g.tbl, t) and not got[0]
+    assert list(q.power_cycles) == [3] and got[1][0] in q.power_cycles[3][2:, 1].tolist()
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS + ["ut:4:3"])

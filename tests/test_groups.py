@@ -9,7 +9,7 @@ import pytest
 import oracles
 from gamma_forge import checks, core, groups, tableio
 from gamma_forge.catalog import CATALOG_SPECS
-from gamma_forge.core import CayleyTable, ConstructionError, EvenOrderError, build_table, closure, left_power_walk
+from gamma_forge.core import CayleyTable, ClassifyResult, ConstructionError, EvenOrderError, build_table, closure
 from gamma_forge.groups import (
     Group,
     SemidirectSpec,
@@ -468,13 +468,19 @@ def test_direct_products_widen_narrow_factor_tables():
 
 
 def test_power_walk_stops_on_a_table_that_is_not_a_group():
+    # a classification handed in is taken unchecked, so each table passes as a loop, and
+    # max(x, y), which is associative, as a group too
+    classified = lambda t: CayleyTable(t, classification=ClassifyResult(True, True, 0, None))
     # max(x, y): 0 has order 1, every other x is its own square
-    with pytest.raises(ConstructionError, match=r"^element 1 has no power equal to the identity within 5 steps$"):
-        left_power_walk(build_table(5, np.maximum).table)
+    t = build_table(5, np.maximum).table
+    for read in (lambda: Loop(classified(t)).power_associativity, lambda: Group(classified(t)).sqrt_table):
+        with pytest.raises(ConstructionError, match=r"^element 1 has no power equal to the identity within 5 steps$"):
+            read()
     # Z3 on 0..2, max above: 1 and 2 close, 3 is the least element that does not
-    t = build_table(5, lambda x, y: np.where((x < 3) & (y < 3), (x + y) % 3, np.maximum(x, y))).table
-    with pytest.raises(ConstructionError, match=r"^element 3 has no power equal to the identity within 5 steps$"):
-        left_power_walk(t)
+    q = Loop(classified(build_table(5, lambda x, y: np.where((x < 3) & (y < 3), (x + y) % 3, np.maximum(x, y))).table))
+    for read in ("power_cycles", "power_associativity", "sqrt_table"):
+        with pytest.raises(ConstructionError, match=r"^element 3 has no power equal to the identity within 5 steps$"):
+            getattr(q, read)
 
 
 def test_even_order_flagged():
